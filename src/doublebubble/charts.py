@@ -80,6 +80,21 @@ class MetricChart:
     def exp_closed(self, p, v):
         return None
 
+    def dexp_closed(self, p, v):
+        """Closed-form differential of exp_closed in v, (..., n, n); None when unavailable."""
+        return None
+
+    def geodesic_acc_jacobian(self, x, v):
+        """(A_x, A_v), A[..., a, b] = d acc_a / d x_b (resp. d v_b) of the geodesic
+        acceleration acc = -Gamma(v, v), by 4th-order central differences;
+        subclasses override it with the analytic form."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(v, dtype=float)
+        h = self.fd_step
+        a_x = _fd_d1(lambda y: geodesic_acceleration(self, y, v), x, h, depth=1)
+        a_v = _fd_d1(lambda w: geodesic_acceleration(self, x, w), v, h, depth=1)
+        return np.swapaxes(a_x, -1, -2), np.swapaxes(a_v, -1, -2)
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim}>"
 
@@ -118,6 +133,9 @@ class EuclideanChart(MetricChart):
     def exp_closed(self, p, v):
         return np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
 
+    def dexp_closed(self, p, v):
+        return np.broadcast_to(np.eye(self.dim), np.shape(v) + (self.dim,)).copy()
+
 
 def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
     # Gamma^k_ij = delta_ik f_j + delta_jk f_i - delta_ij f_k for g = e^(2f) delta
@@ -135,6 +153,18 @@ def _conformal_acc(grad_f: np.ndarray, v: np.ndarray) -> np.ndarray:
     fv = np.sum(grad_f * v, axis=-1, keepdims=True)
     vv = np.sum(v * v, axis=-1, keepdims=True)
     return -2.0 * fv * v + vv * grad_f
+
+
+def _conformal_acc_jacobian(grad_f, hess_f, v):
+    # d/dv and d/dx of -2 (grad_f . v) v + |v|^2 grad_f, with d grad_f / dx = hess_f
+    eye = np.eye(v.shape[-1])
+    fv = np.sum(grad_f * v, axis=-1)[..., None, None]
+    vv = np.sum(v * v, axis=-1)[..., None, None]
+    hv = np.einsum("...ab,...b->...a", hess_f, v)
+    a_x = -2.0 * v[..., :, None] * hv[..., None, :] + vv * hess_f
+    a_v = 2.0 * (grad_f[..., :, None] * v[..., None, :] - v[..., :, None] * grad_f[..., None, :])
+    a_v -= 2.0 * fv * eye
+    return a_x, a_v
 
 
 class RoundSphereChart(MetricChart):
@@ -201,6 +231,14 @@ class RoundSphereChart(MetricChart):
         grad_f = -2.0 * x / (self.a**2 + s)[..., None]
         return _conformal_acc(grad_f, v)
 
+    def geodesic_acc_jacobian(self, x, v):
+        # f = log(2 a^2 / (a^2 + |x|^2))
+        x = np.asarray(x, dtype=float)
+        u = (self.a**2 + np.sum(x * x, axis=-1))[..., None, None]
+        grad_f = -2.0 * x / u[..., 0]
+        hess_f = -2.0 * np.eye(self.dim) / u + 4.0 * x[..., :, None] * x[..., None, :] / u**2
+        return _conformal_acc_jacobian(grad_f, hess_f, v)
+
     # stereographic embedding of the sphere of radius a in R^(n+1)
     def embed(self, x):
         x = np.asarray(x, dtype=float)
@@ -235,6 +273,30 @@ class RoundSphereChart(MetricChart):
         w = u1[..., -1:]
         out = self.a * u1[..., :-1] / (self.a - w)
         return np.where(small, np.broadcast_to(p, v.shape), out)
+
+    def dexp_closed(self, p, v):
+        """Differential of exp_closed in v at a single base point p, (..., n, n)."""
+        a = self.a
+        p = np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
+        den = a**2 + p @ p
+        # differential of the embedding at p, (n + 1, n)
+        push = np.vstack(
+            [(2.0 * a**2 / den) * (np.eye(self.dim) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
+        )
+        w = v @ push.T
+        speed = np.linalg.norm(w, axis=-1, keepdims=True)
+        theta = speed / a
+        wdir = w / np.where(speed == 0.0, 1.0, speed)
+        sinc = np.sinc(theta / math.pi)
+        u0 = self.embed(p)
+        u1 = np.cos(theta) * u0 + a * np.sin(theta) * wdir
+        # d u1 = k (wdir . dw) + sinc dw, then the stereographic projection back
+        k = -np.sin(theta) / a * u0 + (np.cos(theta) - sinc) * wdir
+        du1 = k[..., :, None] * (wdir @ push)[..., None, :] + sinc[..., None] * push
+        z = a - u1[..., -1:]
+        head = (a / z)[..., None] * du1[..., :-1, :]
+        return head + (a * u1[..., :-1] / z**2)[..., :, None] * du1[..., -1:, :]
 
 
 class ConformalBumpChart(MetricChart):
@@ -277,6 +339,15 @@ class ConformalBumpChart(MetricChart):
         d = x - self.x0
         grad_f = self._f(x)[..., None] * (-2.0 * d / self.s**2)
         return _conformal_acc(grad_f, v)
+
+    def geodesic_acc_jacobian(self, x, v):
+        x = np.asarray(x, dtype=float)
+        d = x - self.x0
+        f = self._f(x)[..., None, None]
+        grad_f = f[..., 0] * (-2.0 * d / self.s**2)
+        dd = d[..., :, None] * d[..., None, :]
+        hess_f = f * (4.0 * dd / self.s**4 - 2.0 * np.eye(self.dim) / self.s**2)
+        return _conformal_acc_jacobian(grad_f, hess_f, v)
 
     def scalar_curvature_exact(self, x):
         """Closed-form Sc of a conformal metric, for cross-checks.
@@ -363,6 +434,15 @@ class ProductRoundChart(MetricChart):
         for off, d, sub, _ in self._blocks(p):
             sl = slice(off, off + d)
             out[..., sl] = sub.exp_closed(p[..., sl], v[..., sl])
+        return out
+
+    def dexp_closed(self, p, v):
+        p = np.asarray(p, dtype=float)
+        v = np.asarray(v, dtype=float)
+        out = np.zeros(v.shape + (self.dim,))
+        for off, d, sub, _ in self._blocks(p):
+            sl = slice(off, off + d)
+            out[..., sl, sl] = sub.dexp_closed(p[..., sl], v[..., sl])
         return out
 
 
@@ -615,6 +695,14 @@ def curvature_at(chart: MetricChart, p, seed_axis, nabla: bool = True) -> Curvat
 # geodesics
 
 
+def geodesic_acceleration(chart: MetricChart, x, v) -> np.ndarray:
+    """-Gamma(v, v) at x: the chart's closed form when it has one, else from christoffel()."""
+    acc = chart.geodesic_acc(x, v)
+    if acc is None:
+        acc = -np.einsum("...aij,...i,...j->...a", christoffel(chart, x), v, v)
+    return acc
+
+
 def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False) -> np.ndarray:
     """Geodesic endpoint Exp_p(v) in chart coordinates; v may be batched (..., n).
 
@@ -636,15 +724,8 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
     u = v.copy()
     dt = 1.0 / steps
 
-    closed_acc = chart.geodesic_acc(np.broadcast_to(p, v.shape), v)
-
-    if closed_acc is not None:
-        def acc(pos, vel):
-            return chart.geodesic_acc(pos, vel)
-    else:
-        def acc(pos, vel):
-            gamma = christoffel(chart, pos)
-            return -np.einsum("...aij,...i,...j->...a", gamma, vel, vel)
+    def acc(pos, vel):
+        return geodesic_acceleration(chart, pos, vel)
 
     for k in range(steps):
         k1x, k1u = u, acc(x, u)
@@ -659,6 +740,69 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
                 exit_fraction=(k + 1) / steps,
             )
     return x
+
+
+def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
+    """Exp_p(t u) and its differential dExp_p(t u) at the nodes t_nodes (N, k) of
+    the rays u (N, n); returns (points (N, k, n), dexp (N, k, n, n)).
+
+    Nodes must be positive and increasing along each ray.  Charts with a
+    closed-form differential use it unless force_rk4 is set.  Otherwise RK4
+    integrates each geodesic with its variational equation
+    J'' = A_x J + A_v J', J(0) = 0, J'(0) = I, whose solution is
+    J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from node j - 1 (or from
+    t = 0) to node j, so every node is hit exactly.  A ray point outside the
+    domain raises DomainExit, as in exp_map.
+    """
+    p = np.asarray(p, dtype=float)
+    u = np.asarray(u, dtype=float)
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    n = chart.dim
+    if not force_rk4:
+        v = t_nodes[..., None] * u[:, None, :]
+        dexp = chart.dexp_closed(p, v)
+        if dexp is not None:
+            points = chart.exp_closed(p, v)
+            if not np.all(chart.domain.inside_mask(points)):
+                raise DomainExit(f"ray left {chart.name}", exit_fraction=1.0)
+            return points, dexp
+
+    # state columns: position, velocity, J (n columns), J' (n columns)
+    y = np.zeros(u.shape + (2 * n + 2,))
+    y[..., 0] = p
+    y[..., 1] = u
+    y[..., 2 + n :] = np.eye(n)
+
+    def deriv(y):
+        x, v = y[..., 0], y[..., 1]
+        a_x, a_v = chart.geodesic_acc_jacobian(x, v)
+        jdot = a_x @ y[..., 2 : 2 + n] + a_v @ y[..., 2 + n :]
+        # acc is quadratic in v, so A_v v = 2 acc
+        acc = 0.5 * np.einsum("...ab,...b->...a", a_v, v)
+        return np.concatenate([v[..., None], acc[..., None], y[..., 2 + n :], jdot], axis=-1)
+
+    points = np.empty(t_nodes.shape + (n,))
+    dexp = np.empty(t_nodes.shape + (n, n))
+    total = int(sum(substeps))
+    done = 0
+    t_prev = np.zeros(len(u))
+    for j, count in enumerate(substeps):
+        dt = ((t_nodes[:, j] - t_prev) / count)[:, None, None]
+        for _ in range(count):
+            k1 = deriv(y)
+            k2 = deriv(y + 0.5 * dt * k1)
+            k3 = deriv(y + 0.5 * dt * k2)
+            k4 = deriv(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            done += 1
+            if not np.all(chart.domain.inside_mask(y[..., 0])):
+                raise DomainExit(
+                    f"ray left {chart.name} at step {done}/{total}", exit_fraction=done / total
+                )
+        points[:, j] = y[..., 0]
+        dexp[:, j] = y[..., 2 : 2 + n] / t_nodes[:, j, None, None]
+        t_prev = t_nodes[:, j]
+    return points, dexp
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ CONFIG_KEYS = {
     "rho_list": "comma-separated decreasing scales",
     "rho": "single scale (predict)",
     "grid": "quadrature grid n_polar,n_sphere",
-    "sector_nodes": "Gauss-Legendre nodes of the radial cone rule",
+    "sector_nodes": "Gauss-Legendre nodes of the radial ray rule",
     "geodesic_steps": "RK4 steps of the exponential map",
     "quantities": "verify quantities, comma-separated (see measure.QUANTITIES)",
     "perturbed": "true to verify with a rho^2-scaled admissible field",

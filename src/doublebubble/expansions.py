@@ -383,7 +383,10 @@ def phi_limit_constants(bubble: StandardBubble) -> ReducedConstants:
         a_tot += a_s
         b_tot += b_s
     # b_tot vanishes analytically; store the exact zero so predictions are clean
-    assert abs(b_tot) < 1e-10 * max(1.0, abs(a_tot))
+    if abs(b_tot) >= 1e-10 * max(1.0, abs(a_tot)):
+        raise ValueError(
+            f"axis weights sum to {b_tot:.3e}, not 0: the bubble's angles violate the conormal balance"
+        )
     return ReducedConstants(a=a_tot, b=0.0, per_sheet=tuple(pairs), symmetric=bubble.symmetric)
 
 

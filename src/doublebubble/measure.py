@@ -7,15 +7,22 @@ the junction conormal defect and the two-volume energy by quadrature and
 parameter-space finite differences.  Nothing here uses the closed-form
 curvature expansions; those are *checked against* these numbers.
 
-Enclosed volumes use the signed region decomposition: the region P_s between
-cap s and the neck disk D satisfies
+Enclosed volumes are ray integrals from the base point, which sits at the
+centre of the flat neck disk and so inside every ball of the bubble.  Each
+chamber is a union of radial intervals: along a unit direction theta (frame
+components, theta_z its axial part) the ray leaves ball s at
 
-  vol(P_s) = vol(cone(C_s -> cap_s)) + eta_s vol(cone(C_s -> D)),
+  r_s(theta) = c_s theta_z + sqrt(R_s^2 - c_s^2 (1 - theta_z^2)),
 
-with eta = (-1, sign(c1), +1) fixed by which side of the neck plane each
-center lies on, and V1 = P1 + P0, V2 = P2 - P0.  Cones are exp-images of flat
-cones, so the identity survives in the curved setting.  Perturbed volumes add
-the per-sheet cone differences, which is closure independent.
+so V1 integrates [0, r1] over theta_z > 0 and [0, r0] over theta_z < 0, and
+V2 integrates [r0, r2] over theta_z < 0 (the symmetric case has no r0: V1 and
+V2 are the two half-balls [0, r1] and [0, r2]).  The volume density at the
+flat point t theta is
+
+  rho^n |det(dExp_p(t rho E theta) E)| sqrt(det G) t^(n-1),
+
+with dExp from charts.exp_rays.  Perturbed volumes add the swept-prism
+volume of each sheet, which is closure independent.
 """
 
 from __future__ import annotations
@@ -26,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expansions
-from .charts import DomainExit, MetricChart, OrthoFrame, curvature_at, exp_map
+from .charts import DomainExit, MetricChart, OrthoFrame, curvature_at, exp_map, exp_rays
 from .fields import (
     PerturbationField,
-    angles_to_dirs,
     check_admissible,
     displaced_point_z,
     flat_point_z,
@@ -106,9 +112,11 @@ def _fd4(values, h):
 class EmbeddedBubble:
     """Geodesic image of a (possibly perturbed) standard bubble in a chart.
 
-    grid = (n_polar, n_sphere) controls the quadrature resolution; h_rel the
-    relative parameter step of the embedding stencils; sector_nodes the
-    Gauss-Legendre order of the radial cone quadrature.
+    grid = (n_polar, n_sphere) controls the quadrature resolution of the
+    sheets and of each half-sphere of volume rays; h_rel the relative
+    parameter step of the embedding stencils; sector_nodes the Gauss-Legendre
+    order of the radial ray rule; geodesic_steps the RK4 steps of one
+    geodesic (of one radial segment, for volume rays).
     """
 
     def __init__(
@@ -251,54 +259,6 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
     return out.copy()
 
 
-def _cone_volume(eb: EmbeddedBubble, apex: np.ndarray, surf_fun, z_nodes, z_weights, steps) -> float:
-    """Volume of Exp(rho * cone(apex -> surface)) by (s, z) quadrature.
-
-    `steps` are the surface-parameter stencil steps; the radial stencil uses a
-    fixed step on s in [0, 1] (the flat cone map extends smoothly past 1).
-    All stencil points of all Gauss-Legendre s-levels go through exp_map in a
-    single batch.
-    """
-    t, wt = np.polynomial.legendre.leggauss(eb.sector_nodes)
-    s_nodes = 0.5 * (t + 1.0)
-    s_weights = 0.5 * wt
-    m = eb.bubble.m
-    n_pts = z_nodes.shape[0]
-    surf0 = surf_fun(z_nodes)
-    surfs = [surf0]
-    for i in range(m):
-        dz = np.zeros(m)
-        dz[i] = steps[i]
-        surfs.extend(surf_fun(z_nodes + c * dz) for c in (-2, -1, 1, 2))
-    surfs = np.stack(surfs, axis=0)  # (1 + 4m, N, n)
-    hs = 1e-4
-    flat = []
-    for sv in s_nodes:
-        flat.append(apex + sv * (surfs - apex))  # center + z-stencils at level sv
-        for c in (-2, -1, 1, 2):
-            flat.append((apex + (sv + c * hs) * (surf0 - apex))[None])
-    counts = [f.shape[0] for f in flat]
-    emb = eb.embed_flat(np.concatenate(flat, axis=0).reshape(-1, m + 1)).reshape(
-        sum(counts), n_pts, m + 1
-    )
-    total = 0.0
-    row = 0
-    for sv, sw in zip(s_nodes, s_weights):
-        block = emb[row : row + 1 + 4 * m]
-        radial = emb[row + 1 + 4 * m : row + 5 + 4 * m]
-        row += 5 + 4 * m
-        pos = block[0]
-        tangents = [_fd4(list(radial), hs)]
-        for i in range(m):
-            vals = [block[1 + 4 * i + k] for k in range(4)]
-            tangents.append(_fd4(vals, steps[i]))
-        tang = np.stack(tangents, axis=1)
-        gmat = eb.chart.metric(pos)
-        gram = np.einsum("...ik,...kl,...jl->...ij", tang, gmat, tang)
-        total += sw * float(np.sum(z_weights * np.sqrt(np.linalg.det(gram))))
-    return total
-
-
 def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     """Signed volume swept between a sheet and its perturbed image.
 
@@ -358,46 +318,67 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     return total
 
 
-def _disk_nodes(eb: EmbeddedBubble):
-    """Quadrature parameters of the flat neck disk (radius r in the neck plane)."""
-    n_polar, n_sphere = eb.grid
-    b = eb.bubble
-    t, wp = np.polynomial.legendre.leggauss(max(8, n_polar // 2))
-    y = 0.5 * b.neck_radius * (t + 1.0)
-    wy = 0.5 * b.neck_radius * wp
-    m = b.m
-    if m == 2:
-        n_ang = max(8, n_sphere // 2)
-        theta = 2.0 * math.pi * np.arange(n_ang) / n_ang
-        ang = theta[:, None]
-        wang = np.full(n_ang, 2.0 * math.pi / n_ang)
-    elif m == 3:
-        n_pol_s = max(4, n_sphere // 4)
-        tt, wt = np.polynomial.legendre.leggauss(n_pol_s)
-        alpha = np.arccos(tt)
-        n_ang_b = max(8, n_sphere // 2)
-        beta = 2.0 * math.pi * np.arange(n_ang_b) / n_ang_b
-        ang = np.stack([np.repeat(alpha, n_ang_b), np.tile(beta, n_pol_s)], axis=1)
-        wang = np.repeat(wt / np.sin(alpha), n_ang_b) * (2.0 * math.pi / n_ang_b)
-        n_ang = ang.shape[0]
-    else:
-        raise ValueError(f"m={m} unsupported")
-    z = np.concatenate(
-        [np.repeat(y, ang.shape[0])[:, None], np.tile(ang, (len(y), 1))], axis=1
+def _half_sphere_rule(m: int, n_polar: int, n_sphere: int):
+    """Unit directions (N, m + 1) of the upper half of S^m and their weights:
+    Gauss-Legendre in the polar angle from the axis (weight sin^(m-1)) times
+    sphere_rule(m, n_sphere) on S^(m-1)."""
+    t, w = np.polynomial.legendre.leggauss(n_polar)
+    alpha = 0.25 * math.pi * (t + 1.0)
+    w_alpha = 0.25 * math.pi * w * np.sin(alpha) ** (m - 1)
+    dirs, w_dirs = sphere_rule(m, n_sphere)
+    radial = np.sin(alpha)[:, None, None] * dirs
+    axial = np.broadcast_to(np.cos(alpha)[:, None, None], radial.shape[:-1] + (1,))
+    theta = np.concatenate([radial, axial], axis=-1).reshape(-1, m + 1)
+    return theta, np.outer(w_alpha, w_dirs).ravel()
+
+
+def _ball_exit(bubble: StandardBubble, sheet: int, theta_z) -> np.ndarray:
+    """Flat distance from the neck centre to sphere `sheet` along unit
+    directions with axial component theta_z."""
+    c, r = bubble.centers[sheet], bubble.radii[sheet]
+    return c * theta_z + np.sqrt(r**2 - c**2 * (1.0 - theta_z**2))
+
+
+def _ray_volumes(eb: EmbeddedBubble, theta, weights, ends) -> list[float]:
+    """Volumes of Exp_p(rho E {t theta : ends[j-1] < t < ends[j]}) for each
+    segment j, integrated over the direction rule; the first segment starts
+    at t = 0.
+
+    Each segment carries sector_nodes Gauss-Legendre nodes and about
+    geodesic_steps RK4 steps, split over the node gaps in proportion.
+    """
+    q = eb.sector_nodes
+    t, w = np.polynomial.legendre.leggauss(q)
+    frac = 0.5 * (t + 1.0)
+    gaps = np.diff(np.concatenate([[0.0], frac, [1.0]]))
+    counts = np.maximum(1, np.ceil(eb.geodesic_steps * gaps)).astype(int)
+    starts = [np.zeros(len(theta))] + list(ends[:-1])
+    t_nodes = np.concatenate(
+        [a[:, None] + (e - a)[:, None] * frac for a, e in zip(starts, ends)], axis=1
     )
-    w = np.repeat(wy, ang.shape[0]) * np.tile(wang, len(y))
-    return z, w
-
-
-def _disk_point(bubble: StandardBubble, z: np.ndarray) -> np.ndarray:
-    dirs = angles_to_dirs(bubble.m, z[..., 1:])
-    radial = z[..., 0][..., None] * dirs
-    axial = np.zeros(radial.shape[:-1] + (1,))
-    return np.concatenate([radial, axial], axis=-1)
+    substeps = []
+    for j in range(len(ends)):
+        # the gap after a segment's last node opens the next segment
+        substeps += [counts[0] + (counts[-1] if j else 0), *counts[1:-1]]
+    e = eb.frame.matrix
+    points, dexp = exp_rays(eb.chart, eb.frame.base, eb.rho * theta @ e.T, t_nodes, substeps)
+    n = theta.shape[1]
+    density = (
+        eb.rho**n
+        * abs(np.linalg.det(e))
+        * np.abs(np.linalg.det(dexp))
+        * np.sqrt(np.linalg.det(eb.chart.metric(points)))
+        * t_nodes ** (n - 1)
+    )
+    out = []
+    for j, (a, b) in enumerate(zip(starts, ends)):
+        radial = density[:, j * q : (j + 1) * q] @ (0.5 * w) * (b - a)
+        out.append(float(weights @ radial))
+    return out
 
 
 def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
-    """(V1, V2) by signed cone quadrature; see the module docstring.
+    """(V1, V2) as ray integrals from the neck centre; see the module docstring.
 
     Perturbation corrections are exact swept-prism volumes per sheet, which
     coincide with the per-sheet sector differences once the chambers are
@@ -406,40 +387,15 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     if cached is not None:
         return cached
     b = eb.bubble
-    m = b.m
-    n = m + 1
-    disk_z, disk_w = _disk_nodes(eb)
-    disk_steps = eb.h_rel * np.array([b.neck_radius] + [math.pi] * (m - 1))
-
-    def apex_vec(sheet):
-        v = np.zeros(n)
-        v[-1] = b.centers[sheet]
-        return v
-
-    cap_cones = {}
-    disk_cones = {}
-    sheets = (1, 2) if b.symmetric else (0, 1, 2)
-    for s in sheets:
-        apex = apex_vec(s)
-        z, w = eb._quad_nodes(s)
-        steps = _param_steps(b, s, eb.h_rel)
-        cap_cones[s] = _cone_volume(
-            eb, apex, lambda zz, ss=s: flat_point_z(b, ss, zz), z, w, steps
-        )
-        disk_cones[s] = _cone_volume(
-            eb, apex, lambda zz: _disk_point(b, zz), disk_z, disk_w, disk_steps
-        )
+    up, weights = _half_sphere_rule(b.m, *eb.grid)
+    down = up * np.append(np.ones(b.m), -1.0)
+    (v1,) = _ray_volumes(eb, up, weights, [_ball_exit(b, 1, up[:, -1])])
     if b.symmetric:
-        p1 = cap_cones[1] + disk_cones[1]
-        p2 = cap_cones[2] + disk_cones[2]
-        p0 = 0.0
+        (v2,) = _ray_volumes(eb, down, weights, [_ball_exit(b, 2, down[:, -1])])
     else:
-        eta1 = math.copysign(1.0, b.centers[1]) if b.centers[1] != 0.0 else 0.0
-        p1 = cap_cones[1] + eta1 * disk_cones[1]
-        p0 = cap_cones[0] - disk_cones[0]
-        p2 = cap_cones[2] + disk_cones[2]
-    v1 = p1 + p0
-    v2 = p2 - p0
+        ends = [_ball_exit(b, 0, down[:, -1]), _ball_exit(b, 2, down[:, -1])]
+        p0, v2 = _ray_volumes(eb, down, weights, ends)
+        v1 += p0
     if eb.perturbation is not None:
         prisms = [_prism_volume(eb, s) for s in range(3)]
         v1 += -prisms[1] - prisms[0]
@@ -539,20 +495,14 @@ def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
     stencils of the embedding.
     """
     b = eb.bubble
-    m = b.m
-    if m == 2:
-        ang = (2.0 * math.pi * np.arange(n_samples) / n_samples)[:, None]
-    else:
-        nodes, _ = sphere_rule(m, n_samples)
-        ang = None
+    if b.m != 2:
+        raise ValueError("conormal defect sampling implemented for m = 2")
+    ang = (2.0 * math.pi * np.arange(n_samples) / n_samples)[:, None]
     gsum = None
     gmat_at = None
     for s in range(3):
         upper = b.neck_radius if (s == 0 and b.symmetric) else b.phi[s]
-        if m == 2:
-            z = np.concatenate([np.full((n_samples, 1), upper), ang], axis=1)
-        else:
-            raise ValueError("conormal defect sampling implemented for m = 2")
+        z = np.concatenate([np.full((n_samples, 1), upper), ang], axis=1)
         h = _param_steps(b, s, eb.h_rel)[0]
         vals = [eb.embed_params(s, z - np.array([k * h, 0.0])) for k in range(5)]
         dpol = (

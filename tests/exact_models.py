@@ -68,6 +68,31 @@ def cone_volume(apex3, surf_fn, z_nodes, z_weights, steps, n_s=12):
     return total
 
 
+def chamber_volumes(rho, centers, radii, symmetric, n_nodes=200):
+    """(V1, V2) of the exp_s3 image of rho times a flat standard double bubble
+    whose neck centre is the origin, by the exact S^3 density sin^2 along
+    rays: the image of [0, R] along a unit ray has volume
+    rho R / 2 - sin(2 rho R) / 4 per unit solid angle.  The chambers are
+    axisymmetric, so the solid angle reduces to 2 pi d(theta_z).
+    """
+    t, w = np.polynomial.legendre.leggauss(n_nodes)
+    tz = 0.5 * (t + 1.0)
+    w = np.pi * w  # 2 pi times the half-length of [0, 1]
+
+    def ray(sheet, cz):
+        c, r = centers[sheet], radii[sheet]
+        big_r = c * cz + np.sqrt(r**2 - c**2 * (1.0 - cz**2))
+        return rho * big_r / 2.0 - np.sin(2.0 * rho * big_r) / 4.0
+
+    v1 = float(w @ ray(1, tz))
+    v2 = float(w @ ray(2, -tz))
+    if not symmetric:
+        p0 = float(w @ ray(0, -tz))
+        v1 += p0
+        v2 -= p0
+    return v1, v2
+
+
 def geodesic_ball_volume(t):
     """Exact volume of a geodesic ball of radius t in the unit S^3."""
     return float(2.0 * np.pi * (t - np.sin(t) * np.cos(t)))

@@ -5,10 +5,12 @@ import pytest
 
 from doublebubble.charts import (
     DomainExit,
+    MetricChart,
     builtin_chart,
     christoffel,
     curvature_at,
     exp_map,
+    exp_rays,
     nabla_riemann,
     normal_metric_expansion,
     orthonormal_frame,
@@ -133,6 +135,36 @@ def test_exp_map_great_circle_distance():
     e0, e1 = sp.embed(p), sp.embed(q)
     dist = math.acos(np.clip(float(e0 @ e1), -1.0, 1.0))
     assert abs(dist - t_expected) <= 1e-9
+
+
+def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
+    sp = builtin_chart("round_sphere", a=1.0)
+    p = np.array([0.15, -0.1, 0.2])
+    u = np.random.default_rng(3).normal(size=(6, 3)) * 0.05
+    t_nodes = np.array([0.4, 1.0, 1.7, 2.5]) * np.linspace(0.8, 1.2, 6)[:, None]
+    pts_c, dexp_c = exp_rays(sp, p, u, t_nodes, [100] * 4)
+    pts_r, dexp_r = exp_rays(sp, p, u, t_nodes, [100] * 4, force_rk4=True)
+    assert np.allclose(pts_c, exp_map(sp, p, t_nodes[..., None] * u[:, None]), rtol=0, atol=1e-14)
+    assert np.abs(pts_r - pts_c).max() <= 1e-10
+    assert np.abs(dexp_r - dexp_c).max() <= 1e-10
+
+
+def test_bump_acc_jacobian_matches_fd_fallback():
+    bp = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.6, 0.6, size=(8, 3))
+    v = rng.normal(size=(8, 3))
+    for analytic, fd in zip(bp.geodesic_acc_jacobian(x, v), MetricChart.geodesic_acc_jacobian(bp, x, v)):
+        assert np.abs(analytic - fd).max() <= 1e-7
+
+
+def test_exp_rays_domain_exit():
+    u = np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.0]])
+    t_nodes = np.array([[0.5, 1.0, 2.5], [0.5, 1.0, 2.5]])
+    for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
+        with pytest.raises(DomainExit) as err:
+            exp_rays(chart, np.zeros(3), u, t_nodes, [10, 10, 10])
+        assert 0.0 < err.value.exit_fraction <= 1.0
 
 
 def test_exp_map_rk4_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -128,6 +129,12 @@ def test_phi_limit_constants_axis_weight_cancels():
     # symmetric closed form: a = -6 I_(m+3)(2 pi/3) / (m+2) * R^(m+2)
     pl = phi_limit_constants(SYM)
     assert pl.a / R4 == pytest.approx(-6.0 * sine_power_integral(5, TWO_THIRDS_PI) / 4.0, rel=1e-13)
+
+
+def test_phi_limit_constants_rejects_unbalanced_bubble():
+    phi = (ASYM.phi[0] + 0.1, ASYM.phi[1], ASYM.phi[2])
+    with pytest.raises(ValueError, match="conormal balance"):
+        phi_limit_constants(dataclasses.replace(ASYM, phi=phi))
 
 
 def test_reduced_functional_leading_arithmetic():

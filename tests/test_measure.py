@@ -48,6 +48,40 @@ def test_flat_measurements_exact():
                 assert abs(h - 2.0 / (rho * b.radii[s])) <= 1e-8
 
 
+def test_flat_ray_volumes_exact_in_dims_3_and_4():
+    rho = 0.1
+    for dim in (3, 4):
+        eu = builtin_chart("euclidean", dim=dim)
+        frame = orthonormal_frame(eu, np.zeros(dim), np.eye(dim)[-1])
+        for h in ((0.0, 3.0, 3.0), (1.0, 3.0, 2.0)):
+            b = solve_standard_bubble(BubbleParams(dim - 1, *h))
+            eb = EmbeddedBubble(eu, frame, b, rho, grid=(32, 16), sector_nodes=10)
+            v1, v2 = measure_volumes(eb)
+            assert v1 == pytest.approx(rho**dim * b.v1, rel=1e-12, abs=0)
+            assert v2 == pytest.approx(rho**dim * b.v2, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "h,v1_ref,v2_ref",
+    [
+        ((1.0, 3.0, 2.0), 0.869605365900108, 3.948951533396914),
+        ((0.0, 3.0, 3.0), 1.047779822502455, 1.047817296278144),
+    ],
+    ids=["asym", "sym"],
+)
+def test_ray_volumes_reproduce_cone_oracle_on_bump(h, v1_ref, v2_ref):
+    # V / rho^3 from the exp-image cone oracle this ray oracle replaced, at the same settings
+    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5, dim=3)
+    p = np.array([0.12, -0.05, 0.08])
+    frame = orthonormal_frame(bump, p, np.array([0.25, -0.4, 0.88]))
+    rho = 0.05
+    b = solve_standard_bubble(BubbleParams(2, *h))
+    eb = EmbeddedBubble(bump, frame, b, rho, grid=(16, 32), sector_nodes=8, geodesic_steps=50)
+    v1, v2 = measure_volumes(eb)
+    assert v1 / rho**3 == pytest.approx(v1_ref, rel=1e-10, abs=0)
+    assert v2 / rho**3 == pytest.approx(v2_ref, rel=1e-10, abs=0)
+
+
 def test_flat_energy_matches_closed_form():
     rho = 0.1
     from doublebubble.expansions import flat_energy_reference
@@ -87,25 +121,7 @@ def test_oracle_against_independent_sphere_model():
         )
         assert areas[s] == pytest.approx(area_ref, rel=1e-9)
     v1, v2 = measure_volumes(eb)
-    apexes = np.array([[0, 0, b.centers[s]] for s in range(3)], dtype=float)
-    cones = {}
-    disks = {}
-    from doublebubble.measure import _disk_nodes, _disk_point
-
-    dz, dw = _disk_nodes(eb)
-    dsteps = 1e-4 * np.array([b.neck_radius, math.pi])
-    for s in range(3):
-        z, w = eb._quad_nodes(s)
-        steps = _param_steps(b, s, 1e-4)
-        cones[s] = exact_models.cone_volume(
-            rho * apexes[s], lambda zz, ss=s: rho * flat_point_z(b, ss, zz), z, w, steps
-        )
-        disks[s] = exact_models.cone_volume(
-            rho * apexes[s], lambda zz: rho * _disk_point(b, zz), dz, dw, dsteps
-        )
-    eta1 = math.copysign(1.0, b.centers[1])
-    v1_ref = cones[1] + eta1 * disks[1] + cones[0] - disks[0]
-    v2_ref = cones[2] + disks[2] - (cones[0] - disks[0])
+    v1_ref, v2_ref = exact_models.chamber_volumes(rho, b.centers, b.radii, b.symmetric)
     assert v1 == pytest.approx(v1_ref, rel=1e-9)
     assert v2 == pytest.approx(v2_ref, rel=1e-9)
 
