@@ -23,7 +23,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +32,7 @@ from .charts import DomainExit, builtin_chart, curvature_at
 from .fields import random_admissible_field
 from .geometry import BubbleParams, conormals_at_neck, solve_standard_bubble
 from .locate import predict_full, prediction_record, ricci_eigendecomposition
-from .measure import expansion_threshold, verify_many
+from .measure import QUANTITIES, expansion_threshold, verify_many
 
 CONFIG_KEYS = {
     "chart": "chart family: euclidean | round_sphere | conformal_bump | product",
@@ -281,30 +280,29 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     rhos = _floats(cfg["rho_list"])
     grid = tuple(int(v) for v in _floats(cfg["grid"]))
     quantities = [q.strip() for q in cfg["quantities"].split(",") if q.strip()]
+    unknown = [q for q in quantities if q not in QUANTITIES]
+    if unknown:
+        raise ConfigError(f"unknown quantities {unknown}; options {QUANTITIES}")
+    if len(rhos) < 3 or any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
+        raise ConfigError(f"rho_list needs at least 3 strictly decreasing scales, got {rhos}")
     perturbation = None
     if _bool(cfg["perturbed"]):
         rng = np.random.default_rng(int(cfg["seed"]))
         perturbation = random_admissible_field(bubble, rng, float(cfg["field_amplitude"]))
 
-    def run(quantity):
-        return verify_many(
-            chart,
-            p,
-            axis,
-            bubble,
-            [quantity],
-            rhos,
-            grid=grid,
-            geodesic_steps=int(cfg["geodesic_steps"]),
-            sector_nodes=int(cfg["sector_nodes"]),
-            perturbation=perturbation,
-        )[quantity]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = dict(zip(quantities, pool.map(run, quantities)))
-    else:
-        results = {q: run(q) for q in quantities}
+    results = verify_many(
+        chart,
+        p,
+        axis,
+        bubble,
+        quantities,
+        rhos,
+        grid=grid,
+        geodesic_steps=int(cfg["geodesic_steps"]),
+        sector_nodes=int(cfg["sector_nodes"]),
+        perturbation=perturbation,
+        jobs=jobs,
+    )
 
     claimed = _claimed_orders(bubble)
     rows = []
@@ -384,7 +382,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=["geometry", "constants", "curvature", "verify", "predict"])
     parser.add_argument("--config", required=True, help="path to the key = value config file")
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel verify cells")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="threads measuring verify rho points (helps up to len(rho_list) workers)",
+    )
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)

@@ -28,6 +28,7 @@ volume of each sheet, which is closure independent.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,9 +263,14 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
 def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     """Signed volume swept between a sheet and its perturbed image.
 
-    Parametrized by (tau, z) -> Exp(rho (x(z) + tau (w N + Y)(z))); the signed
-    coordinate Jacobian times sqrt(det G) integrates to the exact region
-    change, positive when the sheet moves along its own normal N_s.
+    Parametrized by (tau, z) -> Exp(rho E y), y = x(z) + tau (w N + Y)(z) in
+    the flat model; the signed coordinate Jacobian times sqrt(det G)
+    integrates to the exact region change, positive when the sheet moves
+    along its own normal N_s.  The Jacobian is rho dExp_p(rho E y) E
+    [d_tau y, d_z y]: dExp comes from charts.exp_rays (closed form, or RK4 on
+    the Jacobi equation with geodesic_steps steps) at each of 6 Gauss-Legendre
+    tau levels, and the flat columns d_z y from 4-point stencils of the flat
+    and displaced sheets, which are linear in tau.
     """
     b = eb.bubble
     m = b.m
@@ -272,23 +278,8 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     steps = _param_steps(b, sheet, eb.h_rel)
     flat = flat_point_z(b, sheet, z)
     displ = displaced_point_z(b, sheet, z, eb.perturbation) - flat
-    t, wt = np.polynomial.legendre.leggauss(6)
-    tau_nodes = 0.5 * (t + 1.0)
-    tau_weights = 0.5 * wt
-    # orientation factor: sign of the flat-model determinant with a unit
-    # normal displacement, evaluated once per sheet
-    nrm = flat_normal_z(b, sheet, z)
     tang_flat = []
-    for i in range(m):
-        dz = np.zeros(m)
-        dz[i] = steps[i]
-        vals = [flat_point_z(b, sheet, z + c * dz) for c in (-2, -1, 1, 2)]
-        tang_flat.append(_fd4(vals, steps[i]))
-    ref_cols = np.stack([nrm] + tang_flat, axis=1)
-    orient = np.sign(np.linalg.det(ref_cols))
-    # stencil geometry in the flat model, shared across tau levels
-    shift_flat = {}
-    shift_displ = {}
+    tang_displ = []
     for i in range(m):
         dz = np.zeros(m)
         dz[i] = steps[i]
@@ -297,22 +288,25 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
             displaced_point_z(b, sheet, z + c * dz, eb.perturbation) - fl[k]
             for k, c in enumerate((-2, -1, 1, 2))
         ]
-        shift_flat[i] = fl
-        shift_displ[i] = dp
-    htau = 1e-4
+        tang_flat.append(_fd4(fl, steps[i]))
+        tang_displ.append(_fd4(dp, steps[i]))
+    tang_flat = np.stack(tang_flat, axis=-1)  # (N, n, m)
+    tang_displ = np.stack(tang_displ, axis=-1)
+    # orientation factor: sign of the flat-model determinant with a unit
+    # normal displacement
+    nrm = flat_normal_z(b, sheet, z)
+    orient = np.sign(np.linalg.det(np.concatenate([nrm[..., None], tang_flat], axis=-1)))
+    e = eb.frame.matrix
+    t, wt = np.polynomial.legendre.leggauss(6)
     total = 0.0
-    for tv, tw in zip(tau_nodes, tau_weights):
-        batch = [flat + tv * displ]
-        batch += [flat + (tv + c * htau) * displ for c in (-2, -1, 1, 2)]
-        for i in range(m):
-            batch += [shift_flat[i][k] + tv * shift_displ[i][k] for k in range(4)]
-        emb = eb.embed_flat(np.concatenate(batch, axis=0)).reshape(len(batch), -1, m + 1)
-        pos = emb[0]
-        cols = [_fd4(list(emb[1:5]), htau)]
-        for i in range(m):
-            cols.append(_fd4(list(emb[5 + 4 * i : 9 + 4 * i]), steps[i]))
-        jac = np.stack(cols, axis=-1)  # columns (d tau, d z_i)
-        gmat = eb.chart.metric(pos)
+    for tv, tw in zip(0.5 * (t + 1.0), 0.5 * wt):
+        y = flat + tv * displ
+        points, dexp = exp_rays(
+            eb.chart, eb.frame.base, eb.rho * y @ e.T, np.ones((len(y), 1)), [eb.geodesic_steps]
+        )
+        flat_cols = np.concatenate([displ[..., None], tang_flat + tv * tang_displ], axis=-1)
+        jac = eb.rho * dexp[:, 0] @ e @ flat_cols  # columns (d tau, d z_i)
+        gmat = eb.chart.metric(points[:, 0])
         dets = np.linalg.det(jac) * np.sqrt(np.linalg.det(gmat)) * orient
         total += tw * float(np.sum(w * dets))
     return total
@@ -651,31 +645,33 @@ def verify_many(
     sector_nodes: int = 12,
     perturbation: PerturbationField | None = None,
     floors: dict | None = None,
+    jobs: int = 1,
 ) -> dict:
-    """Sweep rho once, measuring several quantities from shared embeddings.
+    """Sweep rho once, measuring every quantity from one EmbeddedBubble per rho.
 
     Returns {quantity: (ConvergenceFit, rows)} with rows carrying
     (rho, oracle, formula, error, slope so far).  Perturbations are scaled by
     rho^2 per sweep point, matching the smallness regime of the closed forms.
+    With jobs > 1 the rho points are measured on that many threads (so at
+    most len(rhos) are busy) and merged in rho order before the fits, so the
+    result does not depend on jobs.
     """
     quantities = list(quantities)
     for q in quantities:
         if q not in QUANTITIES:
             raise ValueError(f"unknown quantity {q!r}; options {QUANTITIES}")
     curv = curvature_at(chart, np.asarray(p, dtype=float), seed_axis, nabla=False)
-    frame = curv.frame
     sc = curv.scalar
     axis = np.zeros(chart.dim)
     axis[-1] = 1.0
     ric_ss = curv.ric(axis, axis)
     rhos = [float(r) for r in rhos]
-    rows = {q: [] for q in quantities}
-    errors = {q: [] for q in quantities}
-    for rho in rhos:
+
+    def measure_at(rho):
         field = None if perturbation is None else perturbation.scaled(rho**2)
         eb = EmbeddedBubble(
             chart,
-            frame,
+            curv.frame,
             bubble,
             rho,
             perturbation=field,
@@ -683,46 +679,35 @@ def verify_many(
             geodesic_steps=geodesic_steps,
             sector_nodes=sector_nodes,
         )
-        for q in quantities:
-            oracle, formula = _measure_quantity(eb, bubble, q, sc, ric_ss, curv, field)
-            err = abs(oracle - formula)
-            rows[q].append(
-                {"quantity": q, "rho": rho, "oracle": oracle, "formula": formula, "error": err}
-            )
-            errors[q].append(err)
+        return [_measure_quantity(eb, bubble, q, sc, ric_ss, curv, field) for q in quantities]
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            values = list(pool.map(measure_at, rhos))
+    else:
+        values = [measure_at(rho) for rho in rhos]
     out = {}
     floors = floors or {}
-    for q in quantities:
+    for k, q in enumerate(quantities):
         floor = floors.get(q, DEFAULT_FLOORS[q])
-        fit = fit_order(rhos, errors[q], floor=floor)
-        for i, row in enumerate(rows[q]):
+        rows = []
+        errors = []
+        for rho, at_rho in zip(rhos, values):
+            oracle, formula = at_rho[k]
+            errors.append(abs(oracle - formula))
+            rows.append(
+                {"quantity": q, "rho": rho, "oracle": oracle, "formula": formula,
+                 "error": errors[-1]}
+            )
+        fit = fit_order(rhos, errors, floor=floor)
+        for i, row in enumerate(rows):
             row["slope_so_far"] = (
-                fit_order(rhos[: i + 1], errors[q][: i + 1], floor=floor).slope
+                fit_order(rhos[: i + 1], errors[: i + 1], floor=floor).slope
                 if i >= 2
                 else float("nan")
             )
-        out[q] = (fit, rows[q])
+        out[q] = (fit, rows)
     return out
-
-
-def verify_expansion(
-    chart: MetricChart,
-    p,
-    seed_axis,
-    bubble: StandardBubble,
-    quantity: str,
-    rhos,
-    **options,
-) -> tuple[ConvergenceFit, list[dict]]:
-    """Single-quantity wrapper around verify_many (one oracle sweep, one fit).
-
-    The fit passes when slope >= claimed remainder order - 0.3, or when the
-    errors sit at the quadrature floor (exact sentinel).
-    """
-    floor = options.pop("floor", None)
-    floors = {quantity: floor} if floor is not None else None
-    result = verify_many(chart, p, seed_axis, bubble, [quantity], rhos, floors=floors, **options)
-    return result[quantity]
 
 
 def measure_report_for_phi(eb: EmbeddedBubble) -> MeasureReport:

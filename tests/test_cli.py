@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from doublebubble import measure
 from doublebubble.cli import main, parse_config, fmt, ConfigError
 
 
@@ -140,6 +144,13 @@ def test_exit_codes(tmp_path):
     # numerically impossible: bubble does not fit the chart at rho
     big = write_cfg(tmp_path / "big.cfg", BASE_CFG + "rho_list = 3.0,2.0,1.0\n")
     assert main(["verify", "--config", str(big), "--out", str(tmp_path)]) == 3
+    # verify config errors are caught before any oracle work
+    nope = write_cfg(tmp_path / "nope.cfg", BASE_CFG + "quantities = area,nope\n")
+    assert main(["verify", "--config", str(nope), "--out", str(tmp_path)]) == 2
+    rising = write_cfg(tmp_path / "rising.cfg", BASE_CFG + "rho_list = 0.1,0.2,0.05\n")
+    assert main(["verify", "--config", str(rising), "--out", str(tmp_path)]) == 2
+    short = write_cfg(tmp_path / "short.cfg", BASE_CFG + "rho_list = 0.2,0.1\n")
+    assert main(["verify", "--config", str(short), "--out", str(tmp_path)]) == 2
 
 
 def test_verify_perturbed_path(tmp_path):
@@ -151,3 +162,44 @@ def test_verify_perturbed_path(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     body = (out / "verify.csv").read_text()
     assert body.count("pass") == 2
+
+
+def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
+    embeds, volume_evals = [], []
+    init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
+
+    def counting_init(self, chart, frame, bubble, rho, *args, **kwargs):
+        embeds.append(rho)
+        init(self, chart, frame, bubble, rho, *args, **kwargs)
+
+    def counting_volumes(eb):
+        if "volumes" not in eb._sheet_cache:
+            volume_evals.append(eb.rho)
+        return measure_volumes(eb)
+
+    monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
+    monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
+    cfg = write_cfg(
+        tmp_path / "all.cfg",
+        BASE_CFG
+        + "quantities = area,v1,v2,h0,h1,h2,conormal,phi\n"
+        + "perturbed = true\nfield_amplitude = 0.02\nseed = 4\n",
+    )
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert sorted(embeds) == sorted(volume_evals) == [0.1, 0.14, 0.2]
+
+
+def test_module_entry_point(tmp_path):
+    cfg = write_cfg(tmp_path / "run.cfg", BASE_CFG)
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "doublebubble", "geometry", "--config", str(cfg), "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("geometry: r=")
+    assert (out / "geometry.csv").read_text().startswith("sheet,radius,phi,center,area\n")

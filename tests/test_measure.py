@@ -7,7 +7,9 @@ from doublebubble.charts import DomainExit, builtin_chart, curvature_at, orthono
 from doublebubble.fields import random_admissible_field, _param_steps
 from doublebubble.geometry import BubbleParams, solve_standard_bubble
 from doublebubble.measure import (
+    QUANTITIES,
     EmbeddedBubble,
+    _prism_volume,
     fit_order,
     measure_area,
     measure_conormal_defect,
@@ -81,6 +83,37 @@ def test_ray_volumes_reproduce_cone_oracle_on_bump(h, v1_ref, v2_ref):
     assert v1 / rho**3 == pytest.approx(v1_ref, rel=1e-10, abs=0)
     assert v2 / rho**3 == pytest.approx(v2_ref, rel=1e-10, abs=0)
 
+
+
+@pytest.mark.parametrize(
+    "family,kw,rho,options,refs",
+    [
+        (
+            "round_sphere",
+            {"a": 1.0},
+            0.1,
+            {"grid": (32, 64), "sector_nodes": 10, "geodesic_steps": 200},
+            (6.439308903820903e-04, 3.171266753052356e-03, 3.223375741055464e-03),
+        ),
+        (
+            "conformal_bump",
+            {"eps": -0.1, "s": 0.5},
+            0.05,
+            {"grid": (16, 32), "sector_nodes": 8, "geodesic_steps": 50},
+            (1.613479322911809e-04, 7.963169184203626e-04, 8.139866395653791e-04),
+        ),
+    ],
+    ids=["sphere", "bump"],
+)
+def test_prisms_reproduce_stencil_oracle(family, kw, rho, options, refs):
+    # prism volume / rho^3 per sheet from the finite-difference stencils
+    # through exp_map that the exp-map differential replaced, same settings
+    chart = builtin_chart(family, dim=3, **kw)
+    frame = orthonormal_frame(chart, np.array([0.12, -0.05, 0.08]), np.array([0.25, -0.4, 0.88]))
+    field = random_admissible_field(ASYM, np.random.default_rng(1), 0.25).scaled(rho**2)
+    eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field, **options)
+    for s, ref in enumerate(refs):
+        assert _prism_volume(eb, s) / rho**3 == pytest.approx(ref, rel=5e-9, abs=0)
 
 def test_flat_energy_matches_closed_form():
     rho = 0.1
@@ -264,3 +297,34 @@ def test_phi_depends_on_axis_only_through_ricci():
 
         vals.append(phi_from_energy(measure_report_for_phi(eb), SYM, rho))
     assert abs(vals[0] - vals[1]) <= 1e-6
+
+
+def _perturbed_sphere_sweep(quantities, **options):
+    field = random_admissible_field(ASYM, np.random.default_rng(2), 0.25)
+    result = verify_many(
+        SP,
+        np.zeros(3),
+        np.array([0.25, -0.4, 0.88]),
+        ASYM,
+        quantities,
+        [0.2, 0.14, 0.1],
+        grid=(8, 16),
+        sector_nodes=4,
+        perturbation=field,
+        **options,
+    )
+    keys = ("rho", "oracle", "formula", "error", "slope_so_far")
+    return {
+        q: [float(v).hex() for v in (fit.slope, fit.r_squared)]
+        + [float(row[k]).hex() for row in rows for k in keys]
+        for q, (fit, rows) in result.items()
+    }
+
+
+def test_shared_sweep_matches_single_quantity_sweeps():
+    quantities = [q for q in QUANTITIES if q != "vtot"]
+    shared = _perturbed_sphere_sweep(quantities)
+    assert list(shared) == quantities
+    for q in quantities:
+        assert shared[q] == _perturbed_sphere_sweep([q])[q], q
+    assert _perturbed_sphere_sweep(quantities, jobs=2) == shared
