@@ -475,7 +475,12 @@ def builtin_chart(family: str, **params) -> MetricChart:
 
 def _fd_d1(fun, x, h, depth=2):
     """4th-order central difference of an array-valued fun with `depth`
-    trailing tensor axes; the new derivative axis is inserted first."""
+    trailing tensor axes; the new derivative axis is inserted first.
+
+    One call of fun per shifted point.  Batching the shifts as _stencil does
+    makes the locator's curvature tensors several times faster; ROADMAP item
+    4 defers that until the benchmark's peak-RSS metric stops growing with
+    the number of operations it completes."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     rows = []
@@ -486,6 +491,71 @@ def _fd_d1(fun, x, h, depth=2):
             (8.0 * (fun(x + e) - fun(x - e)) - (fun(x + 2 * e) - fun(x - 2 * e))) / (12.0 * h)
         )
     return np.stack(rows, axis=-(depth + 1))
+
+
+def _stencil(fun, x, h, order: int = 1, neck: bool = False):
+    """4th-order finite differences of an array-valued fun at points x (..., n).
+
+    h is the step of each coordinate (a scalar applies to all of them).
+    Returns (f, d1), or (f, d1, d2) with order=2, where f = fun(x) and the
+    derivative axes follow the batch axes of x: d1[..., i, *out] = d_i f and
+    d2[..., i, j, *out] = d_i d_j f.  First derivatives and the diagonal of
+    d2 use the central 5-point stencils, the mixed entries of d2 the 4-point
+    cross.  With neck=True the derivative along x_0 is the one-sided 5-point
+    stencil on x_0, x_0 - h, ..., x_0 - 4h instead, for points on the neck
+    end x_0 = upper of a sheet (first derivatives only).  fun sees every
+    shifted point in one call, stacked on a new leading axis.
+    """
+    if neck and order != 1:
+        raise ValueError("the one-sided neck stencil gives first derivatives only")
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    # a shift is a tuple of (axis, multiple of that axis' step); () is the centre
+    keys = [()]
+    for i in range(n):
+        keys += [((i, c),) for c in ((-1, -2, -3, -4) if neck and i == 0 else (1, -1, 2, -2))]
+    if order == 2:
+        keys += [
+            ((i, ci), (j, cj))
+            for i in range(n)
+            for j in range(i + 1, n)
+            for ci in (1, -1)
+            for cj in (1, -1)
+        ]
+    shifts = np.zeros((len(keys), n))
+    for row, key in enumerate(keys):
+        for i, c in key:
+            shifts[row, i] = c * h[i]
+    f = dict(zip(keys, fun(x + shifts.reshape((len(keys),) + (1,) * (x.ndim - 1) + (n,)))))
+    f0 = f[()]
+
+    def at(i, c):
+        return f[((i, c),)]
+
+    axis = x.ndim - 1
+    d1 = []
+    for i in range(n):
+        if neck and i == 0:
+            d1.append(
+                (25.0 * f0 - 48.0 * at(0, -1) + 36.0 * at(0, -2) - 16.0 * at(0, -3) + 3.0 * at(0, -4))
+                / (12.0 * h[0])
+            )
+        else:
+            d1.append((8.0 * (at(i, 1) - at(i, -1)) - (at(i, 2) - at(i, -2))) / (12.0 * h[i]))
+    d1 = np.stack(d1, axis=axis)
+    if order == 1:
+        return f0, d1
+    d2 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        d2[i][i] = (-30.0 * f0 + 16.0 * (at(i, 1) + at(i, -1)) - (at(i, 2) + at(i, -2))) / (
+            12.0 * h[i] ** 2
+        )
+        for j in range(i + 1, n):
+            d2[i][j] = d2[j][i] = (
+                f[((i, 1), (j, 1))] - f[((i, 1), (j, -1))] - f[((i, -1), (j, 1))] + f[((i, -1), (j, -1))]
+            ) / (4.0 * h[i] * h[j])
+    return f0, d1, np.stack([np.stack(row, axis=axis) for row in d2], axis=axis)
 
 
 def metric_d1(chart: MetricChart, x) -> np.ndarray:
@@ -508,20 +578,11 @@ def christoffel(chart: MetricChart, x) -> np.ndarray:
     closed = chart.christoffel_closed(x)
     if closed is not None:
         return closed
-    g = chart.metric(x)
-    dg = metric_d1(chart, x)
-    ginv = np.linalg.inv(g)
-    # dg indexed (k, i, j); bracket_{kij} = d_i g_jk + d_j g_ik - d_k g_ij
-    bracket = (
-        np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg
-    )
-    return 0.5 * np.einsum("...ak,...kij->...aij", ginv, bracket)
+    return _christoffel_from_stack(chart.metric(x), metric_d1(chart, x))
 
 
 def _christoffel_from_stack(g, dg):
-    ginv = np.linalg.inv(g)
-    bracket = np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg
-    return 0.5 * np.einsum("...ak,...kij->...aij", ginv, bracket)
+    return 0.5 * np.einsum("...ak,...kij->...aij", np.linalg.inv(g), _bracket(dg))
 
 
 def _bracket(dg):

@@ -265,9 +265,11 @@ def cap_area_coefficients_quad(bubble: StandardBubble, sheet: int) -> tuple[floa
 # reduced-energy constants
 
 
-def _cap_ab(m: int, phi: float) -> tuple[float, float]:
-    i_m1 = sine_power_integral(m + 1, phi)
-    i_m3 = sine_power_integral(m + 3, phi)
+def _cap_ab(m: int, phi: float, ik) -> tuple[float, float]:
+    """Per-cap reduced-energy pair (a_s, b_s) at opening angle phi, with
+    ik(k, x) the sine-power integral I_k(x)."""
+    i_m1 = ik(m + 1, phi)
+    i_m3 = ik(m + 3, phi)
     a = i_m1 + m * i_m3 / (m + 2)
     b = (2 * m + 1) * i_m1 - (2 * m + 2) / (m + 2) * math.sin(phi) ** (m + 2) * math.cos(phi)
     return a, b
@@ -306,8 +308,7 @@ def reduced_constants(bubble: StandardBubble, quadrature: bool = False) -> Reduc
             - (3 * m / 2.0) * ik(m + 1, x)
             + m * (m + 3) / (m + 2) * ik(m + 3, x)
         )
-        a_cap = ik(m + 1, x) + m * ik(m + 3, x) / (m + 2)
-        b_cap = (2 * m + 1) * ik(m + 1, x) - (2 * m + 2) / (m + 2) * math.sin(x) ** (m + 2) * math.cos(x)
+        a_cap, b_cap = _cap_ab(m, x, ik)
         disk = ((1.0 / (m + 2)) * half3 ** (m + 2), -(1.0 / (m + 2)) * half3 ** (m + 2))
         return ReducedConstants(
             a=r ** (m + 2) * a_sym,
@@ -315,15 +316,9 @@ def reduced_constants(bubble: StandardBubble, quadrature: bool = False) -> Reduc
             per_sheet=(disk, (a_cap, b_cap), (a_cap, b_cap)),
             symmetric=True,
         )
-    pairs = []
+    pairs = [_cap_ab(m, bubble.phi[s], ik) for s in range(3)]
     a_tot = b_tot = 0.0
-    for s in range(3):
-        phi = bubble.phi[s]
-        i_m1 = ik(m + 1, phi)
-        i_m3 = ik(m + 3, phi)
-        a_s = i_m1 + m * i_m3 / (m + 2)
-        b_s = (2 * m + 1) * i_m1 - (2 * m + 2) / (m + 2) * math.sin(phi) ** (m + 2) * math.cos(phi)
-        pairs.append((a_s, b_s))
+    for s, (a_s, b_s) in enumerate(pairs):
         a_tot += bubble.radii[s] ** (m + 2) * a_s
         b_tot += bubble.radii[s] ** (m + 2) * b_s
     return ReducedConstants(a=a_tot, b=b_tot, per_sheet=tuple(pairs), symmetric=False)
@@ -339,7 +334,7 @@ def assembled_constants(bubble: StandardBubble) -> ReducedConstants:
     m = bubble.m
     if not bubble.symmetric:
         return reduced_constants(bubble)
-    a_cap, b_cap = _cap_ab(m, TWO_THIRDS_PI)
+    a_cap, b_cap = _cap_ab(m, TWO_THIRDS_PI, sine_power_integral)
     r_cap = bubble.radii[1]
     r = bubble.neck_radius
     disk = (r ** (m + 2) / (m + 2), -(r ** (m + 2)) / (m + 2))

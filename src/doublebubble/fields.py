@@ -11,6 +11,11 @@ and the neck-tangential parts of the Y_s agree.  Fields are represented by
 closed-form callables (polar, dirs) -> values per sheet, so they can be
 sampled on any grid and differentiated by parameter stencils.
 
+Sheet data live in the flat parameters z = (polar, angles) of
+geometry.flat_rule: the flat metric and Christoffels there are closed form
+(geometry.flat_metric), tangents and field derivatives come from the
+4th-order stencils of charts._stencil.
+
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
 against; curvature enters through frame components of the ambient Riemann
@@ -24,14 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CurvatureAtPoint
+from .charts import CurvatureAtPoint, _stencil
 from .geometry import (
     BubbleParams,
     StandardBubble,
-    polar_rule,
+    flat_metric,
+    flat_rule,
+    sample_sheet,
     sheet_normal,
     sheet_point,
-    sphere_rule,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -167,12 +173,9 @@ class PerturbationField:
     def sup_amplitude(self, n_check: int = 12) -> float:
         sup = 0.0
         for s in range(3):
-            pol, _ = polar_rule(self.bubble, s, n_check)
-            dirs, _ = sphere_rule(self.bubble.m, 2 * n_check)
-            pg = np.repeat(pol, len(dirs))
-            dg = np.tile(dirs, (n_check, 1))
-            sup = max(sup, float(np.abs(self.w(s, pg, dg)).max()))
-            sup = max(sup, float(np.abs(self.y(s, pg, dg)).max()))
+            z, dirs, _ = flat_rule(self.bubble.m, self.bubble.polar_limit(s), (n_check, 2 * n_check))
+            sup = max(sup, float(np.abs(self.w(s, z[:, 0], dirs)).max()))
+            sup = max(sup, float(np.abs(self.y(s, z[:, 0], dirs)).max()))
         return sup
 
 
@@ -235,54 +238,8 @@ def displaced_point_z(
 
 
 def _param_steps(bubble: StandardBubble, sheet: int, rel: float = 1e-4) -> np.ndarray:
-    upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
-    scales = [upper] + [math.pi] * (bubble.m - 1)
+    scales = [bubble.polar_limit(sheet)] + [math.pi] * (bubble.m - 1)
     return rel * np.asarray(scales)
-
-
-def z_derivative(fun, z: np.ndarray, h: np.ndarray, order: int = 1):
-    """4th-order parameter derivatives of an array-valued fun(z).
-
-    order=1 returns (N, m, ...) first derivatives; order=2 additionally
-    returns the (N, m, m, ...) second-derivative array.
-    """
-    z = np.asarray(z, dtype=float)
-    m = z.shape[-1]
-    f0 = fun(z)
-
-    def shift(i, c):
-        dz = np.zeros(m)
-        dz[i] = c * h[i]
-        return fun(z + dz)
-
-    d1 = []
-    cache = {}
-    for i in range(m):
-        fp, fm = shift(i, 1), shift(i, -1)
-        fp2, fm2 = shift(i, 2), shift(i, -2)
-        cache[i] = (fp, fm, fp2, fm2)
-        d1.append((8.0 * (fp - fm) - (fp2 - fm2)) / (12.0 * h[i]))
-    d1 = np.stack(d1, axis=z.ndim - 1)
-    if order == 1:
-        return d1
-    d2 = [[None] * m for _ in range(m)]
-    for i in range(m):
-        fp, fm, fp2, fm2 = cache[i]
-        d2[i][i] = (-30.0 * f0 + 16.0 * (fp + fm) - (fp2 + fm2)) / (12.0 * h[i] ** 2)
-    for i in range(m):
-        for j in range(i + 1, m):
-            def shift2(ci, cj):
-                dz = np.zeros(m)
-                dz[i] = ci * h[i]
-                dz[j] = cj * h[j]
-                return fun(z + dz)
-
-            mixed = (
-                shift2(1, 1) - shift2(1, -1) - shift2(-1, 1) + shift2(-1, -1)
-            ) / (4.0 * h[i] * h[j])
-            d2[i][j] = d2[j][i] = mixed
-    d2 = np.stack([np.stack(row, axis=z.ndim - 1) for row in d2], axis=z.ndim - 1)
-    return d1, d2
 
 
 @dataclass
@@ -308,25 +265,15 @@ def sheet_point_data(
     z: np.ndarray,
     field: PerturbationField | None = None,
 ) -> SheetPointData:
+    """Flat positions, normals and tangents (4th-order stencils), the
+    closed-form flat metric and Christoffels (geometry.flat_metric) and the
+    field values with their stencil derivatives at parameters z (N, m)."""
     z = np.asarray(z, dtype=float)
     h = _param_steps(bubble, sheet)
-    x = flat_point_z(bubble, sheet, z)
+    x, tangents = _stencil(lambda zz: flat_point_z(bubble, sheet, zz), z, h)
     normal = flat_normal_z(bubble, sheet, z)
-    tangents = z_derivative(lambda zz: flat_point_z(bubble, sheet, zz), z, h)
-    g = np.einsum("...ik,...jk->...ij", tangents, tangents)
+    g, gamma = flat_metric(bubble, sheet, z)
     ginv = np.linalg.inv(g)
-    # flat sheet Christoffels from the parametrization metric
-    dg = z_derivative(
-        lambda zz: np.einsum(
-            "...ik,...jk->...ij",
-            z_derivative(lambda zzz: flat_point_z(bubble, sheet, zzz), zz, h),
-            z_derivative(lambda zzz: flat_point_z(bubble, sheet, zzz), zz, h),
-        ),
-        z,
-        h,
-    )
-    bracket = np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg
-    gamma = 0.5 * np.einsum("...ak,...kij->...aij", ginv, bracket)
     if field is None:
         nshape = z.shape[:-1]
         w = np.zeros(nshape)
@@ -341,10 +288,8 @@ def sheet_point_data(
         def yfun(zz):
             return field.y(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
 
-        w = wfun(z)
-        dw, d2w = z_derivative(wfun, z, h, order=2)
-        yvec = yfun(z)
-        dy = z_derivative(yfun, z, h)
+        w, dw, d2w = _stencil(wfun, z, h, order=2)
+        yvec, dy = _stencil(yfun, z, h)
     return SheetPointData(
         x=x, normal=normal, tangents=tangents, g=g, ginv=ginv, gamma=gamma,
         w=w, dw=dw, d2w=d2w, yvec=yvec, dy=dy,
@@ -553,34 +498,6 @@ def perturbed_mean_curvature(
 # first-order area and volume corrections
 
 
-def _sheet_quadrature(bubble: StandardBubble, sheet: int, n_polar: int, n_angle: int):
-    pol, wpol = polar_rule(bubble, sheet, n_polar)
-    dirs, wdir = sphere_rule(bubble.m, n_angle)
-    pg = np.repeat(pol, len(wdir))
-    dg = np.tile(dirs, (n_polar, 1))
-    wg = np.repeat(wpol, len(wdir)) * np.tile(wdir, n_polar)
-    m = bubble.m
-    if sheet == 0 and bubble.symmetric:
-        wg = wg * pg ** (m - 1)
-    else:
-        wg = wg * bubble.radii[sheet] ** m * np.sin(pg) ** (m - 1)
-    return pg, dg, wg
-
-
-def _dirs_to_z(m: int, polar, dirs):
-    polar = np.asarray(polar, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    if m == 2:
-        ang = np.arctan2(dirs[..., 1], dirs[..., 0])[..., None]
-    elif m == 3:
-        al = np.arccos(np.clip(dirs[..., 2], -1.0, 1.0))
-        be = np.arctan2(dirs[..., 1], dirs[..., 0])
-        ang = np.stack([al, be], axis=-1)
-    else:
-        raise ValueError(f"m={m} not supported for parameter stencils")
-    return np.concatenate([polar[..., None], ang], axis=-1)
-
-
 def first_order_area_corrections(
     bubble: StandardBubble, field: PerturbationField, grid=(32, 64)
 ) -> np.ndarray:
@@ -590,14 +507,14 @@ def first_order_area_corrections(
     """
     out = np.zeros(3)
     for s in range(3):
-        pg, dg, wg = _sheet_quadrature(bubble, s, *grid)
-        z = _dirs_to_z(bubble.m, pg, dg)
+        z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), grid)
         d = sheet_point_data(bubble, s, z, field)
+        dmu = w * np.sqrt(np.linalg.det(d.g))
         div = tangential_divergence(d)
         if s == 0 and bubble.symmetric:
-            out[s] = float(np.sum(wg * div))
+            out[s] = float(np.sum(dmu * div))
         else:
-            out[s] = -float(np.sum(wg * (bubble.m * d.w / bubble.radii[s] - div)))
+            out[s] = -float(np.sum(dmu * (bubble.m * d.w / bubble.radii[s] - div)))
     return out
 
 
@@ -635,8 +552,8 @@ def first_order_volume_corrections(
     """
     ints = np.zeros(3)
     for s in range(3):
-        pg, dg, wg = _sheet_quadrature(bubble, s, *grid)
-        ints[s] = float(np.sum(wg * field.w(s, pg, dg)))
+        ss = sample_sheet(bubble, s, grid)
+        ints[s] = float(np.sum(ss.weights * field.w(s, ss.polar, ss.dirs)))
     dv1 = -ints[1] - ints[0]
     dv2 = -ints[2] + ints[0]
     return dv1, dv2
@@ -669,8 +586,7 @@ def neck_angle_grid(m: int, n_angle: int) -> np.ndarray:
 
 
 def _neck_z(bubble: StandardBubble, sheet: int, angles: np.ndarray) -> np.ndarray:
-    upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
-    return np.concatenate([np.full((len(angles), 1), upper), angles], axis=-1)
+    return np.concatenate([np.full((len(angles), 1), bubble.polar_limit(sheet)), angles], axis=-1)
 
 
 def conormal_derivative(
@@ -681,17 +597,11 @@ def conormal_derivative(
     Inward means decreasing polar parameter, with arclength R dphi on caps
     and dy on the disk.
     """
-    z = _neck_z(bubble, sheet, angles)
-    h = _param_steps(bubble, sheet)[0]
-
     def wfun(zz):
         return field.w(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
 
-    # one-sided 4th-order derivative in polar at the boundary
-    vals = [wfun(z - np.array([k * h] + [0.0] * (bubble.m - 1))) for k in range(5)]
-    dpol = (25.0 * vals[0] - 48.0 * vals[1] + 36.0 * vals[2] - 16.0 * vals[3] + 3.0 * vals[4]) / (
-        12.0 * h
-    )
+    _, d1 = _stencil(wfun, _neck_z(bubble, sheet, angles), _param_steps(bubble, sheet), neck=True)
+    dpol = d1[:, 0]
     scale = 1.0 if (sheet == 0 and bubble.symmetric) else bubble.radii[sheet]
     return -dpol / scale
 
@@ -770,8 +680,7 @@ class SheetGrid:
 
     @property
     def upper(self) -> float:
-        b = self.bubble
-        return b.neck_radius if (self.sheet == 0 and b.symmetric) else b.phi[self.sheet]
+        return self.bubble.polar_limit(self.sheet)
 
     def mesh(self):
         pol, th = np.meshgrid(self.polar, self.theta, indexing="ij")
@@ -803,8 +712,7 @@ def sheet_grid(bubble: StandardBubble, sheet: int, n_polar: int = 64, n_angle: i
         raise ValueError("grid operators are implemented for m = 2")
     if n_angle % 2 != 0:
         raise ValueError("the angle count must be even for pole reflection")
-    upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
-    polar = upper * (np.arange(n_polar) + 0.5) / n_polar
+    polar = bubble.polar_limit(sheet) * (np.arange(n_polar) + 0.5) / n_polar
     theta = 2.0 * math.pi * np.arange(n_angle) / n_angle
     return SheetGrid(bubble=bubble, sheet=sheet, polar=polar, theta=theta)
 
@@ -922,8 +830,7 @@ def random_smooth_field(
         def w(polar, dirs):
             polar = np.asarray(polar, dtype=float)
             th = np.arctan2(np.asarray(dirs)[..., 1], np.asarray(dirs)[..., 0])
-            upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
-            u = polar / upper
+            u = polar / bubble.polar_limit(sheet)
             out = np.zeros(polar.shape)
             for p in range(3):
                 out += c[p, 0] * u ** (p + 1)
@@ -985,9 +892,7 @@ def random_admissible_field(
 
         return f
 
-    uppers = [
-        bubble.neck_radius if (s == 0 and bubble.symmetric) else bubble.phi[s] for s in range(3)
-    ]
+    uppers = [bubble.polar_limit(s) for s in range(3)]
     w0f = smooth_scalar(rng.normal(size=(3, 5)) * amplitude)
     w2f = smooth_scalar(rng.normal(size=(3, 5)) * amplitude)
     w1_int = smooth_scalar(rng.normal(size=(3, 5)) * amplitude)

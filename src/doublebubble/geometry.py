@@ -155,6 +155,13 @@ class StandardBubble:
     def symmetric(self) -> bool:
         return self.params.symmetric
 
+    def polar_limit(self, sheet: int) -> float:
+        """Upper end of the polar parameter of a sheet: the neck radius on the
+        symmetric disk, the opening angle phi_s on a cap."""
+        if sheet == 0 and self.symmetric:
+            return self.neck_radius
+        return self.phi[sheet]
+
     def fingerprint(self) -> tuple:
         """Provenance key used to match measurements with formulas."""
         p = self.params
@@ -306,23 +313,26 @@ def sheet_normal(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
     return (center - x) / bubble.radii[sheet]
 
 
-def sphere_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature rule on the unit sphere S^(m-1): nodes (N, m), weights (N,).
+def sphere_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quadrature rule on the unit sphere S^(m-1) in angle coordinates.
 
-    m = 1: the two points of S^0; m = 2: equal-weight trigonometric rule on
-    the circle; m = 3: product Gauss-Legendre (in the polar cosine) times a
-    trigonometric rule.  Weights sum to the sphere measure m * omega_m.
+    Returns the angles (N, m-1), the unit nodes (N, m) and the weights (N,)
+    of the angle measure d(angles); the round measure is sqrt(det h) times
+    it, with h from round_metric.  m = 1: the two points of S^0 (no angles);
+    m = 2: n equally spaced angles theta, nodes (cos, sin); m = 3: product
+    Gauss-Legendre in cos(alpha) times n azimuths beta, nodes
+    (sin alpha cos beta, sin alpha sin beta, cos alpha).
     """
     if m == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        return np.zeros((2, 0)), np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+    theta = 2.0 * math.pi * np.arange(n) / n
     if m == 2:
-        theta = 2.0 * math.pi * np.arange(n) / n
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        return nodes, np.full(n, 2.0 * math.pi / n)
+        return theta[:, None], nodes, np.full(n, 2.0 * math.pi / n)
     if m == 3:
         n_pol = max(4, n // 2)
         t, wt = np.polynomial.legendre.leggauss(n_pol)
-        theta = 2.0 * math.pi * np.arange(n) / n
+        alpha = np.arccos(t)
         ct, st = np.cos(theta), np.sin(theta)
         sin_pol = np.sqrt(1.0 - t**2)
         nodes = np.stack(
@@ -333,9 +343,82 @@ def sphere_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
             ],
             axis=1,
         )
-        weights = np.repeat(wt, n) * (2.0 * math.pi / n)
-        return nodes, weights
+        angles = np.stack([np.repeat(alpha, n), np.tile(theta, n_pol)], axis=1)
+        # the Gauss-Legendre weights are for d(cos alpha) = sin(alpha) d(alpha)
+        weights = np.repeat(wt / np.sin(alpha), n) * (2.0 * math.pi / n)
+        return angles, nodes, weights
     raise ValueError(f"no sphere rule for m = {m} (supported: 1, 2, 3)")
+
+
+def flat_rule(m: int, upper: float, grid: tuple[int, int], density=None):
+    """Tensor-product rule on the flat parameter domain [0, upper] x S^(m-1).
+
+    Gauss-Legendre nodes in the polar parameter times sphere_rule(m, n_sphere),
+    grid = (n_polar, n_sphere).  Returns the nodes z = (polar, angles) (N, m),
+    their unit directions (N, m) and the weights (N,) of d(polar) d(angles),
+    each polar weight first multiplied by density(polar) when given.  Sheet
+    s of a bubble takes upper = bubble.polar_limit(s); its area weights are
+    these weights times the flat area element sqrt(det g) of flat_metric.
+    """
+    n_polar, n_sphere = grid
+    t, w = np.polynomial.legendre.leggauss(n_polar)
+    polar = 0.5 * upper * (t + 1.0)
+    w_polar = 0.5 * upper * w
+    if density is not None:
+        w_polar = w_polar * density(polar)
+    angles, dirs, w_angles = sphere_rule(m, n_sphere)
+    k = len(w_angles)
+    z = np.concatenate([np.repeat(polar, k)[:, None], np.tile(angles, (n_polar, 1))], axis=1)
+    return z, np.tile(dirs, (n_polar, 1)), np.outer(w_polar, w_angles).ravel()
+
+
+def round_metric(angles) -> tuple[np.ndarray, np.ndarray]:
+    """Round metric h of S^(m-1) in the angles of sphere_rule, (..., m-1, m-1),
+    and its Christoffel symbols (..., k, i, j): h = d theta^2 for m = 2 and
+    d alpha^2 + sin^2(alpha) d beta^2 for m = 3."""
+    angles = np.asarray(angles, dtype=float)
+    k = angles.shape[-1]
+    if k > 2:
+        raise ValueError(f"no angle parametrization of S^{k}")
+    h = np.zeros(angles.shape + (k,))
+    gamma = np.zeros(angles.shape + (k, k))
+    idx = np.arange(k)
+    h[..., idx, idx] = 1.0
+    if k == 2:
+        sa, ca = np.sin(angles[..., 0]), np.cos(angles[..., 0])
+        h[..., 1, 1] = sa * sa
+        gamma[..., 0, 1, 1] = -sa * ca
+        gamma[..., 1, 0, 1] = gamma[..., 1, 1, 0] = ca / sa
+    return h, gamma
+
+
+def flat_metric(bubble: StandardBubble, sheet: int, z) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form first fundamental form g (..., m, m) and Christoffel
+    symbols gamma[..., k, i, j] = Gamma^k_ij of a flat sheet in its
+    parameters z = (polar, angles).
+
+    Caps carry R^2 (d polar^2 + sin^2(polar) h), the symmetric disk
+    d polar^2 + polar^2 h, with h the round metric of the angles.
+    """
+    z = np.asarray(z, dtype=float)
+    m = bubble.m
+    polar = z[..., 0]
+    if sheet == 0 and bubble.symmetric:
+        # g = a2 d polar^2 + b^2 h with b = polar
+        a2, b, db = np.ones(polar.shape), polar, np.ones(polar.shape)
+    else:
+        r_s = bubble.radii[sheet]
+        a2, b, db = np.full(polar.shape, r_s * r_s), r_s * np.sin(polar), r_s * np.cos(polar)
+    h, h_gamma = round_metric(z[..., 1:])
+    g = np.zeros(z.shape + (m,))
+    g[..., 0, 0] = a2
+    g[..., 1:, 1:] = (b * b)[..., None, None] * h
+    gamma = np.zeros(z.shape + (m, m))
+    gamma[..., 0, 1:, 1:] = -(b * db / a2)[..., None, None] * h
+    gamma[..., 1:, 0, 1:] = (db / b)[..., None, None] * np.eye(m - 1)
+    gamma[..., 1:, 1:, 0] = gamma[..., 1:, 0, 1:]
+    gamma[..., 1:, 1:, 1:] = h_gamma
+    return g, gamma
 
 
 @dataclass(frozen=True)
@@ -358,43 +441,28 @@ class SheetSamples:
         return self.weights.size
 
 
-def polar_rule(bubble: StandardBubble, sheet: int, n_polar: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights for the polar parameter of one sheet."""
-    t, w = np.polynomial.legendre.leggauss(n_polar)
-    upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
-    return 0.5 * upper * (t + 1.0), 0.5 * upper * w
-
-
 def sample_sheet(bubble: StandardBubble, sheet: int, grid: tuple[int, int]) -> SheetSamples:
-    """Tensor-product quadrature samples of one sheet.
+    """Tensor-product quadrature samples of one sheet (flat_rule).
 
     grid = (n_polar, n_sphere) with both >= 4.  The weight of a node is the
-    m-area element, i.e. R^m sin^(m-1)(polar) (cap) or polar^(m-1) (disk)
-    times the parameter weights.
+    flat m-area element, R^m sin^(m-1)(polar) (cap) or polar^(m-1) (disk)
+    times the round measure of S^(m-1), times the parameter weights.
     """
     n_polar, n_sphere = grid
     if n_polar < 4 or n_sphere < 4:
         raise ValueError(f"grid sizes must be >= 4, got {grid}")
-    m = bubble.m
-    pol, wpol = polar_rule(bubble, sheet, n_polar)
-    dirs, wdir = sphere_rule(m, n_sphere)
-    pol_grid = np.repeat(pol, len(wdir))
-    dir_grid = np.tile(dirs, (n_polar, 1))
-    w_grid = np.repeat(wpol, len(wdir)) * np.tile(wdir, n_polar)
-    if sheet == 0 and bubble.symmetric:
-        w_grid = w_grid * pol_grid ** (m - 1)
-    else:
-        r_s = bubble.radii[sheet]
-        w_grid = w_grid * r_s**m * np.sin(pol_grid) ** (m - 1)
-    positions = sheet_point(bubble, sheet, pol_grid, dir_grid)
-    normals = sheet_normal(bubble, sheet, pol_grid, dir_grid)
+    z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(sheet), grid)
+    g, _ = flat_metric(bubble, sheet, z)
+    polar = z[:, 0]
+    positions = sheet_point(bubble, sheet, polar, dirs)
+    normals = sheet_normal(bubble, sheet, polar, dirs)
     if normals.ndim == 1 or normals.shape[0] != positions.shape[0]:
         normals = np.broadcast_to(normals, positions.shape).copy()
     return SheetSamples(
         sheet=sheet,
-        polar=pol_grid,
-        dirs=dir_grid,
+        polar=polar,
+        dirs=dirs,
         positions=positions,
         normals=normals,
-        weights=w_grid,
+        weights=w * np.sqrt(np.linalg.det(g)),
     )

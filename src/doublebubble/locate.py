@@ -207,20 +207,6 @@ def ricci_eigendecomposition(
     )
 
 
-def predict(
-    chart: MetricChart,
-    seeds,
-    rho: float,
-    params: BubbleParams,
-    tol: float = 1e-6,
-    gaps: tuple[float, float] | None = None,
-    dedupe_tol: float = 1e-4,
-) -> list[BubblePrediction]:
-    """Predictions at every non-degenerate critical point found from `seeds`;
-    see predict_full, which also returns the critical-point diagnostics."""
-    return predict_full(chart, seeds, rho, params, tol, gaps, dedupe_tol)[0]
-
-
 def predict_full(
     chart: MetricChart,
     seeds,

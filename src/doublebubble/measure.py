@@ -7,6 +7,11 @@ the junction conormal defect and the two-volume energy by quadrature and
 parameter-space finite differences.  Nothing here uses the closed-form
 curvature expansions; those are *checked against* these numbers.
 
+Sheets are sampled on the geometry.flat_rule grid of their parameters
+z = (polar, angles), and differentiated by the 4th-order stencils of
+charts._stencil, which push every shifted parameter point of a sheet
+through the exponential map in one batched call.
+
 Enclosed volumes are ray integrals from the base point, which sits at the
 centre of the flat neck disk and so inside every ball of the bubble.  Each
 chamber is a union of radial intervals: along a unit direction theta (frame
@@ -16,8 +21,9 @@ components, theta_z its axial part) the ray leaves ball s at
 
 so V1 integrates [0, r1] over theta_z > 0 and [0, r0] over theta_z < 0, and
 V2 integrates [r0, r2] over theta_z < 0 (the symmetric case has no r0: V1 and
-V2 are the two half-balls [0, r1] and [0, r2]).  The volume density at the
-flat point t theta is
+V2 are the two half-balls [0, r1] and [0, r2]).  The directions of a
+half-sphere are flat_rule nodes of the unit cap with upper limit pi/2.  The
+volume density at the flat point t theta is
 
   rho^n |det(dExp_p(t rho E theta) E)| sqrt(det G) t^(n-1),
 
@@ -34,17 +40,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expansions
-from .charts import DomainExit, MetricChart, OrthoFrame, curvature_at, exp_map, exp_rays
+from .charts import (
+    DomainExit,
+    MetricChart,
+    OrthoFrame,
+    _stencil,
+    christoffel,
+    curvature_at,
+    exp_map,
+    exp_rays,
+)
 from .fields import (
     PerturbationField,
     check_admissible,
     displaced_point_z,
     flat_point_z,
     flat_normal_z,
+    neck_angle_grid,
     perturbed_mean_curvature,
+    _neck_z,
     _param_steps,
 )
-from .geometry import StandardBubble, polar_rule, sphere_rule
+from .geometry import StandardBubble, flat_rule, round_metric
 
 
 @dataclass(frozen=True)
@@ -104,12 +121,6 @@ def fit_order(rhos, errors, floor: float = 0.0) -> ConvergenceFit:
 # embedded bubbles
 
 
-def _fd4(values, h):
-    """4th-order first derivative from values at offsets (-2,-1,+1,+2)h."""
-    fm2, fm1, fp1, fp2 = values
-    return (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
-
-
 class EmbeddedBubble:
     """Geodesic image of a (possibly perturbed) standard bubble in a chart.
 
@@ -165,82 +176,20 @@ class EmbeddedBubble:
     def embed_params(self, sheet: int, z: np.ndarray) -> np.ndarray:
         return self.embed_flat(displaced_point_z(self.bubble, sheet, z, self.perturbation))
 
-    def _quad_nodes(self, sheet: int):
-        n_polar, n_sphere = self.grid
-        b = self.bubble
-        pol, wpol = polar_rule(b, sheet, n_polar)
-        m = b.m
-        if m == 2:
-            theta = 2.0 * math.pi * np.arange(n_sphere) / n_sphere
-            ang = theta[:, None]
-            wang = np.full(n_sphere, 2.0 * math.pi / n_sphere)
-        elif m == 3:
-            n_pol_s = max(4, n_sphere // 2)
-            t, wt = np.polynomial.legendre.leggauss(n_pol_s)
-            alpha = np.arccos(t)
-            beta = 2.0 * math.pi * np.arange(n_sphere) / n_sphere
-            ang = np.stack(
-                [np.repeat(alpha, n_sphere), np.tile(beta, n_pol_s)], axis=1
-            )
-            # rule weights are for the cos(alpha) measure; convert to d(alpha)
-            wang = np.repeat(wt / np.sin(alpha), n_sphere) * (2.0 * math.pi / n_sphere)
-            # the sin(alpha) of the sphere measure is part of the Gram factor
-        else:
-            raise ValueError(f"oracle grids support m in (2, 3), got m={m}")
-        n_ang = ang.shape[0]
-        z = np.concatenate(
-            [
-                np.repeat(pol, n_ang)[:, None],
-                np.tile(ang, (n_polar, 1)),
-            ],
-            axis=1,
-        )
-        w = np.repeat(wpol, n_ang) * np.tile(wang, n_polar)
-        return z, w
-
     def sheet_tangent_data(self, sheet: int):
         """Embedded positions, tangents and Gram matrices on the quadrature grid."""
         key = ("tangent", sheet)
         if key in self._sheet_cache:
             return self._sheet_cache[key]
-        z, w = self._quad_nodes(sheet)
-        m = self.bubble.m
-        n_pts = z.shape[0]
+        z, _, w = flat_rule(self.bubble.m, self.bubble.polar_limit(sheet), self.grid)
         h = _param_steps(self.bubble, sheet, self.h_rel)
-        # one batched embedding of the center grid and all stencil shifts
-        batches = [displaced_point_z(self.bubble, sheet, z, self.perturbation)]
-        for i in range(m):
-            dz = np.zeros(m)
-            dz[i] = h[i]
-            for c in (-2, -1, 1, 2):
-                batches.append(
-                    displaced_point_z(self.bubble, sheet, z + c * dz, self.perturbation)
-                )
-        emb = self.embed_flat(np.concatenate(batches, axis=0))
-        pos = emb[:n_pts]
-        tangents = []
-        for i in range(m):
-            off = n_pts * (1 + 4 * i)
-            vals = [emb[off + k * n_pts : off + (k + 1) * n_pts] for k in range(4)]
-            tangents.append(_fd4(vals, h[i]))
-        tangents = np.stack(tangents, axis=1)  # (N, m, n)
+        # one batched embedding of the centre grid and all stencil shifts
+        pos, tangents = _stencil(lambda zz: self.embed_params(sheet, zz), z, h)
         gmat = self.chart.metric(pos)
         gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
         data = {"z": z, "w": w, "pos": pos, "tangents": tangents, "gram": gram, "G": gmat}
         self._sheet_cache[key] = data
         return data
-
-
-def embed(
-    chart: MetricChart,
-    frame: OrthoFrame,
-    bubble: StandardBubble,
-    rho: float,
-    perturbation: PerturbationField | None = None,
-    **options,
-) -> EmbeddedBubble:
-    """Construct an embedded geodesic double bubble (see EmbeddedBubble)."""
-    return EmbeddedBubble(chart, frame, bubble, rho, perturbation, **options)
 
 
 # ---------------------------------------------------------------------------
@@ -273,25 +222,17 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     and displaced sheets, which are linear in tau.
     """
     b = eb.bubble
-    m = b.m
-    z, w = eb._quad_nodes(sheet)
-    steps = _param_steps(b, sheet, eb.h_rel)
-    flat = flat_point_z(b, sheet, z)
-    displ = displaced_point_z(b, sheet, z, eb.perturbation) - flat
-    tang_flat = []
-    tang_displ = []
-    for i in range(m):
-        dz = np.zeros(m)
-        dz[i] = steps[i]
-        fl = [flat_point_z(b, sheet, z + c * dz) for c in (-2, -1, 1, 2)]
-        dp = [
-            displaced_point_z(b, sheet, z + c * dz, eb.perturbation) - fl[k]
-            for k, c in enumerate((-2, -1, 1, 2))
-        ]
-        tang_flat.append(_fd4(fl, steps[i]))
-        tang_displ.append(_fd4(dp, steps[i]))
-    tang_flat = np.stack(tang_flat, axis=-1)  # (N, n, m)
-    tang_displ = np.stack(tang_displ, axis=-1)
+    z, _, w = flat_rule(b.m, b.polar_limit(sheet), eb.grid)
+
+    def flat_and_displacement(zz):
+        flat = flat_point_z(b, sheet, zz)
+        return np.stack([flat, displaced_point_z(b, sheet, zz, eb.perturbation) - flat], axis=-2)
+
+    values, d1 = _stencil(flat_and_displacement, z, _param_steps(b, sheet, eb.h_rel))
+    flat, displ = values[:, 0], values[:, 1]
+    # columns d_z y, (N, n, m)
+    tang_flat = np.swapaxes(d1[:, :, 0], -1, -2)
+    tang_displ = np.swapaxes(d1[:, :, 1], -1, -2)
     # orientation factor: sign of the flat-model determinant with a unit
     # normal displacement
     nrm = flat_normal_z(b, sheet, z)
@@ -310,20 +251,6 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
         dets = np.linalg.det(jac) * np.sqrt(np.linalg.det(gmat)) * orient
         total += tw * float(np.sum(w * dets))
     return total
-
-
-def _half_sphere_rule(m: int, n_polar: int, n_sphere: int):
-    """Unit directions (N, m + 1) of the upper half of S^m and their weights:
-    Gauss-Legendre in the polar angle from the axis (weight sin^(m-1)) times
-    sphere_rule(m, n_sphere) on S^(m-1)."""
-    t, w = np.polynomial.legendre.leggauss(n_polar)
-    alpha = 0.25 * math.pi * (t + 1.0)
-    w_alpha = 0.25 * math.pi * w * np.sin(alpha) ** (m - 1)
-    dirs, w_dirs = sphere_rule(m, n_sphere)
-    radial = np.sin(alpha)[:, None, None] * dirs
-    axial = np.broadcast_to(np.cos(alpha)[:, None, None], radial.shape[:-1] + (1,))
-    theta = np.concatenate([radial, axial], axis=-1).reshape(-1, m + 1)
-    return theta, np.outer(w_alpha, w_dirs).ravel()
 
 
 def _ball_exit(bubble: StandardBubble, sheet: int, theta_z) -> np.ndarray:
@@ -381,7 +308,11 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     if cached is not None:
         return cached
     b = eb.bubble
-    up, weights = _half_sphere_rule(b.m, *eb.grid)
+    # upper half of S^m: polar angle alpha in [0, pi/2] from the axis with
+    # density sin^(m-1)(alpha), times the round measure of S^(m-1)
+    z, dirs, w = flat_rule(b.m, 0.5 * math.pi, eb.grid, lambda alpha: np.sin(alpha) ** (b.m - 1))
+    weights = w * np.sqrt(np.linalg.det(round_metric(z[:, 1:])[0]))
+    up = np.concatenate([np.sin(z[:, :1]) * dirs, np.cos(z[:, :1])], axis=1)
     down = up * np.append(np.ones(b.m), -1.0)
     (v1,) = _ray_volumes(eb, up, weights, [_ball_exit(b, 1, up[:, -1])])
     if b.symmetric:
@@ -420,43 +351,14 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     second-derivative stencil raise an error rather than extrapolating.
     """
     b = eb.bubble
-    m = b.m
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    upper = b.neck_radius if (sheet == 0 and b.symmetric) else b.phi[sheet]
+    upper = b.polar_limit(sheet)
     h = _param_steps(b, sheet, max(eb.h_rel, 1e-4) * 10.0)
     if np.any(z[:, 0] + 2.5 * h[0] > upper) or np.any(z[:, 0] - 2.5 * h[0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
-
-    def emb(zz):
-        return eb.embed_params(sheet, zz)
-
-    pos = emb(z)
-    first = []
-    second = {}
-    cache = {}
-    for i in range(m):
-        dz = np.zeros(m)
-        dz[i] = h[i]
-        vals = [emb(z + c * dz) for c in (-2, -1, 1, 2)]
-        cache[i] = vals
-        first.append(_fd4(vals, h[i]))
-        fm2, fm1, fp1, fp2 = vals
-        second[(i, i)] = (-30.0 * pos + 16.0 * (fp1 + fm1) - (fp2 + fm2)) / (12.0 * h[i] ** 2)
-    for i in range(m):
-        for j in range(i + 1, m):
-            dzi = np.zeros(m)
-            dzi[i] = h[i]
-            dzj = np.zeros(m)
-            dzj[j] = h[j]
-            mixed = (
-                emb(z + dzi + dzj) - emb(z + dzi - dzj) - emb(z - dzi + dzj) + emb(z - dzi - dzj)
-            ) / (4.0 * h[i] * h[j])
-            second[(i, j)] = second[(j, i)] = mixed
-    tangents = np.stack(first, axis=1)
+    pos, tangents, second = _stencil(lambda zz: eb.embed_params(sheet, zz), z, h, order=2)
     gmat = eb.chart.metric(pos)
     gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
-    from .charts import christoffel
-
     gamma = christoffel(eb.chart, pos)
     # reference normal direction: push the flat normal through the embedding
     eps = 1e-5 * min(r for r in b.radii if math.isfinite(r))
@@ -464,14 +366,9 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     nflat = flat_normal_z(b, sheet, z)
     ref = (eb.embed_flat(flat + eps * nflat) - pos) / eps
     normal = _orthonormal_normal(gmat, tangents, ref)
-    hmat = np.zeros(gram.shape)
-    for i in range(m):
-        for j in range(m):
-            cov = second[(i, j)] + np.einsum(
-                "...aij,...i,...j->...a", gamma, tangents[:, i], tangents[:, j]
-            )
-            hmat[..., i, j] = np.einsum("...k,...kl,...l->...", cov, gmat, normal)
-    return gram, hmat
+    # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part
+    cov = second + np.einsum("...aij,...pi,...qj->...pqa", gamma, tangents, tangents)
+    return gram, np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)
 
 
 def measure_mean_curvature(eb: EmbeddedBubble, sheet: int, z: np.ndarray) -> np.ndarray:
@@ -489,25 +386,18 @@ def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
     stencils of the embedding.
     """
     b = eb.bubble
-    if b.m != 2:
-        raise ValueError("conormal defect sampling implemented for m = 2")
-    ang = (2.0 * math.pi * np.arange(n_samples) / n_samples)[:, None]
+    ang = neck_angle_grid(b.m, n_samples)
     gsum = None
     gmat_at = None
     for s in range(3):
-        upper = b.neck_radius if (s == 0 and b.symmetric) else b.phi[s]
-        z = np.concatenate([np.full((n_samples, 1), upper), ang], axis=1)
-        h = _param_steps(b, s, eb.h_rel)[0]
-        vals = [eb.embed_params(s, z - np.array([k * h, 0.0])) for k in range(5)]
-        dpol = (
-            25.0 * vals[0] - 48.0 * vals[1] + 36.0 * vals[2] - 16.0 * vals[3] + 3.0 * vals[4]
-        ) / (12.0 * h)
-        # neck tangents (angle directions)
-        hth = _param_steps(b, s, eb.h_rel)[1]
-        dz = np.array([0.0, hth])
-        tvals = [eb.embed_params(s, z + c * dz) for c in (-2, -1, 1, 2)]
-        dth = _fd4(tvals, hth)
-        pos = vals[0]
+        # one-sided polar derivative at the neck, central one along the neck
+        pos, d1 = _stencil(
+            lambda zz, s=s: eb.embed_params(s, zz),
+            _neck_z(b, s, ang),
+            _param_steps(b, s, eb.h_rel),
+            neck=True,
+        )
+        dpol, dth = d1[:, 0], d1[:, 1]
         gmat = eb.chart.metric(pos)
         # G-orthogonalize the inward polar tangent against the neck tangent
         inward = -dpol
@@ -535,8 +425,7 @@ def measure_energy(eb: EmbeddedBubble, areas=None, volumes=None) -> float:
 
 def default_h_params(bubble: StandardBubble, sheet: int, n: int = 5) -> np.ndarray:
     """A few interior parameters spread over the sheet for curvature sampling."""
-    upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
-    polar = upper * np.linspace(0.25, 0.75, n)
+    polar = bubble.polar_limit(sheet) * np.linspace(0.25, 0.75, n)
     if bubble.m == 2:
         ang = np.linspace(0.3, 2.0 * math.pi * 0.9, n)[:, None]
     else:

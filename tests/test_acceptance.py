@@ -28,7 +28,7 @@ from doublebubble.fields import (
     _neck_z,
 )
 from doublebubble.geometry import BubbleParams, TWO_THIRDS_PI, conormals_at_neck, solve_standard_bubble
-from doublebubble.locate import find_critical_scalar, predict, ricci_eigendecomposition
+from doublebubble.locate import find_critical_scalar, predict_full, ricci_eigendecomposition
 from doublebubble.measure import (
     EmbeddedBubble,
     measure_area,
@@ -193,7 +193,7 @@ def test_criterion_05_mean_curvature():
     for b in (SYM, ASYM):
         eb = EmbeddedBubble(eu, frame, b, 0.1, grid=(24, 48))
         for s in range(3):
-            upper = b.neck_radius if (s == 0 and b.symmetric) else b.phi[s]
+            upper = b.polar_limit(s)
             h = measure_mean_curvature(eb, s, np.array([[0.5 * upper, 1.2]]))[0]
             target = 0.0 if (s == 0 and b.symmetric) else 2.0 / (0.1 * b.radii[s])
             flat_ok &= abs(h - target) * (0.1 * b.radii[s] if target else 1.0) <= 1e-8
@@ -313,8 +313,8 @@ def test_criterion_10_locator():
         float(np.linalg.norm(curv.ricci @ eig.eigenvectors[:, k] - eig.eigenvalues[k] * eig.eigenvectors[:, k]))
         for k in range(3)
     )
-    preds_asym = predict(BUMP, [np.array([0.2, 0.0, 0.0])], 0.05, BubbleParams(2, 1.0, 3.0, 2.0))
-    preds_sym = predict(BUMP, [np.array([0.2, 0.0, 0.0])], 0.05, BubbleParams(2, 0.0, 3.0, 3.0))
+    preds_asym = predict_full(BUMP, [np.array([0.2, 0.0, 0.0])], 0.05, BubbleParams(2, 1.0, 3.0, 2.0))[0]
+    preds_sym = predict_full(BUMP, [np.array([0.2, 0.0, 0.0])], 0.05, BubbleParams(2, 0.0, 3.0, 3.0))[0]
     counts_ok = (
         len(preds_asym) == 1 and preds_asym[0].count == 2
         and len(preds_sym) == 1 and preds_sym[0].count == 1

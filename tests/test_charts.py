@@ -6,6 +6,7 @@ import pytest
 from doublebubble.charts import (
     DomainExit,
     MetricChart,
+    _stencil,
     builtin_chart,
     christoffel,
     curvature_at,
@@ -156,6 +157,50 @@ def test_bump_acc_jacobian_matches_fd_fallback():
     v = rng.normal(size=(8, 3))
     for analytic, fd in zip(bp.geodesic_acc_jacobian(x, v), MetricChart.geodesic_acc_jacobian(bp, x, v)):
         assert np.abs(analytic - fd).max() <= 1e-7
+
+
+def test_stencil_exact_on_batched_polynomials():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 1.0, size=(4, 5, 3))  # batch (4, 5), n = 3
+    h = np.array([0.01, 0.02, 0.015])
+
+    def quartic(y):
+        a, b, c = y[..., 0], y[..., 1], y[..., 2]
+        return np.stack([a**4 - 2.0 * b**3 * c + c**2, a * b**2 * c + 3.0 * b**4], axis=-1)
+
+    def quartic_d1(y):
+        a, b, c = y[..., 0], y[..., 1], y[..., 2]
+        rows = [
+            [4.0 * a**3, -6.0 * b**2 * c, -2.0 * b**3 + 2.0 * c],
+            [b**2 * c, 2.0 * a * b * c + 12.0 * b**3, a * b**2],
+        ]
+        # (..., n, out): derivative axis right after the batch axes
+        return np.stack([np.stack(col, axis=-1) for col in zip(*rows)], axis=-2)
+
+    for neck in (False, True):
+        f, d1 = _stencil(quartic, x, h, neck=neck)
+        assert f.shape == (4, 5, 2) and d1.shape == (4, 5, 3, 2)
+        assert np.array_equal(f, quartic(x))
+        assert np.abs(d1 - quartic_d1(x)).max() <= 1e-10
+
+    def cubic(y):
+        a, b, c = y[..., 0], y[..., 1], y[..., 2]
+        return a**3 + a * b * c - 2.0 * b**2 * c
+
+    a, b, c = x[..., 0], x[..., 1], x[..., 2]
+    hess = np.stack(
+        [
+            np.stack([6.0 * a, c, b], axis=-1),
+            np.stack([c, -4.0 * c, a - 4.0 * b], axis=-1),
+            np.stack([b, a - 4.0 * b, np.zeros_like(a)], axis=-1),
+        ],
+        axis=-2,
+    )
+    _, d1, d2 = _stencil(cubic, x, h, order=2)
+    assert d1.shape == (4, 5, 3) and d2.shape == (4, 5, 3, 3)
+    assert np.abs(d2 - hess).max() <= 1e-8
+    with pytest.raises(ValueError):
+        _stencil(cubic, x, h, order=2, neck=True)
 
 
 def test_exp_rays_domain_exit():

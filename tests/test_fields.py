@@ -24,11 +24,42 @@ from doublebubble.fields import (
     _neck_z,
     angles_to_dirs,
 )
-from doublebubble.geometry import BubbleParams, sample_sheet, sheet_area, solve_standard_bubble
+from doublebubble.fields import flat_point_z
+from doublebubble.geometry import BubbleParams, flat_metric, sample_sheet, sheet_area, solve_standard_bubble
 
 SYM = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
 ASYM = solve_standard_bubble(BubbleParams(2, 1.0, 3.0, 2.0))
 SQ3 = math.sqrt(3.0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_flat_metric_matches_finite_differences(m):
+    # the closed-form metric and Christoffels of caps and of the symmetric
+    # disk against 4th-order differences of the parametrization itself
+    step = 1e-3
+
+    def d4(fun, z, i):
+        e = np.zeros(m)
+        e[i] = step
+        return (8.0 * (fun(z + e) - fun(z - e)) - (fun(z + 2 * e) - fun(z - 2 * e))) / (12.0 * step)
+
+    for h in ((0.0, 3.0, 3.0), (1.0, 3.0, 2.0)):
+        b = solve_standard_bubble(BubbleParams(m, *h))
+        for s in range(3):
+            upper = b.polar_limit(s)
+            z = np.array([[0.3 * upper, 0.7, 2.1], [0.8 * upper, 2.0, 4.4]])[:, :m]
+
+            def metric(zz, s=s):
+                t = np.stack([d4(lambda y: flat_point_z(b, s, y), zz, i) for i in range(m)], axis=-2)
+                return np.einsum("...ik,...jk->...ij", t, t)
+
+            g_fd = metric(z)
+            dg = np.stack([d4(metric, z, k) for k in range(m)], axis=-3)  # [..., k, i, j]
+            bracket = np.einsum("...ijk->...kij", dg) + np.einsum("...jik->...kij", dg) - dg
+            gamma_fd = 0.5 * np.einsum("...ak,...kij->...aij", np.linalg.inv(g_fd), bracket)
+            g, gamma = flat_metric(b, s, z)
+            assert np.abs(g - g_fd).max() <= 1e-10 * np.abs(g).max()
+            assert np.abs(gamma - gamma_fd).max() <= 1e-8
 
 
 def test_coupling_constants_values():
@@ -147,8 +178,7 @@ def test_random_admissible_field_junction_and_bound():
         from doublebubble.geometry import sheet_normal, sheet_point
 
         for s in range(3):
-            upper = b.neck_radius if (s == 0 and b.symmetric) else b.phi[s]
-            pol = np.full(len(th), upper)
+            pol = np.full(len(th), b.polar_limit(s))
             n = sheet_normal(b, s, pol, dirs)
             x = sheet_point(b, s, pol, dirs)
             if n.shape != x.shape:
@@ -201,7 +231,7 @@ def test_divergence_free_tangential_field_keeps_area():
     def make_y(sheet):
         def y(pol, dirs):
             _, e_th = sheet_unit_tangents(b, sheet, pol, dirs)
-            u = np.asarray(pol) / (b.neck_radius if (sheet == 0 and b.symmetric) else b.phi[sheet])
+            u = np.asarray(pol) / b.polar_limit(sheet)
             return (u**2)[..., None] * e_th
 
         return y

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from doublebubble.fields import flat_point_z
 from doublebubble.geometry import (
     BubbleParams,
     FOUR_THIRDS_PI,
     TWO_THIRDS_PI,
     conormals_at_neck,
+    flat_metric,
+    flat_rule,
     sample_sheet,
     sheet_area,
     sheet_normal,
@@ -147,7 +150,7 @@ def test_neck_normal_identity():
         dirs = np.array([[math.cos(0.7), math.sin(0.7)]])
         n1 = sheet_normal(b, 1, np.array([b.phi[1]]), dirs)
         n2 = sheet_normal(b, 2, np.array([b.phi[2]]), dirs)
-        pol0 = np.array([b.neck_radius if b.symmetric else b.phi[0]])
+        pol0 = np.array([b.polar_limit(0)])
         n0 = sheet_normal(b, 0, pol0, dirs)
         assert np.abs(n1 - (n0 + n2)).max() <= 1e-12
 
@@ -172,6 +175,18 @@ def test_sample_sheet_weights_reproduce_area():
             exact = sheet_area(b, s)
             assert abs(ss.weights.sum() - exact) <= 1e-10 * exact
             assert np.abs(np.linalg.norm(ss.normals, axis=1) - 1.0).max() <= 1e-12
+        if m == 1:
+            continue
+        # z-weights times the closed-form flat area element, caps and disk;
+        # the angles of z and the directions name the same points
+        for bb in (b, solve_standard_bubble(BubbleParams(m, 0.0, 3.0, 3.0))):
+            for s in range(3):
+                z, dirs, w = flat_rule(m, bb.polar_limit(s), (24, 48))
+                g, _ = flat_metric(bb, s, z)
+                exact = sheet_area(bb, s)
+                assert abs(np.sum(w * np.sqrt(np.linalg.det(g))) - exact) <= 1e-10 * exact
+                pts = sheet_point(bb, s, z[:, 0], dirs)
+                assert np.abs(flat_point_z(bb, s, z) - pts).max() <= 1e-14
 
 
 def test_sample_sheet_grid_validation():

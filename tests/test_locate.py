@@ -8,7 +8,6 @@ from doublebubble.geometry import BubbleParams
 from doublebubble.locate import (
     find_critical_scalar,
     jacobi_eigh,
-    predict,
     predict_full,
     ricci_eigendecomposition,
 )
@@ -69,21 +68,21 @@ def test_ricci_eigendecomposition_groups():
 
 def test_predict_counts_follow_symmetry():
     seeds = [np.array([0.2, 0.0, 0.0])]
-    asym = predict(BUMP, seeds, 0.05, BubbleParams(2, 1.0, 3.0, 2.0))
+    asym = predict_full(BUMP, seeds, 0.05, BubbleParams(2, 1.0, 3.0, 2.0))[0]
     assert len(asym) == 1
     assert asym[0].count == 2
     assert asym[0].multiplicity == 3  # isotropic Ricci at the bump center
     assert asym[0].curvatures == pytest.approx((20.0, 60.0, 40.0))
-    sym = predict(BUMP, seeds, 0.05, BubbleParams(2, 0.0, 3.0, 3.0))
+    sym = predict_full(BUMP, seeds, 0.05, BubbleParams(2, 0.0, 3.0, 3.0))[0]
     assert len(sym) == 1 and sym[0].count == 1
 
 
 def test_predict_requires_converged_seed():
     # out-of-domain seeds cannot converge at all
     with pytest.raises(RuntimeError):
-        predict(BUMP, [np.array([2.0, 0.0, 0.0])], 0.05, BubbleParams(2, 0.0, 3.0, 3.0))
+        predict_full(BUMP, [np.array([2.0, 0.0, 0.0])], 0.05, BubbleParams(2, 0.0, 3.0, 3.0))[0]
     with pytest.raises(ValueError):
-        predict(BUMP, [np.zeros(3)], -1.0, BubbleParams(2, 0.0, 3.0, 3.0))
+        predict_full(BUMP, [np.zeros(3)], -1.0, BubbleParams(2, 0.0, 3.0, 3.0))[0]
 
 
 def test_predict_degenerate_chart_returns_diagnostics():

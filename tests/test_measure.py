@@ -5,7 +5,7 @@ import pytest
 
 from doublebubble.charts import DomainExit, builtin_chart, curvature_at, orthonormal_frame
 from doublebubble.fields import random_admissible_field, _param_steps
-from doublebubble.geometry import BubbleParams, solve_standard_bubble
+from doublebubble.geometry import BubbleParams, flat_rule, solve_standard_bubble
 from doublebubble.measure import (
     QUANTITIES,
     EmbeddedBubble,
@@ -42,7 +42,7 @@ def test_flat_measurements_exact():
         assert abs(v2 / (rho**3 * b.v2) - 1.0) <= 1e-10
         assert measure_conormal_defect(eb, 16) <= 1e-10
         for s in range(3):
-            upper = b.neck_radius if (s == 0 and b.symmetric) else b.phi[s]
+            upper = b.polar_limit(s)
             h = measure_mean_curvature(eb, s, np.array([[0.5 * upper, 1.0]]))[0]
             if s == 0 and b.symmetric:
                 assert abs(h) <= 1e-8
@@ -147,7 +147,7 @@ def test_oracle_against_independent_sphere_model():
     from doublebubble.fields import flat_point_z
 
     for s in range(3):
-        z, w = eb._quad_nodes(s)
+        z, _, w = flat_rule(b.m, b.polar_limit(s), eb.grid)
         steps = _param_steps(b, s, 1e-4)
         area_ref = exact_models.surface_area(
             lambda zz, ss=s: rho * flat_point_z(b, ss, zz), z, w, steps

@@ -23,7 +23,7 @@ CV = curvature_at(SPHERE, np.zeros(3), np.array([0.3, -0.2, 0.9]), nabla=True)
 
 
 def interior_params(bubble, sheet):
-    upper = bubble.neck_radius if (sheet == 0 and bubble.symmetric) else bubble.phi[sheet]
+    upper = bubble.polar_limit(sheet)
     return np.array([[0.5 * upper, 1.1], [0.3 * upper, 2.7]])
 
 
