@@ -305,13 +305,11 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     )
 
     claimed = _claimed_orders(bubble)
+    thresholds = {q: expansion_threshold(claimed[q]) for q in quantities}
+    passed = {q: results[q][0].exact or results[q][0].slope >= thresholds[q] for q in quantities}
     rows = []
-    all_pass = True
     for q in quantities:  # fixed input order keeps the file stable
         fit, sweep = results[q]
-        threshold = expansion_threshold(claimed[q])
-        ok = fit.exact or fit.slope >= threshold
-        all_pass &= ok
         for entry in sweep:
             rows.append(
                 [
@@ -323,8 +321,8 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
                     fmt(entry["slope_so_far"]),
                 ]
             )
-        rows.append([q, "fit", fmt(fit.slope), fmt(fit.r_squared), fmt(threshold),
-                     "pass" if ok else "fail"])
+        rows.append([q, "fit", fmt(fit.slope), fmt(fit.r_squared), fmt(thresholds[q]),
+                     "pass" if passed[q] else "fail"])
     write_csv(
         outdir / "verify.csv",
         ["quantity", "rho", "oracle", "expansion", "error", "slope_so_far"],
@@ -332,11 +330,9 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     )
     for q in quantities:
         fit, _ = results[q]
-        threshold = expansion_threshold(claimed[q])
-        status = "exact" if fit.exact else f"slope {fit.slope:.3f} (>= {threshold:.2f})"
-        ok = fit.exact or fit.slope >= threshold
-        print(f"verify {q}: {status} {'PASS' if ok else 'FAIL'}")
-    return 0 if all_pass else 1
+        status = "exact" if fit.exact else f"slope {fit.slope:.3f} (>= {thresholds[q]:.2f})"
+        print(f"verify {q}: {status} {'PASS' if passed[q] else 'FAIL'}")
+    return 0 if all(passed.values()) else 1
 
 
 def _claimed_orders(bubble) -> dict:

@@ -32,6 +32,7 @@ import numpy as np
 from .geometry import (
     StandardBubble,
     TWO_THIRDS_PI,
+    gauss_legendre,
     region_volume,
     sheet_area,
     sine_power_integral,
@@ -182,7 +183,7 @@ def geodesic_area_expansion(bubble: StandardBubble) -> tuple[list[ExpansionTerms
 
 
 def _quad(fun, a: float, b: float, n: int = 60) -> float:
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = gauss_legendre(n)
     x = 0.5 * (b - a) * (t + 1.0) + a
     return 0.5 * (b - a) * float(np.sum(w * fun(x)))
 
@@ -408,17 +409,11 @@ def flat_energy_reference(bubble: StandardBubble) -> float:
     return total
 
 
-def phi_from_energy(report, bubble: StandardBubble, rho: float) -> float:
+def phi_from_energy(psi: float, bubble: StandardBubble, rho: float) -> float:
     """Rescaled two-volume energy 6/(omega_m rho^2) (rho^-m Psi - flat reference).
 
-    `report` must come from a measurement of the same bubble at the same rho
-    (provenance is checked); flat ambient gives zero up to quadrature error.
+    `psi` is the two-volume energy of Exp_p(rho * bubble) as measured by
+    measure.measure_energy; flat ambient gives zero up to quadrature error.
     """
-    if getattr(report, "rho", None) is not None and abs(report.rho - rho) > 1e-14 * max(1.0, rho):
-        raise ValueError(f"measurement was taken at rho={report.rho}, not rho={rho}")
-    fp = getattr(report, "bubble_fingerprint", None)
-    if fp is not None and fp != bubble.fingerprint():
-        raise ValueError("measurement belongs to a different bubble")
     m = bubble.m
-    psi = report.energy
     return 6.0 / (unit_ball_volume(m) * rho**2) * (psi / rho**m - flat_energy_reference(bubble))

@@ -128,10 +128,6 @@ def junction_residual(bubble: StandardBubble, closure: dict) -> float:
 # perturbation fields
 
 
-def _zero_w(polar, dirs):
-    return np.zeros(np.shape(np.asarray(polar)))
-
-
 @dataclass(frozen=True)
 class PerturbationField:
     """Per-sheet normal amplitudes w_s and tangential fields Y_s as callables.
@@ -296,14 +292,13 @@ def sheet_point_data(
     )
 
 
-def laplace_beltrami(data: SheetPointData) -> np.ndarray:
-    """Delta_Sigma w at the data points from the covariant Hessian."""
-    hess = data.d2w - np.einsum("...kij,...k->...ij", data.gamma, data.dw)
-    return np.einsum("...ij,...ij->...", data.ginv, hess)
-
-
 def covariant_hessian(data: SheetPointData) -> np.ndarray:
     return data.d2w - np.einsum("...kij,...k->...ij", data.gamma, data.dw)
+
+
+def laplace_beltrami(data: SheetPointData) -> np.ndarray:
+    """Delta_Sigma w at the data points: the trace of the covariant Hessian."""
+    return np.einsum("...ij,...ij->...", data.ginv, covariant_hessian(data))
 
 
 def tangential_divergence(data: SheetPointData) -> np.ndarray:
@@ -313,15 +308,6 @@ def tangential_divergence(data: SheetPointData) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # perturbed fundamental forms and mean curvature (closed-form expansions)
-
-
-def _rm2(curv: CurvatureAtPoint, a, b, c, d):
-    """Rm(a, b, c, d) batched over leading axes of the vector arrays."""
-    return np.einsum("...i,...j,...k,...l,ijkl->...", a, b, c, d, curv.riemann)
-
-
-def _nabla_rm(curv: CurvatureAtPoint, v, a, b, c, d):
-    return np.einsum("...q,...i,...j,...k,...l,qijkl->...", v, a, b, c, d, curv.nabla_riemann)
 
 
 def perturbed_first_form(

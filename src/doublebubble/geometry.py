@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,8 +45,16 @@ def unit_ball_volume(m: int) -> float:
     return math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
 
 
+@lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of order n on [-1, 1], computed once
+    per n and returned read-only."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 _SMALL_ANGLE = 0.5
-_GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def sine_power_integral(k: int, x):
@@ -81,7 +90,7 @@ def sine_power_integral(k: int, x):
         small = x_arr < _SMALL_ANGLE
         if np.any(small):
             xs = np.atleast_1d(x_arr)[np.atleast_1d(small)]
-            t, w = _GL64
+            t, w = gauss_legendre(64)
             nodes = 0.5 * xs[:, None] * (t[None, :] + 1.0)
             vals = 0.5 * xs * np.sum(w[None, :] * np.sin(nodes) ** k, axis=1)
             if np.ndim(out) == 0:
@@ -331,7 +340,7 @@ def sphere_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return theta[:, None], nodes, np.full(n, 2.0 * math.pi / n)
     if m == 3:
         n_pol = max(4, n // 2)
-        t, wt = np.polynomial.legendre.leggauss(n_pol)
+        t, wt = gauss_legendre(n_pol)
         alpha = np.arccos(t)
         ct, st = np.cos(theta), np.sin(theta)
         sin_pol = np.sqrt(1.0 - t**2)
@@ -361,7 +370,7 @@ def flat_rule(m: int, upper: float, grid: tuple[int, int], density=None):
     these weights times the flat area element sqrt(det g) of flat_metric.
     """
     n_polar, n_sphere = grid
-    t, w = np.polynomial.legendre.leggauss(n_polar)
+    t, w = gauss_legendre(n_polar)
     polar = 0.5 * upper * (t + 1.0)
     w_polar = 0.5 * upper * w
     if density is not None:

@@ -29,6 +29,13 @@ volume density at the flat point t theta is
 
 with dExp from charts.exp_rays.  Perturbed volumes add the swept-prism
 volume of each sheet, which is closure independent.
+
+verify_many sweeps rho once.  At each rho it builds one EmbeddedBubble and
+measures only the requested quantities from it, its cache sharing areas and
+volumes between area, v1, v2, vtot and the energy behind phi.  The
+expansions it compares with are built once per sweep; the first-order field
+responses are linear in the rho^2-scaled field, so they are computed once for
+the unscaled field and enter at rho as rho^2 * response.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ from .fields import (
     PerturbationField,
     check_admissible,
     displaced_point_z,
+    first_order_area_corrections,
+    first_order_volume_corrections,
     flat_point_z,
     flat_normal_z,
     neck_angle_grid,
@@ -61,25 +70,7 @@ from .fields import (
     _neck_z,
     _param_steps,
 )
-from .geometry import StandardBubble, flat_rule, round_metric
-
-
-@dataclass(frozen=True)
-class MeasureReport:
-    """Oracle measurements of one embedded bubble."""
-
-    areas: tuple[float, float, float]
-    v1: float
-    v2: float
-    mean_curvature_samples: tuple
-    conormal_defect: float
-    energy: float
-    rho: float
-    bubble_fingerprint: tuple
-
-    @property
-    def total_area(self) -> float:
-        return float(sum(self.areas))
+from .geometry import StandardBubble, flat_rule, gauss_legendre, round_metric
 
 
 @dataclass(frozen=True)
@@ -178,18 +169,13 @@ class EmbeddedBubble:
 
     def sheet_tangent_data(self, sheet: int):
         """Embedded positions, tangents and Gram matrices on the quadrature grid."""
-        key = ("tangent", sheet)
-        if key in self._sheet_cache:
-            return self._sheet_cache[key]
         z, _, w = flat_rule(self.bubble.m, self.bubble.polar_limit(sheet), self.grid)
         h = _param_steps(self.bubble, sheet, self.h_rel)
         # one batched embedding of the centre grid and all stencil shifts
         pos, tangents = _stencil(lambda zz: self.embed_params(sheet, zz), z, h)
         gmat = self.chart.metric(pos)
         gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
-        data = {"z": z, "w": w, "pos": pos, "tangents": tangents, "gram": gram, "G": gmat}
-        self._sheet_cache[key] = data
-        return data
+        return {"z": z, "w": w, "pos": pos, "tangents": tangents, "gram": gram, "G": gmat}
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +224,7 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     nrm = flat_normal_z(b, sheet, z)
     orient = np.sign(np.linalg.det(np.concatenate([nrm[..., None], tang_flat], axis=-1)))
     e = eb.frame.matrix
-    t, wt = np.polynomial.legendre.leggauss(6)
+    t, wt = gauss_legendre(6)
     total = 0.0
     for tv, tw in zip(0.5 * (t + 1.0), 0.5 * wt):
         y = flat + tv * displ
@@ -269,7 +255,7 @@ def _ray_volumes(eb: EmbeddedBubble, theta, weights, ends) -> list[float]:
     geodesic_steps RK4 steps, split over the node gaps in proportion.
     """
     q = eb.sector_nodes
-    t, w = np.polynomial.legendre.leggauss(q)
+    t, w = gauss_legendre(q)
     frac = 0.5 * (t + 1.0)
     gaps = np.diff(np.concatenate([[0.0], frac, [1.0]]))
     counts = np.maximum(1, np.ceil(eb.geodesic_steps * gaps)).astype(int)
@@ -412,14 +398,11 @@ def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
     return float(np.max(norms))
 
 
-def measure_energy(eb: EmbeddedBubble, areas=None, volumes=None) -> float:
+def measure_energy(eb: EmbeddedBubble) -> float:
     """Two-volume energy: sum of sheet areas - (h1/rho) V1 - (h2/rho) V2."""
     p = eb.bubble.params
-    if areas is None:
-        areas = measure_area(eb)
-    if volumes is None:
-        volumes = measure_volumes(eb)
-    v1, v2 = volumes
+    areas = measure_area(eb)
+    v1, v2 = measure_volumes(eb)
     return float(np.sum(areas)) - (p.h1 / eb.rho) * v1 - (p.h2 / eb.rho) * v2
 
 
@@ -431,29 +414,6 @@ def default_h_params(bubble: StandardBubble, sheet: int, n: int = 5) -> np.ndarr
     else:
         ang = np.stack([np.linspace(0.4, 2.4, n), np.linspace(0.3, 5.8, n)], axis=1)
     return np.concatenate([polar[:, None], ang], axis=1)
-
-
-def measure_report(eb: EmbeddedBubble, h_samples: int = 4) -> MeasureReport:
-    """Full oracle report for one embedded bubble."""
-    areas = measure_area(eb)
-    volumes = measure_volumes(eb)
-    hs = []
-    for s in range(3):
-        z = default_h_params(eb.bubble, s, h_samples)
-        vals = measure_mean_curvature(eb, s, z)
-        hs.extend((s, tuple(zz), float(v)) for zz, v in zip(z, vals))
-    defect = measure_conormal_defect(eb)
-    energy = measure_energy(eb, areas=areas, volumes=volumes)
-    return MeasureReport(
-        areas=tuple(areas),
-        v1=volumes[0],
-        v2=volumes[1],
-        mean_curvature_samples=tuple(hs),
-        conormal_defect=defect,
-        energy=energy,
-        rho=eb.rho,
-        bubble_fingerprint=eb.bubble.fingerprint(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,53 +435,6 @@ DEFAULT_FLOORS = {
 }
 
 
-def _measure_quantity(eb, bubble, quantity, sc, ric_ss, curv, field):
-    """(oracle value, formula value) for one quantity; for h*/conormal the
-    'oracle' is already the residual and the formula is zero."""
-    m = bubble.m
-    rho = eb.rho
-    if quantity == "area":
-        oracle = float(np.sum(measure_area(eb))) / rho**m
-        if field is None:
-            _, total = expansions.geodesic_area_expansion(bubble)
-            formula = total.value(sc, ric_ss, rho)
-        else:
-            from .fields import perturbed_area_expansion
-
-            formula = float(np.sum(perturbed_area_expansion(bubble, field, sc, ric_ss, rho)))
-        return oracle, formula
-    if quantity in ("v1", "v2", "vtot"):
-        v1, v2 = measure_volumes(eb)
-        picked = {"v1": v1, "v2": v2, "vtot": v1 + v2}[quantity]
-        oracle = picked / rho ** (m + 1)
-        if field is None:
-            t1, t2 = expansions.geodesic_volumes_expansion(bubble)
-            terms = {"v1": t1, "v2": t2, "vtot": expansions.total_volume_expansion(bubble)}
-            formula = terms[quantity].value(sc, ric_ss, rho)
-        else:
-            from .fields import perturbed_volume_expansion
-
-            fv1, fv2 = perturbed_volume_expansion(bubble, field, sc, ric_ss, rho)
-            formula = {"v1": fv1, "v2": fv2, "vtot": fv1 + fv2}[quantity]
-        return oracle, formula
-    if quantity in ("h0", "h1", "h2"):
-        s = int(quantity[1])
-        z = default_h_params(bubble, s, 4)
-        hvals = measure_mean_curvature(eb, s, z)
-        scale = rho if (s == 0 and bubble.symmetric) else rho * bubble.radii[s]
-        fvals = perturbed_mean_curvature(bubble, s, curv, rho, z, field)
-        return float(np.max(np.abs(scale * hvals - fvals))), 0.0
-    if quantity == "conormal":
-        return measure_conormal_defect(eb), 0.0
-    if quantity == "phi":
-        report = measure_report_for_phi(eb)
-        oracle = expansions.phi_from_energy(report, bubble, rho)
-        consts = expansions.phi_limit_constants(bubble)
-        formula = expansions.reduced_functional_leading(sc, ric_ss, consts)
-        return oracle, formula
-    raise ValueError(f"unknown quantity {quantity!r}; options {QUANTITIES}")
-
-
 def verify_many(
     chart: MetricChart,
     p,
@@ -541,6 +454,9 @@ def verify_many(
     Returns {quantity: (ConvergenceFit, rows)} with rows carrying
     (rho, oracle, formula, error, slope so far).  Perturbations are scaled by
     rho^2 per sweep point, matching the smallness regime of the closed forms.
+    The expansion side is evaluated once per sweep: the curvature terms, and
+    for a perturbed sweep the first-order responses of the unscaled field,
+    which are linear in the field and so enter at rho as rho^2 * response.
     With jobs > 1 the rho points are measured on that many threads (so at
     most len(rhos) are busy) and merged in rho order before the fits, so the
     result does not depend on jobs.
@@ -555,8 +471,30 @@ def verify_many(
     axis[-1] = 1.0
     ric_ss = curv.ric(axis, axis)
     rhos = [float(r) for r in rhos]
+    m = bubble.m
+    volumes_wanted = any(q in ("v1", "v2", "vtot") for q in quantities)
+
+    _, area_terms = expansions.geodesic_area_expansion(bubble)
+    t1, t2 = expansions.geodesic_volumes_expansion(bubble)
+    terms = {"area": area_terms, "v1": t1, "v2": t2, "vtot": expansions.total_volume_expansion(bubble)}
+    response = dict.fromkeys(terms, 0.0)
+    if perturbation is not None and "area" in quantities:
+        response["area"] = float(np.sum(first_order_area_corrections(bubble, perturbation)))
+    if perturbation is not None and volumes_wanted:
+        dv1, dv2 = first_order_volume_corrections(bubble, perturbation)
+        response.update(v1=dv1, v2=dv2, vtot=dv1 + dv2)
+    phi_leading = None
+    if "phi" in quantities:
+        consts = expansions.phi_limit_constants(bubble)
+        phi_leading = expansions.reduced_functional_leading(sc, ric_ss, consts)
+
+    def formula(q, rho):
+        if q in terms:
+            return terms[q].value(sc, ric_ss, rho) + rho**2 * response[q]
+        return phi_leading if q == "phi" else 0.0
 
     def measure_at(rho):
+        """Oracle values at rho; for h* and conormal the residual itself."""
         field = None if perturbation is None else perturbation.scaled(rho**2)
         eb = EmbeddedBubble(
             chart,
@@ -568,24 +506,42 @@ def verify_many(
             geodesic_steps=geodesic_steps,
             sector_nodes=sector_nodes,
         )
-        return [_measure_quantity(eb, bubble, q, sc, ric_ss, curv, field) for q in quantities]
+        record = {}
+        if "area" in quantities:
+            record["area"] = float(np.sum(measure_area(eb))) / rho**m
+        if volumes_wanted:
+            v1, v2 = measure_volumes(eb)
+            norm = rho ** (m + 1)
+            record.update(v1=v1 / norm, v2=v2 / norm, vtot=(v1 + v2) / norm)
+        for s in range(3):
+            if f"h{s}" in quantities:
+                z = default_h_params(bubble, s, 4)
+                hvals = measure_mean_curvature(eb, s, z)
+                scale = rho if (s == 0 and bubble.symmetric) else rho * bubble.radii[s]
+                fvals = perturbed_mean_curvature(bubble, s, curv, rho, z, field)
+                record[f"h{s}"] = float(np.max(np.abs(scale * hvals - fvals)))
+        if "conormal" in quantities:
+            record["conormal"] = measure_conormal_defect(eb)
+        if "phi" in quantities:
+            record["phi"] = expansions.phi_from_energy(measure_energy(eb), bubble, rho)
+        return record
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            values = list(pool.map(measure_at, rhos))
+            records = list(pool.map(measure_at, rhos))
     else:
-        values = [measure_at(rho) for rho in rhos]
+        records = [measure_at(rho) for rho in rhos]
     out = {}
     floors = floors or {}
-    for k, q in enumerate(quantities):
+    for q in quantities:
         floor = floors.get(q, DEFAULT_FLOORS[q])
         rows = []
         errors = []
-        for rho, at_rho in zip(rhos, values):
-            oracle, formula = at_rho[k]
-            errors.append(abs(oracle - formula))
+        for rho, record in zip(rhos, records):
+            oracle, expected = record[q], formula(q, rho)
+            errors.append(abs(oracle - expected))
             rows.append(
-                {"quantity": q, "rho": rho, "oracle": oracle, "formula": formula,
+                {"quantity": q, "rho": rho, "oracle": oracle, "formula": expected,
                  "error": errors[-1]}
             )
         fit = fit_order(rhos, errors, floor=floor)
@@ -597,23 +553,6 @@ def verify_many(
             )
         out[q] = (fit, rows)
     return out
-
-
-def measure_report_for_phi(eb: EmbeddedBubble) -> MeasureReport:
-    """Areas, volumes and energy only (skips curvature sampling)."""
-    areas = measure_area(eb)
-    volumes = measure_volumes(eb)
-    energy = measure_energy(eb, areas=areas, volumes=volumes)
-    return MeasureReport(
-        areas=tuple(areas),
-        v1=volumes[0],
-        v2=volumes[1],
-        mean_curvature_samples=(),
-        conormal_defect=float("nan"),
-        energy=energy,
-        rho=eb.rho,
-        bubble_fingerprint=eb.bubble.fingerprint(),
-    )
 
 
 def expansion_threshold(claimed_order: int) -> float:

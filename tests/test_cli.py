@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublebubble import measure
+from doublebubble import fields, measure
 from doublebubble.cli import main, parse_config, fmt, ConfigError
 
 
@@ -167,6 +167,7 @@ def test_verify_perturbed_path(tmp_path):
 def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     embeds, volume_evals = [], []
     init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
+    responses = {"first_order_area_corrections": 0, "first_order_volume_corrections": 0}
 
     def counting_init(self, chart, frame, bubble, rho, *args, **kwargs):
         embeds.append(rho)
@@ -177,8 +178,23 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
             volume_evals.append(eb.rho)
         return measure_volumes(eb)
 
+    def counting(name):
+        original = getattr(fields, name)
+
+        def counted(*args, **kwargs):
+            responses[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
     monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
     monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
+    # the first-order field responses, wherever the sweep reaches them from
+    for name in responses:
+        wrapper = counting(name)
+        for module in (fields, measure):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
     cfg = write_cfg(
         tmp_path / "all.cfg",
         BASE_CFG
@@ -187,6 +203,7 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     )
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 0
     assert sorted(embeds) == sorted(volume_evals) == [0.1, 0.14, 0.2]
+    assert responses == {"first_order_area_corrections": 1, "first_order_volume_corrections": 1}
 
 
 def test_module_entry_point(tmp_path):

@@ -147,20 +147,9 @@ def test_reduced_functional_leading_arithmetic():
 
 
 def test_phi_from_energy_flat_reference_and_provenance():
-    class FakeReport:
-        def __init__(self, energy, rho, fp):
-            self.energy = energy
-            self.rho = rho
-            self.bubble_fingerprint = fp
-
     rho = 0.1
     ref = flat_energy_reference(SYM)
-    report = FakeReport(ref * rho**2, rho, SYM.fingerprint())
-    assert phi_from_energy(report, SYM, rho) == pytest.approx(0.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        phi_from_energy(FakeReport(0.0, 0.2, SYM.fingerprint()), SYM, rho)
-    with pytest.raises(ValueError):
-        phi_from_energy(FakeReport(0.0, rho, ASYM.fingerprint()), SYM, rho)
+    assert phi_from_energy(ref * rho**2, SYM, rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expansion_terms_algebra():

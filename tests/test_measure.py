@@ -4,18 +4,20 @@ import numpy as np
 import pytest
 
 from doublebubble.charts import DomainExit, builtin_chart, curvature_at, orthonormal_frame
+from doublebubble.cli import _claimed_orders
+from doublebubble.expansions import phi_from_energy
 from doublebubble.fields import random_admissible_field, _param_steps
 from doublebubble.geometry import BubbleParams, flat_rule, solve_standard_bubble
 from doublebubble.measure import (
     QUANTITIES,
     EmbeddedBubble,
     _prism_volume,
+    expansion_threshold,
     fit_order,
     measure_area,
     measure_conormal_defect,
     measure_energy,
     measure_mean_curvature,
-    measure_report,
     measure_volumes,
     monte_carlo_volumes,
     verify_many,
@@ -238,17 +240,6 @@ def test_embedded_bubble_domain_guard():
         EmbeddedBubble(SP, FRAME_SP, ASYM, -0.1)
 
 
-def test_measure_report_fields():
-    eb = EmbeddedBubble(SP, FRAME_SP, SYM, 0.1, grid=(16, 32), sector_nodes=6)
-    rep = measure_report(eb, h_samples=2)
-    assert rep.rho == 0.1
-    assert rep.bubble_fingerprint == SYM.fingerprint()
-    assert all(a > 0 for a in rep.areas)
-    assert rep.v1 > 0 and rep.v2 > 0
-    assert len(rep.mean_curvature_samples) == 6
-    assert rep.total_area == pytest.approx(sum(rep.areas))
-
-
 def test_fit_order_basics():
     rhos = [0.2, 0.1, 0.05]
     errs = [7.0 * r**3 for r in rhos]
@@ -292,10 +283,7 @@ def test_phi_depends_on_axis_only_through_ricci():
     for seed in (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])):
         curv = curvature_at(pr, np.zeros(3), seed, nabla=False)
         eb = EmbeddedBubble(pr, curv.frame, SYM, rho, grid=(24, 48), sector_nodes=8)
-        from doublebubble.expansions import phi_from_energy
-        from doublebubble.measure import measure_report_for_phi
-
-        vals.append(phi_from_energy(measure_report_for_phi(eb), SYM, rho))
+        vals.append(phi_from_energy(measure_energy(eb), SYM, rho))
     assert abs(vals[0] - vals[1]) <= 1e-6
 
 
@@ -328,3 +316,32 @@ def test_shared_sweep_matches_single_quantity_sweeps():
     for q in quantities:
         assert shared[q] == _perturbed_sphere_sweep([q])[q], q
     assert _perturbed_sphere_sweep(quantities, jobs=2) == shared
+
+
+def test_m3_sweeps_pass_claimed_orders():
+    # m = 3 through the verify record: round S^4 chart and the product S^3 x R,
+    # whose Ric(s,s) differs from Sc/4 so that both curvature coefficients count
+    charts = {
+        "round": builtin_chart("round_sphere", a=1.0, dim=4),
+        "product": builtin_chart("product", factors=[(3, 1.0), (1, math.inf)]),
+    }
+    bubbles = {
+        "sym": solve_standard_bubble(BubbleParams(3, 0.0, 4.0, 4.0)),
+        "asym": solve_standard_bubble(BubbleParams(3, 1.0, 4.0, 3.0)),
+    }
+    for chart_name, chart in charts.items():
+        for bubble_name, bubble in bubbles.items():
+            res = verify_many(
+                chart,
+                np.zeros(4),
+                np.array([0.3, -0.2, 0.5, 0.8]),
+                bubble,
+                ["area", "v1", "v2", "vtot", "phi"],
+                [0.2, 0.14, 0.1, 0.07, 0.05],
+                grid=(16, 32),
+                sector_nodes=8,
+            )
+            claimed = _claimed_orders(bubble)
+            for q, (fit, _) in res.items():
+                ok = fit.exact or fit.slope >= expansion_threshold(claimed[q])
+                assert ok, (chart_name, bubble_name, q, fit.slope, claimed[q])

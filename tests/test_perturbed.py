@@ -133,3 +133,40 @@ def test_perturbed_expansion_values_reduce_to_unperturbed():
     v1, v2 = perturbed_volume_expansion(SYM, zero, sc, ric, rho)
     assert v1 == pytest.approx(t1.value(sc, ric, rho), rel=1e-12)
     assert v2 == pytest.approx(t2.value(sc, ric, rho), rel=1e-12)
+
+
+def test_sweep_expansions_match_scaled_field_expansions():
+    # verify_many computes the first-order responses once, for the unscaled
+    # field; at each rho they must equal the expansions of the rho^2-scaled one
+    product = builtin_chart("product", factors=[(2, 1.0), (1, math.inf)])
+    seed_axis = np.array([0.25, -0.4, 0.88])
+    field = random_admissible_field(ASYM, np.random.default_rng(3), amplitude=0.25)
+    rhos = [0.2, 0.14, 0.1]
+    res = verify_many(
+        product,
+        np.zeros(3),
+        seed_axis,
+        ASYM,
+        ["area", "v1", "v2", "vtot"],
+        rhos,
+        grid=(8, 16),
+        sector_nodes=4,
+        perturbation=field,
+    )
+    curv = curvature_at(product, np.zeros(3), seed_axis, nabla=False)
+    axis = np.array([0.0, 0.0, 1.0])
+    sc, ric_ss = curv.scalar, curv.ric(axis, axis)
+    assert abs(ric_ss - sc / 3.0) > 0.1  # the Ric(s,s) coefficients matter
+    for k, rho in enumerate(rhos):
+        scaled = field.scaled(rho**2)
+        v1, v2 = perturbed_volume_expansion(ASYM, scaled, sc, ric_ss, rho)
+        expected = {
+            "area": float(np.sum(perturbed_area_expansion(ASYM, scaled, sc, ric_ss, rho))),
+            "v1": v1,
+            "v2": v2,
+            "vtot": v1 + v2,
+        }
+        for q, value in expected.items():
+            row = res[q][1][k]
+            assert row["rho"] == rho
+            assert row["formula"] == pytest.approx(value, rel=1e-14, abs=0.0), (q, rho)
