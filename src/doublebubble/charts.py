@@ -10,6 +10,11 @@ and Sc = n(n-1)/a^2.  Index layout of derivative tensors: dg[..., k, i, j]
 is d_k g_ij and d2g[..., l, k, i, j] is d_l d_k g_ij.  Curvature arrays are
 returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 
+Geodesics take a chart's closed-form exponential where it has one, and
+otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
+and velocity, exp_rays on the same state together with the Jacobi fields
+that give the differential of the exponential map.
+
 Charts are local by design; leaving the domain box is an error, never a
 clamp.
 """
@@ -387,36 +392,26 @@ class ProductRoundChart(MetricChart):
         for off, d, sub in self._charts:
             yield off, d, sub, x[..., off : off + d]
 
-    def metric(self, x):
+    def _block_diagonal(self, x, method: str, rank: int):
+        """Tensor of the given rank whose diagonal blocks are the factors'
+        `method` at their coordinates of x; mixed blocks are zero."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        out = np.zeros(x.shape[:-1] + (self.dim,) * rank)
         for off, d, sub, xb in self._blocks(x):
-            out[..., off : off + d, off : off + d] = sub.metric(xb)
+            out[(...,) + (slice(off, off + d),) * rank] = getattr(sub, method)(xb)
         return out
+
+    def metric(self, x):
+        return self._block_diagonal(x, "metric", 2)
 
     def metric_d1(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.dim,) * 3)
-        for off, d, sub, xb in self._blocks(x):
-            sl = slice(off, off + d)
-            out[..., sl, sl, sl] = sub.metric_d1(xb)
-        return out
+        return self._block_diagonal(x, "metric_d1", 3)
 
     def metric_d2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.dim,) * 4)
-        for off, d, sub, xb in self._blocks(x):
-            sl = slice(off, off + d)
-            out[..., sl, sl, sl, sl] = sub.metric_d2(xb)
-        return out
+        return self._block_diagonal(x, "metric_d2", 4)
 
     def christoffel_closed(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (self.dim,) * 3)
-        for off, d, sub, xb in self._blocks(x):
-            sl = slice(off, off + d)
-            out[..., sl, sl, sl] = sub.christoffel_closed(xb)
-        return out
+        return self._block_diagonal(x, "christoffel_closed", 3)
 
     def geodesic_acc(self, x, v):
         x = np.asarray(x, dtype=float)
@@ -702,11 +697,6 @@ class CurvatureAtPoint:
     def ric(self, a, b) -> float:
         return float(a @ self.ricci @ b)
 
-    def nabla_rm(self, v, a, b, c, d) -> float:
-        if self.nabla_riemann is None:
-            raise ValueError("nabla_riemann was not computed for this point")
-        return float(np.einsum("q,i,j,k,l,qijkl->", v, a, b, c, d, self.nabla_riemann))
-
 
 def nabla_riemann(chart: MetricChart, x) -> np.ndarray:
     """Covariant derivative of Rm in chart coordinates, index (a; i j k l).
@@ -764,13 +754,49 @@ def geodesic_acceleration(chart: MetricChart, x, v) -> np.ndarray:
     return acc
 
 
+def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
+    """Fixed-step RK4 from t = 0 of a state y, a tuple of arrays led by the
+    positions (..., n), under y' = deriv(y); yields the state at each node of
+    t_nodes (..., k), which substeps[j] steps reach from node j - 1 (or from
+    t = 0).  The leading axes of t_nodes broadcast against those of the
+    state: nodes shared by every geodesic, shape (k,), keep the steps scalar.
+
+    The one geodesic integrator of the package: exp_map runs it on (position,
+    velocity), exp_rays adds the Jacobi fields.  A position outside the domain
+    raises DomainExit with the fraction of all steps done.
+    """
+    total = int(sum(substeps))
+    done = 0
+    t_prev = 0.0
+    for j, count in enumerate(substeps):
+        dt = (t_nodes[..., j] - t_prev) / count
+        # the step of each geodesic, broadcast over each component's own axes
+        dt = [dt.reshape(dt.shape + (1,) * (c.ndim - dt.ndim)) for c in y]
+        for _ in range(count):
+            k1 = deriv(y)
+            k2 = deriv(tuple(c + 0.5 * h * k for c, h, k in zip(y, dt, k1)))
+            k3 = deriv(tuple(c + 0.5 * h * k for c, h, k in zip(y, dt, k2)))
+            k4 = deriv(tuple(c + h * k for c, h, k in zip(y, dt, k3)))
+            y = tuple(
+                c + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                for c, h, a1, a2, a3, a4 in zip(y, dt, k1, k2, k3, k4)
+            )
+            done += 1
+            if not np.all(chart.domain.inside_mask(y[0])):
+                raise DomainExit(
+                    f"geodesic left {chart.name} at step {done}/{total}", exit_fraction=done / total
+                )
+        yield y
+        t_prev = t_nodes[..., j]
+
+
 def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False) -> np.ndarray:
     """Geodesic endpoint Exp_p(v) in chart coordinates; v may be batched (..., n).
 
-    Fixed-step RK4 on the geodesic equation; charts with a closed-form
-    exponential (euclidean, round spheres, products of those) use it unless
-    force_rk4 is set.  Exiting the domain raises DomainExit with the fraction
-    of the parameter interval that stayed inside.
+    Fixed-step RK4 on the geodesic equation, `steps` steps to t = 1; charts
+    with a closed-form exponential (euclidean, round spheres, products of
+    those) use it unless force_rk4 is set.  Exiting the domain raises
+    DomainExit with the fraction of the parameter interval that stayed inside.
     """
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -781,25 +807,11 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
                 raise DomainExit(f"geodesic endpoint left {chart.name}", exit_fraction=1.0)
             return closed
 
-    x = np.broadcast_to(p, v.shape).astype(float).copy()
-    u = v.copy()
-    dt = 1.0 / steps
+    def deriv(y):
+        x, u = y
+        return u, geodesic_acceleration(chart, x, u)
 
-    def acc(pos, vel):
-        return geodesic_acceleration(chart, pos, vel)
-
-    for k in range(steps):
-        k1x, k1u = u, acc(x, u)
-        k2x, k2u = u + 0.5 * dt * k1u, acc(x + 0.5 * dt * k1x, u + 0.5 * dt * k1u)
-        k3x, k3u = u + 0.5 * dt * k2u, acc(x + 0.5 * dt * k2x, u + 0.5 * dt * k2u)
-        k4x, k4u = u + dt * k3u, acc(x + dt * k3x, u + dt * k3u)
-        x = x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        u = u + (dt / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        if not np.all(chart.domain.inside_mask(x)):
-            raise DomainExit(
-                f"geodesic left {chart.name} at step {k + 1}/{steps}",
-                exit_fraction=(k + 1) / steps,
-            )
+    ((x, _),) = _rk4(chart, (np.broadcast_to(p, v.shape), v), deriv, np.ones(1), [steps])
     return x
 
 
@@ -808,8 +820,8 @@ def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fals
     the rays u (N, n); returns (points (N, k, n), dexp (N, k, n, n)).
 
     Nodes must be positive and increasing along each ray.  Charts with a
-    closed-form differential use it unless force_rk4 is set.  Otherwise RK4
-    integrates each geodesic with its variational equation
+    closed-form differential use it unless force_rk4 is set.  Otherwise the
+    RK4 of exp_map integrates each geodesic with its variational equation
     J'' = A_x J + A_v J', J(0) = 0, J'(0) = I, whose solution is
     J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from node j - 1 (or from
     t = 0) to node j, so every node is hit exactly.  A ray point outside the
@@ -828,41 +840,25 @@ def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fals
                 raise DomainExit(f"ray left {chart.name}", exit_fraction=1.0)
             return points, dexp
 
-    # state columns: position, velocity, J (n columns), J' (n columns)
-    y = np.zeros(u.shape + (2 * n + 2,))
-    y[..., 0] = p
-    y[..., 1] = u
-    y[..., 2 + n :] = np.eye(n)
-
+    # state: the positions, and one array of the columns velocity, J
+    # (n columns) and J' (n columns), which each RK4 stage updates at once
     def deriv(y):
-        x, v = y[..., 0], y[..., 1]
+        x, cols = y
+        v, jac, jac_dot = cols[..., 0], cols[..., 1 : 1 + n], cols[..., 1 + n :]
         a_x, a_v = chart.geodesic_acc_jacobian(x, v)
-        jdot = a_x @ y[..., 2 : 2 + n] + a_v @ y[..., 2 + n :]
         # acc is quadratic in v, so A_v v = 2 acc
         acc = 0.5 * np.einsum("...ab,...b->...a", a_v, v)
-        return np.concatenate([v[..., None], acc[..., None], y[..., 2 + n :], jdot], axis=-1)
+        return v, np.concatenate([acc[..., None], jac_dot, a_x @ jac + a_v @ jac_dot], axis=-1)
 
+    cols = np.zeros(u.shape + (2 * n + 1,))
+    cols[..., 0] = u
+    cols[..., 1 + n :] = np.eye(n)
+    states = _rk4(chart, (np.broadcast_to(p, u.shape), cols), deriv, t_nodes, substeps)
     points = np.empty(t_nodes.shape + (n,))
     dexp = np.empty(t_nodes.shape + (n, n))
-    total = int(sum(substeps))
-    done = 0
-    t_prev = np.zeros(len(u))
-    for j, count in enumerate(substeps):
-        dt = ((t_nodes[:, j] - t_prev) / count)[:, None, None]
-        for _ in range(count):
-            k1 = deriv(y)
-            k2 = deriv(y + 0.5 * dt * k1)
-            k3 = deriv(y + 0.5 * dt * k2)
-            k4 = deriv(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            done += 1
-            if not np.all(chart.domain.inside_mask(y[..., 0])):
-                raise DomainExit(
-                    f"ray left {chart.name} at step {done}/{total}", exit_fraction=done / total
-                )
-        points[:, j] = y[..., 0]
-        dexp[:, j] = y[..., 2 : 2 + n] / t_nodes[:, j, None, None]
-        t_prev = t_nodes[:, j]
+    for j, (x, cols) in enumerate(states):
+        points[:, j] = x
+        dexp[:, j] = cols[..., 1 : 1 + n] / t_nodes[:, j, None, None]
     return points, dexp
 
 

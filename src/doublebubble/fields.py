@@ -35,7 +35,6 @@ from .geometry import (
     StandardBubble,
     flat_metric,
     flat_rule,
-    sample_sheet,
     sheet_normal,
     sheet_point,
 )
@@ -214,11 +213,7 @@ def flat_point_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.ndarra
 
 def flat_normal_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    dirs = angles_to_dirs(bubble.m, z[..., 1:])
-    nrm = sheet_normal(bubble, sheet, z[..., 0], dirs)
-    if nrm.shape != z.shape[:-1] + (bubble.m + 1,):
-        nrm = np.broadcast_to(nrm, z.shape[:-1] + (bubble.m + 1,)).copy()
-    return nrm
+    return sheet_normal(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]))
 
 
 def displaced_point_z(
@@ -538,8 +533,9 @@ def first_order_volume_corrections(
     """
     ints = np.zeros(3)
     for s in range(3):
-        ss = sample_sheet(bubble, s, grid)
-        ints[s] = float(np.sum(ss.weights * field.w(s, ss.polar, ss.dirs)))
+        z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(s), grid)
+        g, _ = flat_metric(bubble, s, z)
+        ints[s] = float(np.sum(w * np.sqrt(np.linalg.det(g)) * field.w(s, z[:, 0], dirs)))
     dv1 = -ints[1] - ints[0]
     dv2 = -ints[2] + ints[0]
     return dv1, dv2
@@ -781,10 +777,7 @@ def killing_kernel_field(bubble: StandardBubble, generator) -> PerturbationField
     def make_w(sheet):
         def w(polar, dirs):
             x = sheet_point(bubble, sheet, polar, dirs)
-            nrm = sheet_normal(bubble, sheet, polar, dirs)
-            if nrm.shape != x.shape:
-                nrm = np.broadcast_to(nrm, x.shape)
-            return np.einsum("...k,...k->...", xi(x), nrm)
+            return np.einsum("...k,...k->...", xi(x), sheet_normal(bubble, sheet, polar, dirs))
 
         return w
 

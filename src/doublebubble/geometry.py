@@ -22,6 +22,10 @@ which encode the 120 degree junction.  Axial centers are
 
 fixed by requiring the neck at height 0 with B1 on the positive side; in the
 symmetric case this gives c1 = R/2 = -c2.
+
+Every sheet is parametrized by z = (polar, angles).  flat_rule is the one
+quadrature rule on these parameters and flat_metric the closed-form sheet
+metric; a sheet's area weights are flat_rule's weights times sqrt(det g).
 """
 
 from __future__ import annotations
@@ -171,11 +175,6 @@ class StandardBubble:
             return self.neck_radius
         return self.phi[sheet]
 
-    def fingerprint(self) -> tuple:
-        """Provenance key used to match measurements with formulas."""
-        p = self.params
-        return (p.m, p.h0, p.h1, p.h2)
-
 
 def _polish_phi1(phi1: float, r1: float, r2: float) -> float:
     # Newton on f(phi) = r1 sin(phi) - r2 sin(4pi/3 - phi); robust near phi1 = pi/2.
@@ -309,11 +308,13 @@ def sheet_normal(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
 
     N points into B1 along sheets 0 and 1 and into B2 along sheet 2; for the
     spherical sheets this is (C_s - X)/R_s, for the flat disk the positive
-    axis direction.
+    axis direction.  The shape is that of sheet_point, (..., m + 1) over the
+    broadcast of polar and the leading shape of dirs.
     """
     dirs = np.asarray(dirs, dtype=float)
     if sheet == 0 and bubble.symmetric:
-        out = np.zeros(dirs.shape[:-1] + (dirs.shape[-1] + 1,))
+        shape = np.broadcast_shapes(np.shape(polar), dirs.shape[:-1])
+        out = np.zeros(shape + (dirs.shape[-1] + 1,))
         out[..., -1] = 1.0
         return out
     x = sheet_point(bubble, sheet, polar, dirs)
@@ -428,50 +429,3 @@ def flat_metric(bubble: StandardBubble, sheet: int, z) -> tuple[np.ndarray, np.n
     gamma[..., 1:, 1:, 0] = gamma[..., 1:, 0, 1:]
     gamma[..., 1:, 1:, 1:] = h_gamma
     return g, gamma
-
-
-@dataclass(frozen=True)
-class SheetSamples:
-    """Quadrature samples of one sheet: parameter nodes, points, normals, weights.
-
-    `polar` and `dirs` are the parameter nodes, `weights` the full m-area
-    weights (they include the geometric factor, so weights.sum() equals the
-    sheet area up to quadrature error).
-    """
-
-    sheet: int
-    polar: np.ndarray
-    dirs: np.ndarray
-    positions: np.ndarray
-    normals: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self) -> int:
-        return self.weights.size
-
-
-def sample_sheet(bubble: StandardBubble, sheet: int, grid: tuple[int, int]) -> SheetSamples:
-    """Tensor-product quadrature samples of one sheet (flat_rule).
-
-    grid = (n_polar, n_sphere) with both >= 4.  The weight of a node is the
-    flat m-area element, R^m sin^(m-1)(polar) (cap) or polar^(m-1) (disk)
-    times the round measure of S^(m-1), times the parameter weights.
-    """
-    n_polar, n_sphere = grid
-    if n_polar < 4 or n_sphere < 4:
-        raise ValueError(f"grid sizes must be >= 4, got {grid}")
-    z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(sheet), grid)
-    g, _ = flat_metric(bubble, sheet, z)
-    polar = z[:, 0]
-    positions = sheet_point(bubble, sheet, polar, dirs)
-    normals = sheet_normal(bubble, sheet, polar, dirs)
-    if normals.ndim == 1 or normals.shape[0] != positions.shape[0]:
-        normals = np.broadcast_to(normals, positions.shape).copy()
-    return SheetSamples(
-        sheet=sheet,
-        polar=polar,
-        dirs=dirs,
-        positions=positions,
-        normals=normals,
-        weights=w * np.sqrt(np.linalg.det(g)),
-    )

@@ -152,8 +152,12 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 40):
             for q in range(p + 1, n):
                 if abs(a[p, q]) <= 1e-300:
                     continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta**2))
+                theta = 0.5 * float(a[q, q] - a[p, p]) / float(a[p, q])
+                theta2 = theta * theta
+                if math.isinf(theta2):
+                    # t = 1 / (|theta| + inf) = 0: the rotation is the identity
+                    continue
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta2))
                 c = 1.0 / math.sqrt(1.0 + t**2)
                 s = t * c
                 rot = np.eye(n)

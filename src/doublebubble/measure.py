@@ -10,7 +10,10 @@ curvature expansions; those are *checked against* these numbers.
 Sheets are sampled on the geometry.flat_rule grid of their parameters
 z = (polar, angles), and differentiated by the 4th-order stencils of
 charts._stencil, which push every shifted parameter point of a sheet
-through the exponential map in one batched call.
+through the exponential map in one batched call.  An EmbeddedBubble keeps
+one such stencil per sheet (sheet_stencil: the flat sheet, its displacement
+and the embedded displaced sheet), so the areas and the swept prisms of the
+volumes displace and embed each sheet once.
 
 Enclosed volumes are ray integrals from the base point, which sits at the
 centre of the flat neck disk and so inside every ball of the bubble.  Each
@@ -72,6 +75,12 @@ from .fields import (
 )
 from .geometry import StandardBubble, flat_rule, gauss_legendre, round_metric
 
+# relative parameter step of the sheet stencils (ten times it for the second
+# derivatives of measure_fundamental_forms)
+H_REL = 1e-4
+# layers of EmbeddedBubble.sheet_stencil
+FLAT, DISPLACEMENT, EMBEDDED = range(3)
+
 
 @dataclass(frozen=True)
 class ConvergenceFit:
@@ -116,10 +125,10 @@ class EmbeddedBubble:
     """Geodesic image of a (possibly perturbed) standard bubble in a chart.
 
     grid = (n_polar, n_sphere) controls the quadrature resolution of the
-    sheets and of each half-sphere of volume rays; h_rel the relative
-    parameter step of the embedding stencils; sector_nodes the Gauss-Legendre
-    order of the radial ray rule; geodesic_steps the RK4 steps of one
-    geodesic (of one radial segment, for volume rays).
+    sheets and of each half-sphere of volume rays; sector_nodes the
+    Gauss-Legendre order of the radial ray rule; geodesic_steps the RK4 steps
+    of one geodesic (of one radial segment, for volume rays).  Parameter
+    stencils step H_REL times each parameter's range.
     """
 
     def __init__(
@@ -132,7 +141,6 @@ class EmbeddedBubble:
         grid: tuple[int, int] = (64, 128),
         geodesic_steps: int = 200,
         sector_nodes: int = 16,
-        h_rel: float = 1e-4,
     ):
         if rho <= 0.0:
             raise ValueError("rho must be positive")
@@ -154,7 +162,6 @@ class EmbeddedBubble:
         self.grid = grid
         self.geodesic_steps = geodesic_steps
         self.sector_nodes = sector_nodes
-        self.h_rel = h_rel
         self._sheet_cache: dict = {}
 
     # -- embedding ----------------------------------------------------------
@@ -167,15 +174,30 @@ class EmbeddedBubble:
     def embed_params(self, sheet: int, z: np.ndarray) -> np.ndarray:
         return self.embed_flat(displaced_point_z(self.bubble, sheet, z, self.perturbation))
 
-    def sheet_tangent_data(self, sheet: int):
-        """Embedded positions, tangents and Gram matrices on the quadrature grid."""
-        z, _, w = flat_rule(self.bubble.m, self.bubble.polar_limit(sheet), self.grid)
-        h = _param_steps(self.bubble, sheet, self.h_rel)
-        # one batched embedding of the centre grid and all stencil shifts
-        pos, tangents = _stencil(lambda zz: self.embed_params(sheet, zz), z, h)
-        gmat = self.chart.metric(pos)
-        gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
-        return {"z": z, "w": w, "pos": pos, "tangents": tangents, "gram": gram, "G": gmat}
+    def sheet_stencil(self, sheet: int):
+        """(z, w, values, d1) of one sheet on its flat_rule nodes z with
+        weights w, computed once per bubble.
+
+        values (N, 3, n) and their parameter derivatives d1 (N, m, 3, n) hold
+        three layers: FLAT, the flat sheet; DISPLACEMENT, its displacement by
+        the perturbation; EMBEDDED, the embedded displaced sheet.  One batched
+        call embeds the nodes and every stencil shift; measure_area and the
+        swept prisms of measure_volumes share the result.
+        """
+        cached = self._sheet_cache.get(sheet)
+        if cached is None:
+            b = self.bubble
+            z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
+
+            def points(zz):
+                flat = flat_point_z(b, sheet, zz)
+                displaced = displaced_point_z(b, sheet, zz, self.perturbation)
+                return np.stack([flat, displaced - flat, self.embed_flat(displaced)], axis=-2)
+
+            values, d1 = _stencil(points, z, _param_steps(b, sheet, H_REL))
+            # a copy, so that the cache does not pin every shifted point
+            cached = self._sheet_cache[sheet] = (z, w, values.copy(), d1)
+        return cached
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +211,10 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
         return cached.copy()
     out = np.zeros(3)
     for s in range(3):
-        d = eb.sheet_tangent_data(s)
-        out[s] = float(np.sum(d["w"] * np.sqrt(np.linalg.det(d["gram"]))))
+        _, w, values, d1 = eb.sheet_stencil(s)
+        pos, tangents = values[:, EMBEDDED], d1[:, :, EMBEDDED]
+        gram = np.einsum("...ik,...kl,...jl->...ij", tangents, eb.chart.metric(pos), tangents)
+        out[s] = float(np.sum(w * np.sqrt(np.linalg.det(gram))))
     eb._sheet_cache["areas"] = out
     return out.copy()
 
@@ -205,23 +229,17 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     [d_tau y, d_z y]: dExp comes from charts.exp_rays (closed form, or RK4 on
     the Jacobi equation with geodesic_steps steps) at each of 6 Gauss-Legendre
     tau levels, and the flat columns d_z y from 4-point stencils of the flat
-    and displaced sheets, which are linear in tau.
+    and displaced sheets (EmbeddedBubble.sheet_stencil), which are linear in
+    tau.
     """
-    b = eb.bubble
-    z, _, w = flat_rule(b.m, b.polar_limit(sheet), eb.grid)
-
-    def flat_and_displacement(zz):
-        flat = flat_point_z(b, sheet, zz)
-        return np.stack([flat, displaced_point_z(b, sheet, zz, eb.perturbation) - flat], axis=-2)
-
-    values, d1 = _stencil(flat_and_displacement, z, _param_steps(b, sheet, eb.h_rel))
-    flat, displ = values[:, 0], values[:, 1]
+    z, w, values, d1 = eb.sheet_stencil(sheet)
+    flat, displ = values[:, FLAT], values[:, DISPLACEMENT]
     # columns d_z y, (N, n, m)
-    tang_flat = np.swapaxes(d1[:, :, 0], -1, -2)
-    tang_displ = np.swapaxes(d1[:, :, 1], -1, -2)
+    tang_flat = np.swapaxes(d1[:, :, FLAT], -1, -2)
+    tang_displ = np.swapaxes(d1[:, :, DISPLACEMENT], -1, -2)
     # orientation factor: sign of the flat-model determinant with a unit
     # normal displacement
-    nrm = flat_normal_z(b, sheet, z)
+    nrm = flat_normal_z(eb.bubble, sheet, z)
     orient = np.sign(np.linalg.det(np.concatenate([nrm[..., None], tang_flat], axis=-1)))
     e = eb.frame.matrix
     t, wt = gauss_legendre(6)
@@ -339,7 +357,7 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     b = eb.bubble
     z = np.atleast_2d(np.asarray(z, dtype=float))
     upper = b.polar_limit(sheet)
-    h = _param_steps(b, sheet, max(eb.h_rel, 1e-4) * 10.0)
+    h = _param_steps(b, sheet, H_REL * 10.0)
     if np.any(z[:, 0] + 2.5 * h[0] > upper) or np.any(z[:, 0] - 2.5 * h[0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
     pos, tangents, second = _stencil(lambda zz: eb.embed_params(sheet, zz), z, h, order=2)
@@ -380,7 +398,7 @@ def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
         pos, d1 = _stencil(
             lambda zz, s=s: eb.embed_params(s, zz),
             _neck_z(b, s, ang),
-            _param_steps(b, s, eb.h_rel),
+            _param_steps(b, s, H_REL),
             neck=True,
         )
         dpol, dth = d1[:, 0], d1[:, 1]

@@ -212,6 +212,21 @@ def test_exp_rays_domain_exit():
         assert 0.0 < err.value.exit_fraction <= 1.0
 
 
+def test_rk4_exp_map_is_exp_rays_at_one_node():
+    # one integrator: exp_map's RK4 is exp_rays' without the Jacobi fields,
+    # stepped to the single node t = 1
+    p = np.array([0.12, -0.05, 0.08])
+    v = np.random.default_rng(5).normal(size=(64, 3)) * 0.15
+    for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
+        ends = exp_map(chart, p, v, steps=50, force_rk4=True)
+        points, _ = exp_rays(chart, p, v, np.ones((len(v), 1)), [50], force_rk4=True)
+        assert np.abs(ends - points[:, 0]).max() <= 1e-14
+    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    with pytest.raises(DomainExit) as err:
+        exp_map(bump, p, np.array([[0.2, 0.0, 0.0], [3.0, 0.0, 0.0]]), steps=20, force_rk4=True)
+    assert 0.0 < err.value.exit_fraction <= 1.0
+
+
 def test_exp_map_rk4_order():
     # halving the step count scales the error by about 2^4
     bp = builtin_chart("conformal_bump", eps=-0.2, s=0.5)

@@ -25,7 +25,7 @@ from doublebubble.fields import (
     angles_to_dirs,
 )
 from doublebubble.fields import flat_point_z
-from doublebubble.geometry import BubbleParams, flat_metric, sample_sheet, sheet_area, solve_standard_bubble
+from doublebubble.geometry import BubbleParams, flat_metric, flat_rule, solve_standard_bubble
 
 SYM = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
 ASYM = solve_standard_bubble(BubbleParams(2, 1.0, 3.0, 2.0))
@@ -119,9 +119,10 @@ def test_killing_fields_linearly_independent():
         fields = killing_basis(b)
         gram = np.zeros((5, 5))
         for s in range(3):
-            ss = sample_sheet(b, s, (24, 48))
-            vals = np.stack([f.w(s, ss.polar, ss.dirs) for f in fields])
-            gram += np.einsum("aq,bq,q->ab", vals, vals, ss.weights)
+            z, dirs, w = flat_rule(b.m, b.polar_limit(s), (24, 48))
+            g, _ = flat_metric(b, s, z)
+            vals = np.stack([f.w(s, z[:, 0], dirs) for f in fields])
+            gram += np.einsum("aq,bq,q->ab", vals, vals, w * np.sqrt(np.linalg.det(g)))
         assert np.linalg.matrix_rank(gram) == 5
         assert np.linalg.cond(gram) < 1e6
 

@@ -11,7 +11,6 @@ from doublebubble.geometry import (
     conormals_at_neck,
     flat_metric,
     flat_rule,
-    sample_sheet,
     sheet_area,
     sheet_normal,
     sheet_point,
@@ -165,36 +164,40 @@ def test_sheet_points_meet_at_neck():
     assert np.abs(pts[2] - pts[1]).max() <= 1e-14
 
 
-def test_sample_sheet_weights_reproduce_area():
+def test_flat_rule_weights_reproduce_area():
+    # z-weights times the closed-form flat area element reproduce each sheet
+    # area, caps and disk, and sheet_normal gives unit normals at the nodes
     rng = np.random.default_rng(3)
     for m in (1, 2, 3):
-        p = random_params(rng, m=m)
-        b = solve_standard_bubble(p)
-        for s in range(3):
-            ss = sample_sheet(b, s, (24, 48))
-            exact = sheet_area(b, s)
-            assert abs(ss.weights.sum() - exact) <= 1e-10 * exact
-            assert np.abs(np.linalg.norm(ss.normals, axis=1) - 1.0).max() <= 1e-12
-        if m == 1:
-            continue
-        # z-weights times the closed-form flat area element, caps and disk;
-        # the angles of z and the directions name the same points
+        b = solve_standard_bubble(random_params(rng, m=m))
         for bb in (b, solve_standard_bubble(BubbleParams(m, 0.0, 3.0, 3.0))):
             for s in range(3):
                 z, dirs, w = flat_rule(m, bb.polar_limit(s), (24, 48))
                 g, _ = flat_metric(bb, s, z)
                 exact = sheet_area(bb, s)
                 assert abs(np.sum(w * np.sqrt(np.linalg.det(g))) - exact) <= 1e-10 * exact
-                pts = sheet_point(bb, s, z[:, 0], dirs)
-                assert np.abs(flat_point_z(bb, s, z) - pts).max() <= 1e-14
-
-
-def test_sample_sheet_grid_validation():
+                normals = sheet_normal(bb, s, z[:, 0], dirs)
+                assert np.abs(np.linalg.norm(normals, axis=1) - 1.0).max() <= 1e-12
+                if m > 1:
+                    # the angles of z and the directions name the same points
+                    pts = sheet_point(bb, s, z[:, 0], dirs)
+                    assert np.abs(flat_point_z(bb, s, z) - pts).max() <= 1e-14
+    # the symmetric disk's rule covers radius (0, r); no sphere rule past m = 3
     b = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
+    z, _, _ = flat_rule(2, b.polar_limit(0), (16, 32))
+    assert z[:, 0].min() > 0.0 and z[:, 0].max() < b.neck_radius
     with pytest.raises(ValueError):
-        sample_sheet(b, 1, (2, 48))
-    with pytest.raises(ValueError):
-        sample_sheet(solve_standard_bubble(BubbleParams(4, 0.0, 4.0, 4.0)), 1, (8, 8))
-    # symmetric disk sampling covers radius (0, r)
-    ss = sample_sheet(b, 0, (16, 32))
-    assert ss.polar.min() > 0.0 and ss.polar.max() < b.neck_radius
+        flat_rule(4, 1.0, (8, 8))
+
+
+def test_sheet_normal_has_the_shape_of_sheet_point():
+    b = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
+    dirs = np.array([[1.0, 0.0], [0.0, -1.0], [0.6, 0.8]])
+    polar = np.array([0.1, 0.2, 0.3])
+    for s in range(3):
+        nrm = sheet_normal(b, s, polar, dirs)
+        assert nrm.shape == sheet_point(b, s, polar, dirs).shape == (3, 3)
+        assert np.abs(np.linalg.norm(nrm, axis=-1) - 1.0).max() <= 1e-14
+    # on the disk polar and dirs broadcast against each other either way
+    for pol, d in ((0.3, dirs), (polar, dirs[0])):
+        assert sheet_normal(b, 0, pol, d).shape == sheet_point(b, 0, pol, d).shape == (3, 3)

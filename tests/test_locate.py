@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ def test_jacobi_eigh_matches_reference():
             assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
             for k in range(n):
                 assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) <= 1e-9
+
+
+def test_jacobi_eigh_skips_underflowing_rotations():
+    # an off-diagonal entry near 1e-160 beside O(1) diagonal gaps: theta^2
+    # overflows while the rotation angle underflows to zero
+    a = np.array([[1.0, 1e-160, 0.5], [1e-160, 2.0, 0.0], [0.5, 0.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = jacobi_eigh(a)
+    ref_w, ref_v = np.linalg.eigh(a)
+    assert np.abs(w - ref_w).max() <= 1e-14
+    assert np.abs(np.abs(v.T @ ref_v) - np.eye(3)).max() <= 1e-14
 
 
 def test_ricci_eigendecomposition_groups():

@@ -8,6 +8,7 @@ from doublebubble.cli import _claimed_orders
 from doublebubble.expansions import phi_from_energy
 from doublebubble.fields import random_admissible_field, _param_steps
 from doublebubble.geometry import BubbleParams, flat_rule, solve_standard_bubble
+from doublebubble import measure
 from doublebubble.measure import (
     QUANTITIES,
     EmbeddedBubble,
@@ -31,6 +32,24 @@ EU = builtin_chart("euclidean", dim=3)
 SP = builtin_chart("round_sphere", a=1.0, dim=3)
 FRAME_EU = orthonormal_frame(EU, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 FRAME_SP = orthonormal_frame(SP, np.zeros(3), np.array([0.0, 0.0, 1.0]))
+
+
+def test_areas_and_volumes_share_one_stencil_per_sheet(monkeypatch):
+    # the perturbed sheets are displaced once per sheet for areas and the
+    # swept prisms of the volumes together
+    calls = []
+    displaced = measure.displaced_point_z
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return displaced(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "displaced_point_z", counted)
+    field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25).scaled(0.01)
+    eb = EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, perturbation=field, grid=(8, 16), sector_nodes=4)
+    measure_area(eb)
+    measure_volumes(eb)
+    assert sorted(calls) == [0, 1, 2]
 
 
 def test_flat_measurements_exact():
