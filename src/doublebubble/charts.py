@@ -15,12 +15,19 @@ otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
 and velocity, exp_rays on the same state together with the Jacobi fields
 that give the differential of the exponential map.
 
+The kernels run on stacks of short vectors and small matrices: _dot unrolls
+dot products and norms over the last axis (bit for bit np.sum(a * b,
+axis=-1)) and _det takes the package's determinants by cofactor expansion,
+so no numpy reduction over a length-3 axis and no LAPACK call per small
+matrix sits on a hot path.
+
 Charts are local by design; leaving the domain box is an error, never a
 clamp.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +42,37 @@ class DomainExit(ValueError):
         self.exit_fraction = exit_fraction
 
 
+def _dot(a, b) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i], unrolled over the short last axis.
+
+    Bit for bit np.sum(a * b, axis=-1) for up to 8 components (numpy adds
+    so few in sequence), without a reduction call per stack."""
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, np.shape(a)[-1]):
+        out = out + a[..., i] * b[..., i]
+    return out
+
+
+def _det(a) -> np.ndarray:
+    """Determinants of a stack of small matrices (..., n, n) by cofactor
+    expansion along the rows, every minor of the trailing rows built once."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[-1]
+    # minors[cols]: determinant of the last len(cols) rows in the columns cols
+    minors = {(): np.ones(a.shape[:-2])}
+    for k in range(1, n + 1):
+        row = a[..., n - k, :]
+        level = {}
+        for cols in itertools.combinations(range(n), k):
+            det = row[..., cols[0]] * minors[cols[1:]]
+            for i in range(1, k):
+                term = row[..., cols[i]] * minors[cols[:i] + cols[i + 1 :]]
+                det = det - term if i % 2 else det + term
+            level[cols] = det
+        minors = level
+    return minors[tuple(range(n))]
+
+
 @dataclass(frozen=True)
 class Box:
     lo: np.ndarray
@@ -47,8 +85,13 @@ class Box:
         )
 
     def inside_mask(self, x) -> np.ndarray:
+        """Points of x (..., n) inside the closed box; NaN is outside.
+        Unrolled over the coordinates, as _dot."""
         x = np.asarray(x, dtype=float)
-        return np.all((x >= self.lo) & (x <= self.hi), axis=-1)
+        mask = (x[..., 0] >= self.lo[0]) & (x[..., 0] <= self.hi[0])
+        for i in range(1, x.shape[-1]):
+            mask &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
+        return mask
 
 
 class MetricChart:
@@ -155,20 +198,20 @@ def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
 
 def _conformal_acc(grad_f: np.ndarray, v: np.ndarray) -> np.ndarray:
     # -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, allocation-light
-    fv = np.sum(grad_f * v, axis=-1, keepdims=True)
-    vv = np.sum(v * v, axis=-1, keepdims=True)
+    fv = _dot(grad_f, v)[..., None]
+    vv = _dot(v, v)[..., None]
     return -2.0 * fv * v + vv * grad_f
 
 
 def _conformal_acc_jacobian(grad_f, hess_f, v):
     # d/dv and d/dx of -2 (grad_f . v) v + |v|^2 grad_f, with d grad_f / dx = hess_f
-    eye = np.eye(v.shape[-1])
-    fv = np.sum(grad_f * v, axis=-1)[..., None, None]
-    vv = np.sum(v * v, axis=-1)[..., None, None]
+    fv2 = 2.0 * _dot(grad_f, v)
+    vv = _dot(v, v)[..., None, None]
     hv = np.einsum("...ab,...b->...a", hess_f, v)
     a_x = -2.0 * v[..., :, None] * hv[..., None, :] + vv * hess_f
     a_v = 2.0 * (grad_f[..., :, None] * v[..., None, :] - v[..., :, None] * grad_f[..., None, :])
-    a_v -= 2.0 * fv * eye
+    for i in range(v.shape[-1]):
+        a_v[..., i, i] -= fv2
     return a_x, a_v
 
 
@@ -200,7 +243,7 @@ class RoundSphereChart(MetricChart):
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = _dot(x, x)
         out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
         idx = np.arange(self.dim)
         out[..., idx, idx] = self._e(s)[..., None]
@@ -208,7 +251,7 @@ class RoundSphereChart(MetricChart):
 
     def metric_d1(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = _dot(x, x)
         e1 = self._e(s, 1)
         eye = np.eye(self.dim)
         # d_k (E delta_ij) = E'(s) 2 x_k delta_ij
@@ -216,7 +259,7 @@ class RoundSphereChart(MetricChart):
 
     def metric_d2(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = _dot(x, x)
         e1 = self._e(s, 1)
         e2 = self._e(s, 2)
         eye = np.eye(self.dim)
@@ -226,28 +269,31 @@ class RoundSphereChart(MetricChart):
 
     def christoffel_closed(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = _dot(x, x)
         grad_f = -2.0 * x / (self.a**2 + s)[..., None]
         return _conformal_christoffel(grad_f, self.dim)
 
     def geodesic_acc(self, x, v):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)
+        s = _dot(x, x)
         grad_f = -2.0 * x / (self.a**2 + s)[..., None]
         return _conformal_acc(grad_f, v)
 
     def geodesic_acc_jacobian(self, x, v):
         # f = log(2 a^2 / (a^2 + |x|^2))
         x = np.asarray(x, dtype=float)
-        u = (self.a**2 + np.sum(x * x, axis=-1))[..., None, None]
-        grad_f = -2.0 * x / u[..., 0]
-        hess_f = -2.0 * np.eye(self.dim) / u + 4.0 * x[..., :, None] * x[..., None, :] / u**2
+        u = self.a**2 + _dot(x, x)
+        grad_f = -2.0 * x / u[..., None]
+        hess_f = 4.0 * x[..., :, None] * x[..., None, :] / (u**2)[..., None, None]
+        diag = 2.0 / u
+        for i in range(self.dim):
+            hess_f[..., i, i] -= diag
         return _conformal_acc_jacobian(grad_f, hess_f, v)
 
     # stereographic embedding of the sphere of radius a in R^(n+1)
     def embed(self, x):
         x = np.asarray(x, dtype=float)
-        s = np.sum(x * x, axis=-1)[..., None]
+        s = _dot(x, x)[..., None]
         denom = self.a**2 + s
         return np.concatenate(
             [2.0 * self.a**2 * x / denom, self.a * (s - self.a**2) / denom], axis=-1
@@ -257,9 +303,9 @@ class RoundSphereChart(MetricChart):
         """Analytic differential of the stereographic embedding at p applied to v."""
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        s = np.sum(p * p, axis=-1, keepdims=True)
+        s = _dot(p, p)[..., None]
         denom = self.a**2 + s
-        pv = np.sum(p * v, axis=-1, keepdims=True)
+        pv = _dot(p, v)[..., None]
         head = (2.0 * self.a**2 / denom) * (v - 2.0 * p * pv / denom)
         tail = 4.0 * self.a**3 * pv / denom**2
         return np.concatenate([head, tail], axis=-1)
@@ -270,7 +316,7 @@ class RoundSphereChart(MetricChart):
         # push (p, v) to the embedded sphere, follow the great circle, project back
         u0 = self.embed(p)
         du = self.embed_push(np.broadcast_to(p, v.shape), v)
-        speed = np.linalg.norm(du, axis=-1, keepdims=True)  # = |v|_G by conformality
+        speed = np.sqrt(_dot(du, du))[..., None]  # = |v|_G by conformality
         small = speed < 1e-300
         theta = speed / self.a
         udir = du / np.where(small, 1.0, speed)
@@ -290,7 +336,7 @@ class RoundSphereChart(MetricChart):
             [(2.0 * a**2 / den) * (np.eye(self.dim) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
         )
         w = v @ push.T
-        speed = np.linalg.norm(w, axis=-1, keepdims=True)
+        speed = np.sqrt(_dot(w, w))[..., None]
         theta = speed / a
         wdir = w / np.where(speed == 0.0, 1.0, speed)
         sinc = np.sinc(theta / math.pi)
@@ -323,7 +369,7 @@ class ConformalBumpChart(MetricChart):
 
     def _f(self, x):
         d = np.asarray(x, dtype=float) - self.x0
-        return self.eps * np.exp(-np.sum(d * d, axis=-1) / self.s**2)
+        return self.eps * np.exp(-_dot(d, d) / self.s**2)
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -348,10 +394,13 @@ class ConformalBumpChart(MetricChart):
     def geodesic_acc_jacobian(self, x, v):
         x = np.asarray(x, dtype=float)
         d = x - self.x0
-        f = self._f(x)[..., None, None]
-        grad_f = f[..., 0] * (-2.0 * d / self.s**2)
+        f = self._f(x)[..., None]
+        grad_f = f * (-2.0 * d / self.s**2)
         dd = d[..., :, None] * d[..., None, :]
-        hess_f = f * (4.0 * dd / self.s**4 - 2.0 * np.eye(self.dim) / self.s**2)
+        hess_f = 4.0 * dd / self.s**4
+        for i in range(self.dim):
+            hess_f[..., i, i] -= 2.0 / self.s**2
+        hess_f *= f[..., None]
         return _conformal_acc_jacobian(grad_f, hess_f, v)
 
     def scalar_curvature_exact(self, x):
@@ -365,8 +414,8 @@ class ConformalBumpChart(MetricChart):
         d = x - self.x0
         f = self._f(x)
         grad = f[..., None] * (-2.0 * d / self.s**2)
-        lap = f * (4.0 * np.sum(d * d, axis=-1) / self.s**4 - 2.0 * n / self.s**2)
-        return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * np.sum(grad * grad, axis=-1))
+        lap = f * (4.0 * _dot(d, d) / self.s**4 - 2.0 * n / self.s**2)
+        return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * _dot(grad, grad))
 
 
 class ProductRoundChart(MetricChart):

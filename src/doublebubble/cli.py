@@ -112,8 +112,16 @@ def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _point_list(text: str) -> list[np.ndarray]:
-    return [np.array(_floats(chunk)) for chunk in text.split(";") if chunk.strip()]
+def _vector(text: str, key: str, dim: int) -> np.ndarray:
+    """A comma-separated point or direction of the chart's dimension."""
+    x = np.array(_floats(text))
+    if len(x) != dim:
+        raise ConfigError(f"{key} {text.strip()!r} has {len(x)} coordinates, the chart has {dim}")
+    return x
+
+
+def _point_list(text: str, key: str, dim: int) -> list[np.ndarray]:
+    return [_vector(chunk, key, dim) for chunk in text.split(";") if chunk.strip()]
 
 
 def _bool(text: str) -> bool:
@@ -141,7 +149,7 @@ def build_chart(cfg: dict):
             "dim": dim,
         }
         if "chart.x0" in cfg:
-            kw["x0"] = np.array(_floats(cfg["chart.x0"]))
+            kw["x0"] = _vector(cfg["chart.x0"], "chart.x0", dim)
         if "chart.half_width" in cfg:
             kw["half_width"] = float(cfg["chart.half_width"])
         return builtin_chart("conformal_bump", **kw)
@@ -164,6 +172,16 @@ def build_params(cfg: dict) -> BubbleParams:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _bubble_params(cfg: dict, chart) -> BubbleParams:
+    """The bubble's parameters; its m-dimensional sheets are hypersurfaces of the chart."""
+    params = build_params(cfg)
+    if params.m + 1 != chart.dim:
+        raise ConfigError(
+            f"bubble.m = {params.m} needs chart.dim = {params.m + 1}, got {chart.dim}"
+        )
+    return params
 
 
 def fmt(x) -> str:
@@ -243,9 +261,9 @@ def cmd_constants(cfg: dict, outdir: Path) -> int:
 
 def cmd_curvature(cfg: dict, outdir: Path) -> int:
     chart = build_chart(cfg)
-    axis = np.array(_floats(cfg["axis"]))
+    axis = _vector(cfg["axis"], "axis", chart.dim)
     rows = []
-    for p in _point_list(cfg["points"]):
+    for p in _point_list(cfg["points"], "points", chart.dim):
         curv = curvature_at(chart, p, axis, nabla=False)
         rm = curv.riemann
         anti1 = float(np.abs(rm + rm.transpose(1, 0, 2, 3)).max())
@@ -273,10 +291,9 @@ def cmd_curvature(cfg: dict, outdir: Path) -> int:
 
 def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     chart = build_chart(cfg)
-    params = build_params(cfg)
-    bubble = solve_standard_bubble(params)
-    p = np.array(_floats(cfg["point"]))
-    axis = np.array(_floats(cfg["axis"]))
+    params = _bubble_params(cfg, chart)
+    p = _vector(cfg["point"], "point", chart.dim)
+    axis = _vector(cfg["axis"], "axis", chart.dim)
     rhos = _floats(cfg["rho_list"])
     grid = tuple(int(v) for v in _floats(cfg["grid"]))
     quantities = [q.strip() for q in cfg["quantities"].split(",") if q.strip()]
@@ -285,8 +302,12 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
         raise ConfigError(f"unknown quantities {unknown}; options {QUANTITIES}")
     if len(rhos) < 3 or any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ConfigError(f"rho_list needs at least 3 strictly decreasing scales, got {rhos}")
+    perturbed = _bool(cfg["perturbed"])
+    if perturbed and params.m != 2:
+        raise ConfigError(f"perturbed = true needs bubble.m = 2, got {params.m}")
+    bubble = solve_standard_bubble(params)
     perturbation = None
-    if _bool(cfg["perturbed"]):
+    if perturbed:
         rng = np.random.default_rng(int(cfg["seed"]))
         perturbation = random_admissible_field(bubble, rng, float(cfg["field_amplitude"]))
 
@@ -354,8 +375,8 @@ def _claimed_orders(bubble) -> dict:
 
 def cmd_predict(cfg: dict, outdir: Path) -> int:
     chart = build_chart(cfg)
-    params = build_params(cfg)
-    seeds = _point_list(cfg["seeds"])
+    params = _bubble_params(cfg, chart)
+    seeds = _point_list(cfg["seeds"], "seeds", chart.dim)
     preds, points = predict_full(
         chart, seeds, float(cfg["rho"]), params, tol=float(cfg["newton_tol"])
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CurvatureAtPoint, _stencil
+from .charts import CurvatureAtPoint, _det, _stencil
 from .geometry import (
     BubbleParams,
     StandardBubble,
@@ -490,7 +490,7 @@ def first_order_area_corrections(
     for s in range(3):
         z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), grid)
         d = sheet_point_data(bubble, s, z, field)
-        dmu = w * np.sqrt(np.linalg.det(d.g))
+        dmu = w * np.sqrt(_det(d.g))
         div = tangential_divergence(d)
         if s == 0 and bubble.symmetric:
             out[s] = float(np.sum(dmu * div))
@@ -535,7 +535,7 @@ def first_order_volume_corrections(
     for s in range(3):
         z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(s), grid)
         g, _ = flat_metric(bubble, s, z)
-        ints[s] = float(np.sum(w * np.sqrt(np.linalg.det(g)) * field.w(s, z[:, 0], dirs)))
+        ints[s] = float(np.sum(w * np.sqrt(_det(g)) * field.w(s, z[:, 0], dirs)))
     dv1 = -ints[1] - ints[0]
     dv2 = -ints[2] + ints[0]
     return dv1, dv2

@@ -54,6 +54,7 @@ from .charts import (
     DomainExit,
     MetricChart,
     OrthoFrame,
+    _det,
     _stencil,
     christoffel,
     curvature_at,
@@ -214,7 +215,7 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
         _, w, values, d1 = eb.sheet_stencil(s)
         pos, tangents = values[:, EMBEDDED], d1[:, :, EMBEDDED]
         gram = np.einsum("...ik,...kl,...jl->...ij", tangents, eb.chart.metric(pos), tangents)
-        out[s] = float(np.sum(w * np.sqrt(np.linalg.det(gram))))
+        out[s] = float(np.sum(w * np.sqrt(_det(gram))))
     eb._sheet_cache["areas"] = out
     return out.copy()
 
@@ -240,7 +241,7 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     # orientation factor: sign of the flat-model determinant with a unit
     # normal displacement
     nrm = flat_normal_z(eb.bubble, sheet, z)
-    orient = np.sign(np.linalg.det(np.concatenate([nrm[..., None], tang_flat], axis=-1)))
+    orient = np.sign(_det(np.concatenate([nrm[..., None], tang_flat], axis=-1)))
     e = eb.frame.matrix
     t, wt = gauss_legendre(6)
     total = 0.0
@@ -252,7 +253,7 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
         flat_cols = np.concatenate([displ[..., None], tang_flat + tv * tang_displ], axis=-1)
         jac = eb.rho * dexp[:, 0] @ e @ flat_cols  # columns (d tau, d z_i)
         gmat = eb.chart.metric(points[:, 0])
-        dets = np.linalg.det(jac) * np.sqrt(np.linalg.det(gmat)) * orient
+        dets = _det(jac) * np.sqrt(_det(gmat)) * orient
         total += tw * float(np.sum(w * dets))
     return total
 
@@ -290,9 +291,9 @@ def _ray_volumes(eb: EmbeddedBubble, theta, weights, ends) -> list[float]:
     n = theta.shape[1]
     density = (
         eb.rho**n
-        * abs(np.linalg.det(e))
-        * np.abs(np.linalg.det(dexp))
-        * np.sqrt(np.linalg.det(eb.chart.metric(points)))
+        * abs(_det(e))
+        * np.abs(_det(dexp))
+        * np.sqrt(_det(eb.chart.metric(points)))
         * t_nodes ** (n - 1)
     )
     out = []
@@ -315,7 +316,7 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     # upper half of S^m: polar angle alpha in [0, pi/2] from the axis with
     # density sin^(m-1)(alpha), times the round measure of S^(m-1)
     z, dirs, w = flat_rule(b.m, 0.5 * math.pi, eb.grid, lambda alpha: np.sin(alpha) ** (b.m - 1))
-    weights = w * np.sqrt(np.linalg.det(round_metric(z[:, 1:])[0]))
+    weights = w * np.sqrt(_det(round_metric(z[:, 1:])[0]))
     up = np.concatenate([np.sin(z[:, :1]) * dirs, np.cos(z[:, :1])], axis=1)
     down = up * np.append(np.ones(b.m), -1.0)
     (v1,) = _ray_volumes(eb, up, weights, [_ball_exit(b, 1, up[:, -1])])

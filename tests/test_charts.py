@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from doublebubble.charts import (
+    Box,
     DomainExit,
     MetricChart,
+    _det,
+    _dot,
     _stencil,
     builtin_chart,
     christoffel,
@@ -157,6 +160,54 @@ def test_bump_acc_jacobian_matches_fd_fallback():
     v = rng.normal(size=(8, 3))
     for analytic, fd in zip(bp.geodesic_acc_jacobian(x, v), MetricChart.geodesic_acc_jacobian(bp, x, v)):
         assert np.abs(analytic - fd).max() <= 1e-7
+
+
+def test_dot_is_numpy_sum_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for n in range(1, 5):
+        # magnitudes spread over six decades, so that the order of the sum shows
+        a = rng.normal(size=(7, 5, n)) * 10.0 ** rng.uniform(-3, 3, size=(7, 5, n))
+        b = rng.normal(size=(7, 5, n)) * 10.0 ** rng.uniform(-3, 3, size=(7, 5, n))
+        p = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n)
+        assert np.array_equal(_dot(a, b), np.sum(a * b, axis=-1))
+        assert np.array_equal(np.sqrt(_dot(a, a)), np.linalg.norm(a, axis=-1))
+        # a 1-D base point, alone and against a stack
+        assert np.array_equal(_dot(p, p), np.sum(p * p, axis=-1))
+        assert np.array_equal(_dot(p, b), np.sum(p * b, axis=-1))
+
+
+def test_det_matches_lapack():
+    rng = np.random.default_rng(22)
+    for n in range(1, 5):
+        a = rng.normal(size=(200, n, n)) + 3.0 * np.eye(n)  # well conditioned
+        ref = np.linalg.det(a)
+        assert np.all(np.abs(_det(a) - ref) <= 1e-13 * np.abs(ref))
+        assert np.abs(_det(a[0]) - ref[0]) <= 1e-13 * abs(ref[0])
+    # the closed-form exp-map differentials behind the chamber volumes
+    sp = builtin_chart("round_sphere", a=1.0)
+    dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), rng.normal(size=(50, 4, 3)) * 0.5)
+    ref = np.linalg.det(dexp)
+    assert np.all(np.abs(_det(dexp) - ref) <= 1e-13 * np.abs(ref))
+    # the empty matrices of the round metric of S^0 (m = 1)
+    assert np.array_equal(_det(np.zeros((5, 0, 0))), np.ones(5))
+
+
+def test_inside_mask_closed_box_and_nan():
+    box = Box(lo=np.array([-1.0, -2.0, 0.5]), hi=np.array([1.0, 2.0, 1.5]))
+    inside = np.array([0.0, 0.0, 1.0])
+    pts = [inside]
+    for i in range(3):
+        for bound, away in ((box.lo[i], -np.inf), (box.hi[i], np.inf)):
+            for value in (bound, np.nextafter(bound, away), np.nan, away):
+                x = inside.copy()
+                x[i] = value
+                pts.append(x)
+    pts = np.array(pts).reshape(5, 5, 3)
+    mask = box.inside_mask(pts)
+    assert np.array_equal(mask, np.all((pts >= box.lo) & (pts <= box.hi), axis=-1))
+    # the centre and the six points on the faces
+    assert mask.sum() == 7
+    assert box.inside_mask(inside) and not box.inside_mask(np.full(3, np.nan))
 
 
 def test_stencil_exact_on_batched_polynomials():

@@ -151,6 +151,21 @@ def test_exit_codes(tmp_path):
     assert main(["verify", "--config", str(rising), "--out", str(tmp_path)]) == 2
     short = write_cfg(tmp_path / "short.cfg", BASE_CFG + "rho_list = 0.2,0.1\n")
     assert main(["verify", "--config", str(short), "--out", str(tmp_path)]) == 2
+    # coordinates of the wrong length for the 3-dimensional chart, m-sheets
+    # outside an (m + 1)-dimensional chart, random admissible fields for m != 2
+    for command, text in (
+        ("verify", "point = 0,0\n"),
+        ("verify", "axis = 0,0,0,1\n"),
+        ("verify", "chart = conformal_bump\nchart.x0 = 0,0\n"),
+        ("curvature", "points = 0,0,0;0.1,0\n"),
+        ("curvature", "axis = 0,1\n"),
+        ("predict", "seeds = 0.1,0\n"),
+        ("verify", "bubble.m = 3\n"),
+        ("predict", "bubble.m = 3\n"),
+        ("verify", "bubble.m = 3\nchart.dim = 4\npoint = 0,0,0,0\naxis = 0,0,0,1\nperturbed = true\n"),
+    ):
+        wrong = write_cfg(tmp_path / "wrong.cfg", BASE_CFG + text)
+        assert main([command, "--config", str(wrong), "--out", str(tmp_path)]) == 2, text
 
 
 def test_verify_perturbed_path(tmp_path):
