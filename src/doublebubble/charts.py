@@ -10,6 +10,11 @@ and Sc = n(n-1)/a^2.  Index layout of derivative tensors: dg[..., k, i, j]
 is d_k g_ij and d2g[..., l, k, i, j] is d_l d_k g_ij.  Curvature arrays are
 returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 
+Chart hooks (MetricChart): metric, christoffel_closed and geodesic_acc are
+required; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
+(points, dexp), are optional and return None without a closed form;
+geodesic_acc_jacobian has a finite-difference default.
+
 Geodesics take a chart's closed-form exponential where it has one, and
 otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
 and velocity, exp_rays on the same state together with the Jacobi fields
@@ -97,9 +102,12 @@ class Box:
 class MetricChart:
     """Base chart: a metric on an axis-aligned box in R^n.
 
-    Subclasses implement metric(); analytic derivative stacks and closed-form
-    Christoffels/exponentials are optional fast paths.  fd_step is the
-    central-difference step used whenever an analytic derivative is missing.
+    Subclasses implement the required hooks metric(x), christoffel_closed(x)
+    = Gamma[..., a, i, j] and geodesic_acc(x, v) = -Gamma(v, v); the optional
+    closed forms metric_d1, metric_d2, exp_closed and dexp_closed, which
+    returns (Exp_p(v), dExp_p(v)) from one evaluation, return None here.
+    fd_step is the central-difference step of geodesic_acc_jacobian's default
+    and of every other missing analytic derivative.
     """
 
     def __init__(self, dim: int, name: str, domain: Box, fd_step: float = 1e-3):
@@ -111,6 +119,12 @@ class MetricChart:
     def metric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def christoffel_closed(self, x):
+        raise NotImplementedError
+
+    def geodesic_acc(self, x, v):
+        raise NotImplementedError
+
     # analytic fast paths; return None when unavailable
     def metric_d1(self, x):
         return None
@@ -118,18 +132,12 @@ class MetricChart:
     def metric_d2(self, x):
         return None
 
-    def christoffel_closed(self, x):
-        return None
-
-    def geodesic_acc(self, x, v):
-        """Closed-form -Gamma(v, v) when available; None to use christoffel."""
-        return None
-
     def exp_closed(self, p, v):
         return None
 
     def dexp_closed(self, p, v):
-        """Closed-form differential of exp_closed in v, (..., n, n); None when unavailable."""
+        """(points, dexp): Exp_p(v) (..., n) and its differential in v (..., n, n)
+        at a single base point p; None when unavailable."""
         return None
 
     def geodesic_acc_jacobian(self, x, v):
@@ -139,8 +147,8 @@ class MetricChart:
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         h = self.fd_step
-        a_x = _fd_d1(lambda y: geodesic_acceleration(self, y, v), x, h, depth=1)
-        a_v = _fd_d1(lambda w: geodesic_acceleration(self, x, w), v, h, depth=1)
+        a_x = _fd_d1(lambda y: self.geodesic_acc(y, v), x, h, depth=1)
+        a_v = _fd_d1(lambda w: self.geodesic_acc(x, w), v, h, depth=1)
         return np.swapaxes(a_x, -1, -2), np.swapaxes(a_v, -1, -2)
 
     def __repr__(self):
@@ -182,7 +190,8 @@ class EuclideanChart(MetricChart):
         return np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
 
     def dexp_closed(self, p, v):
-        return np.broadcast_to(np.eye(self.dim), np.shape(v) + (self.dim,)).copy()
+        dexp = np.broadcast_to(np.eye(self.dim), np.shape(v) + (self.dim,)).copy()
+        return self.exp_closed(p, v), dexp
 
 
 def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
@@ -267,23 +276,21 @@ class RoundSphereChart(MetricChart):
         radial = 4.0 * e2[..., None, None] * xx + 2.0 * e1[..., None, None] * eye
         return radial[..., :, :, None, None] * eye
 
-    def christoffel_closed(self, x):
-        x = np.asarray(x, dtype=float)
-        s = _dot(x, x)
-        grad_f = -2.0 * x / (self.a**2 + s)[..., None]
-        return _conformal_christoffel(grad_f, self.dim)
-
-    def geodesic_acc(self, x, v):
-        x = np.asarray(x, dtype=float)
-        s = _dot(x, x)
-        grad_f = -2.0 * x / (self.a**2 + s)[..., None]
-        return _conformal_acc(grad_f, v)
-
-    def geodesic_acc_jacobian(self, x, v):
-        # f = log(2 a^2 / (a^2 + |x|^2))
+    def _grad_f(self, x):
+        # f = log(2 a^2 / (a^2 + |x|^2)); also returns u = a^2 + |x|^2
         x = np.asarray(x, dtype=float)
         u = self.a**2 + _dot(x, x)
-        grad_f = -2.0 * x / u[..., None]
+        return -2.0 * x / u[..., None], u
+
+    def christoffel_closed(self, x):
+        return _conformal_christoffel(self._grad_f(x)[0], self.dim)
+
+    def geodesic_acc(self, x, v):
+        return _conformal_acc(self._grad_f(x)[0], v)
+
+    def geodesic_acc_jacobian(self, x, v):
+        x = np.asarray(x, dtype=float)
+        grad_f, u = self._grad_f(x)
         hess_f = 4.0 * x[..., :, None] * x[..., None, :] / (u**2)[..., None, None]
         diag = 2.0 / u
         for i in range(self.dim):
@@ -299,55 +306,43 @@ class RoundSphereChart(MetricChart):
             [2.0 * self.a**2 * x / denom, self.a * (s - self.a**2) / denom], axis=-1
         )
 
-    def embed_push(self, p, v):
-        """Analytic differential of the stereographic embedding at p applied to v."""
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        s = _dot(p, p)[..., None]
-        denom = self.a**2 + s
-        pv = _dot(p, v)[..., None]
-        head = (2.0 * self.a**2 / denom) * (v - 2.0 * p * pv / denom)
-        tail = 4.0 * self.a**3 * pv / denom**2
-        return np.concatenate([head, tail], axis=-1)
-
-    def exp_closed(self, p, v):
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        # push (p, v) to the embedded sphere, follow the great circle, project back
-        u0 = self.embed(p)
-        du = self.embed_push(np.broadcast_to(p, v.shape), v)
-        speed = np.sqrt(_dot(du, du))[..., None]  # = |v|_G by conformality
-        small = speed < 1e-300
-        theta = speed / self.a
-        udir = du / np.where(small, 1.0, speed)
-        u1 = np.cos(theta) * u0 + np.sin(theta) * self.a * udir
-        w = u1[..., -1:]
-        out = self.a * u1[..., :-1] / (self.a - w)
-        return np.where(small, np.broadcast_to(p, v.shape), out)
-
-    def dexp_closed(self, p, v):
-        """Differential of exp_closed in v at a single base point p, (..., n, n)."""
+    def _great_circle(self, p, v):
+        """Exp_p(v) along the great circle of the embedded sphere, for a single
+        base point p: returns the embedding differential at p (n + 1, n), the
+        embedded p, the unit direction and angle (..., 1) of the pushed v, the
+        great circle's endpoint in R^(n + 1) and its projection back to the
+        chart, which is p itself at zero speed."""
         a = self.a
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         den = a**2 + p @ p
-        # differential of the embedding at p, (n + 1, n)
         push = np.vstack(
             [(2.0 * a**2 / den) * (np.eye(self.dim) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
         )
         w = v @ push.T
-        speed = np.sqrt(_dot(w, w))[..., None]
+        speed = np.sqrt(_dot(w, w))[..., None]  # = |v|_G by conformality
+        still = speed == 0.0
         theta = speed / a
-        wdir = w / np.where(speed == 0.0, 1.0, speed)
-        sinc = np.sinc(theta / math.pi)
+        wdir = w / np.where(still, 1.0, speed)
         u0 = self.embed(p)
         u1 = np.cos(theta) * u0 + a * np.sin(theta) * wdir
+        points = np.where(still, p, a * u1[..., :-1] / (a - u1[..., -1:]))
+        return push, u0, wdir, theta, u1, points
+
+    def exp_closed(self, p, v):
+        return self._great_circle(p, v)[-1]
+
+    def dexp_closed(self, p, v):
+        """(Exp_p(v), its differential in v (..., n, n)) at a single base point p."""
+        a = self.a
+        push, u0, wdir, theta, u1, points = self._great_circle(p, v)
+        sinc = np.sinc(theta / math.pi)
         # d u1 = k (wdir . dw) + sinc dw, then the stereographic projection back
         k = -np.sin(theta) / a * u0 + (np.cos(theta) - sinc) * wdir
         du1 = k[..., :, None] * (wdir @ push)[..., None, :] + sinc[..., None] * push
         z = a - u1[..., -1:]
         head = (a / z)[..., None] * du1[..., :-1, :]
-        return head + (a * u1[..., :-1] / z**2)[..., :, None] * du1[..., -1:, :]
+        return points, head + (a * u1[..., :-1] / z**2)[..., :, None] * du1[..., -1:, :]
 
 
 class ConformalBumpChart(MetricChart):
@@ -379,23 +374,21 @@ class ConformalBumpChart(MetricChart):
         out[..., idx, idx] = e2f[..., None]
         return out
 
-    def christoffel_closed(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.x0
-        grad_f = self._f(x)[..., None] * (-2.0 * d / self.s**2)
-        return _conformal_christoffel(grad_f, self.dim)
-
-    def geodesic_acc(self, x, v):
-        x = np.asarray(x, dtype=float)
-        d = x - self.x0
-        grad_f = self._f(x)[..., None] * (-2.0 * d / self.s**2)
-        return _conformal_acc(grad_f, v)
-
-    def geodesic_acc_jacobian(self, x, v):
+    def _grad_f(self, x):
+        # grad f, with f (..., 1) and d = x - x0
         x = np.asarray(x, dtype=float)
         d = x - self.x0
         f = self._f(x)[..., None]
-        grad_f = f * (-2.0 * d / self.s**2)
+        return f * (-2.0 * d / self.s**2), f, d
+
+    def christoffel_closed(self, x):
+        return _conformal_christoffel(self._grad_f(x)[0], self.dim)
+
+    def geodesic_acc(self, x, v):
+        return _conformal_acc(self._grad_f(x)[0], v)
+
+    def geodesic_acc_jacobian(self, x, v):
+        grad_f, f, d = self._grad_f(x)
         dd = d[..., :, None] * d[..., None, :]
         hess_f = 4.0 * dd / self.s**4
         for i in range(self.dim):
@@ -409,11 +402,9 @@ class ConformalBumpChart(MetricChart):
         Sc = -(n-1) e^(-2f) (2 Laplacian f + (n-2) |grad f|^2) in flat
         background coordinates.
         """
-        x = np.asarray(x, dtype=float)
         n = self.dim
-        d = x - self.x0
-        f = self._f(x)
-        grad = f[..., None] * (-2.0 * d / self.s**2)
+        grad, f, d = self._grad_f(x)
+        f = f[..., 0]
         lap = f * (4.0 * _dot(d, d) / self.s**4 - 2.0 * n / self.s**2)
         return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * _dot(grad, grad))
 
@@ -483,11 +474,12 @@ class ProductRoundChart(MetricChart):
     def dexp_closed(self, p, v):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape + (self.dim,))
+        points = np.empty(v.shape)
+        dexp = np.zeros(v.shape + (self.dim,))
         for off, d, sub, _ in self._blocks(p):
             sl = slice(off, off + d)
-            out[..., sl, sl] = sub.dexp_closed(p[..., sl], v[..., sl])
-        return out
+            points[..., sl], dexp[..., sl, sl] = sub.dexp_closed(p[..., sl], v[..., sl])
+        return points, dexp
 
 
 def builtin_chart(family: str, **params) -> MetricChart:
@@ -619,10 +611,7 @@ def metric_d2(chart: MetricChart, x) -> np.ndarray:
 
 def christoffel(chart: MetricChart, x) -> np.ndarray:
     """Christoffel symbols Gamma[..., a, i, j] = Gamma^a_ij."""
-    closed = chart.christoffel_closed(x)
-    if closed is not None:
-        return closed
-    return _christoffel_from_stack(chart.metric(x), metric_d1(chart, x))
+    return chart.christoffel_closed(x)
 
 
 def _christoffel_from_stack(g, dg):
@@ -663,18 +652,20 @@ def riemann(chart: MetricChart, x) -> np.ndarray:
     return np.einsum("...al,...iajk->...ijkl", g, r_up)
 
 
-def ricci(chart: MetricChart, x) -> np.ndarray:
-    """Ricci tensor in chart coordinates, Ric(Y,Z) = tr(X -> R(X,Y)Z)."""
-    g = chart.metric(x)
-    rm = riemann(chart, x)
-    ginv = np.linalg.inv(g)
+def _ricci(ginv, rm) -> np.ndarray:
+    # Ric(Y,Z) = tr(X -> R(X,Y)Z), contracted with the inverse metric
     return np.einsum("...al,...ajkl->...jk", ginv, rm)
 
 
+def ricci(chart: MetricChart, x) -> np.ndarray:
+    """Ricci tensor in chart coordinates, Ric(Y,Z) = tr(X -> R(X,Y)Z)."""
+    return _ricci(np.linalg.inv(chart.metric(x)), riemann(chart, x))
+
+
 def scalar_curvature(chart: MetricChart, x):
-    g = chart.metric(x)
-    ric = ricci(chart, x)
-    sc = np.einsum("...jk,...jk->...", np.linalg.inv(g), ric)
+    """Sc from one Riemann tensor and one inverse metric."""
+    ginv = np.linalg.inv(chart.metric(x))
+    sc = np.einsum("...jk,...jk->...", ginv, _ricci(ginv, riemann(chart, x)))
     return float(sc) if np.ndim(sc) == 0 else sc
 
 
@@ -781,7 +772,7 @@ def curvature_at(chart: MetricChart, p, seed_axis, nabla: bool = True) -> Curvat
         raise ValueError(f"frame orthonormality failed, residual {resid:.2e}")
     rm_coord = riemann(chart, p)
     rm = np.einsum("ia,jb,kc,ld,ijkl->abcd", e, e, e, e, rm_coord)
-    ric_coord = ricci(chart, p)
+    ric_coord = _ricci(np.linalg.inv(g), rm_coord)
     ric = np.einsum("ia,jb,ij->ab", e, e, ric_coord)
     sc = float(np.trace(ric))
     nrm = None
@@ -793,14 +784,6 @@ def curvature_at(chart: MetricChart, p, seed_axis, nabla: bool = True) -> Curvat
 
 # ---------------------------------------------------------------------------
 # geodesics
-
-
-def geodesic_acceleration(chart: MetricChart, x, v) -> np.ndarray:
-    """-Gamma(v, v) at x: the chart's closed form when it has one, else from christoffel()."""
-    acc = chart.geodesic_acc(x, v)
-    if acc is None:
-        acc = -np.einsum("...aij,...i,...j->...a", christoffel(chart, x), v, v)
-    return acc
 
 
 def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
@@ -858,7 +841,7 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
 
     def deriv(y):
         x, u = y
-        return u, geodesic_acceleration(chart, x, u)
+        return u, chart.geodesic_acc(x, u)
 
     ((x, _),) = _rk4(chart, (np.broadcast_to(p, v.shape), v), deriv, np.ones(1), [steps])
     return x
@@ -869,22 +852,21 @@ def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fals
     the rays u (N, n); returns (points (N, k, n), dexp (N, k, n, n)).
 
     Nodes must be positive and increasing along each ray.  Charts with a
-    closed-form differential use it unless force_rk4 is set.  Otherwise the
-    RK4 of exp_map integrates each geodesic with its variational equation
-    J'' = A_x J + A_v J', J(0) = 0, J'(0) = I, whose solution is
-    J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from node j - 1 (or from
-    t = 0) to node j, so every node is hit exactly.  A ray point outside the
-    domain raises DomainExit, as in exp_map.
+    closed-form exponential answer both from one dexp_closed call unless
+    force_rk4 is set.  Otherwise the RK4 of exp_map integrates each geodesic
+    with its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = I,
+    whose solution is J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from
+    node j - 1 (or from t = 0) to node j, so every node is hit exactly.  A ray
+    point outside the domain raises DomainExit, as in exp_map.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     t_nodes = np.asarray(t_nodes, dtype=float)
     n = chart.dim
     if not force_rk4:
-        v = t_nodes[..., None] * u[:, None, :]
-        dexp = chart.dexp_closed(p, v)
-        if dexp is not None:
-            points = chart.exp_closed(p, v)
+        closed = chart.dexp_closed(p, t_nodes[..., None] * u[:, None, :])
+        if closed is not None:
+            points, dexp = closed
             if not np.all(chart.domain.inside_mask(points)):
                 raise DomainExit(f"ray left {chart.name}", exit_fraction=1.0)
             return points, dexp

@@ -302,6 +302,10 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
         raise ConfigError(f"unknown quantities {unknown}; options {QUANTITIES}")
     if len(rhos) < 3 or any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ConfigError(f"rho_list needs at least 3 strictly decreasing scales, got {rhos}")
+    if params.m not in (2, 3):
+        raise ConfigError(f"verify measures bubbles with bubble.m = 2 or 3, got {params.m}")
+    if "conormal" in quantities and params.m != 2:
+        raise ConfigError(f"quantity conormal needs bubble.m = 2, got {params.m}")
     perturbed = _bool(cfg["perturbed"])
     if perturbed and params.m != 2:
         raise ConfigError(f"perturbed = true needs bubble.m = 2, got {params.m}")

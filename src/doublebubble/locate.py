@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import DomainExit, MetricChart, curvature_at, scalar_curvature, scalar_gradient, scalar_hessian
+from .charts import CurvatureAtPoint, DomainExit, MetricChart, curvature_at
+from .charts import scalar_curvature, scalar_gradient, scalar_hessian
 from .expansions import phi_limit_constants, reduced_functional_leading
 from .geometry import BubbleParams, solve_standard_bubble
 
@@ -36,12 +37,15 @@ class RicciEigen:
 
     eigenvalues are sorted ascending; groups partitions the indices by the
     gap thresholds (delta0, delta1): within a group eigenvalues differ by
-    less than delta0, across groups by more than delta1.
+    less than delta0, across groups by more than delta1.  curvature is the
+    curvature data it was computed from, in the frame seeded by the last
+    chart axis.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     groups: tuple[tuple[int, ...], ...]
+    curvature: CurvatureAtPoint
 
     def multiplicity(self, group_index: int) -> int:
         return len(self.groups[group_index])
@@ -207,7 +211,7 @@ def ricci_eigendecomposition(
             current = [i]
     groups.append(tuple(current))
     return RicciEigen(
-        eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=tuple(groups)
+        eigenvalues=eigenvalues, eigenvectors=eigenvectors, groups=tuple(groups), curvature=curv
     )
 
 
@@ -252,10 +256,8 @@ def predict_full(
         if not cp.nondegenerate:
             continue
         eig = ricci_eigendecomposition(chart, cp.coords, gaps=gaps)
-        curv_seed = np.zeros(chart.dim)
-        curv_seed[-1] = 1.0
-        curv = curvature_at(chart, cp.coords, curv_seed, nabla=False)
-        for gi, group in enumerate(eig.groups):
+        curv = eig.curvature
+        for group in eig.groups:
             idx = group[0]
             axis_frame = eig.eigenvectors[:, idx]
             axis_chart = curv.frame.matrix @ axis_frame

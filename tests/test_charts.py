@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from doublebubble import charts, locate
 from doublebubble.charts import (
     Box,
     DomainExit,
@@ -24,6 +25,7 @@ from doublebubble.charts import (
     scalar_gradient,
     scalar_hessian,
 )
+from doublebubble.geometry import BubbleParams
 
 
 def riemann_symmetry_residual(rm):
@@ -142,15 +144,20 @@ def test_exp_map_great_circle_distance():
 
 
 def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
-    sp = builtin_chart("round_sphere", a=1.0)
     p = np.array([0.15, -0.1, 0.2])
     u = np.random.default_rng(3).normal(size=(6, 3)) * 0.05
     t_nodes = np.array([0.4, 1.0, 1.7, 2.5]) * np.linspace(0.8, 1.2, 6)[:, None]
-    pts_c, dexp_c = exp_rays(sp, p, u, t_nodes, [100] * 4)
-    pts_r, dexp_r = exp_rays(sp, p, u, t_nodes, [100] * 4, force_rk4=True)
-    assert np.allclose(pts_c, exp_map(sp, p, t_nodes[..., None] * u[:, None]), rtol=0, atol=1e-14)
-    assert np.abs(pts_r - pts_c).max() <= 1e-10
-    assert np.abs(dexp_r - dexp_c).max() <= 1e-10
+    for chart in (
+        builtin_chart("round_sphere", a=1.0),
+        builtin_chart("euclidean", dim=3),
+        builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
+    ):
+        pts_c, dexp_c = exp_rays(chart, p, u, t_nodes, [50] * 4)
+        pts_r, dexp_r = exp_rays(chart, p, u, t_nodes, [50] * 4, force_rk4=True)
+        # one closed form: the rays' points are exp_map's, bit for bit
+        assert np.array_equal(pts_c, exp_map(chart, p, t_nodes[..., None] * u[:, None]))
+        assert np.abs(pts_r - pts_c).max() <= 1e-10, chart.name
+        assert np.abs(dexp_r - dexp_c).max() <= 1e-10, chart.name
 
 
 def test_bump_acc_jacobian_matches_fd_fallback():
@@ -185,7 +192,7 @@ def test_det_matches_lapack():
         assert np.abs(_det(a[0]) - ref[0]) <= 1e-13 * abs(ref[0])
     # the closed-form exp-map differentials behind the chamber volumes
     sp = builtin_chart("round_sphere", a=1.0)
-    dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), rng.normal(size=(50, 4, 3)) * 0.5)
+    _, dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), rng.normal(size=(50, 4, 3)) * 0.5)
     ref = np.linalg.det(dexp)
     assert np.all(np.abs(_det(dexp) - ref) <= 1e-13 * np.abs(ref))
     # the empty matrices of the round metric of S^0 (m = 1)
@@ -409,11 +416,55 @@ def test_nabla_riemann_bianchi_consistency():
 
 
 def test_christoffel_matches_conformal_identity():
-    bp = builtin_chart("conformal_bump", eps=0.2, s=0.7)
-    x = np.array([0.2, -0.3, 0.1])
-    gamma = christoffel(bp, x)
-    # numerical Christoffels from the generic FD stack must agree
+    # the required hooks of every family against the metric: Christoffels
+    # from the metric derivative stack (finite differences on the bump), and
+    # geodesic_acc(x, v) = -Gamma(v, v)
     from doublebubble.charts import _christoffel_from_stack, metric_d1
 
-    gamma_fd = _christoffel_from_stack(bp.metric(x), metric_d1(bp, x))
-    assert np.abs(gamma - gamma_fd).max() <= 1e-9
+    rng = np.random.default_rng(8)
+    x = np.array([0.2, -0.3, 0.1])
+    v = rng.normal(size=(5, 3))
+    for chart in (
+        builtin_chart("conformal_bump", eps=0.2, s=0.7),
+        builtin_chart("euclidean", dim=3),
+        builtin_chart("round_sphere", a=1.0),
+        builtin_chart("product", factors=[(2, 2.0), (1, math.inf)]),
+    ):
+        gamma = christoffel(chart, x)
+        gamma_fd = _christoffel_from_stack(chart.metric(x), metric_d1(chart, x))
+        assert np.abs(gamma - gamma_fd).max() <= 1e-9, chart.name
+        xs = np.broadcast_to(x, v.shape)
+        acc = -np.einsum("...aij,...i,...j->...a", christoffel(chart, xs), v, v)
+        assert np.abs(chart.geodesic_acc(xs, v) - acc).max() <= 1e-14, chart.name
+
+
+def test_charts_evaluate_each_kernel_once(monkeypatch):
+    calls = {"closed": 0, "riemann": 0, "curvature_at": 0}
+
+    def counting(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(charts.RoundSphereChart, "exp_closed", "closed")
+    counting(charts.RoundSphereChart, "dexp_closed", "closed")
+    counting(charts, "riemann", "riemann")
+    counting(locate, "curvature_at", "curvature_at")
+    # one closed-form call gives a ray's points and differentials
+    sp = builtin_chart("round_sphere", a=1.0)
+    u = np.random.default_rng(4).normal(size=(5, 3)) * 0.1
+    exp_rays(sp, np.array([0.1, 0.0, -0.2]), u, np.array([[0.5, 1.0]] * 5), [1, 1])
+    assert calls["closed"] == 1
+    # one Riemann tensor per curvature evaluation
+    bp = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    cv = curvature_at(bp, np.array([0.1, -0.2, 0.05]), np.array([0.0, 0.0, 1.0]), nabla=False)
+    assert calls["riemann"] == 1
+    # predict_full reads frame and Sc from the Ricci eigendecomposition's curvature
+    preds, points = locate.predict_full(bp, [np.array([0.02, 0.01, -0.01])], 0.05, BubbleParams(2, 1.0, 3.0, 2.0))
+    nondegenerate = sum(cp.nondegenerate for cp in points)
+    assert nondegenerate == 1 and len(preds) == 1
+    assert calls["curvature_at"] == nondegenerate

@@ -152,7 +152,9 @@ def test_exit_codes(tmp_path):
     short = write_cfg(tmp_path / "short.cfg", BASE_CFG + "rho_list = 0.2,0.1\n")
     assert main(["verify", "--config", str(short), "--out", str(tmp_path)]) == 2
     # coordinates of the wrong length for the 3-dimensional chart, m-sheets
-    # outside an (m + 1)-dimensional chart, random admissible fields for m != 2
+    # outside an (m + 1)-dimensional chart, random admissible fields for m != 2,
+    # sheet dimensions the oracle has no parametrization for (m = 1, m = 4)
+    # and the conormal defect, whose neck grids exist for m = 2 only
     for command, text in (
         ("verify", "point = 0,0\n"),
         ("verify", "axis = 0,0,0,1\n"),
@@ -163,6 +165,13 @@ def test_exit_codes(tmp_path):
         ("verify", "bubble.m = 3\n"),
         ("predict", "bubble.m = 3\n"),
         ("verify", "bubble.m = 3\nchart.dim = 4\npoint = 0,0,0,0\naxis = 0,0,0,1\nperturbed = true\n"),
+        ("verify", "bubble.m = 1\nchart.dim = 2\npoint = 0,0\naxis = 0,1\n"),
+        ("verify", "bubble.m = 4\nchart.dim = 5\npoint = 0,0,0,0,0\naxis = 0,0,0,0,1\n"),
+        (
+            "verify",
+            "bubble.m = 3\nchart.dim = 4\npoint = 0,0,0,0\naxis = 0,0,0,1\n"
+            "quantities = area,v1,v2,h0,h1,h2,conormal,phi\n",
+        ),
     ):
         wrong = write_cfg(tmp_path / "wrong.cfg", BASE_CFG + text)
         assert main([command, "--config", str(wrong), "--out", str(tmp_path)]) == 2, text
