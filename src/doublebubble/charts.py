@@ -13,16 +13,27 @@ returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 Chart hooks (MetricChart): metric, christoffel_closed and geodesic_acc are
 required; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
 (points, dexp), are optional and return None without a closed form;
-geodesic_acc_jacobian has a finite-difference default.
+geodesic_acc_jacobi has a finite-difference default.
 
 Geodesics take a chart's closed-form exponential where it has one, and
 otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
 and velocity, exp_rays on the same state together with the Jacobi fields
 that give the differential of the exponential map.
 
+Layout: the public functions take and return points (..., n), but the RK4
+state and the geodesic hooks are component-major, components first and the
+batch axes last and contiguous: geodesic_acc(x, v) maps positions and
+velocities (n, ...) to -Gamma(v, v) (n, ...), and geodesic_acc_jacobi(x, v,
+jac, jac_dot) returns it together with A_x J + A_v J' (n, k, ...) for k
+columns J, J' (n, k, ...), where A_x and A_v are the derivatives of the
+acceleration in x and v.  No Jacobian matrix is built: the conformal charts
+apply their Hessian of f, alpha d d^T + beta I, to J directly.  Every kernel
+operation then runs over the whole batch at once instead of over a
+length-n axis per point.
+
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
-dot products and norms over the last axis (bit for bit np.sum(a * b,
-axis=-1)) and _det takes the package's determinants by cofactor expansion,
+dot products and norms over the component axis (bit for bit np.sum(a * b,
+axis)) and _det takes the package's determinants by cofactor expansion,
 so no numpy reduction over a length-3 axis and no LAPACK call per small
 matrix sits on a hot path.
 
@@ -47,11 +58,20 @@ class DomainExit(ValueError):
         self.exit_fraction = exit_fraction
 
 
-def _dot(a, b) -> np.ndarray:
-    """sum_i a[..., i] * b[..., i], unrolled over the short last axis.
+def _dot(a, b, axis: int = -1) -> np.ndarray:
+    """sum_i a[..., i] * b[..., i] over the short last axis of points (..., n),
+    or with axis=0 sum_i a[i] * b[i] over the first of component-major arrays
+    (n, ...), unrolled.
 
-    Bit for bit np.sum(a * b, axis=-1) for up to 8 components (numpy adds
+    Bit for bit np.sum(a * b, axis=axis) for up to 8 components (numpy adds
     so few in sequence), without a reduction call per stack."""
+    if axis == 0:
+        out = a[0] * b[0]
+        for i in range(1, len(a)):
+            out = out + a[i] * b[i]
+        return out
+    if axis != -1:
+        raise ValueError(f"_dot sums over axis 0 or -1, not {axis}")
     out = a[..., 0] * b[..., 0]
     for i in range(1, np.shape(a)[-1]):
         out = out + a[..., i] * b[..., i]
@@ -103,11 +123,12 @@ class MetricChart:
     """Base chart: a metric on an axis-aligned box in R^n.
 
     Subclasses implement the required hooks metric(x), christoffel_closed(x)
-    = Gamma[..., a, i, j] and geodesic_acc(x, v) = -Gamma(v, v); the optional
-    closed forms metric_d1, metric_d2, exp_closed and dexp_closed, which
-    returns (Exp_p(v), dExp_p(v)) from one evaluation, return None here.
-    fd_step is the central-difference step of geodesic_acc_jacobian's default
-    and of every other missing analytic derivative.
+    = Gamma[..., a, i, j] and geodesic_acc(x, v) = -Gamma(v, v), the latter
+    component-major (x, v and the result (n, ...)); the optional closed forms
+    metric_d1, metric_d2, exp_closed and dexp_closed, which returns
+    (Exp_p(v), dExp_p(v)) from one evaluation, return None here.  fd_step is
+    the central-difference step of geodesic_acc_jacobi's default and of every
+    other missing analytic derivative.
     """
 
     def __init__(self, dim: int, name: str, domain: Box, fd_step: float = 1e-3):
@@ -140,16 +161,24 @@ class MetricChart:
         at a single base point p; None when unavailable."""
         return None
 
-    def geodesic_acc_jacobian(self, x, v):
-        """(A_x, A_v), A[..., a, b] = d acc_a / d x_b (resp. d v_b) of the geodesic
-        acceleration acc = -Gamma(v, v), by 4th-order central differences;
-        subclasses override it with the analytic form."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        h = self.fd_step
-        a_x = _fd_d1(lambda y: self.geodesic_acc(y, v), x, h, depth=1)
-        a_v = _fd_d1(lambda w: self.geodesic_acc(x, w), v, h, depth=1)
-        return np.swapaxes(a_x, -1, -2), np.swapaxes(a_v, -1, -2)
+    def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
+        """(acc, A_x J + A_v J') for the geodesic acceleration acc = -Gamma(v, v)
+        at x, v (n, ...) and the k columns of J, J' (n, k, ...), component-major.
+
+        Column c of A_x J + A_v J' is the derivative of acc along (J_c, J'_c),
+        taken here by 4th-order central differences in one batched
+        geodesic_acc call; subclasses override it with the analytic form."""
+        n, k, *batch = jac.shape
+        h = self.fd_step * np.array([1.0, -1.0, 2.0, -2.0]).reshape((4, 1) + (1,) * len(batch))
+
+        def shifted(y, dy):
+            # slot 0 is y itself, then the 4 shifts along each of the k columns
+            shifts = (y[:, None, None] + h * dy[:, None]).reshape((n, 4 * k, *batch))
+            return np.concatenate([y[:, None], shifts], axis=1)
+
+        acc = self.geodesic_acc(shifted(x, jac), shifted(v, jac_dot))
+        f = acc[:, 1:].reshape((n, 4, k, *batch))
+        return acc[:, 0], (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * self.fd_step)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim}>"
@@ -186,6 +215,9 @@ class EuclideanChart(MetricChart):
     def geodesic_acc(self, x, v):
         return np.zeros(np.shape(v))
 
+    def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
+        return np.zeros(np.shape(v)), np.zeros(np.shape(jac))
+
     def exp_closed(self, p, v):
         return np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
 
@@ -194,8 +226,15 @@ class EuclideanChart(MetricChart):
         return self.exp_closed(p, v), dexp
 
 
+def _component_major(x) -> np.ndarray:
+    """The points x (..., n) as a component-major view (n, ...)."""
+    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+
+
 def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
-    # Gamma^k_ij = delta_ik f_j + delta_jk f_i - delta_ij f_k for g = e^(2f) delta
+    # Gamma^k_ij = delta_ik f_j + delta_jk f_i - delta_ij f_k for g = e^(2f) delta,
+    # from a component-major grad_f (n, ...) to Gamma[..., k, i, j]
+    grad_f = np.moveaxis(grad_f, 0, -1)
     shape = grad_f.shape[:-1]
     eye = np.eye(dim)
     gamma = np.zeros(shape + (dim, dim, dim))
@@ -206,22 +245,27 @@ def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _conformal_acc(grad_f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, allocation-light
-    fv = _dot(grad_f, v)[..., None]
-    vv = _dot(v, v)[..., None]
+    # -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, component-major
+    fv = _dot(grad_f, v, axis=0)
+    vv = _dot(v, v, axis=0)
     return -2.0 * fv * v + vv * grad_f
 
 
-def _conformal_acc_jacobian(grad_f, hess_f, v):
-    # d/dv and d/dx of -2 (grad_f . v) v + |v|^2 grad_f, with d grad_f / dx = hess_f
-    fv2 = 2.0 * _dot(grad_f, v)
-    vv = _dot(v, v)[..., None, None]
-    hv = np.einsum("...ab,...b->...a", hess_f, v)
-    a_x = -2.0 * v[..., :, None] * hv[..., None, :] + vv * hess_f
-    a_v = 2.0 * (grad_f[..., :, None] * v[..., None, :] - v[..., :, None] * grad_f[..., None, :])
-    for i in range(v.shape[-1]):
-        a_v[..., i, i] -= fv2
-    return a_x, a_v
+def _conformal_acc_jacobi(grad_f, d, alpha, beta, v, jac, jac_dot):
+    """(acc, A_x J + A_v J') of _conformal_acc when Hess f = alpha d d^T + beta I,
+    component-major: grad_f, d, v (n, ...), alpha, beta (...), J, J' (n, k, ...).
+
+    The derivatives of -2 (grad_f . v) v + |v|^2 grad_f along the columns
+    (J_c, J'_c), with d grad_f = H J = alpha d (d . J) + beta J:
+      -2 (H J . v + grad_f . J') v + |v|^2 H J - 2 (grad_f . v) J' + 2 (v . J') grad_f.
+    """
+    fv = _dot(grad_f, v, axis=0)
+    vv = _dot(v, v, axis=0)
+    acc = -2.0 * fv * v + vv * grad_f
+    g, v, d = grad_f[:, None], v[:, None], d[:, None]
+    hj = alpha * _dot(d, jac, axis=0) * d + beta * jac
+    s = -2.0 * (_dot(hj, v, axis=0) + _dot(g, jac_dot, axis=0))
+    return acc, s * v + vv * hj - (2.0 * fv) * jac_dot + 2.0 * _dot(v, jac_dot, axis=0) * g
 
 
 class RoundSphereChart(MetricChart):
@@ -277,25 +321,21 @@ class RoundSphereChart(MetricChart):
         return radial[..., :, :, None, None] * eye
 
     def _grad_f(self, x):
-        # f = log(2 a^2 / (a^2 + |x|^2)); also returns u = a^2 + |x|^2
-        x = np.asarray(x, dtype=float)
-        u = self.a**2 + _dot(x, x)
-        return -2.0 * x / u[..., None], u
+        # f = log(2 a^2 / (a^2 + |x|^2)) at component-major x (n, ...); also
+        # returns u = a^2 + |x|^2
+        u = self.a**2 + _dot(x, x, axis=0)
+        return -2.0 * x / u, u
 
     def christoffel_closed(self, x):
-        return _conformal_christoffel(self._grad_f(x)[0], self.dim)
+        return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
 
     def geodesic_acc(self, x, v):
         return _conformal_acc(self._grad_f(x)[0], v)
 
-    def geodesic_acc_jacobian(self, x, v):
-        x = np.asarray(x, dtype=float)
+    def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
+        # Hess f = (4 / u^2) x x^T - (2 / u) I
         grad_f, u = self._grad_f(x)
-        hess_f = 4.0 * x[..., :, None] * x[..., None, :] / (u**2)[..., None, None]
-        diag = 2.0 / u
-        for i in range(self.dim):
-            hess_f[..., i, i] -= diag
-        return _conformal_acc_jacobian(grad_f, hess_f, v)
+        return _conformal_acc_jacobi(grad_f, x, 4.0 / u**2, -2.0 / u, v, jac, jac_dot)
 
     # stereographic embedding of the sphere of radius a in R^(n+1)
     def embed(self, x):
@@ -362,39 +402,37 @@ class ConformalBumpChart(MetricChart):
         box = Box(lo=np.full(dim, -half_width), hi=np.full(dim, half_width))
         super().__init__(dim, f"conformal_bump(eps={eps}, s={s})", box)
 
-    def _f(self, x):
-        d = np.asarray(x, dtype=float) - self.x0
-        return self.eps * np.exp(-_dot(d, d) / self.s**2)
+    def _f(self, x, axis: int = -1):
+        # f and d = x - x0 at points x (..., n), or at component-major x (n, ...)
+        # with axis=0
+        x0 = self.x0 if axis == -1 else self.x0.reshape((-1,) + (1,) * (np.ndim(x) - 1))
+        d = x - x0
+        return self.eps * np.exp(_dot(d, d, axis) / -self.s**2), d
+
+    def _grad_f(self, x):
+        # -2 f d / s^2 at component-major x, with the factor 2 (exact in
+        # floating point) on f
+        f, d = self._f(x, axis=0)
+        return (-2.0 * f) * (d / self.s**2), f, d
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        e2f = np.exp(2.0 * self._f(x))
+        e2f = np.exp(2.0 * self._f(x)[0])
         out = np.zeros(x.shape[:-1] + (self.dim, self.dim))
         idx = np.arange(self.dim)
         out[..., idx, idx] = e2f[..., None]
         return out
 
-    def _grad_f(self, x):
-        # grad f, with f (..., 1) and d = x - x0
-        x = np.asarray(x, dtype=float)
-        d = x - self.x0
-        f = self._f(x)[..., None]
-        return f * (-2.0 * d / self.s**2), f, d
-
     def christoffel_closed(self, x):
-        return _conformal_christoffel(self._grad_f(x)[0], self.dim)
+        return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
 
     def geodesic_acc(self, x, v):
         return _conformal_acc(self._grad_f(x)[0], v)
 
-    def geodesic_acc_jacobian(self, x, v):
+    def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
+        # Hess f = (4 f / s^4) d d^T - (2 f / s^2) I
         grad_f, f, d = self._grad_f(x)
-        dd = d[..., :, None] * d[..., None, :]
-        hess_f = 4.0 * dd / self.s**4
-        for i in range(self.dim):
-            hess_f[..., i, i] -= 2.0 / self.s**2
-        hess_f *= f[..., None]
-        return _conformal_acc_jacobian(grad_f, hess_f, v)
+        return _conformal_acc_jacobi(grad_f, d, 4.0 * f / self.s**4, -2.0 * f / self.s**2, v, jac, jac_dot)
 
     def scalar_curvature_exact(self, x):
         """Closed-form Sc of a conformal metric, for cross-checks.
@@ -403,10 +441,9 @@ class ConformalBumpChart(MetricChart):
         background coordinates.
         """
         n = self.dim
-        grad, f, d = self._grad_f(x)
-        f = f[..., 0]
-        lap = f * (4.0 * _dot(d, d) / self.s**4 - 2.0 * n / self.s**2)
-        return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * _dot(grad, grad))
+        grad, f, d = self._grad_f(_component_major(x))
+        lap = f * (4.0 * _dot(d, d, axis=0) / self.s**4 - 2.0 * n / self.s**2)
+        return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * _dot(grad, grad, axis=0))
 
 
 class ProductRoundChart(MetricChart):
@@ -453,14 +490,22 @@ class ProductRoundChart(MetricChart):
     def christoffel_closed(self, x):
         return self._block_diagonal(x, "christoffel_closed", 3)
 
+    # the geodesic hooks, component-major, factor by factor on their rows
+
     def geodesic_acc(self, x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(np.broadcast_shapes(x.shape, v.shape))
-        for off, d, sub, xb in self._blocks(x):
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
+        for off, d, sub in self._charts:
             sl = slice(off, off + d)
-            out[..., sl] = sub.geodesic_acc(xb, v[..., sl])
+            out[sl] = sub.geodesic_acc(x[sl], v[sl])
         return out
+
+    def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
+        acc = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
+        var = np.zeros(np.broadcast_shapes(np.shape(jac), np.shape(jac_dot)))
+        for off, d, sub in self._charts:
+            sl = slice(off, off + d)
+            acc[sl], var[sl] = sub.geodesic_acc_jacobi(x[sl], v[sl], jac[sl], jac_dot[sl])
+        return acc, var
 
     def exp_closed(self, p, v):
         p = np.asarray(p, dtype=float)
@@ -787,11 +832,12 @@ def curvature_at(chart: MetricChart, p, seed_axis, nabla: bool = True) -> Curvat
 
 
 def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
-    """Fixed-step RK4 from t = 0 of a state y, a tuple of arrays led by the
-    positions (..., n), under y' = deriv(y); yields the state at each node of
-    t_nodes (..., k), which substeps[j] steps reach from node j - 1 (or from
-    t = 0).  The leading axes of t_nodes broadcast against those of the
-    state: nodes shared by every geodesic, shape (k,), keep the steps scalar.
+    """Fixed-step RK4 from t = 0 of a state y, a tuple of component-major
+    arrays led by the positions (n, ...), under y' = deriv(y); yields the
+    state at each node of t_nodes (..., k), which substeps[j] steps reach
+    from node j - 1 (or from t = 0).  The batch axes of t_nodes broadcast
+    against the trailing batch axes of every state array: nodes shared by
+    every geodesic, shape (k,), keep the steps scalar.
 
     The one geodesic integrator of the package: exp_map runs it on (position,
     velocity), exp_rays adds the Jacobi fields.  A position outside the domain
@@ -801,20 +847,18 @@ def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
     done = 0
     t_prev = 0.0
     for j, count in enumerate(substeps):
-        dt = (t_nodes[..., j] - t_prev) / count
-        # the step of each geodesic, broadcast over each component's own axes
-        dt = [dt.reshape(dt.shape + (1,) * (c.ndim - dt.ndim)) for c in y]
+        h = (t_nodes[..., j] - t_prev) / count
         for _ in range(count):
             k1 = deriv(y)
-            k2 = deriv(tuple(c + 0.5 * h * k for c, h, k in zip(y, dt, k1)))
-            k3 = deriv(tuple(c + 0.5 * h * k for c, h, k in zip(y, dt, k2)))
-            k4 = deriv(tuple(c + h * k for c, h, k in zip(y, dt, k3)))
+            k2 = deriv(tuple(c + 0.5 * h * k for c, k in zip(y, k1)))
+            k3 = deriv(tuple(c + 0.5 * h * k for c, k in zip(y, k2)))
+            k4 = deriv(tuple(c + h * k for c, k in zip(y, k3)))
             y = tuple(
                 c + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                for c, h, a1, a2, a3, a4 in zip(y, dt, k1, k2, k3, k4)
+                for c, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
             )
             done += 1
-            if not np.all(chart.domain.inside_mask(y[0])):
+            if not np.all(chart.domain.inside_mask(np.moveaxis(y[0], 0, -1))):
                 raise DomainExit(
                     f"geodesic left {chart.name} at step {done}/{total}", exit_fraction=done / total
                 )
@@ -843,53 +887,61 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
         x, u = y
         return u, chart.geodesic_acc(x, u)
 
-    ((x, _),) = _rk4(chart, (np.broadcast_to(p, v.shape), v), deriv, np.ones(1), [steps])
-    return x
+    # contiguous copies: every RK4 stage then runs over the batch at once
+    y = (_component_major(np.broadcast_to(p, v.shape)).copy(), _component_major(v).copy())
+    ((x, _),) = _rk4(chart, y, deriv, np.ones(1), [steps])
+    return np.moveaxis(x, 0, -1).copy()
 
 
 def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
-    """Exp_p(t u) and its differential dExp_p(t u) at the nodes t_nodes (N, k) of
-    the rays u (N, n); returns (points (N, k, n), dexp (N, k, n, n)).
+    """Exp_p(t u) and its differential dExp_p(t u) at the nodes t_nodes (..., k)
+    of the rays u (..., n); returns (points (..., k, n), dexp (..., k, n, n)).
 
-    Nodes must be positive and increasing along each ray.  Charts with a
-    closed-form exponential answer both from one dexp_closed call unless
-    force_rk4 is set.  Otherwise the RK4 of exp_map integrates each geodesic
-    with its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = I,
-    whose solution is J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from
-    node j - 1 (or from t = 0) to node j, so every node is hit exactly.  A ray
+    Nodes must be positive and increasing along each ray, and substeps has
+    one entry per node; ValueError otherwise.  Charts with a closed-form
+    exponential answer both from one dexp_closed call unless force_rk4 is
+    set.  Otherwise the RK4 of exp_map integrates each geodesic with its
+    variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = I, whose
+    solution is J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from node
+    j - 1 (or from t = 0) to node j, so every node is hit exactly.  A ray
     point outside the domain raises DomainExit, as in exp_map.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     t_nodes = np.asarray(t_nodes, dtype=float)
     n = chart.dim
+    if len(substeps) != t_nodes.shape[-1]:
+        raise ValueError(f"{len(substeps)} substep counts for {t_nodes.shape[-1]} nodes per ray")
+    if not (np.all(t_nodes[..., :1] > 0.0) and np.all(np.diff(t_nodes, axis=-1) > 0.0)):
+        raise ValueError("ray nodes must be positive and increasing")
     if not force_rk4:
-        closed = chart.dexp_closed(p, t_nodes[..., None] * u[:, None, :])
+        closed = chart.dexp_closed(p, t_nodes[..., None] * u[..., None, :])
         if closed is not None:
             points, dexp = closed
             if not np.all(chart.domain.inside_mask(points)):
                 raise DomainExit(f"ray left {chart.name}", exit_fraction=1.0)
             return points, dexp
 
-    # state: the positions, and one array of the columns velocity, J
-    # (n columns) and J' (n columns), which each RK4 stage updates at once
+    # state: the positions (n, ...), and one array (n, 2n + 1, ...) of the
+    # columns velocity, J (n columns) and J' (n columns), which each RK4
+    # stage updates at once
     def deriv(y):
         x, cols = y
-        v, jac, jac_dot = cols[..., 0], cols[..., 1 : 1 + n], cols[..., 1 + n :]
-        a_x, a_v = chart.geodesic_acc_jacobian(x, v)
-        # acc is quadratic in v, so A_v v = 2 acc
-        acc = 0.5 * np.einsum("...ab,...b->...a", a_v, v)
-        return v, np.concatenate([acc[..., None], jac_dot, a_x @ jac + a_v @ jac_dot], axis=-1)
+        v, jac, jac_dot = cols[:, 0], cols[:, 1 : 1 + n], cols[:, 1 + n :]
+        acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
+        return v, np.concatenate([acc[:, None], jac_dot, var], axis=1)
 
-    cols = np.zeros(u.shape + (2 * n + 1,))
-    cols[..., 0] = u
-    cols[..., 1 + n :] = np.eye(n)
-    states = _rk4(chart, (np.broadcast_to(p, u.shape), cols), deriv, t_nodes, substeps)
+    batch = u.shape[:-1]
+    cols = np.zeros((n, 2 * n + 1) + batch)
+    cols[:, 0] = _component_major(u)
+    cols[:, 1 + n :] = np.eye(n).reshape((n, n) + (1,) * len(batch))
+    x = _component_major(np.broadcast_to(p, u.shape)).copy()
+    states = _rk4(chart, (x, cols), deriv, t_nodes, substeps)
     points = np.empty(t_nodes.shape + (n,))
     dexp = np.empty(t_nodes.shape + (n, n))
     for j, (x, cols) in enumerate(states):
-        points[:, j] = x
-        dexp[:, j] = cols[..., 1 : 1 + n] / t_nodes[:, j, None, None]
+        points[..., j, :] = np.moveaxis(x, 0, -1)
+        dexp[..., j, :, :] = np.moveaxis(cols[:, 1 : 1 + n] / t_nodes[..., j], (0, 1), (-2, -1))
     return points, dexp
 
 

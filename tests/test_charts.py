@@ -160,13 +160,36 @@ def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
         assert np.abs(dexp_r - dexp_c).max() <= 1e-10, chart.name
 
 
-def test_bump_acc_jacobian_matches_fd_fallback():
-    bp = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+def test_acc_jacobi_hook_matches_directional_differences():
+    # A_x J + A_v J' of every family (the analytic forms, and the product's
+    # from its factors) against 4th-order differences of the component-major
+    # geodesic_acc along each column (J_c, J'_c); also MetricChart's
+    # finite-difference default on the bump
     rng = np.random.default_rng(5)
-    x = rng.uniform(-0.6, 0.6, size=(8, 3))
-    v = rng.normal(size=(8, 3))
-    for analytic, fd in zip(bp.geodesic_acc_jacobian(x, v), MetricChart.geodesic_acc_jacobian(bp, x, v)):
-        assert np.abs(analytic - fd).max() <= 1e-7
+    x = rng.uniform(-0.6, 0.6, size=(3, 8))
+    v = rng.normal(size=(3, 8))
+    jac = rng.normal(size=(3, 4, 8))
+    jac_dot = rng.normal(size=(3, 4, 8))
+    h = 1e-3
+    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    for chart in (
+        builtin_chart("euclidean", dim=3),
+        builtin_chart("round_sphere", a=1.0),
+        bump,
+        builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
+    ):
+        acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
+        assert acc.shape == (3, 8) and var.shape == (3, 4, 8)
+        assert np.array_equal(acc, chart.geodesic_acc(x, v)), chart.name
+
+        def along(c):
+            return chart.geodesic_acc(x[:, None] + c * h * jac, v[:, None] + c * h * jac_dot)
+
+        fd = (8.0 * (along(1) - along(-1)) - (along(2) - along(-2))) / (12.0 * h)
+        assert np.abs(var - fd).max() <= 1e-7, chart.name
+    acc, var = MetricChart.geodesic_acc_jacobi(bump, x, v, jac, jac_dot)
+    assert np.array_equal(acc, bump.geodesic_acc(x, v))
+    assert np.abs(var - bump.geodesic_acc_jacobi(x, v, jac, jac_dot)[1]).max() <= 1e-7
 
 
 def test_dot_is_numpy_sum_bit_for_bit():
@@ -181,6 +204,11 @@ def test_dot_is_numpy_sum_bit_for_bit():
         # a 1-D base point, alone and against a stack
         assert np.array_equal(_dot(p, p), np.sum(p * p, axis=-1))
         assert np.array_equal(_dot(p, b), np.sum(p * b, axis=-1))
+        # component-major arrays (n, ...), summed over the first axis
+        ac, bc = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+        assert np.array_equal(_dot(ac, bc, axis=0), np.sum(ac * bc, axis=0))
+    with pytest.raises(ValueError):
+        _dot(np.ones((3, 3)), np.ones((3, 3)), axis=1)
 
 
 def test_det_matches_lapack():
@@ -270,6 +298,45 @@ def test_exp_rays_domain_exit():
         assert 0.0 < err.value.exit_fraction <= 1.0
 
 
+def test_exp_rays_rejects_bad_nodes():
+    u = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
+    good = np.array([[0.5, 1.0], [0.4, 0.9]])
+    for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
+        exp_rays(chart, np.zeros(3), u, good, [5, 5])
+        for t_nodes, substeps in (
+            (np.array([[0.0, 1.0], [0.4, 0.9]]), [5, 5]),  # a zero node
+            (np.array([[-0.5, 1.0], [0.4, 0.9]]), [5, 5]),  # a negative node
+            (np.array([[0.5, 1.0], [0.9, 0.4]]), [5, 5]),  # decreasing
+            (np.array([[0.5, 0.5], [0.4, 0.9]]), [5, 5]),  # repeated
+            (good, [5]),  # one substep count for two nodes
+            (good, [5, 5, 5]),
+        ):
+            for force_rk4 in (False, True):
+                with pytest.raises(ValueError):
+                    exp_rays(chart, np.zeros(3), u, t_nodes, substeps, force_rk4=force_rk4)
+
+
+def test_geodesics_couple_no_rays():
+    # each geodesic depends on its own ray alone: the whole batch, its two
+    # halves and the batch with an extra axis give the same bits
+    rng = np.random.default_rng(11)
+    p = np.array([0.12, -0.05, 0.08])
+    u = rng.normal(size=(12, 3)) * 0.2
+    t_nodes = np.sort(rng.uniform(0.2, 1.0, size=(12, 3)), axis=1)
+    for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
+        ends = exp_map(chart, p, u, steps=20)
+        halves = [exp_map(chart, p, u[:6], steps=20), exp_map(chart, p, u[6:], steps=20)]
+        assert np.array_equal(np.concatenate(halves), ends), chart.name
+        assert np.array_equal(exp_map(chart, p, u.reshape(3, 4, 3), steps=20).reshape(12, 3), ends), chart.name
+        rays = exp_rays(chart, p, u, t_nodes, [4, 4, 4])
+        first = exp_rays(chart, p, u[:6], t_nodes[:6], [4, 4, 4])
+        second = exp_rays(chart, p, u[6:], t_nodes[6:], [4, 4, 4])
+        stacked = exp_rays(chart, p, u.reshape(3, 4, 3), t_nodes.reshape(3, 4, 3), [4, 4, 4])
+        for whole, a, b, c in zip(rays, first, second, stacked):
+            assert np.array_equal(np.concatenate([a, b]), whole), chart.name
+            assert np.array_equal(c.reshape(whole.shape), whole), chart.name
+
+
 def test_rk4_exp_map_is_exp_rays_at_one_node():
     # one integrator: exp_map's RK4 is exp_rays' without the Jacobi fields,
     # stepped to the single node t = 1
@@ -278,7 +345,7 @@ def test_rk4_exp_map_is_exp_rays_at_one_node():
     for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
         ends = exp_map(chart, p, v, steps=50, force_rk4=True)
         points, _ = exp_rays(chart, p, v, np.ones((len(v), 1)), [50], force_rk4=True)
-        assert np.abs(ends - points[:, 0]).max() <= 1e-14
+        assert np.array_equal(ends, points[:, 0]), chart.name
     bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
     with pytest.raises(DomainExit) as err:
         exp_map(bump, p, np.array([[0.2, 0.0, 0.0], [3.0, 0.0, 0.0]]), steps=20, force_rk4=True)
@@ -435,7 +502,8 @@ def test_christoffel_matches_conformal_identity():
         assert np.abs(gamma - gamma_fd).max() <= 1e-9, chart.name
         xs = np.broadcast_to(x, v.shape)
         acc = -np.einsum("...aij,...i,...j->...a", christoffel(chart, xs), v, v)
-        assert np.abs(chart.geodesic_acc(xs, v) - acc).max() <= 1e-14, chart.name
+        # geodesic_acc is component-major: (n, batch) in and out
+        assert np.abs(chart.geodesic_acc(xs.T, v.T).T - acc).max() <= 1e-14, chart.name
 
 
 def test_charts_evaluate_each_kernel_once(monkeypatch):
