@@ -13,7 +13,8 @@ returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 Chart hooks (MetricChart): metric, christoffel_closed and geodesic_acc are
 required; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
 (points, dexp), are optional and return None without a closed form;
-geodesic_acc_jacobi has a finite-difference default.
+geodesic_acc_jacobi has a finite-difference default.  Every central
+difference in chart coordinates takes the one step FD_STEP.
 
 Geodesics take a chart's closed-form exponential where it has one, and
 otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
@@ -119,6 +120,12 @@ class Box:
         return mask
 
 
+# central-difference step in chart coordinates: of geodesic_acc_jacobi's
+# default, of every missing analytic metric derivative, of nabla Rm and of the
+# scalar-curvature gradient (ten times it for the Hessian)
+FD_STEP = 1e-3
+
+
 class MetricChart:
     """Base chart: a metric on an axis-aligned box in R^n.
 
@@ -126,16 +133,14 @@ class MetricChart:
     = Gamma[..., a, i, j] and geodesic_acc(x, v) = -Gamma(v, v), the latter
     component-major (x, v and the result (n, ...)); the optional closed forms
     metric_d1, metric_d2, exp_closed and dexp_closed, which returns
-    (Exp_p(v), dExp_p(v)) from one evaluation, return None here.  fd_step is
-    the central-difference step of geodesic_acc_jacobi's default and of every
-    other missing analytic derivative.
+    (Exp_p(v), dExp_p(v)) from one evaluation, return None here.  Missing
+    analytic derivatives are central differences with step FD_STEP.
     """
 
-    def __init__(self, dim: int, name: str, domain: Box, fd_step: float = 1e-3):
+    def __init__(self, dim: int, name: str, domain: Box):
         self.dim = dim
         self.name = name
         self.domain = domain
-        self.fd_step = fd_step
 
     def metric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -169,7 +174,7 @@ class MetricChart:
         taken here by 4th-order central differences in one batched
         geodesic_acc call; subclasses override it with the analytic form."""
         n, k, *batch = jac.shape
-        h = self.fd_step * np.array([1.0, -1.0, 2.0, -2.0]).reshape((4, 1) + (1,) * len(batch))
+        h = FD_STEP * np.array([1.0, -1.0, 2.0, -2.0]).reshape((4, 1) + (1,) * len(batch))
 
         def shifted(y, dy):
             # slot 0 is y itself, then the 4 shifts along each of the k columns
@@ -178,7 +183,7 @@ class MetricChart:
 
         acc = self.geodesic_acc(shifted(x, jac), shifted(v, jac_dot))
         f = acc[:, 1:].reshape((n, 4, k, *batch))
-        return acc[:, 0], (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * self.fd_step)
+        return acc[:, 0], (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * FD_STEP)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim}>"
@@ -189,7 +194,9 @@ class MetricChart:
 
 
 class EuclideanChart(MetricChart):
-    def __init__(self, dim: int, half_width: float = 5.0):
+    def __init__(self, dim: int = 3, half_width: float = 5.0):
+        if half_width <= 0.0:
+            raise ValueError(f"domain half-width must be positive, got {half_width}")
         box = Box(lo=np.full(dim, -half_width), hi=np.full(dim, half_width))
         super().__init__(dim, f"euclidean({dim})", box)
 
@@ -275,7 +282,7 @@ class RoundSphereChart(MetricChart):
     Carries analytic derivatives and a closed-form exponential map.
     """
 
-    def __init__(self, a: float, dim: int = 3):
+    def __init__(self, a: float = 1.0, dim: int = 3):
         if a <= 0.0:
             raise ValueError(f"sphere radius must be positive, got {a}")
         self.a = a
@@ -393,12 +400,14 @@ class ConformalBumpChart(MetricChart):
     conformal identity with the analytic gradient of f.
     """
 
-    def __init__(self, eps: float, x0=None, s: float = 0.5, dim: int = 3, half_width: float = 1.5):
-        if s <= 0.0:
-            raise ValueError(f"bump width must be positive, got {s}")
+    def __init__(self, eps: float = -0.1, x0=None, s: float = 0.5, dim: int = 3, half_width: float = 1.5):
+        if s <= 0.0 or half_width <= 0.0:
+            raise ValueError(f"bump width and domain half-width must be positive, got {s}, {half_width}")
         self.eps = eps
         self.s = s
         self.x0 = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
+        if self.x0.shape != (dim,):
+            raise ValueError(f"bump centre {self.x0} has {self.x0.size} coordinates, the chart has {dim}")
         box = Box(lo=np.full(dim, -half_width), hi=np.full(dim, half_width))
         super().__init__(dim, f"conformal_bump(eps={eps}, s={s})", box)
 
@@ -434,22 +443,11 @@ class ConformalBumpChart(MetricChart):
         grad_f, f, d = self._grad_f(x)
         return _conformal_acc_jacobi(grad_f, d, 4.0 * f / self.s**4, -2.0 * f / self.s**2, v, jac, jac_dot)
 
-    def scalar_curvature_exact(self, x):
-        """Closed-form Sc of a conformal metric, for cross-checks.
-
-        Sc = -(n-1) e^(-2f) (2 Laplacian f + (n-2) |grad f|^2) in flat
-        background coordinates.
-        """
-        n = self.dim
-        grad, f, d = self._grad_f(_component_major(x))
-        lap = f * (4.0 * _dot(d, d, axis=0) / self.s**4 - 2.0 * n / self.s**2)
-        return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * _dot(grad, grad, axis=0))
-
 
 class ProductRoundChart(MetricChart):
     """Product of round-sphere factors (radius math.inf means a flat factor)."""
 
-    def __init__(self, factors: list[tuple[int, float]]):
+    def __init__(self, factors=((2, 1.0), (1, math.inf))):
         self.factors = list(factors)
         dim = sum(d for d, _ in factors)
         self._charts = []
@@ -462,7 +460,7 @@ class ProductRoundChart(MetricChart):
             min(float(c.domain.hi[0]) for _, _, c in self._charts), 5.0
         )
         box = Box(lo=np.full(dim, -half), hi=np.full(dim, half))
-        super().__init__(dim, f"product({factors})", box)
+        super().__init__(dim, f"product({self.factors})", box)
 
     def _blocks(self, x):
         x = np.asarray(x, dtype=float)
@@ -527,27 +525,25 @@ class ProductRoundChart(MetricChart):
         return points, dexp
 
 
-def builtin_chart(family: str, **params) -> MetricChart:
-    """Construct a builtin chart family by name.
+_FAMILIES = {
+    "euclidean": EuclideanChart,
+    "round_sphere": RoundSphereChart,
+    "conformal_bump": ConformalBumpChart,
+    "product": ProductRoundChart,
+}
 
-    Families: euclidean(dim), round_sphere(a, dim), conformal_bump(eps, x0,
-    s, dim), product(factors=[(dim, radius), ...]).
+
+def builtin_chart(family: str, **params) -> MetricChart:
+    """Construct a builtin chart family by name; the settings not given take
+    the constructor's defaults.
+
+    Families: euclidean(dim, half_width), round_sphere(a, dim),
+    conformal_bump(eps, x0, s, dim, half_width), product(factors=[(dim,
+    radius), ...]).
     """
-    if family == "euclidean":
-        return EuclideanChart(int(params.get("dim", 3)), float(params.get("half_width", 5.0)))
-    if family == "round_sphere":
-        return RoundSphereChart(float(params.get("a", 1.0)), int(params.get("dim", 3)))
-    if family == "conformal_bump":
-        return ConformalBumpChart(
-            float(params.get("eps", 0.1)),
-            params.get("x0"),
-            float(params.get("s", 0.5)),
-            int(params.get("dim", 3)),
-            float(params.get("half_width", 1.5)),
-        )
-    if family == "product":
-        return ProductRoundChart(params["factors"])
-    raise ValueError(f"unknown chart family {family!r}")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown chart family {family!r}")
+    return _FAMILIES[family](**params)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +639,7 @@ def metric_d1(chart: MetricChart, x) -> np.ndarray:
     d1 = chart.metric_d1(x)
     if d1 is not None:
         return d1
-    return _fd_d1(chart.metric, x, chart.fd_step, depth=2)
+    return _fd_d1(chart.metric, x, FD_STEP, depth=2)
 
 
 def metric_d2(chart: MetricChart, x) -> np.ndarray:
@@ -651,7 +647,7 @@ def metric_d2(chart: MetricChart, x) -> np.ndarray:
     if d2 is not None:
         return d2
     # d_l of dg, one 4th-order stencil per direction
-    return _fd_d1(lambda y: metric_d1(chart, y), x, chart.fd_step, depth=3)
+    return _fd_d1(lambda y: metric_d1(chart, y), x, FD_STEP, depth=3)
 
 
 def christoffel(chart: MetricChart, x) -> np.ndarray:
@@ -790,7 +786,7 @@ def nabla_riemann(chart: MetricChart, x) -> np.ndarray:
     Christoffel correction terms are exact in the chart's Gamma.
     """
     x = np.asarray(x, dtype=float)
-    h = chart.fd_step
+    h = FD_STEP
     drm = _fd_d1(lambda y: riemann(chart, y), x, h, depth=4)
     gamma = christoffel(chart, x)
     rm = riemann(chart, x)
@@ -806,7 +802,7 @@ def nabla_riemann(chart: MetricChart, x) -> np.ndarray:
 def curvature_at(chart: MetricChart, p, seed_axis, nabla: bool = True) -> CurvatureAtPoint:
     """Curvature tensors at p converted to the orthonormal frame seeded by seed_axis."""
     p = np.asarray(p, dtype=float)
-    clearance = 2.5 * chart.fd_step
+    clearance = 2.5 * FD_STEP
     if not chart.domain.contains(p, clearance):
         raise DomainExit(f"point {p} lacks fd clearance in {chart.name}")
     frame = orthonormal_frame(chart, p, seed_axis)
@@ -971,7 +967,7 @@ def normal_metric_expansion(curv: CurvatureAtPoint, xi) -> np.ndarray:
 def scalar_gradient(chart: MetricChart, p) -> np.ndarray:
     """Central-difference gradient of the scalar curvature in chart coordinates."""
     p = np.asarray(p, dtype=float)
-    h = chart.fd_step
+    h = FD_STEP
     if not chart.domain.contains(p, 4.0 * h):
         raise DomainExit(f"point {p} lacks fd clearance for scalar_gradient")
     n = chart.dim
@@ -986,7 +982,7 @@ def scalar_gradient(chart: MetricChart, p) -> np.ndarray:
 def scalar_hessian(chart: MetricChart, p) -> np.ndarray:
     """Symmetrized central-difference Hessian of the scalar curvature."""
     p = np.asarray(p, dtype=float)
-    h = chart.fd_step * 10.0
+    h = FD_STEP * 10.0
     if not chart.domain.contains(p, 4.0 * h):
         raise DomainExit(f"point {p} lacks fd clearance for scalar_hessian")
     n = chart.dim

@@ -108,13 +108,25 @@ def parse_config(path: str | Path) -> dict:
     return cfg
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _number(text: str, key: str, kind=float, positive: bool = False):
+    """One float (or int) config value; positive ones must be > 0."""
+    try:
+        value = kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key} = {text.strip()!r} is not {expected}") from None
+    if positive and not value > 0:
+        raise ConfigError(f"{key} must be positive, got {text.strip()!r}")
+    return value
+
+
+def _numbers(text: str, key: str, kind=float, positive: bool = False) -> list:
+    return [_number(tok, key, kind, positive) for tok in text.split(",") if tok.strip()]
 
 
 def _vector(text: str, key: str, dim: int) -> np.ndarray:
     """A comma-separated point or direction of the chart's dimension."""
-    x = np.array(_floats(text))
+    x = np.array(_numbers(text, key))
     if len(x) != dim:
         raise ConfigError(f"{key} {text.strip()!r} has {len(x)} coordinates, the chart has {dim}")
     return x
@@ -132,34 +144,45 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _factors(text: str, key: str) -> list[tuple[int, float]]:
+    factors = []
+    for tok in text.split(","):
+        d, sep, a = tok.partition(":")
+        if not sep:
+            raise ConfigError(f"{key} entry {tok.strip()!r} is not dim:radius")
+        factors.append((_number(d, key, int, positive=True), _number(a, key, positive=True)))
+    return factors
+
+
+# the chart.* settings each family reads, each a number unless it has its own
+# parser; the chart constructors hold the defaults of the settings a config
+# leaves out
+_CHART_SETTINGS = {
+    "euclidean": ("dim", "half_width"),
+    "round_sphere": ("a", "dim"),
+    "conformal_bump": ("eps", "x0", "s", "dim", "half_width"),
+    "product": ("factors",),
+}
+_PARSE_SETTING = {
+    "dim": lambda text, key: _number(text, key, int, positive=True),
+    "x0": lambda text, key: np.array(_numbers(text, key)),
+    "factors": _factors,
+}
+
+
 def build_chart(cfg: dict):
     family = cfg["chart"]
-    dim = int(cfg.get("chart.dim", "3"))
-    if family == "euclidean":
-        kw = {"dim": dim}
-        if "chart.half_width" in cfg:
-            kw["half_width"] = float(cfg["chart.half_width"])
-        return builtin_chart("euclidean", **kw)
-    if family == "round_sphere":
-        return builtin_chart("round_sphere", a=float(cfg.get("chart.a", "1.0")), dim=dim)
-    if family == "conformal_bump":
-        kw = {
-            "eps": float(cfg.get("chart.eps", "-0.1")),
-            "s": float(cfg.get("chart.s", "0.5")),
-            "dim": dim,
-        }
-        if "chart.x0" in cfg:
-            kw["x0"] = _vector(cfg["chart.x0"], "chart.x0", dim)
-        if "chart.half_width" in cfg:
-            kw["half_width"] = float(cfg["chart.half_width"])
-        return builtin_chart("conformal_bump", **kw)
-    if family == "product":
-        factors = []
-        for tok in cfg.get("chart.factors", "2:1.0,1:inf").split(","):
-            d, a = tok.split(":")
-            factors.append((int(d), math.inf if a.strip() in ("inf", "INF") else float(a)))
-        return builtin_chart("product", factors=factors)
-    raise ConfigError(f"unknown chart family {family!r}")
+    if family not in _CHART_SETTINGS:
+        raise ConfigError(f"unknown chart family {family!r}")
+    settings = {
+        name: _PARSE_SETTING.get(name, _number)(cfg[f"chart.{name}"], f"chart.{name}")
+        for name in _CHART_SETTINGS[family]
+        if f"chart.{name}" in cfg
+    }
+    try:
+        return builtin_chart(family, **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def build_params(cfg: dict) -> BubbleParams:
@@ -294,8 +317,12 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     params = _bubble_params(cfg, chart)
     p = _vector(cfg["point"], "point", chart.dim)
     axis = _vector(cfg["axis"], "axis", chart.dim)
-    rhos = _floats(cfg["rho_list"])
-    grid = tuple(int(v) for v in _floats(cfg["grid"]))
+    rhos = _numbers(cfg["rho_list"], "rho_list", positive=True)
+    grid = tuple(_numbers(cfg["grid"], "grid", int, positive=True))
+    if len(grid) != 2:
+        raise ConfigError(f"grid needs two positive integers n_polar,n_sphere, got {cfg['grid'].strip()!r}")
+    sector_nodes = _number(cfg["sector_nodes"], "sector_nodes", int, positive=True)
+    geodesic_steps = _number(cfg["geodesic_steps"], "geodesic_steps", int, positive=True)
     quantities = [q.strip() for q in cfg["quantities"].split(",") if q.strip()]
     unknown = [q for q in quantities if q not in QUANTITIES]
     if unknown:
@@ -309,11 +336,14 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     perturbed = _bool(cfg["perturbed"])
     if perturbed and params.m != 2:
         raise ConfigError(f"perturbed = true needs bubble.m = 2, got {params.m}")
+    seed = _number(cfg["seed"], "seed", int)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    amplitude = _number(cfg["field_amplitude"], "field_amplitude")
     bubble = solve_standard_bubble(params)
     perturbation = None
     if perturbed:
-        rng = np.random.default_rng(int(cfg["seed"]))
-        perturbation = random_admissible_field(bubble, rng, float(cfg["field_amplitude"]))
+        perturbation = random_admissible_field(bubble, np.random.default_rng(seed), amplitude)
 
     results = verify_many(
         chart,
@@ -323,8 +353,8 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
         quantities,
         rhos,
         grid=grid,
-        geodesic_steps=int(cfg["geodesic_steps"]),
-        sector_nodes=int(cfg["sector_nodes"]),
+        geodesic_steps=geodesic_steps,
+        sector_nodes=sector_nodes,
         perturbation=perturbation,
         jobs=jobs,
     )
@@ -381,9 +411,9 @@ def cmd_predict(cfg: dict, outdir: Path) -> int:
     chart = build_chart(cfg)
     params = _bubble_params(cfg, chart)
     seeds = _point_list(cfg["seeds"], "seeds", chart.dim)
-    preds, points = predict_full(
-        chart, seeds, float(cfg["rho"]), params, tol=float(cfg["newton_tol"])
-    )
+    rho = _number(cfg["rho"], "rho", positive=True)
+    tol = _number(cfg["newton_tol"], "newton_tol", positive=True)
+    preds, points = predict_full(chart, seeds, rho, params, tol=tol)
     path = outdir / "predictions.json"
     lines = [json.dumps(prediction_record(pr), sort_keys=True) for pr in preds]
     path.write_text("\n".join(lines) + ("\n" if lines else ""))

@@ -144,8 +144,7 @@ def sheet_area_expansion(bubble: StandardBubble, sheet: int) -> ExpansionTerms:
     Disk:  omega_m r^m - rho^2 omega_m r^(m+2)/(6(m+2)) * (Sc - 2 Ric(s,s)).
 
     The Ric coefficient carries the tangential-trace correction (the ambient
-    trace minus the normal-normal component), which the quadrature companion
-    below reproduces independently.
+    trace minus the normal-normal component).
     """
     m = bubble.m
     om = unit_ball_volume(m)
@@ -179,91 +178,14 @@ def geodesic_area_expansion(bubble: StandardBubble) -> tuple[list[ExpansionTerms
 
 
 # ---------------------------------------------------------------------------
-# independent quadrature of the moment integrands (coefficient cross-check)
+# reduced-energy constants
 
 
-def _quad(fun, a: float, b: float, n: int = 60) -> float:
+def _quad(fun, a: float, b: float, n: int) -> float:
+    """Gauss-Legendre quadrature of fun over [a, b] with n nodes."""
     t, w = gauss_legendre(n)
     x = 0.5 * (b - a) * (t + 1.0) + a
     return 0.5 * (b - a) * float(np.sum(w * fun(x)))
-
-
-def cap_volume_coefficients_quad(bubble: StandardBubble, sheet: int) -> tuple[float, float]:
-    """(sc_coeff, ric_coeff) of cap_volume_expansion by direct quadrature.
-
-    Slices the region P_s into slabs at polar angle t (cross-section radius
-    a = R sin t, height above the neck plane z = R (cos t - cos phi)) and
-    integrates the second moments of -(1/6) Ric(x, x) directly, with no use
-    of the sine-power recursion.
-    """
-    if sheet == 0 and bubble.symmetric:
-        raise ValueError("the symmetric interface encloses no region")
-    m = bubble.m
-    om = unit_ball_volume(m)
-    r_s = bubble.radii[sheet]
-    phi = bubble.phi[sheet]
-
-    def slab(t):
-        # slab volume density in t: omega_m a(t)^m * |dz/dt|
-        return om * (r_s * np.sin(t)) ** m * r_s * np.sin(t)
-
-    def perp1(t):
-        # per-direction transverse moment of a ball of radius a(t)
-        return (r_s * np.sin(t)) ** 2 / (m + 2)
-
-    def axial(t):
-        return r_s * (np.cos(t) - math.cos(phi))
-
-    sc = -(1.0 / 6.0) * _quad(lambda t: slab(t) * perp1(t), 0.0, phi)
-    ric = -(1.0 / 6.0) * _quad(lambda t: slab(t) * (axial(t) ** 2 - perp1(t)), 0.0, phi)
-    return sc, ric
-
-
-def cap_area_coefficients_quad(bubble: StandardBubble, sheet: int) -> tuple[float, float]:
-    """(sc_coeff, ric_coeff) of sheet_area_expansion by direct quadrature.
-
-    Integrates -(1/6) [Ric(x,x) + Rm(x,n,x,n)] over the sheet, with x the
-    absolute position and n its unit normal, reduced to latitude moments.
-    """
-    m = bubble.m
-    om = unit_ball_volume(m)
-    if sheet == 0 and bubble.symmetric:
-        r = bubble.neck_radius
-
-        def ddens(y):
-            return m * om * y ** (m - 1)
-
-        # per-direction in-plane moment y^2/m; the normal term contributes
-        # -Ric(s,s) times the same moment
-        sc = -(1.0 / 6.0) * _quad(lambda y: ddens(y) * y**2 / m, 0.0, r)
-        ric = -(1.0 / 6.0) * _quad(lambda y: ddens(y) * (-2.0) * y**2 / m, 0.0, r)
-        return sc, ric
-    r_s = bubble.radii[sheet]
-    phi = bubble.phi[sheet]
-
-    def dens(t):
-        return m * om * r_s**m * np.sin(t) ** (m - 1)
-
-    def perp1(t):
-        # per-direction moment of the latitude sphere of radius R sin t
-        return (r_s * np.sin(t)) ** 2 / m
-
-    def axial(t):
-        return r_s * (np.cos(t) - math.cos(phi))
-
-    # Ric(x,x) -> Sc perp1 + Ric(s,s) (axial^2 - perp1);
-    # Rm(x,n,x,n) = cos^2(phi) R^2 Rm(s, n, s, n) -> -Ric(s,s) cos^2(phi) perp1
-    sc = -(1.0 / 6.0) * _quad(lambda t: dens(t) * perp1(t), 0.0, phi)
-    ric = -(1.0 / 6.0) * _quad(
-        lambda t: dens(t) * (axial(t) ** 2 - (1.0 + math.cos(phi) ** 2) * perp1(t)),
-        0.0,
-        phi,
-    )
-    return sc, ric
-
-
-# ---------------------------------------------------------------------------
-# reduced-energy constants
 
 
 def _cap_ab(m: int, phi: float, ik) -> tuple[float, float]:
@@ -323,30 +245,6 @@ def reduced_constants(bubble: StandardBubble, quadrature: bool = False) -> Reduc
         a_tot += bubble.radii[s] ** (m + 2) * a_s
         b_tot += bubble.radii[s] ** (m + 2) * b_s
     return ReducedConstants(a=a_tot, b=b_tot, per_sheet=tuple(pairs), symmetric=False)
-
-
-def assembled_constants(bubble: StandardBubble) -> ReducedConstants:
-    """Per-sheet assembly of (A, B), continuous through the symmetric limit.
-
-    Sums R_s^(m+2) (a_s, b_s) over the spherical sheets plus the disk pair
-    (r^(m+2)/(m+2), -r^(m+2)/(m+2)) in the symmetric case; this is the
-    H0 -> 0 limit of the asymmetric constants.
-    """
-    m = bubble.m
-    if not bubble.symmetric:
-        return reduced_constants(bubble)
-    a_cap, b_cap = _cap_ab(m, TWO_THIRDS_PI, sine_power_integral)
-    r_cap = bubble.radii[1]
-    r = bubble.neck_radius
-    disk = (r ** (m + 2) / (m + 2), -(r ** (m + 2)) / (m + 2))
-    a = 2.0 * r_cap ** (m + 2) * a_cap + disk[0]
-    b = 2.0 * r_cap ** (m + 2) * b_cap + disk[1]
-    return ReducedConstants(
-        a=a,
-        b=b,
-        per_sheet=((disk[0] / r_cap ** (m + 2), disk[1] / r_cap ** (m + 2)), (a_cap, b_cap), (a_cap, b_cap)),
-        symmetric=True,
-    )
 
 
 def phi_limit_constants(bubble: StandardBubble) -> ReducedConstants:

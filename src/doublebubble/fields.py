@@ -40,6 +40,12 @@ from .geometry import (
 )
 
 SQRT3 = math.sqrt(3.0)
+# polar x sphere grid of the first-order area and volume responses
+RESPONSE_GRID = (32, 64)
+# polar nodes of the grid on which sup_amplitude samples a field
+SUP_NODES = 12
+# points of the neck angle grid of linearized_equiangularity_residual
+NECK_ANGLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +85,8 @@ def admissible_closure(w0_trace, w2_trace):
     """Boundary data completing (w0, w2) traces to an admissible junction.
 
     Returns a dict with w1 and the conormal components u0, u1, u2 on the same
-    neck grid.  The reconstructed displacements w_s N_s + u_s nu_s agree
-    across the three sheets; see junction_residual.
+    neck grid, so that the reconstructed displacements w_s N_s + u_s nu_s
+    agree across the three sheets.
     """
     w0 = np.asarray(w0_trace, dtype=float)
     w2 = np.asarray(w2_trace, dtype=float)
@@ -94,33 +100,6 @@ def admissible_closure(w0_trace, w2_trace):
         "u1": (w0 - w2) / SQRT3,
         "u2": -(2.0 * w0 + w2) / SQRT3,
     }
-
-
-def junction_residual(bubble: StandardBubble, closure: dict) -> float:
-    """Max norm of the pairwise differences of the reconstructed neck
-    displacements w_s N_s + u_s nu_s in the (radial, axial) plane."""
-    from .geometry import conormals_at_neck
-
-    nu = conormals_at_neck(bubble)
-    phi = bubble.phi
-    if bubble.symmetric:
-        nvec = np.array([[0.0, 1.0]])
-    else:
-        nvec = np.array([[-math.sin(phi[0]), math.cos(phi[0])]])
-    normals = np.vstack(
-        [
-            nvec,
-            [[-math.sin(phi[1]), -math.cos(phi[1])]],
-            [[-math.sin(phi[2]), math.cos(phi[2])]],
-        ]
-    )
-    disp = [
-        closure[f"w{s}"][..., None] * normals[s] + closure[f"u{s}"][..., None] * nu[s]
-        for s in range(3)
-    ]
-    return float(
-        max(np.abs(disp[1] - disp[0]).max(), np.abs(disp[1] - disp[2]).max())
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +144,10 @@ class PerturbationField:
             name=self.name,
         )
 
-    def sup_amplitude(self, n_check: int = 12) -> float:
+    def sup_amplitude(self) -> float:
         sup = 0.0
         for s in range(3):
-            z, dirs, _ = flat_rule(self.bubble.m, self.bubble.polar_limit(s), (n_check, 2 * n_check))
+            z, dirs, _ = flat_rule(self.bubble.m, self.bubble.polar_limit(s), (SUP_NODES, 2 * SUP_NODES))
             sup = max(sup, float(np.abs(self.w(s, z[:, 0], dirs)).max()))
             sup = max(sup, float(np.abs(self.y(s, z[:, 0], dirs)).max()))
         return sup
@@ -479,16 +458,14 @@ def perturbed_mean_curvature(
 # first-order area and volume corrections
 
 
-def first_order_area_corrections(
-    bubble: StandardBubble, field: PerturbationField, grid=(32, 64)
-) -> np.ndarray:
+def first_order_area_corrections(bubble: StandardBubble, field: PerturbationField) -> np.ndarray:
     """Per-sheet first-order area shifts (rho^-m normalization):
 
     caps: -int (m w/R - div Y) dmu;  disk: +int div Y dmu.
     """
     out = np.zeros(3)
     for s in range(3):
-        z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), grid)
+        z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
         d = sheet_point_data(bubble, s, z, field)
         dmu = w * np.sqrt(_det(d.g))
         div = tangential_divergence(d)
@@ -505,20 +482,17 @@ def perturbed_area_expansion(
     sc: float,
     ric_ss: float,
     rho: float,
-    grid=(32, 64),
 ) -> np.ndarray:
     """Per-sheet rho^-m areas of the perturbed bubble through first field order."""
     from .expansions import sheet_area_expansion
 
-    corr = first_order_area_corrections(bubble, field, grid)
+    corr = first_order_area_corrections(bubble, field)
     return np.array(
         [sheet_area_expansion(bubble, s).value(sc, ric_ss, rho) + corr[s] for s in range(3)]
     )
 
 
-def first_order_volume_corrections(
-    bubble: StandardBubble, field: PerturbationField, grid=(32, 64)
-) -> tuple[float, float]:
+def first_order_volume_corrections(bubble: StandardBubble, field: PerturbationField) -> tuple[float, float]:
     """First-order shifts of rho^-(m+1) (V1, V2) under the displacement field.
 
     The enclosed volumes respond only to the normal component of a continuous
@@ -533,7 +507,7 @@ def first_order_volume_corrections(
     """
     ints = np.zeros(3)
     for s in range(3):
-        z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(s), grid)
+        z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
         g, _ = flat_metric(bubble, s, z)
         ints[s] = float(np.sum(w * np.sqrt(_det(g)) * field.w(s, z[:, 0], dirs)))
     dv1 = -ints[1] - ints[0]
@@ -547,13 +521,12 @@ def perturbed_volume_expansion(
     sc: float,
     ric_ss: float,
     rho: float,
-    grid=(32, 64),
 ) -> tuple[float, float]:
     """rho^-(m+1) (V1, V2) of the perturbed bubble through first field order."""
     from .expansions import geodesic_volumes_expansion
 
     t1, t2 = geodesic_volumes_expansion(bubble)
-    dv1, dv2 = first_order_volume_corrections(bubble, field, grid)
+    dv1, dv2 = first_order_volume_corrections(bubble, field)
     return t1.value(sc, ric_ss, rho) + dv1, t2.value(sc, ric_ss, rho) + dv2
 
 
@@ -592,7 +565,6 @@ def linearized_equiangularity_residual(
     bubble: StandardBubble,
     field: PerturbationField,
     coupling: CouplingData,
-    n_angle: int = 64,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two junction balance fields on the neck angle grid:
 
@@ -602,7 +574,7 @@ def linearized_equiangularity_residual(
     with (r0, r1, r2) the Robin coefficients of `coupling`; both vanish for
     displacements that keep the junction equiangular to first order.
     """
-    angles = neck_angle_grid(bubble.m, n_angle)
+    angles = neck_angle_grid(bubble.m, NECK_ANGLES)
     rob = coupling.robin
     terms = []
     for s in range(3):
@@ -736,20 +708,16 @@ def jacobi_apply(grid: SheetGrid, w: np.ndarray) -> np.ndarray:
 # Killing kernel fields
 
 
-def _ambient_killing(bubble: StandardBubble, generator) -> tuple:
-    """Returns (vector field Xi(x), trivial flag) for a generator descriptor.
-
-    Generators: ("translation", vector) or ("rotation", i) rotating the axis
-    toward coordinate i < m.  Rotations fixing the axis act trivially on the
-    bubble and give the zero field.
-    """
+def _ambient_killing(bubble: StandardBubble, generator):
+    """The vector field Xi(x) of a generator descriptor: ("translation",
+    vector) or ("rotation", i) rotating the axis toward coordinate i < m."""
     kind, data = generator
     n = bubble.m + 1
     if kind == "translation":
         e = np.asarray(data, dtype=float)
         if e.shape != (n,):
             raise ValueError(f"translation vector must have length {n}")
-        return (lambda x: np.broadcast_to(e, np.shape(x)).copy()), False
+        return lambda x: np.broadcast_to(e, np.shape(x)).copy()
     if kind == "rotation":
         i = int(data)
         if not 0 <= i < bubble.m:
@@ -757,9 +725,7 @@ def _ambient_killing(bubble: StandardBubble, generator) -> tuple:
         jmat = np.zeros((n, n))
         jmat[i, -1] = 1.0
         jmat[-1, i] = -1.0
-        return (lambda x: np.asarray(x) @ jmat.T), False
-    if kind == "rotation_fixing_axis":
-        return (lambda x: np.zeros(np.shape(x))), True
+        return lambda x: np.asarray(x) @ jmat.T
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -768,11 +734,9 @@ def killing_kernel_field(bubble: StandardBubble, generator) -> PerturbationField
 
     These satisfy the Jacobi equation, the junction condition w1 = w0 + w2
     (because N1 = N0 + N2 on the neck) and the linearized equiangularity
-    system; axis-fixing rotations give the zero field.
+    system.
     """
-    xi, trivial = _ambient_killing(bubble, generator)
-    if trivial:
-        return PerturbationField(bubble, (None, None, None), name="trivial")
+    xi = _ambient_killing(bubble, generator)
 
     def make_w(sheet):
         def w(polar, dirs):
@@ -794,32 +758,6 @@ def killing_basis(bubble: StandardBubble) -> list[PerturbationField]:
     gens = [("translation", np.eye(n)[k]) for k in range(n)]
     gens += [("rotation", i) for i in range(bubble.m)]
     return [killing_kernel_field(bubble, g) for g in gens]
-
-
-def random_smooth_field(
-    bubble: StandardBubble, rng: np.random.Generator, amplitude: float = 1.0
-) -> PerturbationField:
-    """Random smooth normal fields (not admissible in general); used as the
-    negative control against the Killing kernel."""
-    coefs = rng.normal(size=(3, 3, 3))
-
-    def make_w(sheet):
-        c = coefs[sheet]
-
-        def w(polar, dirs):
-            polar = np.asarray(polar, dtype=float)
-            th = np.arctan2(np.asarray(dirs)[..., 1], np.asarray(dirs)[..., 0])
-            u = polar / bubble.polar_limit(sheet)
-            out = np.zeros(polar.shape)
-            for p in range(3):
-                out += c[p, 0] * u ** (p + 1)
-                out += c[p, 1] * u ** (p + 1) * np.cos((p + 1) * th)
-                out += c[p, 2] * u ** (p + 1) * np.sin((p + 1) * th)
-            return amplitude * out
-
-        return w
-
-    return PerturbationField(bubble, tuple(make_w(s) for s in range(3)), name="random")
 
 
 def sheet_unit_tangents(bubble: StandardBubble, sheet: int, polar, dirs):
@@ -846,7 +784,8 @@ def random_admissible_field(
 
     Normal parts: w0, w2 are free smooth fields; w1 interpolates to the trace
     w0 + w2 on the neck.  Tangential parts carry the conormal components u_s
-    required by the junction relations plus a common neck-tangential trace,
+    that admissible_closure assigns to the neck traces of w0 and w2, plus a
+    common neck-tangential trace,
     all built from polynomials in the normalized polar parameter times low
     trigonometric modes (mode k enters with a factor u^k, keeping the fields
     smooth across the pole).
@@ -896,19 +835,6 @@ def random_admissible_field(
 
     w_funcs = tuple(make_w(s) for s in range(3))
 
-    # conormal components on the neck required by the junction relations
-    def u_trace(sheet):
-        def u_s(th):
-            w0 = w0f(1.0, th)
-            w2 = w2f(1.0, th)
-            if sheet == 0:
-                return (w0 + 2.0 * w2) / SQRT3
-            if sheet == 1:
-                return (w0 - w2) / SQRT3
-            return -(2.0 * w0 + w2) / SQRT3
-
-        return u_s
-
     b_gamma = trig(rng.normal(size=5) * amplitude)
     noise = [
         (trig(rng.normal(size=5) * amplitude), trig(rng.normal(size=5) * amplitude))
@@ -916,14 +842,15 @@ def random_admissible_field(
     ]
 
     def make_y(sheet):
-        u_s = u_trace(sheet)
         na, nb = noise[sheet]
 
         def y(polar, dirs):
             u = np.asarray(polar, dtype=float) / uppers[sheet]
             th = theta_of(dirs)
+            # the conormal component the junction relations require on the neck
+            u_s = admissible_closure(w0f(1.0, th), w2f(1.0, th))[f"u{sheet}"]
             fade = u**2 * (1.0 - u**2)
-            a = -(u**2) * u_s(th) + fade * na(th)
+            a = -(u**2) * u_s + fade * na(th)
             bcomp = u**2 * b_gamma(th) + fade * nb(th)
             e_pol, e_th = sheet_unit_tangents(bubble, sheet, polar, dirs)
             # the inward conormal is -e_pol, so <Y, nu> = -a at the neck

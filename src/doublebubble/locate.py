@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CurvatureAtPoint, DomainExit, MetricChart, curvature_at
+from .charts import FD_STEP, CurvatureAtPoint, DomainExit, MetricChart, curvature_at
 from .charts import scalar_curvature, scalar_gradient, scalar_hessian
 from .expansions import phi_limit_constants, reduced_functional_leading
 from .geometry import BubbleParams, solve_standard_bubble
@@ -65,14 +65,16 @@ class BubblePrediction:
 
 
 NONDEG_RTOL = 1e-4
+# Newton iterations of find_critical_scalar before it gives up
+MAX_NEWTON_ITER = 60
+# critical points closer than this are one point in predict_full
+DEDUPE_TOL = 1e-4
+# cyclic Jacobi: relative off-diagonal tolerance and sweep limit
+JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 40
 
 
-def find_critical_scalar(
-    chart: MetricChart,
-    x0,
-    tol: float = 1e-6,
-    max_iter: int = 60,
-) -> CriticalPoint:
+def find_critical_scalar(chart: MetricChart, x0, tol: float = 1e-6) -> CriticalPoint:
     """Damped Newton search for a critical point of the scalar curvature.
 
     The Hessian is regularized toward gradient descent when it is singular or
@@ -81,11 +83,11 @@ def find_critical_scalar(
     failing.
     """
     x = np.asarray(x0, dtype=float).copy()
-    if not chart.domain.contains(x, 4.0 * chart.fd_step):
+    if not chart.domain.contains(x, 4.0 * FD_STEP):
         raise DomainExit(f"seed {x} outside the chart domain")
     grad = scalar_gradient(chart, x)
     gnorm = float(np.linalg.norm(grad))
-    for _ in range(max_iter):
+    for _ in range(MAX_NEWTON_ITER):
         if gnorm <= tol:
             break
         hess = scalar_hessian(chart, x)
@@ -104,7 +106,7 @@ def find_critical_scalar(
         t = 1.0
         for _ in range(12):
             cand = x + t * step
-            if chart.domain.contains(cand, 4.0 * chart.fd_step):
+            if chart.domain.contains(cand, 4.0 * FD_STEP):
                 cand_grad = scalar_gradient(chart, cand)
                 if np.linalg.norm(cand_grad) < gnorm:
                     x, grad = cand, cand_grad
@@ -114,13 +116,13 @@ def find_critical_scalar(
         else:
             # fall back to a small descent step
             cand = x - (0.1 / scale) * grad
-            if not chart.domain.contains(cand, 4.0 * chart.fd_step):
+            if not chart.domain.contains(cand, 4.0 * FD_STEP):
                 raise DomainExit(f"search left the domain near {x}")
             x = cand
             grad = scalar_gradient(chart, x)
             gnorm = float(np.linalg.norm(grad))
     else:
-        raise RuntimeError(f"no critical point within {max_iter} iterations (|grad|={gnorm:.2e})")
+        raise RuntimeError(f"no critical point within {MAX_NEWTON_ITER} iterations (|grad|={gnorm:.2e})")
     hess = scalar_hessian(chart, x)
     eigs = np.linalg.eigvalsh(hess)
     sc_here = scalar_curvature(chart, x)
@@ -139,7 +141,7 @@ def find_critical_scalar(
     )
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 40):
+def jacobi_eigh(a: np.ndarray):
     """Cyclic Jacobi diagonalization of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).  Kept free of
@@ -148,9 +150,9 @@ def jacobi_eigh(a: np.ndarray, tol: float = 1e-14, max_sweeps: int = 40):
     a = np.array(a, dtype=float)
     n = a.shape[0]
     v = np.eye(n)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(a[i, j] ** 2 for i in range(n) for j in range(n) if i != j))
-        if off <= tol * max(1.0, float(np.abs(np.diag(a)).max())):
+        if off <= JACOBI_TOL * max(1.0, float(np.abs(np.diag(a)).max())):
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -221,8 +223,6 @@ def predict_full(
     rho: float,
     params: BubbleParams,
     tol: float = 1e-6,
-    gaps: tuple[float, float] | None = None,
-    dedupe_tol: float = 1e-4,
 ) -> tuple[list[BubblePrediction], list[CriticalPoint]]:
     """Predictions at every non-degenerate critical point found from `seeds`.
 
@@ -245,7 +245,7 @@ def predict_full(
         except (RuntimeError, DomainExit):
             failures += 1
             continue
-        if any(np.linalg.norm(cp.coords - q.coords) < dedupe_tol for q in points):
+        if any(np.linalg.norm(cp.coords - q.coords) < DEDUPE_TOL for q in points):
             continue
         points.append(cp)
     if not points:
@@ -255,7 +255,7 @@ def predict_full(
     for cp in points:
         if not cp.nondegenerate:
             continue
-        eig = ricci_eigendecomposition(chart, cp.coords, gaps=gaps)
+        eig = ricci_eigendecomposition(chart, cp.coords)
         curv = eig.curvature
         for group in eig.groups:
             idx = group[0]

@@ -81,6 +81,8 @@ from .geometry import StandardBubble, flat_rule, gauss_legendre, round_metric
 H_REL = 1e-4
 # layers of EmbeddedBubble.sheet_stencil
 FLAT, DISPLACEMENT, EMBEDDED = range(3)
+# parameter points per sheet at which verify_many samples mean curvature
+H_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -425,8 +427,9 @@ def measure_energy(eb: EmbeddedBubble) -> float:
     return float(np.sum(areas)) - (p.h1 / eb.rho) * v1 - (p.h2 / eb.rho) * v2
 
 
-def default_h_params(bubble: StandardBubble, sheet: int, n: int = 5) -> np.ndarray:
-    """A few interior parameters spread over the sheet for curvature sampling."""
+def default_h_params(bubble: StandardBubble, sheet: int) -> np.ndarray:
+    """H_SAMPLES interior parameters spread over the sheet for curvature sampling."""
+    n = H_SAMPLES
     polar = bubble.polar_limit(sheet) * np.linspace(0.25, 0.75, n)
     if bubble.m == 2:
         ang = np.linspace(0.3, 2.0 * math.pi * 0.9, n)[:, None]
@@ -534,7 +537,7 @@ def verify_many(
             record.update(v1=v1 / norm, v2=v2 / norm, vtot=(v1 + v2) / norm)
         for s in range(3):
             if f"h{s}" in quantities:
-                z = default_h_params(bubble, s, 4)
+                z = default_h_params(bubble, s)
                 hvals = measure_mean_curvature(eb, s, z)
                 scale = rho if (s == 0 and bubble.symmetric) else rho * bubble.radii[s]
                 fvals = perturbed_mean_curvature(bubble, s, curv, rho, z, field)
@@ -577,48 +580,3 @@ def verify_many(
 def expansion_threshold(claimed_order: int) -> float:
     """Pass threshold for fitted remainder slopes."""
     return claimed_order - 0.3
-
-
-def monte_carlo_volumes(
-    bubble: StandardBubble, n_samples: int = 10**7, seed: int = 0
-) -> tuple[float, float]:
-    """Rejection-sampling (V1, V2) of the flat model, with a tight bounding
-    box per chamber; the independent check of the sector decomposition."""
-    rng = np.random.default_rng(seed)
-    n = bubble.m + 1
-    c = np.array(bubble.centers)
-    r = np.array([0.0 if not math.isfinite(x) else x for x in bubble.radii])
-
-    def membership(pts, which):
-        ax = pts[:, -1]
-        p0 = None
-        if not bubble.symmetric:
-            d0 = np.sum((pts - np.array([0.0] * bubble.m + [c[0]])) ** 2, axis=1)
-            p0 = (ax <= 0.0) & (d0 <= r[0] ** 2)
-        if which == 1:
-            d1 = np.sum((pts - np.array([0.0] * bubble.m + [c[1]])) ** 2, axis=1)
-            p1 = (ax >= 0.0) & (d1 <= r[1] ** 2)
-            return p1 if p0 is None else (p1 | p0)
-        d2 = np.sum((pts - np.array([0.0] * bubble.m + [c[2]])) ** 2, axis=1)
-        p2 = (ax <= 0.0) & (d2 <= r[2] ** 2)
-        return p2 if p0 is None else (p2 & ~p0)
-
-    bulge = 0.0 if bubble.symmetric else min(0.0, c[0] - r[0])
-    boxes = {
-        1: (max(bubble.neck_radius, r[1]), bulge, c[1] + r[1]),
-        2: (max(bubble.neck_radius, r[2]), c[2] - r[2], 0.0),
-    }
-    out = []
-    for which in (1, 2):
-        half, lo, hi = boxes[which]
-        vol_box = (2.0 * half) ** bubble.m * (hi - lo)
-        inside = 0
-        done = 0
-        while done < n_samples:
-            k = min(10**6, n_samples - done)
-            pts = rng.uniform(-half, half, size=(k, n))
-            pts[:, -1] = rng.uniform(lo, hi, size=k)
-            inside += int(np.count_nonzero(membership(pts, which)))
-            done += k
-        out.append(vol_box * inside / n_samples)
-    return out[0], out[1]

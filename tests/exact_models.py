@@ -1,14 +1,34 @@
-"""Independent exact geometry of the unit 3-sphere, used to cross-check the
-package oracle.
+"""Independent models and checks that the tests hold the package against.
 
-Everything here works with the round S^3 embedded in R^4: the exponential
-map is the great-circle formula and all first fundamental forms are computed
-with the ambient Euclidean metric of R^4.  Nothing imports charts or measure,
-so agreement between these numbers and the package oracle is a genuine
-two-implementation check.
+* Exact geometry of the unit 3-sphere embedded in R^4: the exponential map is
+  the great-circle formula and all first fundamental forms are computed with
+  the ambient Euclidean metric of R^4.
+* Monte-Carlo chamber volumes of the flat model.
+* The rho^2 coefficients of the cap volumes and sheet areas by direct
+  quadrature of their moment integrands, and the per-sheet assembly of the
+  symmetric reduced-energy constants.
+* The exact scalar curvature of the conformal bump, junction residuals of
+  admissible closures and random smooth fields (the negative control of the
+  Jacobi kernel).
+
+The package modules these checks judge (charts, measure, expansions) are not
+imported: only the flat model of geometry and fields.PerturbationField, the
+container of a field, are.  Agreement between these numbers and the
+package's is therefore a genuine two-implementation check.
 """
 
+import math
+
 import numpy as np
+
+from doublebubble.fields import PerturbationField
+from doublebubble.geometry import (
+    TWO_THIRDS_PI,
+    conormals_at_neck,
+    gauss_legendre,
+    sine_power_integral,
+    unit_ball_volume,
+)
 
 P4 = np.array([0.0, 0.0, 0.0, -1.0])  # base point (image of the chart origin)
 
@@ -101,3 +121,231 @@ def geodesic_ball_volume(t):
 def geodesic_sphere_area(t):
     """Exact area of a geodesic sphere of radius t in the unit S^3."""
     return float(4.0 * np.pi * np.sin(t) ** 2)
+
+
+# ---------------------------------------------------------------------------
+# flat model
+
+
+def monte_carlo_volumes(bubble, n_samples=10**7, seed=0):
+    """Rejection-sampling (V1, V2) of the flat model, with a tight bounding
+    box per chamber; the independent check of the chamber volumes.
+
+    Squared distances to the sphere centres on the axis are summed over the
+    coordinates one by one, in the order np.sum(..., axis=1) adds a short
+    row, so the counts are those of that sum without its reduction call."""
+    rng = np.random.default_rng(seed)
+    n = bubble.m + 1
+    c = np.array(bubble.centers)
+    r = np.array([0.0 if not math.isfinite(x) else x for x in bubble.radii])
+
+    def membership(pts, which):
+        ax = pts[:, -1]
+        perp = pts[:, 0] ** 2
+        for i in range(1, bubble.m):
+            perp = perp + pts[:, i] ** 2
+
+        def in_ball(s):
+            return perp + (ax - c[s]) ** 2 <= r[s] ** 2
+
+        p0 = None
+        if not bubble.symmetric:
+            p0 = (ax <= 0.0) & in_ball(0)
+        if which == 1:
+            p1 = (ax >= 0.0) & in_ball(1)
+            return p1 if p0 is None else (p1 | p0)
+        p2 = (ax <= 0.0) & in_ball(2)
+        return p2 if p0 is None else (p2 & ~p0)
+
+    bulge = 0.0 if bubble.symmetric else min(0.0, c[0] - r[0])
+    boxes = {
+        1: (max(bubble.neck_radius, r[1]), bulge, c[1] + r[1]),
+        2: (max(bubble.neck_radius, r[2]), c[2] - r[2], 0.0),
+    }
+    out = []
+    for which in (1, 2):
+        half, lo, hi = boxes[which]
+        vol_box = (2.0 * half) ** bubble.m * (hi - lo)
+        inside = 0
+        done = 0
+        while done < n_samples:
+            k = min(10**6, n_samples - done)
+            pts = rng.uniform(-half, half, size=(k, n))
+            pts[:, -1] = rng.uniform(lo, hi, size=k)
+            inside += int(np.count_nonzero(membership(pts, which)))
+            done += k
+        out.append(vol_box * inside / n_samples)
+    return out[0], out[1]
+
+
+def junction_residual(bubble, closure):
+    """Max norm of the pairwise differences of the reconstructed neck
+    displacements w_s N_s + u_s nu_s in the (radial, axial) plane."""
+    nu = conormals_at_neck(bubble)
+    phi = bubble.phi
+    if bubble.symmetric:
+        nvec = np.array([[0.0, 1.0]])
+    else:
+        nvec = np.array([[-math.sin(phi[0]), math.cos(phi[0])]])
+    normals = np.vstack(
+        [
+            nvec,
+            [[-math.sin(phi[1]), -math.cos(phi[1])]],
+            [[-math.sin(phi[2]), math.cos(phi[2])]],
+        ]
+    )
+    disp = [
+        closure[f"w{s}"][..., None] * normals[s] + closure[f"u{s}"][..., None] * nu[s]
+        for s in range(3)
+    ]
+    return float(max(np.abs(disp[1] - disp[0]).max(), np.abs(disp[1] - disp[2]).max()))
+
+
+def random_smooth_field(bubble, rng):
+    """Random smooth normal fields (not admissible in general); the negative
+    control against the Killing kernel."""
+    coefs = rng.normal(size=(3, 3, 3))
+
+    def make_w(sheet):
+        c = coefs[sheet]
+
+        def w(polar, dirs):
+            polar = np.asarray(polar, dtype=float)
+            th = np.arctan2(np.asarray(dirs)[..., 1], np.asarray(dirs)[..., 0])
+            u = polar / bubble.polar_limit(sheet)
+            out = np.zeros(polar.shape)
+            for p in range(3):
+                out += c[p, 0] * u ** (p + 1)
+                out += c[p, 1] * u ** (p + 1) * np.cos((p + 1) * th)
+                out += c[p, 2] * u ** (p + 1) * np.sin((p + 1) * th)
+            return out
+
+        return w
+
+    return PerturbationField(bubble, tuple(make_w(s) for s in range(3)), name="random")
+
+
+# ---------------------------------------------------------------------------
+# rho^2 coefficients by direct quadrature of the moment integrands
+
+
+def _quad(fun, a, b):
+    """60-node Gauss-Legendre quadrature of fun over [a, b]."""
+    t, w = gauss_legendre(60)
+    x = 0.5 * (b - a) * (t + 1.0) + a
+    return 0.5 * (b - a) * float(np.sum(w * fun(x)))
+
+
+def cap_volume_coefficients_quad(bubble, sheet):
+    """(sc_coeff, ric_coeff) of the rho^-(m+1) volume of the region between
+    cap `sheet` and the neck disk, by direct quadrature.
+
+    Slices the region into slabs at polar angle t (cross-section radius
+    a = R sin t, height above the neck plane z = R (cos t - cos phi)) and
+    integrates the second moments of -(1/6) Ric(x, x) directly, with no use
+    of the sine-power recursion.
+    """
+    if sheet == 0 and bubble.symmetric:
+        raise ValueError("the symmetric interface encloses no region")
+    m = bubble.m
+    om = unit_ball_volume(m)
+    r_s = bubble.radii[sheet]
+    phi = bubble.phi[sheet]
+
+    def slab(t):
+        # slab volume density in t: omega_m a(t)^m * |dz/dt|
+        return om * (r_s * np.sin(t)) ** m * r_s * np.sin(t)
+
+    def perp1(t):
+        # per-direction transverse moment of a ball of radius a(t)
+        return (r_s * np.sin(t)) ** 2 / (m + 2)
+
+    def axial(t):
+        return r_s * (np.cos(t) - math.cos(phi))
+
+    sc = -(1.0 / 6.0) * _quad(lambda t: slab(t) * perp1(t), 0.0, phi)
+    ric = -(1.0 / 6.0) * _quad(lambda t: slab(t) * (axial(t) ** 2 - perp1(t)), 0.0, phi)
+    return sc, ric
+
+
+def cap_area_coefficients_quad(bubble, sheet):
+    """(sc_coeff, ric_coeff) of the rho^-m area of `sheet` by direct quadrature.
+
+    Integrates -(1/6) [Ric(x,x) + Rm(x,n,x,n)] over the sheet, with x the
+    absolute position and n its unit normal, reduced to latitude moments.
+    """
+    m = bubble.m
+    om = unit_ball_volume(m)
+    if sheet == 0 and bubble.symmetric:
+        r = bubble.neck_radius
+
+        def ddens(y):
+            return m * om * y ** (m - 1)
+
+        # per-direction in-plane moment y^2/m; the normal term contributes
+        # -Ric(s,s) times the same moment
+        sc = -(1.0 / 6.0) * _quad(lambda y: ddens(y) * y**2 / m, 0.0, r)
+        ric = -(1.0 / 6.0) * _quad(lambda y: ddens(y) * (-2.0) * y**2 / m, 0.0, r)
+        return sc, ric
+    r_s = bubble.radii[sheet]
+    phi = bubble.phi[sheet]
+
+    def dens(t):
+        return m * om * r_s**m * np.sin(t) ** (m - 1)
+
+    def perp1(t):
+        # per-direction moment of the latitude sphere of radius R sin t
+        return (r_s * np.sin(t)) ** 2 / m
+
+    def axial(t):
+        return r_s * (np.cos(t) - math.cos(phi))
+
+    # Ric(x,x) -> Sc perp1 + Ric(s,s) (axial^2 - perp1);
+    # Rm(x,n,x,n) = cos^2(phi) R^2 Rm(s, n, s, n) -> -Ric(s,s) cos^2(phi) perp1
+    sc = -(1.0 / 6.0) * _quad(lambda t: dens(t) * perp1(t), 0.0, phi)
+    ric = -(1.0 / 6.0) * _quad(
+        lambda t: dens(t) * (axial(t) ** 2 - (1.0 + math.cos(phi) ** 2) * perp1(t)),
+        0.0,
+        phi,
+    )
+    return sc, ric
+
+
+def assembled_constants(bubble):
+    """(A, B) of a symmetric bubble assembled sheet by sheet: R^(m+2) (a, b)
+    of each cap at opening angle 2 pi / 3, with a = I_(m+1) + m I_(m+3)/(m+2)
+    and b = (2m+1) I_(m+1) - (2m+2)/(m+2) sin^(m+2) cos, plus the disk pair
+    (r^(m+2)/(m+2), -r^(m+2)/(m+2)); the H0 -> 0 limit of the asymmetric
+    constants."""
+    if not bubble.symmetric:
+        raise ValueError("the assembly is of the symmetric bubble")
+    m = bubble.m
+    phi = TWO_THIRDS_PI
+    i_m1 = sine_power_integral(m + 1, phi)
+    i_m3 = sine_power_integral(m + 3, phi)
+    a_cap = i_m1 + m * i_m3 / (m + 2)
+    b_cap = (2 * m + 1) * i_m1 - (2 * m + 2) / (m + 2) * math.sin(phi) ** (m + 2) * math.cos(phi)
+    caps = 2.0 * bubble.radii[1] ** (m + 2)
+    disk = bubble.neck_radius ** (m + 2) / (m + 2)
+    return caps * a_cap + disk, caps * b_cap - disk
+
+
+# ---------------------------------------------------------------------------
+# conformal bump
+
+
+def bump_scalar_curvature(chart, x):
+    """Exact scalar curvature of the conformal bump chart at points x (..., n),
+    in plain numpy from the chart's settings eps, s and x0: for g = e^(2f)
+    delta with f = eps exp(-|x - x0|^2 / s^2),
+
+      Sc = -(n-1) e^(-2f) (2 Laplacian f + (n-2) |grad f|^2),
+      grad f = -2 f (x - x0) / s^2,  Laplacian f = f (4 |x - x0|^2 / s^4 - 2 n / s^2).
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    dist2 = np.sum((x - chart.x0) ** 2, axis=-1)
+    f = chart.eps * np.exp(-dist2 / chart.s**2)
+    grad2 = 4.0 * f**2 * dist2 / chart.s**4
+    lap = f * (4.0 * dist2 / chart.s**4 - 2.0 * n / chart.s**2)
+    return -(n - 1) * np.exp(-2.0 * f) * (2.0 * lap + (n - 2) * grad2)

@@ -27,6 +27,8 @@ from doublebubble.charts import (
 )
 from doublebubble.geometry import BubbleParams
 
+import exact_models
+
 
 def riemann_symmetry_residual(rm):
     anti1 = np.abs(rm + rm.transpose(1, 0, 2, 3)).max()
@@ -442,13 +444,13 @@ def test_bump_scalar_curvature_formula():
     bp = builtin_chart("conformal_bump", eps=0.1, s=0.5)
     for x in (np.zeros(3), np.array([0.2, -0.1, 0.15])):
         assert scalar_curvature(bp, x) == pytest.approx(
-            float(bp.scalar_curvature_exact(x)), abs=1e-5
+            float(exact_models.bump_scalar_curvature(bp, x)), abs=1e-5
         )
     # center value from the closed conformal identity
     n = 3
     eps, s = 0.1, 0.5
     center = 4.0 * n * (n - 1) * (-eps) * math.exp(-2.0 * eps) / s**2
-    assert bp.scalar_curvature_exact(np.zeros(3)) == pytest.approx(-center, rel=1e-12)
+    assert exact_models.bump_scalar_curvature(bp, np.zeros(3)) == pytest.approx(-center, rel=1e-12)
 
 
 def test_scalar_gradient_and_hessian():

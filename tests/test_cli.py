@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from doublebubble import fields, measure
-from doublebubble.cli import main, parse_config, fmt, ConfigError
+from doublebubble.charts import builtin_chart
+from doublebubble.cli import build_chart, main, parse_config, fmt, ConfigError
 
 
 def write_cfg(path: Path, text: str) -> Path:
@@ -172,9 +173,50 @@ def test_exit_codes(tmp_path):
             "bubble.m = 3\nchart.dim = 4\npoint = 0,0,0,0\naxis = 0,0,0,1\n"
             "quantities = area,v1,v2,h0,h1,h2,conormal,phi\n",
         ),
+        # malformed or out-of-range numbers, rejected before any numerics
+        ("verify", "grid = 32\n"),
+        ("verify", "grid = 32,64,8\n"),
+        ("verify", "grid = 0,64\n"),
+        ("verify", "grid = 16.5,32\n"),
+        ("verify", "sector_nodes = ten\n"),
+        ("verify", "geodesic_steps = 0\n"),
+        ("verify", "rho_list = 0.2,abc,0.1\n"),
+        ("verify", "rho_list = 0.2,0.1,-0.1\n"),
+        ("verify", "seed = x\n"),
+        ("verify", "seed = -1\nperturbed = true\n"),
+        ("verify", "field_amplitude = big\n"),
+        ("verify", "point = 0,zero,0\n"),
+        ("verify", "chart.a = one\n"),
+        ("verify", "chart.a = -1\n"),
+        ("verify", "chart = conformal_bump\nchart.s = wide\n"),
+        ("verify", "chart = euclidean\nchart.dim = 3.5\n"),
+        ("verify", "chart = euclidean\nchart.half_width = -1\n"),
+        ("verify", "chart = product\nchart.factors = 2-1.0,1:inf\n"),
+        ("verify", "chart = torus\n"),
+        ("predict", "rho = 0\n"),
+        ("predict", "newton_tol = tight\n"),
     ):
         wrong = write_cfg(tmp_path / "wrong.cfg", BASE_CFG + text)
         assert main([command, "--config", str(wrong), "--out", str(tmp_path)]) == 2, text
+
+
+def chart_settings(chart) -> dict:
+    """Everything a chart was built with, as comparable values."""
+    settings = {"type": type(chart), "name": chart.name, "dim": chart.dim,
+                "domain": (tuple(chart.domain.lo), tuple(chart.domain.hi))}
+    for key in ("a", "eps", "s", "factors"):
+        if hasattr(chart, key):
+            settings[key] = getattr(chart, key)
+    if hasattr(chart, "x0"):
+        settings["x0"] = tuple(chart.x0)
+    return settings
+
+
+@pytest.mark.parametrize("family", ["euclidean", "round_sphere", "conformal_bump", "product"])
+def test_chart_defaults_are_the_constructors(tmp_path, family):
+    # a config that names only the family builds the chart builtin_chart does
+    cfg = parse_config(write_cfg(tmp_path / "c.cfg", f"chart = {family}\n"))
+    assert chart_settings(build_chart(cfg)) == chart_settings(builtin_chart(family))
 
 
 def test_verify_perturbed_path(tmp_path):

@@ -12,20 +12,19 @@ from doublebubble.fields import (
     first_order_area_corrections,
     first_order_volume_corrections,
     jacobi_apply,
-    junction_residual,
     killing_basis,
-    killing_kernel_field,
     linearized_equiangularity_residual,
     neck_angle_grid,
     perturbed_mean_curvature,
     random_admissible_field,
-    random_smooth_field,
     sheet_grid,
     _neck_z,
     angles_to_dirs,
 )
 from doublebubble.fields import flat_point_z
 from doublebubble.geometry import BubbleParams, flat_metric, flat_rule, solve_standard_bubble
+
+from exact_models import junction_residual, random_smooth_field
 
 SYM = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
 ASYM = solve_standard_bubble(BubbleParams(2, 1.0, 3.0, 2.0))
@@ -125,14 +124,6 @@ def test_killing_fields_linearly_independent():
             gram += np.einsum("aq,bq,q->ab", vals, vals, w * np.sqrt(np.linalg.det(g)))
         assert np.linalg.matrix_rank(gram) == 5
         assert np.linalg.cond(gram) < 1e6
-
-
-def test_axis_fixing_rotation_is_trivial():
-    f = killing_kernel_field(SYM, ("rotation_fixing_axis", None))
-    pol = np.array([0.3, 0.8])
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0]])
-    for s in range(3):
-        assert np.abs(f.w(s, pol, dirs)).max() == 0.0
 
 
 def test_random_fields_fail_residuals():
