@@ -22,21 +22,24 @@ and velocity, exp_rays on the same state together with the Jacobi fields
 that give the differential of the exponential map.
 
 Layout: the public functions take and return points (..., n), but the RK4
-state and the geodesic hooks are component-major, components first and the
-batch axes last and contiguous: geodesic_acc(x, v) maps positions and
-velocities (n, ...) to -Gamma(v, v) (n, ...), and geodesic_acc_jacobi(x, v,
-jac, jac_dot) returns it together with A_x J + A_v J' (n, k, ...) for k
-columns J, J' (n, k, ...), where A_x and A_v are the derivatives of the
-acceleration in x and v.  No Jacobian matrix is built: the conformal charts
-apply their Hessian of f, alpha d d^T + beta I, to J directly.  Every kernel
-operation then runs over the whole batch at once instead of over a
-length-n axis per point.
+state, the geodesic hooks and the closed-form ray kernel are component-major,
+components first and the batch axes last and contiguous: geodesic_acc(x, v)
+maps positions and velocities (n, ...) to -Gamma(v, v) (n, ...),
+geodesic_acc_jacobi(x, v, jac, jac_dot) returns it together with A_x J +
+A_v J' (n, k, ...) for k columns J, J' (n, k, ...), where A_x and A_v are the
+derivatives of the acceleration in x and v, and dexp_closed(p, v) maps v
+(n, ...) to points (n, ...) and dexp (n, n, ...).  No Jacobian matrix is
+built: the conformal charts apply their Hessian of f, alpha d d^T + beta I,
+to J directly, and the round sphere fills dexp one column at a time.  Both
+ray paths meet in _exp_rays, which returns points (n, ..., k) and dexp
+(n, n, ..., k) at the k nodes of each ray.  Every kernel operation then runs
+over the whole batch at once instead of over a length-n axis per point.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
-axis)) and _det takes the package's determinants by cofactor expansion,
-so no numpy reduction over a length-3 axis and no LAPACK call per small
-matrix sits on a hot path.
+axis)) and _det takes the package's determinants by cofactor expansion of
+component-major stacks (n, n, ...), so no numpy reduction over a length-3
+axis and no LAPACK call per small matrix sits on a hot path.
 
 Charts are local by design; leaving the domain box is an error, never a
 clamp.
@@ -80,23 +83,34 @@ def _dot(a, b, axis: int = -1) -> np.ndarray:
 
 
 def _det(a) -> np.ndarray:
-    """Determinants of a stack of small matrices (..., n, n) by cofactor
-    expansion along the rows, every minor of the trailing rows built once."""
+    """Determinants of a component-major stack of small matrices (n, n, ...)
+    by cofactor expansion along the rows, every minor of the trailing rows
+    built once.  A point-major stack (..., n, n) goes in as the view
+    _component_major(a, 2)."""
     a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
+    n = a.shape[0]
     # minors[cols]: determinant of the last len(cols) rows in the columns cols
-    minors = {(): np.ones(a.shape[:-2])}
+    minors = {(): np.ones(a.shape[2:])}
     for k in range(1, n + 1):
-        row = a[..., n - k, :]
+        row = a[n - k]
         level = {}
         for cols in itertools.combinations(range(n), k):
-            det = row[..., cols[0]] * minors[cols[1:]]
+            det = row[cols[0]] * minors[cols[1:]]
             for i in range(1, k):
-                term = row[..., cols[i]] * minors[cols[:i] + cols[i + 1 :]]
-                det = det - term if i % 2 else det + term
+                term = row[cols[i]] * minors[cols[:i] + cols[i + 1 :]]
+                if i % 2:
+                    det -= term
+                else:
+                    det += term
             level[cols] = det
         minors = level
     return minors[tuple(range(n))]
+
+
+def _component_major(x, rank: int = 1) -> np.ndarray:
+    """The points x (..., n), or with rank=2 the matrices x (..., n, n), as a
+    component-major view (n, ...) or (n, n, ...)."""
+    return np.moveaxis(np.asarray(x, dtype=float), range(-rank, 0), range(rank))
 
 
 @dataclass(frozen=True)
@@ -132,9 +146,10 @@ class MetricChart:
     Subclasses implement the required hooks metric(x), christoffel_closed(x)
     = Gamma[..., a, i, j] and geodesic_acc(x, v) = -Gamma(v, v), the latter
     component-major (x, v and the result (n, ...)); the optional closed forms
-    metric_d1, metric_d2, exp_closed and dexp_closed, which returns
-    (Exp_p(v), dExp_p(v)) from one evaluation, return None here.  Missing
-    analytic derivatives are central differences with step FD_STEP.
+    metric_d1, metric_d2, exp_closed (points (..., n)) and dexp_closed, which
+    returns (Exp_p(v) (n, ...), dExp_p(v) (n, n, ...)) from one evaluation at
+    component-major v (n, ...), return None here.  Missing analytic
+    derivatives are central differences with step FD_STEP.
     """
 
     def __init__(self, dim: int, name: str, domain: Box):
@@ -162,8 +177,9 @@ class MetricChart:
         return None
 
     def dexp_closed(self, p, v):
-        """(points, dexp): Exp_p(v) (..., n) and its differential in v (..., n, n)
-        at a single base point p; None when unavailable."""
+        """(points, dexp): Exp_p(v) (n, ...) and its differential in v
+        (n, n, ...), dexp[i, j] = d points_i / d v_j, at a single base point p
+        and component-major v (n, ...); None when unavailable."""
         return None
 
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
@@ -229,13 +245,11 @@ class EuclideanChart(MetricChart):
         return np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
 
     def dexp_closed(self, p, v):
-        dexp = np.broadcast_to(np.eye(self.dim), np.shape(v) + (self.dim,)).copy()
-        return self.exp_closed(p, v), dexp
-
-
-def _component_major(x) -> np.ndarray:
-    """The points x (..., n) as a component-major view (n, ...)."""
-    return np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+        v = np.asarray(v, dtype=float)
+        dexp = np.zeros((self.dim,) + v.shape)
+        for i in range(self.dim):
+            dexp[i, i] = 1.0
+        return np.reshape(p, (-1,) + (1,) * (v.ndim - 1)) + v, dexp
 
 
 def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
@@ -355,41 +369,69 @@ class RoundSphereChart(MetricChart):
 
     def _great_circle(self, p, v):
         """Exp_p(v) along the great circle of the embedded sphere, for a single
-        base point p: returns the embedding differential at p (n + 1, n), the
-        embedded p, the unit direction and angle (..., 1) of the pushed v, the
-        great circle's endpoint in R^(n + 1) and its projection back to the
-        chart, which is p itself at zero speed."""
+        base point p and component-major v (n, ...): returns the embedding
+        differential at p (n + 1, n), the embedded p as a column (n + 1, 1,
+        ...), the unit direction (n + 1, ...) of the pushed v with its angle
+        and the angle's cosine and sine (...), the great circle's endpoint
+        (n + 1, ...) in R^(n + 1) and its projection back to the chart
+        (n, ...), which is p itself at zero speed."""
         a = self.a
+        n = self.dim
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
+        batch = v.shape[1:]
+        column = (-1,) + (1,) * len(batch)
         den = a**2 + p @ p
         push = np.vstack(
-            [(2.0 * a**2 / den) * (np.eye(self.dim) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
+            [(2.0 * a**2 / den) * (np.eye(n) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
         )
-        w = v @ push.T
-        speed = np.sqrt(_dot(w, w))[..., None]  # = |v|_G by conformality
+        # one matrix product over the whole batch, bit for bit the rows of v @ push.T
+        w = (push @ v.reshape(n, -1)).reshape((n + 1,) + batch)
+        speed = np.sqrt(_dot(w, w, axis=0))  # = |v|_G by conformality
         still = speed == 0.0
         theta = speed / a
-        wdir = w / np.where(still, 1.0, speed)
-        u0 = self.embed(p)
-        u1 = np.cos(theta) * u0 + a * np.sin(theta) * wdir
-        points = np.where(still, p, a * u1[..., :-1] / (a - u1[..., -1:]))
-        return push, u0, wdir, theta, u1, points
+        wdir = np.divide(w, np.where(still, 1.0, speed), out=w)
+        cos, sin = np.cos(theta), np.sin(theta)
+        u0 = self.embed(p).reshape(column)
+        u1 = cos * u0
+        u1 += (a * sin) * wdir
+        points = a * u1[:-1]
+        points /= a - u1[-1]
+        np.copyto(points, p.reshape(column), where=still)
+        return push, u0, wdir, theta, cos, sin, u1, points
 
     def exp_closed(self, p, v):
-        return self._great_circle(p, v)[-1]
+        return np.moveaxis(self._great_circle(p, _component_major(v))[-1], 0, -1)
 
     def dexp_closed(self, p, v):
-        """(Exp_p(v), its differential in v (..., n, n)) at a single base point p."""
+        """(Exp_p(v) (n, ...), its differential in v (n, n, ...)) at a single
+        base point p, component-major, filled one entry at a time in place."""
         a = self.a
-        push, u0, wdir, theta, u1, points = self._great_circle(p, v)
+        n = self.dim
+        push, u0, wdir, theta, cos, sin, u1, points = self._great_circle(p, v)
+        batch = theta.shape
         sinc = np.sinc(theta / math.pi)
-        # d u1 = k (wdir . dw) + sinc dw, then the stereographic projection back
-        k = -np.sin(theta) / a * u0 + (np.cos(theta) - sinc) * wdir
-        du1 = k[..., :, None] * (wdir @ push)[..., None, :] + sinc[..., None] * push
-        z = a - u1[..., -1:]
-        head = (a / z)[..., None] * du1[..., :-1, :]
-        return points, head + (a * u1[..., :-1] / z**2)[..., :, None] * du1[..., -1:, :]
+        # d u1 = k (wdir . dw) + sinc dw with dw = push dv
+        k = (-sin / a) * u0
+        k += (cos - sinc) * wdir
+        # wdir . dw along each coordinate of v, bit for bit the rows of wdir @ push
+        wpush = (push.T @ wdir.reshape(n + 1, -1)).reshape((n,) + batch)
+        # the stereographic projection back: scale d u1[:-1] + tail d u1[-1]
+        z = a - u1[-1]
+        scale = a / z
+        tail = a * u1[:-1]
+        tail /= z**2
+        dexp = np.empty((n, n) + batch)
+        tmp = np.empty(batch)
+        for c in range(n):
+            last = k[n] * wpush[c]
+            last += sinc * push[n, c]
+            for r in range(n):
+                out = np.multiply(k[r], wpush[c], out=dexp[r, c, ...])
+                out += np.multiply(sinc, push[r, c], out=tmp)
+                out *= scale
+                out += np.multiply(tail[r], last, out=tmp)
+        return points, dexp
 
 
 class ConformalBumpChart(MetricChart):
@@ -518,10 +560,10 @@ class ProductRoundChart(MetricChart):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         points = np.empty(v.shape)
-        dexp = np.zeros(v.shape + (self.dim,))
-        for off, d, sub, _ in self._blocks(p):
+        dexp = np.zeros((self.dim,) + v.shape)
+        for off, d, sub in self._charts:
             sl = slice(off, off + d)
-            points[..., sl], dexp[..., sl, sl] = sub.dexp_closed(p[..., sl], v[..., sl])
+            points[sl], dexp[sl, sl] = sub.dexp_closed(p[sl], v[sl])
         return points, dexp
 
 
@@ -902,6 +944,13 @@ def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fals
     j - 1 (or from t = 0) to node j, so every node is hit exactly.  A ray
     point outside the domain raises DomainExit, as in exp_map.
     """
+    points, dexp = _exp_rays(chart, p, _component_major(u), t_nodes, substeps, force_rk4)
+    return np.moveaxis(points, 0, -1), np.moveaxis(dexp, (0, 1), (-2, -1))
+
+
+def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
+    """exp_rays component-major: rays u (n, ...) in, points (n, ..., k) and
+    dexp (n, n, ..., k) out, from the closed form or the RK4 states alike."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     t_nodes = np.asarray(t_nodes, dtype=float)
@@ -911,10 +960,10 @@ def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fals
     if not (np.all(t_nodes[..., :1] > 0.0) and np.all(np.diff(t_nodes, axis=-1) > 0.0)):
         raise ValueError("ray nodes must be positive and increasing")
     if not force_rk4:
-        closed = chart.dexp_closed(p, t_nodes[..., None] * u[..., None, :])
+        closed = chart.dexp_closed(p, u[..., None] * t_nodes)
         if closed is not None:
             points, dexp = closed
-            if not np.all(chart.domain.inside_mask(points)):
+            if not np.all(chart.domain.inside_mask(np.moveaxis(points, 0, -1))):
                 raise DomainExit(f"ray left {chart.name}", exit_fraction=1.0)
             return points, dexp
 
@@ -927,17 +976,18 @@ def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fals
         acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
         return v, np.concatenate([acc[:, None], jac_dot, var], axis=1)
 
-    batch = u.shape[:-1]
+    batch = u.shape[1:]
     cols = np.zeros((n, 2 * n + 1) + batch)
-    cols[:, 0] = _component_major(u)
+    cols[:, 0] = u
     cols[:, 1 + n :] = np.eye(n).reshape((n, n) + (1,) * len(batch))
-    x = _component_major(np.broadcast_to(p, u.shape)).copy()
+    x = np.broadcast_to(p.reshape((n,) + (1,) * len(batch)), u.shape).copy()
     states = _rk4(chart, (x, cols), deriv, t_nodes, substeps)
-    points = np.empty(t_nodes.shape + (n,))
-    dexp = np.empty(t_nodes.shape + (n, n))
+    shape = np.broadcast_shapes(batch, t_nodes.shape[:-1]) + t_nodes.shape[-1:]
+    points = np.empty((n,) + shape)
+    dexp = np.empty((n, n) + shape)
     for j, (x, cols) in enumerate(states):
-        points[..., j, :] = np.moveaxis(x, 0, -1)
-        dexp[..., j, :, :] = np.moveaxis(cols[:, 1 : 1 + n] / t_nodes[..., j], (0, 1), (-2, -1))
+        points[..., j] = x
+        dexp[..., j] = cols[:, 1 : 1 + n] / t_nodes[..., j]
     return points, dexp
 
 

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import CurvatureAtPoint, _det, _stencil
+from .charts import CurvatureAtPoint, _component_major, _det, _stencil
 from .geometry import (
     BubbleParams,
     StandardBubble,
+    _normal_at,
     flat_metric,
     flat_rule,
     sheet_normal,
@@ -198,13 +199,16 @@ def flat_normal_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.ndarr
 def displaced_point_z(
     bubble: StandardBubble, sheet: int, z: np.ndarray, field: PerturbationField | None
 ) -> np.ndarray:
-    x = flat_point_z(bubble, sheet, z)
+    """x + w N + Y at parameters z, the directions and the flat point x
+    computed once."""
+    z = np.asarray(z, dtype=float)
+    dirs = angles_to_dirs(bubble.m, z[..., 1:])
+    x = sheet_point(bubble, sheet, z[..., 0], dirs)
     if field is None:
         return x
-    dirs = angles_to_dirs(bubble.m, z[..., 1:])
     w = field.w(sheet, z[..., 0], dirs)
     y = field.y(sheet, z[..., 0], dirs)
-    return x + w[..., None] * flat_normal_z(bubble, sheet, z) + y
+    return x + w[..., None] * _normal_at(bubble, sheet, x) + y
 
 
 def _param_steps(bubble: StandardBubble, sheet: int, rel: float = 1e-4) -> np.ndarray:
@@ -467,7 +471,7 @@ def first_order_area_corrections(bubble: StandardBubble, field: PerturbationFiel
     for s in range(3):
         z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
         d = sheet_point_data(bubble, s, z, field)
-        dmu = w * np.sqrt(_det(d.g))
+        dmu = w * np.sqrt(_det(_component_major(d.g, 2)))
         div = tangential_divergence(d)
         if s == 0 and bubble.symmetric:
             out[s] = float(np.sum(dmu * div))
@@ -509,7 +513,7 @@ def first_order_volume_corrections(bubble: StandardBubble, field: PerturbationFi
     for s in range(3):
         z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
         g, _ = flat_metric(bubble, s, z)
-        ints[s] = float(np.sum(w * np.sqrt(_det(g)) * field.w(s, z[:, 0], dirs)))
+        ints[s] = float(np.sum(w * np.sqrt(_det(_component_major(g, 2))) * field.w(s, z[:, 0], dirs)))
     dv1 = -ints[1] - ints[0]
     dv2 = -ints[2] + ints[0]
     return dv1, dv2
@@ -793,19 +797,28 @@ def random_admissible_field(
     if bubble.m != 2:
         raise ValueError("random admissible fields are implemented for m = 2")
 
+    def modes(dirs):
+        # cos th, sin th, cos 2th, sin 2th of the directions' angle th, once
+        # per field evaluation for every profile that reads them
+        d = np.asarray(dirs, dtype=float)
+        th = np.arctan2(d[..., 1], d[..., 0])
+        return np.cos(th), np.sin(th), np.cos(2 * th), np.sin(2 * th)
+
     def trig(c):
-        def t(th):
-            return c[0] + c[1] * np.cos(th) + c[2] * np.sin(th) + c[3] * np.cos(2 * th) + c[4] * np.sin(2 * th)
+        def t(md):
+            c1, s1, c2, s2 = md
+            return c[0] + c[1] * c1 + c[2] * s1 + c[3] * c2 + c[4] * s2
 
         return t
 
     def smooth_scalar(c):
-        # c: (3, 5); smooth field on a sheet in (u, theta)
-        def f(u, th):
+        # c: (3, 5); smooth field on a sheet in (u, theta), theta by its modes
+        def f(u, md):
+            c1, s1, c2, s2 = md
             return (
                 c[0, 0] + c[0, 1] * u**2 + c[0, 2] * u**4
-                + u * (c[1, 0] * np.cos(th) + c[1, 1] * np.sin(th)) * (1.0 + c[1, 2] * u**2)
-                + u**2 * (c[2, 0] * np.cos(2 * th) + c[2, 1] * np.sin(2 * th))
+                + u * (c[1, 0] * c1 + c[1, 1] * s1) * (1.0 + c[1, 2] * u**2)
+                + u**2 * (c[2, 0] * c2 + c[2, 1] * s2)
             )
 
         return f
@@ -815,21 +828,17 @@ def random_admissible_field(
     w2f = smooth_scalar(rng.normal(size=(3, 5)) * amplitude)
     w1_int = smooth_scalar(rng.normal(size=(3, 5)) * amplitude)
 
-    def theta_of(dirs):
-        d = np.asarray(dirs, dtype=float)
-        return np.arctan2(d[..., 1], d[..., 0])
-
     def make_w(sheet):
         if sheet == 0:
-            return lambda polar, dirs: w0f(np.asarray(polar) / uppers[0], theta_of(dirs))
+            return lambda polar, dirs: w0f(np.asarray(polar) / uppers[0], modes(dirs))
         if sheet == 2:
-            return lambda polar, dirs: w2f(np.asarray(polar) / uppers[2], theta_of(dirs))
+            return lambda polar, dirs: w2f(np.asarray(polar) / uppers[2], modes(dirs))
 
         def w1(polar, dirs):
             u = np.asarray(polar, dtype=float) / uppers[1]
-            th = theta_of(dirs)
-            trace = w0f(1.0, th) + w2f(1.0, th)
-            return u**2 * trace + (1.0 - u**2) * w1_int(u, th)
+            md = modes(dirs)
+            trace = w0f(1.0, md) + w2f(1.0, md)
+            return u**2 * trace + (1.0 - u**2) * w1_int(u, md)
 
         return w1
 
@@ -846,12 +855,12 @@ def random_admissible_field(
 
         def y(polar, dirs):
             u = np.asarray(polar, dtype=float) / uppers[sheet]
-            th = theta_of(dirs)
+            md = modes(dirs)
             # the conormal component the junction relations require on the neck
-            u_s = admissible_closure(w0f(1.0, th), w2f(1.0, th))[f"u{sheet}"]
+            u_s = admissible_closure(w0f(1.0, md), w2f(1.0, md))[f"u{sheet}"]
             fade = u**2 * (1.0 - u**2)
-            a = -(u**2) * u_s + fade * na(th)
-            bcomp = u**2 * b_gamma(th) + fade * nb(th)
+            a = -(u**2) * u_s + fade * na(md)
+            bcomp = u**2 * b_gamma(md) + fade * nb(md)
             e_pol, e_th = sheet_unit_tangents(bubble, sheet, polar, dirs)
             # the inward conormal is -e_pol, so <Y, nu> = -a at the neck
             return a[..., None] * e_pol + bcomp[..., None] * e_th

@@ -311,13 +311,15 @@ def sheet_normal(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
     axis direction.  The shape is that of sheet_point, (..., m + 1) over the
     broadcast of polar and the leading shape of dirs.
     """
-    dirs = np.asarray(dirs, dtype=float)
+    return _normal_at(bubble, sheet, sheet_point(bubble, sheet, polar, dirs))
+
+
+def _normal_at(bubble: StandardBubble, sheet: int, x: np.ndarray) -> np.ndarray:
+    """sheet_normal at the points x (..., m + 1) of the sheet."""
     if sheet == 0 and bubble.symmetric:
-        shape = np.broadcast_shapes(np.shape(polar), dirs.shape[:-1])
-        out = np.zeros(shape + (dirs.shape[-1] + 1,))
+        out = np.zeros(x.shape)
         out[..., -1] = 1.0
         return out
-    x = sheet_point(bubble, sheet, polar, dirs)
     center = np.zeros(x.shape[-1])
     center[-1] = bubble.centers[sheet]
     return (center - x) / bubble.radii[sheet]

@@ -72,6 +72,9 @@ DEDUPE_TOL = 1e-4
 # cyclic Jacobi: relative off-diagonal tolerance and sweep limit
 JACOBI_TOL = 1e-14
 JACOBI_MAX_SWEEPS = 40
+# gap thresholds (delta0, delta1) of the Ricci eigenvalue groups, relative to
+# the largest Ricci component
+RICCI_GAPS = (1e-6, 1e-3)
 
 
 def find_critical_scalar(chart: MetricChart, x0, tol: float = 1e-6) -> CriticalPoint:
@@ -176,27 +179,20 @@ def jacobi_eigh(a: np.ndarray):
     return np.diag(a)[order], v[:, order]
 
 
-def ricci_eigendecomposition(
-    chart: MetricChart,
-    p,
-    gaps: tuple[float, float] | None = None,
-) -> RicciEigen:
+def ricci_eigendecomposition(chart: MetricChart, p) -> RicciEigen:
     """Ricci eigen-structure at p in an orthonormal frame.
 
-    gaps = (delta0, delta1) absolute thresholds; the default is
-    (1e-6, 1e-3) * ||Ric||.  Eigenvalues closer than delta0 share a group and
-    a warning-free partition requires every cross-group gap to exceed delta1.
+    The gap thresholds (delta0, delta1) are RICCI_GAPS times ||Ric||.
+    Eigenvalues closer than delta0 share a group and a warning-free
+    partition requires every cross-group gap to exceed delta1.
     """
     p = np.asarray(p, dtype=float)
     seed = np.zeros(chart.dim)
     seed[-1] = 1.0
     curv = curvature_at(chart, p, seed, nabla=False)
     norm = max(float(np.abs(curv.ricci).max()), 1e-300)
-    if gaps is None:
-        gaps = (1e-6 * norm, 1e-3 * norm)
+    gaps = (RICCI_GAPS[0] * norm, RICCI_GAPS[1] * norm)
     delta0, delta1 = gaps
-    if delta0 >= delta1:
-        raise ValueError(f"gap thresholds must satisfy delta0 < delta1, got {gaps}")
     eigenvalues, eigenvectors = jacobi_eigh(curv.ricci)
     groups = []
     current = [0]

@@ -30,7 +30,7 @@ volume density at the flat point t theta is
 
   rho^n |det(dExp_p(t rho E theta) E)| sqrt(det G) t^(n-1),
 
-with dExp from charts.exp_rays.  Perturbed volumes add the swept-prism
+with dExp from charts._exp_rays.  Perturbed volumes add the swept-prism
 volume of each sheet, which is closure independent.
 
 verify_many sweeps rho once.  At each rho it builds one EmbeddedBubble and
@@ -54,12 +54,14 @@ from .charts import (
     DomainExit,
     MetricChart,
     OrthoFrame,
+    _component_major,
     _det,
+    _dot,
+    _exp_rays,
     _stencil,
     christoffel,
     curvature_at,
     exp_map,
-    exp_rays,
 )
 from .fields import (
     PerturbationField,
@@ -193,8 +195,8 @@ class EmbeddedBubble:
             z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
 
             def points(zz):
-                flat = flat_point_z(b, sheet, zz)
                 displaced = displaced_point_z(b, sheet, zz, self.perturbation)
+                flat = displaced if self.perturbation is None else flat_point_z(b, sheet, zz)
                 return np.stack([flat, displaced - flat, self.embed_flat(displaced)], axis=-2)
 
             values, d1 = _stencil(points, z, _param_steps(b, sheet, H_REL))
@@ -217,7 +219,7 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
         _, w, values, d1 = eb.sheet_stencil(s)
         pos, tangents = values[:, EMBEDDED], d1[:, :, EMBEDDED]
         gram = np.einsum("...ik,...kl,...jl->...ij", tangents, eb.chart.metric(pos), tangents)
-        out[s] = float(np.sum(w * np.sqrt(_det(gram))))
+        out[s] = float(np.sum(w * np.sqrt(_det(_component_major(gram, 2)))))
     eb._sheet_cache["areas"] = out
     return out.copy()
 
@@ -229,34 +231,44 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     the flat model; the signed coordinate Jacobian times sqrt(det G)
     integrates to the exact region change, positive when the sheet moves
     along its own normal N_s.  The Jacobian is rho dExp_p(rho E y) E
-    [d_tau y, d_z y]: dExp comes from charts.exp_rays (closed form, or RK4 on
-    the Jacobi equation with geodesic_steps steps) at each of 6 Gauss-Legendre
-    tau levels, and the flat columns d_z y from 4-point stencils of the flat
-    and displaced sheets (EmbeddedBubble.sheet_stencil), which are linear in
-    tau.
+    [d_tau y, d_z y]: dExp comes from one charts._exp_rays call (closed form,
+    or RK4 on the Jacobi equation with geodesic_steps steps) at all 6
+    Gauss-Legendre tau levels at once, and the flat columns d_z y from
+    4-point stencils of the flat and displaced sheets
+    (EmbeddedBubble.sheet_stencil), which are linear in tau.  Everything
+    from the levels on is component-major, the batch (6, N) last.
     """
     z, w, values, d1 = eb.sheet_stencil(sheet)
-    flat, displ = values[:, FLAT], values[:, DISPLACEMENT]
-    # columns d_z y, (N, n, m)
-    tang_flat = np.swapaxes(d1[:, :, FLAT], -1, -2)
-    tang_displ = np.swapaxes(d1[:, :, DISPLACEMENT], -1, -2)
+    flat, displ = values[:, FLAT].T, values[:, DISPLACEMENT].T
+    # columns d_z y, (n, m, N)
+    tang_flat = np.transpose(d1[:, :, FLAT])
+    tang_displ = np.transpose(d1[:, :, DISPLACEMENT])
+    n, m = tang_flat.shape[:2]
     # orientation factor: sign of the flat-model determinant with a unit
     # normal displacement
     nrm = flat_normal_z(eb.bubble, sheet, z)
-    orient = np.sign(_det(np.concatenate([nrm[..., None], tang_flat], axis=-1)))
+    orient = np.sign(_det(np.concatenate([nrm.T[:, None], tang_flat], axis=1)))
     e = eb.frame.matrix
     t, wt = gauss_legendre(6)
+    tau = (0.5 * (t + 1.0))[:, None]
+    y = flat[:, None] + tau * displ[:, None]
+    u = (e @ (eb.rho * y).reshape(n, -1)).reshape(y.shape)
+    points, dexp = _exp_rays(
+        eb.chart, eb.frame.base, u, np.ones(y.shape[1:] + (1,)), [eb.geodesic_steps]
+    )
+    # the flat columns [d_tau y, d_z y] at each level (n, m + 1, 6, N), and
+    # E times them
+    flat_cols = np.empty((n, m + 1) + y.shape[1:])
+    flat_cols[:, 0] = displ[:, None]
+    flat_cols[:, 1:] = tang_flat[:, :, None] + tau * tang_displ[:, :, None]
+    cols = (e @ flat_cols.reshape(n, -1)).reshape(flat_cols.shape)
+    # jac[i, c] = rho sum_j dExp[i, j] cols[j, c]
+    jac = eb.rho * _dot(np.swapaxes(dexp[..., 0], 0, 1)[:, :, None], cols[:, None], axis=0)
+    gmat = eb.chart.metric(np.moveaxis(points[..., 0], 0, -1))
+    dets = _det(jac) * np.sqrt(_det(_component_major(gmat, 2))) * orient
     total = 0.0
-    for tv, tw in zip(0.5 * (t + 1.0), 0.5 * wt):
-        y = flat + tv * displ
-        points, dexp = exp_rays(
-            eb.chart, eb.frame.base, eb.rho * y @ e.T, np.ones((len(y), 1)), [eb.geodesic_steps]
-        )
-        flat_cols = np.concatenate([displ[..., None], tang_flat + tv * tang_displ], axis=-1)
-        jac = eb.rho * dexp[:, 0] @ e @ flat_cols  # columns (d tau, d z_i)
-        gmat = eb.chart.metric(points[:, 0])
-        dets = _det(jac) * np.sqrt(_det(gmat)) * orient
-        total += tw * float(np.sum(w * dets))
+    for tw, level in zip(0.5 * wt, dets):
+        total += tw * float(np.sum(w * level))
     return total
 
 
@@ -289,13 +301,15 @@ def _ray_volumes(eb: EmbeddedBubble, theta, weights, ends) -> list[float]:
         # the gap after a segment's last node opens the next segment
         substeps += [counts[0] + (counts[-1] if j else 0), *counts[1:-1]]
     e = eb.frame.matrix
-    points, dexp = exp_rays(eb.chart, eb.frame.base, eb.rho * theta @ e.T, t_nodes, substeps)
+    u = np.ascontiguousarray((eb.rho * theta @ e.T).T)
+    points, dexp = _exp_rays(eb.chart, eb.frame.base, u, t_nodes, substeps)
     n = theta.shape[1]
+    gmat = eb.chart.metric(np.moveaxis(points, 0, -1))
     density = (
         eb.rho**n
         * abs(_det(e))
         * np.abs(_det(dexp))
-        * np.sqrt(_det(eb.chart.metric(points)))
+        * np.sqrt(_det(_component_major(gmat, 2)))
         * t_nodes ** (n - 1)
     )
     out = []
@@ -318,7 +332,7 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     # upper half of S^m: polar angle alpha in [0, pi/2] from the axis with
     # density sin^(m-1)(alpha), times the round measure of S^(m-1)
     z, dirs, w = flat_rule(b.m, 0.5 * math.pi, eb.grid, lambda alpha: np.sin(alpha) ** (b.m - 1))
-    weights = w * np.sqrt(_det(round_metric(z[:, 1:])[0]))
+    weights = w * np.sqrt(_det(_component_major(round_metric(z[:, 1:])[0], 2)))
     up = np.concatenate([np.sin(z[:, :1]) * dirs, np.cos(z[:, :1])], axis=1)
     down = up * np.append(np.ones(b.m), -1.0)
     (v1,) = _ray_volumes(eb, up, weights, [_ball_exit(b, 1, up[:, -1])])

@@ -215,18 +215,104 @@ def test_dot_is_numpy_sum_bit_for_bit():
 
 def test_det_matches_lapack():
     rng = np.random.default_rng(22)
-    for n in range(1, 5):
-        a = rng.normal(size=(200, n, n)) + 3.0 * np.eye(n)  # well conditioned
-        ref = np.linalg.det(a)
-        assert np.all(np.abs(_det(a) - ref) <= 1e-13 * np.abs(ref))
-        assert np.abs(_det(a[0]) - ref[0]) <= 1e-13 * abs(ref[0])
-    # the closed-form exp-map differentials behind the chamber volumes
+    for n in range(0, 5):
+        a = rng.normal(size=(40, 5, n, n)) + 3.0 * np.eye(n)  # well conditioned
+        ref = np.linalg.det(a) if n else np.ones((40, 5))
+        # point-major stacks go in as component-major views (n, n, ...)
+        dets = _det(charts._component_major(a, 2))
+        assert dets.shape == (40, 5)
+        assert np.all(np.abs(dets - ref) <= 1e-13 * np.abs(ref))
+        # a contiguous component-major copy gives the same bits
+        assert np.array_equal(_det(np.ascontiguousarray(charts._component_major(a, 2))), dets)
+        # one matrix alone
+        if n:
+            assert np.abs(_det(a[0, 0]) - ref[0, 0]) <= 1e-13 * abs(ref[0, 0])
+    # the closed-form exp-map differentials behind the chamber volumes,
+    # component-major (n, n, ...)
     sp = builtin_chart("round_sphere", a=1.0)
-    _, dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), rng.normal(size=(50, 4, 3)) * 0.5)
-    ref = np.linalg.det(dexp)
+    _, dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), rng.normal(size=(3, 50, 4)) * 0.5)
+    ref = np.linalg.det(np.moveaxis(dexp, (0, 1), (-2, -1)))
     assert np.all(np.abs(_det(dexp) - ref) <= 1e-13 * np.abs(ref))
-    # the empty matrices of the round metric of S^0 (m = 1)
-    assert np.array_equal(_det(np.zeros((5, 0, 0))), np.ones(5))
+
+
+def _point_major_great_circle(chart, p, v):
+    """Reference: the round sphere's closed-form Exp_p(v) (..., n) and dExp_p(v)
+    (..., n, n) in the point-major layout, one (n + 1, n) differential of
+    the embedded great circle per ray."""
+    a = chart.a
+    den = a**2 + p @ p
+    push = np.vstack(
+        [(2.0 * a**2 / den) * (np.eye(chart.dim) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
+    )
+    w = v @ push.T
+    speed = np.sqrt(_dot(w, w))[..., None]
+    still = speed == 0.0
+    theta = speed / a
+    wdir = w / np.where(still, 1.0, speed)
+    u0 = chart.embed(p)
+    u1 = np.cos(theta) * u0 + a * np.sin(theta) * wdir
+    points = np.where(still, p, a * u1[..., :-1] / (a - u1[..., -1:]))
+    sinc = np.sinc(theta / math.pi)
+    k = -np.sin(theta) / a * u0 + (np.cos(theta) - sinc) * wdir
+    du1 = k[..., :, None] * (wdir @ push)[..., None, :] + sinc[..., None] * push
+    z = a - u1[..., -1:]
+    head = (a / z)[..., None] * du1[..., :-1, :]
+    return points, head + (a * u1[..., :-1] / z**2)[..., :, None] * du1[..., -1:, :]
+
+
+def _point_major_closed_form(chart, p, v):
+    """Reference Exp_p(v) and dExp_p(v), point-major, of the charts with a
+    closed-form exponential."""
+    if isinstance(chart, charts.RoundSphereChart):
+        return _point_major_great_circle(chart, p, v)
+    points = np.empty(v.shape)
+    dexp = np.zeros(v.shape + (chart.dim,))
+    blocks = chart._charts if isinstance(chart, charts.ProductRoundChart) else [(0, chart.dim, chart)]
+    for off, d, sub in blocks:
+        sl = slice(off, off + d)
+        if isinstance(sub, charts.RoundSphereChart):
+            points[..., sl], dexp[..., sl, sl] = _point_major_great_circle(sub, p[sl], v[..., sl])
+        else:
+            points[..., sl] = p[sl] + v[..., sl]
+            dexp[..., sl, sl] = np.eye(d)
+    return points, dexp
+
+
+@pytest.mark.parametrize(
+    "family,kw",
+    [
+        ("round_sphere", dict(a=1.0)),
+        ("round_sphere", dict(a=2.0)),
+        ("round_sphere", dict(a=1.0, dim=4)),
+        ("product", dict(factors=[(3, 1.0), (1, math.inf)])),
+        ("euclidean", dict(dim=3)),
+    ],
+)
+def test_component_major_closed_form_is_the_point_major_formula(family, kw):
+    # the component-major closed form against the point-major formula: bit
+    # for bit for rays with several nodes and for exp_map, zero-speed rays
+    # included; at one node per ray the point-major products were one
+    # matrix-vector product per ray, which rounds differently
+    chart = builtin_chart(family, **kw)
+    rng = np.random.default_rng(13)
+    n = chart.dim
+    p = rng.uniform(-0.2, 0.2, size=n)
+    u = rng.normal(size=(40, n)) * 0.1
+    u[[3, 17]] = 0.0
+    for k in (3, 1):
+        t_nodes = np.sort(rng.uniform(0.3, 1.5, size=(40, k)), axis=1)
+        points, dexp = exp_rays(chart, p, u, t_nodes, [4] * k)
+        ref_points, ref_dexp = _point_major_closed_form(chart, p, t_nodes[..., None] * u[:, None])
+        assert points.shape == (40, k, n) and dexp.shape == (40, k, n, n)
+        if k > 1:
+            assert np.array_equal(points, ref_points), chart.name
+            assert np.array_equal(dexp, ref_dexp), chart.name
+        else:
+            assert np.abs(points - ref_points).max() <= 1e-15 * np.abs(ref_points).max(), chart.name
+            assert np.abs(dexp - ref_dexp).max() <= 1e-15 * np.abs(ref_dexp).max(), chart.name
+        # zero speed: the base point itself
+        assert np.array_equal(points[[3, 17]], np.broadcast_to(p, (2, k, n)))
+    assert np.array_equal(exp_map(chart, p, u), _point_major_closed_form(chart, p, u)[0]), chart.name
 
 
 def test_inside_mask_closed_box_and_nan():

@@ -77,8 +77,6 @@ def test_ricci_eigendecomposition_groups():
     assert [len(g) for g in eig.groups] == [1, 2]
     assert eig.eigenvalues[0] == pytest.approx(0.0, abs=1e-9)
     assert eig.eigenvalues[1] == pytest.approx(0.25, abs=1e-9)
-    with pytest.raises(ValueError):
-        ricci_eigendecomposition(pr, np.zeros(3), gaps=(1e-3, 1e-6))
 
 
 def test_predict_counts_follow_symmetry():
