@@ -13,7 +13,9 @@ returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 Chart hooks (MetricChart): metric, christoffel_closed and geodesic_acc are
 required; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
 (points, dexp), are optional and return None without a closed form;
-geodesic_acc_jacobi has a finite-difference default.  Every central
+geodesic_acc_jacobi has a finite-difference default, and volume_element
+(sqrt(det G) at component-major points) one from the metric's cofactor
+determinant, which the builtin charts replace by closed forms.  Every central
 difference in chart coordinates takes the one step FD_STEP.
 
 Geodesics take a chart's closed-form exponential where it has one, and
@@ -182,6 +184,10 @@ class MetricChart:
         and component-major v (n, ...); None when unavailable."""
         return None
 
+    def volume_element(self, x):
+        """sqrt(det G) at component-major points x (n, ...), shape (...)."""
+        return np.sqrt(_det(_component_major(self.metric(np.moveaxis(x, 0, -1)), 2)))
+
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         """(acc, A_x J + A_v J') for the geodesic acceleration acc = -Gamma(v, v)
         at x, v (n, ...) and the k columns of J, J' (n, k, ...), component-major.
@@ -230,6 +236,9 @@ class EuclideanChart(MetricChart):
     def metric_d2(self, x):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (self.dim,) * 4)
+
+    def volume_element(self, x):
+        return np.ones(np.shape(x)[1:])
 
     def christoffel_closed(self, x):
         x = np.asarray(x, dtype=float)
@@ -341,6 +350,10 @@ class RoundSphereChart(MetricChart):
         radial = 4.0 * e2[..., None, None] * xx + 2.0 * e1[..., None, None] * eye
         return radial[..., :, :, None, None] * eye
 
+    def volume_element(self, x):
+        # lam^n with lam = 2 a^2 / (a^2 + |x|^2)
+        return (2.0 * self.a**2 / (self.a**2 + _dot(x, x, axis=0))) ** self.dim
+
     def _grad_f(self, x):
         # f = log(2 a^2 / (a^2 + |x|^2)) at component-major x (n, ...); also
         # returns u = a^2 + |x|^2
@@ -421,6 +434,9 @@ class RoundSphereChart(MetricChart):
         scale = a / z
         tail = a * u1[:-1]
         tail /= z**2
+        # the great circle's own arrays are spent: free them before dexp, at
+        # the peak of a ray batch's memory
+        del wdir, theta, cos, sin, u1, z
         dexp = np.empty((n, n) + batch)
         tmp = np.empty(batch)
         for c in range(n):
@@ -473,6 +489,9 @@ class ConformalBumpChart(MetricChart):
         idx = np.arange(self.dim)
         out[..., idx, idx] = e2f[..., None]
         return out
+
+    def volume_element(self, x):
+        return np.exp(self.dim * self._f(x, axis=0)[0])
 
     def christoffel_closed(self, x):
         return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
@@ -529,6 +548,12 @@ class ProductRoundChart(MetricChart):
 
     def christoffel_closed(self, x):
         return self._block_diagonal(x, "christoffel_closed", 3)
+
+    def volume_element(self, x):
+        out = np.ones(np.shape(x)[1:])
+        for off, d, sub in self._charts:
+            out = out * sub.volume_element(x[off : off + d])
+        return out
 
     # the geodesic hooks, component-major, factor by factor on their rows
 
@@ -623,14 +648,17 @@ def _stencil(fun, x, h, order: int = 1, neck: bool = False):
     cross.  With neck=True the derivative along x_0 is the one-sided 5-point
     stencil on x_0, x_0 - h, ..., x_0 - 4h instead, for points on the neck
     end x_0 = upper of a sheet (first derivatives only).  fun sees every
-    shifted point in one call, stacked on a new leading axis.
+    shifted point in one call, the _stencil_points stack; values of fun
+    taken there earlier go to _stencil_differences directly.
     """
+    return _stencil_differences(fun(_stencil_points(x, h, order, neck)), x, h, order, neck)
+
+
+def _stencil_keys(n: int, order: int, neck: bool) -> list:
+    """The shifts of _stencil, each a tuple of (axis, multiple of that axis'
+    step); () is the centre."""
     if neck and order != 1:
         raise ValueError("the one-sided neck stencil gives first derivatives only")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    # a shift is a tuple of (axis, multiple of that axis' step); () is the centre
     keys = [()]
     for i in range(n):
         keys += [((i, c),) for c in ((-1, -2, -3, -4) if neck and i == 0 else (1, -1, 2, -2))]
@@ -642,11 +670,29 @@ def _stencil(fun, x, h, order: int = 1, neck: bool = False):
             for ci in (1, -1)
             for cj in (1, -1)
         ]
+    return keys
+
+
+def _stencil_points(x, h, order: int = 1, neck: bool = False) -> np.ndarray:
+    """Every shifted point of _stencil at points x (..., n), stacked on a new
+    leading axis, the centre first."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    keys = _stencil_keys(n, order, neck)
     shifts = np.zeros((len(keys), n))
     for row, key in enumerate(keys):
         for i, c in key:
             shifts[row, i] = c * h[i]
-    f = dict(zip(keys, fun(x + shifts.reshape((len(keys),) + (1,) * (x.ndim - 1) + (n,)))))
+    return x + shifts.reshape((len(keys),) + (1,) * (x.ndim - 1) + (n,))
+
+
+def _stencil_differences(values, x, h, order: int = 1, neck: bool = False):
+    """_stencil from the values of fun at _stencil_points(x, h, order, neck)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    f = dict(zip(_stencil_keys(n, order, neck), values))
     f0 = f[()]
 
     def at(i, c):

@@ -160,8 +160,12 @@ def admissibility_bound(bubble: StandardBubble) -> float:
     return 0.1 * min(r for r in bubble.radii if math.isfinite(r))
 
 
-def check_admissible(field: PerturbationField) -> None:
-    sup = field.sup_amplitude()
+def check_admissible(field: PerturbationField, unit_sup: float | None = None) -> None:
+    """Raise ValueError when the field's sup amplitude exceeds
+    admissibility_bound.  unit_sup, the sup_amplitude of the field at scale
+    1 when known, saves sampling the field again: |scale| times it is bit
+    for bit the field's own, rounding being monotone."""
+    sup = field.sup_amplitude() if unit_sup is None else abs(field.scale) * unit_sup
     delta = admissibility_bound(field.bubble)
     if sup > delta:
         raise ValueError(f"field amplitude {sup:.3e} exceeds admissibility bound {delta:.3e}")

@@ -10,10 +10,15 @@ curvature expansions; those are *checked against* these numbers.
 Sheets are sampled on the geometry.flat_rule grid of their parameters
 z = (polar, angles), and differentiated by the 4th-order stencils of
 charts._stencil, which push every shifted parameter point of a sheet
-through the exponential map in one batched call.  An EmbeddedBubble keeps
-one such stencil per sheet (sheet_stencil: the flat sheet, its displacement
-and the embedded displaced sheet), so the areas and the swept prisms of the
-volumes displace and embed each sheet once.
+through the exponential map in one batched call.  The rho-independent half
+of this, the flat side, is a FlatModel: per sheet the flat points and the
+raw field values at every stencil point, the flat sheet's derivatives and
+the prisms' orientation signs, and the volume rays' directions, exits and
+nodes.  An EmbeddedBubble keeps three layers per sheet (sheet_layer: the
+flat sheet from the model, its displacement x + (s w) N + s Y at the
+bubble's field scale s, and the embedded displaced sheet, built only for
+the areas), so the areas and the swept prisms of the volumes displace each
+sheet once and embed it at most once.
 
 Enclosed volumes are ray integrals from the base point, which sits at the
 centre of the flat neck disk and so inside every ball of the bubble.  Each
@@ -30,22 +35,27 @@ volume density at the flat point t theta is
 
   rho^n |det(dExp_p(t rho E theta) E)| sqrt(det G) t^(n-1),
 
-with dExp from charts._exp_rays.  Perturbed volumes add the swept-prism
+with dExp from charts._exp_rays and sqrt(det G) from the chart's
+volume_element.  Perturbed volumes add the swept-prism
 volume of each sheet, which is closure independent.
 
-verify_many sweeps rho once.  At each rho it builds one EmbeddedBubble and
-measures only the requested quantities from it, its cache sharing areas and
-volumes between area, v1, v2, vtot and the energy behind phi.  The
-expansions it compares with are built once per sweep; the first-order field
-responses are linear in the rho^2-scaled field, so they are computed once for
-the unscaled field and enter at rho as rho^2 * response.
+verify_many sweeps rho once.  It builds one FlatModel before its threads
+start, and at each rho one EmbeddedBubble on it, measuring only the
+requested quantities, its cache sharing areas and volumes between area, v1,
+v2, vtot and the energy behind phi; so each rho spends its time on the
+exponential map.  The expansions it compares with are built once per sweep;
+the first-order field responses are linear in the rho^2-scaled field, so
+they are computed once for the unscaled field and enter at rho as rho^2 *
+response.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,29 +69,31 @@ from .charts import (
     _dot,
     _exp_rays,
     _stencil,
+    _stencil_differences,
+    _stencil_points,
     christoffel,
     curvature_at,
     exp_map,
 )
 from .fields import (
     PerturbationField,
+    angles_to_dirs,
     check_admissible,
     displaced_point_z,
     first_order_area_corrections,
     first_order_volume_corrections,
-    flat_point_z,
     flat_normal_z,
     neck_angle_grid,
     perturbed_mean_curvature,
     _neck_z,
     _param_steps,
 )
-from .geometry import StandardBubble, flat_rule, gauss_legendre, round_metric
+from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, round_metric
 
 # relative parameter step of the sheet stencils (ten times it for the second
 # derivatives of measure_fundamental_forms)
 H_REL = 1e-4
-# layers of EmbeddedBubble.sheet_stencil
+# layers of EmbeddedBubble.sheet_layer
 FLAT, DISPLACEMENT, EMBEDDED = range(3)
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
@@ -126,6 +138,120 @@ def fit_order(rhos, errors, floor: float = 0.0) -> ConvergenceFit:
 # embedded bubbles
 
 
+def _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes) -> tuple:
+    funcs = None if perturbation is None else (perturbation.w_funcs, perturbation.y_funcs)
+    return bubble, funcs, tuple(grid), geodesic_steps, sector_nodes
+
+
+class _FlatSheet(NamedTuple):
+    """One sheet of a FlatModel; the stencil points are the
+    charts._stencil_points of the nodes z with parameter steps `steps`."""
+
+    z: np.ndarray  # flat_rule nodes (N, m)
+    w: np.ndarray  # and weights (N,)
+    steps: np.ndarray
+    x: np.ndarray  # flat points at the stencil points (k, N, n)
+    fw: np.ndarray | None  # the field at scale 1 there: normal amplitude (k, N)
+    fy: np.ndarray | None  # and tangential part (k, N, n)
+    flat_d1: np.ndarray  # parameter derivatives (N, m, n) of the FLAT layer x[0]
+    orient: np.ndarray  # sign of the flat-model determinant [N, d_z x] (N,)
+
+
+class _RayRule(NamedTuple):
+    """The rays of one half-sphere of directions theta (N, n) with weights
+    (N,): segment j, of lengths[j] (N,), carries sector_nodes Gauss-Legendre
+    nodes of t_nodes (N, k) with half-weights radial (q,); substeps[j] RK4
+    steps lead to node j."""
+
+    theta: np.ndarray
+    weights: np.ndarray
+    lengths: list
+    t_nodes: np.ndarray
+    substeps: list
+    radial: np.ndarray
+
+
+class FlatModel:
+    """The rho-independent half of the oracle: the flat model of a bubble and
+    a field at one resolution, which every EmbeddedBubble built on it maps
+    through the exponential map at its own rho and field scale.
+
+    sheets holds one _FlatSheet per sheet: the flat_rule nodes and weights,
+    the flat points and the raw field values (without the field's scale) at
+    every stencil point, the FLAT layer's derivatives and the prisms'
+    orientation signs.  rays holds the two half-spheres of volume rays.  Both
+    are built on first use; verify_many builds them before its threads
+    start, so that every rho of a sweep reads one model.
+    """
+
+    def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
+        self.spec = _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes)
+        self.bubble, _, self.grid, self.geodesic_steps, self.sector_nodes = self.spec
+        # the field at scale 1, and its sup_amplitude for check_admissible
+        self.field = None if perturbation is None else replace(perturbation, scale=1.0)
+        self.field_sup = None if self.field is None else self.field.sup_amplitude()
+
+    @cached_property
+    def sheets(self) -> list:
+        return [self._sheet(s) for s in range(3)]
+
+    def _sheet(self, sheet: int) -> _FlatSheet:
+        b = self.bubble
+        z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
+        steps = _param_steps(b, sheet, H_REL)
+        zz = _stencil_points(z, steps)
+        # the flat sheet, as displaced_point_z forms it without a field
+        x = displaced_point_z(b, sheet, zz, None)
+        fw = fy = None
+        if self.field is not None:
+            dirs = angles_to_dirs(b.m, zz[..., 1:])
+            fw, fy = self.field.w(sheet, zz[..., 0], dirs), self.field.y(sheet, zz[..., 0], dirs)
+        _, flat_d1 = _stencil_differences(x, z, steps)
+        nrm = _normal_at(b, sheet, x[0])
+        orient = np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(flat_d1)], axis=1)))
+        return _FlatSheet(z, w, steps, x, fw, fy, flat_d1, orient)
+
+    @cached_property
+    def rays(self) -> tuple:
+        """(up, down) _RayRule: up ends at sphere 1; down at sphere 2, and in
+        the asymmetric case first at sphere 0."""
+        b = self.bubble
+        # upper half of S^m: polar angle alpha in [0, pi/2] from the axis with
+        # density sin^(m-1)(alpha), times the round measure of S^(m-1)
+        z, dirs, w = flat_rule(
+            b.m, 0.5 * math.pi, self.grid, lambda alpha: np.sin(alpha) ** (b.m - 1)
+        )
+        weights = w * np.sqrt(_det(_component_major(round_metric(z[:, 1:])[0], 2)))
+        up = np.concatenate([np.sin(z[:, :1]) * dirs, np.cos(z[:, :1])], axis=1)
+        down = up * np.append(np.ones(b.m), -1.0)
+        down_ends = [_ball_exit(b, 2, down[:, -1])]
+        if not b.symmetric:
+            down_ends.insert(0, _ball_exit(b, 0, down[:, -1]))
+        return (
+            self._ray_rule(up, weights, [_ball_exit(b, 1, up[:, -1])]),
+            self._ray_rule(down, weights, down_ends),
+        )
+
+    def _ray_rule(self, theta, weights, ends) -> _RayRule:
+        """Each segment carries sector_nodes Gauss-Legendre nodes and about
+        geodesic_steps RK4 steps, split over the node gaps in proportion; the
+        first segment starts at t = 0."""
+        t, w = gauss_legendre(self.sector_nodes)
+        frac = 0.5 * (t + 1.0)
+        gaps = np.diff(np.concatenate([[0.0], frac, [1.0]]))
+        counts = np.maximum(1, np.ceil(self.geodesic_steps * gaps)).astype(int)
+        starts = [np.zeros(len(theta))] + list(ends[:-1])
+        t_nodes = np.concatenate(
+            [a[:, None] + (e - a)[:, None] * frac for a, e in zip(starts, ends)], axis=1
+        )
+        substeps = []
+        for j in range(len(ends)):
+            # the gap after a segment's last node opens the next segment
+            substeps += [counts[0] + (counts[-1] if j else 0), *counts[1:-1]]
+        lengths = [e - a for a, e in zip(starts, ends)]
+        return _RayRule(theta, weights, lengths, t_nodes, substeps, 0.5 * w)
+
+
 class EmbeddedBubble:
     """Geodesic image of a (possibly perturbed) standard bubble in a chart.
 
@@ -134,6 +260,12 @@ class EmbeddedBubble:
     Gauss-Legendre order of the radial ray rule; geodesic_steps the RK4 steps
     of one geodesic (of one radial segment, for volume rays).  Parameter
     stencils step H_REL times each parameter's range.
+
+    The flat side comes from a FlatModel of the bubble, the field and these
+    settings, `model` when given (verify_many shares one over its sweep),
+    else the bubble's own.  The bubble forms its displaced sheet x + (s w) N
+    + s Y from the model's raw field values and its own field scale s, the
+    same arithmetic as PerturbationField.w/y and displaced_point_z.
     """
 
     def __init__(
@@ -146,6 +278,7 @@ class EmbeddedBubble:
         grid: tuple[int, int] = (64, 128),
         geodesic_steps: int = 200,
         sector_nodes: int = 16,
+        model: FlatModel | None = None,
     ):
         if rho <= 0.0:
             raise ValueError("rho must be positive")
@@ -157,8 +290,12 @@ class EmbeddedBubble:
             raise DomainExit(
                 f"bubble of extent {extent:.3f} at rho={rho} does not fit the chart domain"
             )
+        if model is None:
+            model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
+        elif model.spec != _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes):
+            raise ValueError("the flat model belongs to another bubble, field or resolution")
         if perturbation is not None:
-            check_admissible(perturbation)
+            check_admissible(perturbation, model.field_sup)
         self.chart = chart
         self.frame = frame
         self.bubble = bubble
@@ -167,6 +304,7 @@ class EmbeddedBubble:
         self.grid = grid
         self.geodesic_steps = geodesic_steps
         self.sector_nodes = sector_nodes
+        self.model = model
         self._sheet_cache: dict = {}
 
     # -- embedding ----------------------------------------------------------
@@ -179,29 +317,30 @@ class EmbeddedBubble:
     def embed_params(self, sheet: int, z: np.ndarray) -> np.ndarray:
         return self.embed_flat(displaced_point_z(self.bubble, sheet, z, self.perturbation))
 
-    def sheet_stencil(self, sheet: int):
-        """(z, w, values, d1) of one sheet on its flat_rule nodes z with
-        weights w, computed once per bubble.
+    def sheet_layer(self, sheet: int, layer: int):
+        """(values (N, n), d1 (N, m, n)) of one layer of a sheet on the
+        model's nodes: FLAT, the flat sheet; DISPLACEMENT, its displacement by
+        the perturbation; EMBEDDED, the embedded displaced sheet.
 
-        values (N, 3, n) and their parameter derivatives d1 (N, m, 3, n) hold
-        three layers: FLAT, the flat sheet; DISPLACEMENT, its displacement by
-        the perturbation; EMBEDDED, the embedded displaced sheet.  One batched
-        call embeds the nodes and every stencil shift; measure_area and the
-        swept prisms of measure_volumes share the result.
+        FLAT is the model's; the others are computed once per bubble, each
+        from the displaced stencil points, and only EMBEDDED embeds them: the
+        swept prisms of measure_volumes read FLAT and DISPLACEMENT,
+        measure_area reads EMBEDDED.
         """
-        cached = self._sheet_cache.get(sheet)
+        sh = self.model.sheets[sheet]
+        if layer == FLAT:
+            return sh.x[0], sh.flat_d1
+        cached = self._sheet_cache.get((sheet, layer))
         if cached is None:
-            b = self.bubble
-            z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
-
-            def points(zz):
-                displaced = displaced_point_z(b, sheet, zz, self.perturbation)
-                flat = displaced if self.perturbation is None else flat_point_z(b, sheet, zz)
-                return np.stack([flat, displaced - flat, self.embed_flat(displaced)], axis=-2)
-
-            values, d1 = _stencil(points, z, _param_steps(b, sheet, H_REL))
+            displaced = sh.x
+            if self.perturbation is not None:
+                s = self.perturbation.scale
+                normal = _normal_at(self.bubble, sheet, sh.x)
+                displaced = sh.x + (s * sh.fw)[..., None] * normal + s * sh.fy
+            stack = displaced - sh.x if layer == DISPLACEMENT else self.embed_flat(displaced)
+            values, d1 = _stencil_differences(stack, sh.z, sh.steps)
             # a copy, so that the cache does not pin every shifted point
-            cached = self._sheet_cache[sheet] = (z, w, values.copy(), d1)
+            cached = self._sheet_cache[(sheet, layer)] = (values.copy(), d1)
         return cached
 
 
@@ -216,10 +355,9 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
         return cached.copy()
     out = np.zeros(3)
     for s in range(3):
-        _, w, values, d1 = eb.sheet_stencil(s)
-        pos, tangents = values[:, EMBEDDED], d1[:, :, EMBEDDED]
+        pos, tangents = eb.sheet_layer(s, EMBEDDED)
         gram = np.einsum("...ik,...kl,...jl->...ij", tangents, eb.chart.metric(pos), tangents)
-        out[s] = float(np.sum(w * np.sqrt(_det(_component_major(gram, 2)))))
+        out[s] = float(np.sum(eb.model.sheets[s].w * np.sqrt(_det(_component_major(gram, 2)))))
     eb._sheet_cache["areas"] = out
     return out.copy()
 
@@ -235,19 +373,16 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     or RK4 on the Jacobi equation with geodesic_steps steps) at all 6
     Gauss-Legendre tau levels at once, and the flat columns d_z y from
     4-point stencils of the flat and displaced sheets
-    (EmbeddedBubble.sheet_stencil), which are linear in tau.  Everything
+    (EmbeddedBubble.sheet_layer), which are linear in tau.  Everything
     from the levels on is component-major, the batch (6, N) last.
     """
-    z, w, values, d1 = eb.sheet_stencil(sheet)
-    flat, displ = values[:, FLAT].T, values[:, DISPLACEMENT].T
+    sh = eb.model.sheets[sheet]
+    flat, tang_flat = eb.sheet_layer(sheet, FLAT)
+    displ, tang_displ = eb.sheet_layer(sheet, DISPLACEMENT)
+    flat, displ = flat.T, displ.T
     # columns d_z y, (n, m, N)
-    tang_flat = np.transpose(d1[:, :, FLAT])
-    tang_displ = np.transpose(d1[:, :, DISPLACEMENT])
+    tang_flat, tang_displ = np.transpose(tang_flat), np.transpose(tang_displ)
     n, m = tang_flat.shape[:2]
-    # orientation factor: sign of the flat-model determinant with a unit
-    # normal displacement
-    nrm = flat_normal_z(eb.bubble, sheet, z)
-    orient = np.sign(_det(np.concatenate([nrm.T[:, None], tang_flat], axis=1)))
     e = eb.frame.matrix
     t, wt = gauss_legendre(6)
     tau = (0.5 * (t + 1.0))[:, None]
@@ -264,11 +399,10 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     cols = (e @ flat_cols.reshape(n, -1)).reshape(flat_cols.shape)
     # jac[i, c] = rho sum_j dExp[i, j] cols[j, c]
     jac = eb.rho * _dot(np.swapaxes(dexp[..., 0], 0, 1)[:, :, None], cols[:, None], axis=0)
-    gmat = eb.chart.metric(np.moveaxis(points[..., 0], 0, -1))
-    dets = _det(jac) * np.sqrt(_det(_component_major(gmat, 2))) * orient
+    dets = _det(jac) * eb.chart.volume_element(points[..., 0]) * sh.orient
     total = 0.0
     for tw, level in zip(0.5 * wt, dets):
-        total += tw * float(np.sum(w * level))
+        total += tw * float(np.sum(sh.w * level))
     return total
 
 
@@ -279,43 +413,25 @@ def _ball_exit(bubble: StandardBubble, sheet: int, theta_z) -> np.ndarray:
     return c * theta_z + np.sqrt(r**2 - c**2 * (1.0 - theta_z**2))
 
 
-def _ray_volumes(eb: EmbeddedBubble, theta, weights, ends) -> list[float]:
-    """Volumes of Exp_p(rho E {t theta : ends[j-1] < t < ends[j]}) for each
-    segment j, integrated over the direction rule; the first segment starts
-    at t = 0.
-
-    Each segment carries sector_nodes Gauss-Legendre nodes and about
-    geodesic_steps RK4 steps, split over the node gaps in proportion.
-    """
+def _ray_volumes(eb: EmbeddedBubble, rays: _RayRule) -> list[float]:
+    """Volumes of Exp_p(rho E {t theta : t in segment j}) for each segment j
+    of a ray rule, integrated over its directions."""
     q = eb.sector_nodes
-    t, w = gauss_legendre(q)
-    frac = 0.5 * (t + 1.0)
-    gaps = np.diff(np.concatenate([[0.0], frac, [1.0]]))
-    counts = np.maximum(1, np.ceil(eb.geodesic_steps * gaps)).astype(int)
-    starts = [np.zeros(len(theta))] + list(ends[:-1])
-    t_nodes = np.concatenate(
-        [a[:, None] + (e - a)[:, None] * frac for a, e in zip(starts, ends)], axis=1
-    )
-    substeps = []
-    for j in range(len(ends)):
-        # the gap after a segment's last node opens the next segment
-        substeps += [counts[0] + (counts[-1] if j else 0), *counts[1:-1]]
     e = eb.frame.matrix
-    u = np.ascontiguousarray((eb.rho * theta @ e.T).T)
-    points, dexp = _exp_rays(eb.chart, eb.frame.base, u, t_nodes, substeps)
-    n = theta.shape[1]
-    gmat = eb.chart.metric(np.moveaxis(points, 0, -1))
+    u = np.ascontiguousarray((eb.rho * rays.theta @ e.T).T)
+    points, dexp = _exp_rays(eb.chart, eb.frame.base, u, rays.t_nodes, rays.substeps)
+    n = rays.theta.shape[1]
     density = (
         eb.rho**n
         * abs(_det(e))
         * np.abs(_det(dexp))
-        * np.sqrt(_det(_component_major(gmat, 2)))
-        * t_nodes ** (n - 1)
+        * eb.chart.volume_element(points)
+        * rays.t_nodes ** (n - 1)
     )
     out = []
-    for j, (a, b) in enumerate(zip(starts, ends)):
-        radial = density[:, j * q : (j + 1) * q] @ (0.5 * w) * (b - a)
-        out.append(float(weights @ radial))
+    for j, length in enumerate(rays.lengths):
+        radial = density[:, j * q : (j + 1) * q] @ rays.radial * length
+        out.append(float(rays.weights @ radial))
     return out
 
 
@@ -328,19 +444,12 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     cached = eb._sheet_cache.get("volumes")
     if cached is not None:
         return cached
-    b = eb.bubble
-    # upper half of S^m: polar angle alpha in [0, pi/2] from the axis with
-    # density sin^(m-1)(alpha), times the round measure of S^(m-1)
-    z, dirs, w = flat_rule(b.m, 0.5 * math.pi, eb.grid, lambda alpha: np.sin(alpha) ** (b.m - 1))
-    weights = w * np.sqrt(_det(_component_major(round_metric(z[:, 1:])[0], 2)))
-    up = np.concatenate([np.sin(z[:, :1]) * dirs, np.cos(z[:, :1])], axis=1)
-    down = up * np.append(np.ones(b.m), -1.0)
-    (v1,) = _ray_volumes(eb, up, weights, [_ball_exit(b, 1, up[:, -1])])
-    if b.symmetric:
-        (v2,) = _ray_volumes(eb, down, weights, [_ball_exit(b, 2, down[:, -1])])
+    up, down = eb.model.rays
+    (v1,) = _ray_volumes(eb, up)
+    if eb.bubble.symmetric:
+        (v2,) = _ray_volumes(eb, down)
     else:
-        ends = [_ball_exit(b, 0, down[:, -1]), _ball_exit(b, 2, down[:, -1])]
-        p0, v2 = _ray_volumes(eb, down, weights, ends)
+        p0, v2 = _ray_volumes(eb, down)
         v1 += p0
     if eb.perturbation is not None:
         prisms = [_prism_volume(eb, s) for s in range(3)]
@@ -529,6 +638,13 @@ def verify_many(
             return terms[q].value(sc, ric_ss, rho) + rho**2 * response[q]
         return phi_leading if q == "phi" else 0.0
 
+    # the flat side of every rho, its arrays built before the threads read them
+    model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
+    if "area" in quantities or "phi" in quantities or (perturbation is not None and volumes_wanted):
+        model.sheets
+    if volumes_wanted or "phi" in quantities:
+        model.rays
+
     def measure_at(rho):
         """Oracle values at rho; for h* and conormal the residual itself."""
         field = None if perturbation is None else perturbation.scaled(rho**2)
@@ -541,6 +657,7 @@ def verify_many(
             grid=grid,
             geodesic_steps=geodesic_steps,
             sector_nodes=sector_nodes,
+            model=model,
         )
         record = {}
         if "area" in quantities:

@@ -315,6 +315,27 @@ def test_component_major_closed_form_is_the_point_major_formula(family, kw):
     assert np.array_equal(exp_map(chart, p, u), _point_major_closed_form(chart, p, u)[0]), chart.name
 
 
+@pytest.mark.parametrize(
+    "family,kw",
+    [
+        ("euclidean", dict(dim=3)),
+        ("round_sphere", dict(a=2.0)),
+        ("round_sphere", dict(a=1.0, dim=4)),
+        ("conformal_bump", dict(eps=-0.1, s=0.5)),
+        ("product", dict(factors=[(3, 1.0), (1, math.inf)])),
+    ],
+)
+def test_volume_element_closed_form_is_sqrt_det_metric(family, kw):
+    # each builtin closed form against the default, the square root of the
+    # metric's cofactor determinant, at component-major points
+    chart = builtin_chart(family, **kw)
+    x = np.random.default_rng(5).uniform(-0.4, 0.4, size=(chart.dim, 7, 3))
+    ref = charts.MetricChart.volume_element(chart, x)
+    vol = chart.volume_element(x)
+    assert vol.shape == (7, 3)
+    assert np.abs(vol / ref - 1.0).max() <= 4 * np.finfo(float).eps, chart.name
+
+
 def test_inside_mask_closed_box_and_nan():
     box = Box(lo=np.array([-1.0, -2.0, 0.5]), hi=np.array([1.0, 2.0, 1.5]))
     inside = np.array([0.0, 0.0, 1.0])

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,22 +36,57 @@ FRAME_EU = orthonormal_frame(EU, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 FRAME_SP = orthonormal_frame(SP, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
-def test_areas_and_volumes_share_one_stencil_per_sheet(monkeypatch):
-    # the perturbed sheets are displaced once per sheet for areas and the
-    # swept prisms of the volumes together
-    calls = []
-    displaced = measure.displaced_point_z
+def test_areas_and_volumes_share_one_stencil_per_sheet():
+    # a perturbed sweep evaluates each sheet's field for the stencils of the
+    # areas and of the swept prisms once, not once per scale: 3 and 5 scales
+    # make the same calls, and every scale measures what a bubble with its
+    # own flat model measures
+    field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
+    axis = np.array([0.25, -0.4, 0.88])
+    quantities = ["area", "v1", "v2", "vtot", "phi"]
+    counts = []
+    for rhos in ([0.2, 0.14, 0.1], [0.2, 0.14, 0.1, 0.07, 0.05]):
+        calls = [0, 0, 0]
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return displaced(*args, **kwargs)
+        def counted(fn, sheet):
+            def f(polar, dirs):
+                calls[sheet] += 1
+                return fn(polar, dirs)
 
-    monkeypatch.setattr(measure, "displaced_point_z", counted)
+            return f
+
+        counting = replace(
+            field,
+            w_funcs=tuple(counted(fn, s) for s, fn in enumerate(field.w_funcs)),
+            y_funcs=tuple(counted(fn, s) for s, fn in enumerate(field.y_funcs)),
+        )
+        res = verify_many(SP, np.zeros(3), axis, ASYM, quantities, rhos, grid=(8, 16),
+                          sector_nodes=4, perturbation=counting)
+        counts.append(calls)
+    assert counts[0] == counts[1] and min(counts[0]) > 0, counts
+    frame = curvature_at(SP, np.zeros(3), axis, nabla=False).frame
+    for k, rho in enumerate(rhos):
+        eb = EmbeddedBubble(SP, frame, ASYM, rho, perturbation=field.scaled(rho**2), grid=(8, 16),
+                            sector_nodes=4)
+        v1, v2 = measure_volumes(eb)
+        assert res["area"][1][k]["oracle"] == float(np.sum(measure_area(eb))) / rho**2
+        assert res["v1"][1][k]["oracle"] == v1 / rho**3
+        assert res["v2"][1][k]["oracle"] == v2 / rho**3
+
+
+def test_volumes_embed_no_sheet(monkeypatch):
+    # the swept prisms read the flat and displaced sheets only; the embedded
+    # sheets wait for measure_area
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25).scaled(0.01)
     eb = EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, perturbation=field, grid=(8, 16), sector_nodes=4)
-    measure_area(eb)
+
+    def no_exp_map(*args, **kwargs):
+        raise AssertionError("exp_map called")
+
+    monkeypatch.setattr(measure, "exp_map", no_exp_map)
     measure_volumes(eb)
-    assert sorted(calls) == [0, 1, 2]
+    with pytest.raises(AssertionError):
+        measure_area(eb)
 
 
 def test_flat_measurements_exact():
@@ -273,6 +309,13 @@ def test_embedded_bubble_domain_guard():
         EmbeddedBubble(SP, FRAME_SP, ASYM, 3.0, grid=(16, 32))
     with pytest.raises(ValueError):
         EmbeddedBubble(SP, FRAME_SP, ASYM, -0.1)
+    # a flat model serves only the bubble, field and resolution it was built for
+    model = measure.FlatModel(ASYM, None, (16, 32), 200, 16)
+    assert EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, grid=(16, 32), model=model).model is model
+    with pytest.raises(ValueError):
+        EmbeddedBubble(SP, FRAME_SP, SYM, 0.1, grid=(16, 32), model=model)
+    with pytest.raises(ValueError):
+        EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, grid=(8, 16), model=model)
 
 
 def test_fit_order_basics():
