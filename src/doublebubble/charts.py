@@ -10,18 +10,20 @@ and Sc = n(n-1)/a^2.  Index layout of derivative tensors: dg[..., k, i, j]
 is d_k g_ij and d2g[..., l, k, i, j] is d_l d_k g_ij.  Curvature arrays are
 returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 
-Chart hooks (MetricChart): metric, christoffel_closed and geodesic_acc are
-required; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
+Chart hooks (MetricChart): metric, christoffel_closed, geodesic_acc and
+geodesic_acc_jacobi are required, the last with no finite-difference
+default; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
 (points, dexp), are optional and return None without a closed form;
-geodesic_acc_jacobi has a finite-difference default, and volume_element
-(sqrt(det G) at component-major points) one from the metric's cofactor
-determinant, which the builtin charts replace by closed forms.  Every central
-difference in chart coordinates takes the one step FD_STEP.
+volume_element (sqrt(det G) at component-major points) defaults to the
+metric's cofactor determinant, which the builtin charts replace by closed
+forms.  Every central difference in chart coordinates takes the one step
+FD_STEP.
 
 Geodesics take a chart's closed-form exponential where it has one, and
 otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
-and velocity, exp_rays on the same state together with the Jacobi fields
-that give the differential of the exponential map.
+and velocity, the private ray core _exp_rays (there is no public one) on
+the same state together with the Jacobi fields that give the differential
+of the exponential map.
 
 Layout: the public functions take and return points (..., n), but the RK4
 state, the geodesic hooks and the closed-form ray kernel are component-major,
@@ -33,9 +35,10 @@ derivatives of the acceleration in x and v, and dexp_closed(p, v) maps v
 (n, ...) to points (n, ...) and dexp (n, n, ...).  No Jacobian matrix is
 built: the conformal charts apply their Hessian of f, alpha d d^T + beta I,
 to J directly, and the round sphere fills dexp one column at a time.  Both
-ray paths meet in _exp_rays, which returns points (n, ..., k) and dexp
-(n, n, ..., k) at the k nodes of each ray.  Every kernel operation then runs
-over the whole batch at once instead of over a length-n axis per point.
+ray paths meet in _exp_rays, which takes rays (n, ...) and returns points
+(n, ..., k) and dexp (n, n, ..., k) at the k nodes of each ray.  Every
+kernel operation then runs over the whole batch at once instead of over a
+length-n axis per point.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
@@ -44,7 +47,8 @@ component-major stacks (n, n, ...), so no numpy reduction over a length-3
 axis and no LAPACK call per small matrix sits on a hot path.
 
 Charts are local by design; leaving the domain box is an error, never a
-clamp.
+clamp.  Box.inside_mask is the one box test: Box.contains shrinks the box
+by a clearance and asks it of every point.
 """
 
 from __future__ import annotations
@@ -58,10 +62,6 @@ import numpy as np
 
 class DomainExit(ValueError):
     """A geodesic or stencil left the chart domain."""
-
-    def __init__(self, message: str, exit_fraction: float | None = None):
-        super().__init__(message)
-        self.exit_fraction = exit_fraction
 
 
 def _dot(a, b, axis: int = -1) -> np.ndarray:
@@ -121,10 +121,8 @@ class Box:
     hi: np.ndarray
 
     def contains(self, x, clearance: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(
-            np.all(x >= self.lo + clearance - 1e-15) and np.all(x <= self.hi - clearance + 1e-15)
-        )
+        """Every point of x (..., n) in the closed box shrunk by clearance."""
+        return bool(np.all(Box(self.lo + clearance, self.hi - clearance).inside_mask(x)))
 
     def inside_mask(self, x) -> np.ndarray:
         """Points of x (..., n) inside the closed box; NaN is outside.
@@ -136,9 +134,9 @@ class Box:
         return mask
 
 
-# central-difference step in chart coordinates: of geodesic_acc_jacobi's
-# default, of every missing analytic metric derivative, of nabla Rm and of the
-# scalar-curvature gradient (ten times it for the Hessian)
+# central-difference step in chart coordinates: of every missing analytic
+# metric derivative, of nabla Rm and of the scalar-curvature gradient (ten
+# times it for the Hessian)
 FD_STEP = 1e-3
 
 
@@ -146,12 +144,13 @@ class MetricChart:
     """Base chart: a metric on an axis-aligned box in R^n.
 
     Subclasses implement the required hooks metric(x), christoffel_closed(x)
-    = Gamma[..., a, i, j] and geodesic_acc(x, v) = -Gamma(v, v), the latter
-    component-major (x, v and the result (n, ...)); the optional closed forms
-    metric_d1, metric_d2, exp_closed (points (..., n)) and dexp_closed, which
-    returns (Exp_p(v) (n, ...), dExp_p(v) (n, n, ...)) from one evaluation at
-    component-major v (n, ...), return None here.  Missing analytic
-    derivatives are central differences with step FD_STEP.
+    = Gamma[..., a, i, j], and the component-major geodesic_acc(x, v) =
+    -Gamma(v, v) and geodesic_acc_jacobi, which has no finite-difference
+    default; the optional closed forms metric_d1, metric_d2, exp_closed
+    (points (..., n)) and dexp_closed, which returns (Exp_p(v) (n, ...),
+    dExp_p(v) (n, n, ...)) from one evaluation at component-major v (n, ...),
+    return None here.  Missing analytic metric derivatives are central
+    differences with step FD_STEP.
     """
 
     def __init__(self, dim: int, name: str, domain: Box):
@@ -190,22 +189,9 @@ class MetricChart:
 
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         """(acc, A_x J + A_v J') for the geodesic acceleration acc = -Gamma(v, v)
-        at x, v (n, ...) and the k columns of J, J' (n, k, ...), component-major.
-
-        Column c of A_x J + A_v J' is the derivative of acc along (J_c, J'_c),
-        taken here by 4th-order central differences in one batched
-        geodesic_acc call; subclasses override it with the analytic form."""
-        n, k, *batch = jac.shape
-        h = FD_STEP * np.array([1.0, -1.0, 2.0, -2.0]).reshape((4, 1) + (1,) * len(batch))
-
-        def shifted(y, dy):
-            # slot 0 is y itself, then the 4 shifts along each of the k columns
-            shifts = (y[:, None, None] + h * dy[:, None]).reshape((n, 4 * k, *batch))
-            return np.concatenate([y[:, None], shifts], axis=1)
-
-        acc = self.geodesic_acc(shifted(x, jac), shifted(v, jac_dot))
-        f = acc[:, 1:].reshape((n, 4, k, *batch))
-        return acc[:, 0], (8.0 * (f[:, 0] - f[:, 1]) - (f[:, 2] - f[:, 3])) / (12.0 * FD_STEP)
+        at x, v (n, ...) and the k columns of J, J' (n, k, ...), component-major:
+        column c of A_x J + A_v J' is the derivative of acc along (J_c, J'_c)."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r} dim={self.dim}>"
@@ -523,18 +509,14 @@ class ProductRoundChart(MetricChart):
         box = Box(lo=np.full(dim, -half), hi=np.full(dim, half))
         super().__init__(dim, f"product({self.factors})", box)
 
-    def _blocks(self, x):
-        x = np.asarray(x, dtype=float)
-        for off, d, sub in self._charts:
-            yield off, d, sub, x[..., off : off + d]
-
     def _block_diagonal(self, x, method: str, rank: int):
         """Tensor of the given rank whose diagonal blocks are the factors'
         `method` at their coordinates of x; mixed blocks are zero."""
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape[:-1] + (self.dim,) * rank)
-        for off, d, sub, xb in self._blocks(x):
-            out[(...,) + (slice(off, off + d),) * rank] = getattr(sub, method)(xb)
+        for off, d, sub in self._charts:
+            sl = slice(off, off + d)
+            out[(...,) + (sl,) * rank] = getattr(sub, method)(x[..., sl])
         return out
 
     def metric(self, x):
@@ -576,7 +558,7 @@ class ProductRoundChart(MetricChart):
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
         out = np.empty(np.broadcast_shapes(p.shape, v.shape))
-        for off, d, sub, _ in self._blocks(p):
+        for off, d, sub in self._charts:
             sl = slice(off, off + d)
             out[..., sl] = sub.exp_closed(p[..., sl], v[..., sl])
         return out
@@ -601,13 +583,8 @@ _FAMILIES = {
 
 
 def builtin_chart(family: str, **params) -> MetricChart:
-    """Construct a builtin chart family by name; the settings not given take
-    the constructor's defaults.
-
-    Families: euclidean(dim, half_width), round_sphere(a, dim),
-    conformal_bump(eps, x0, s, dim, half_width), product(factors=[(dim,
-    radius), ...]).
-    """
+    """Construct a builtin chart family by name (the keys of _FAMILIES); its
+    constructor takes the settings and holds their defaults."""
     if family not in _FAMILIES:
         raise ValueError(f"unknown chart family {family!r}")
     return _FAMILIES[family](**params)
@@ -924,8 +901,8 @@ def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
     every geodesic, shape (k,), keep the steps scalar.
 
     The one geodesic integrator of the package: exp_map runs it on (position,
-    velocity), exp_rays adds the Jacobi fields.  A position outside the domain
-    raises DomainExit with the fraction of all steps done.
+    velocity), _exp_rays adds the Jacobi fields.  A position outside the
+    domain raises DomainExit naming the step.
     """
     total = int(sum(substeps))
     done = 0
@@ -943,9 +920,7 @@ def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
             )
             done += 1
             if not np.all(chart.domain.inside_mask(np.moveaxis(y[0], 0, -1))):
-                raise DomainExit(
-                    f"geodesic left {chart.name} at step {done}/{total}", exit_fraction=done / total
-                )
+                raise DomainExit(f"geodesic left {chart.name} at step {done}/{total}")
         yield y
         t_prev = t_nodes[..., j]
 
@@ -955,16 +930,18 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
 
     Fixed-step RK4 on the geodesic equation, `steps` steps to t = 1; charts
     with a closed-form exponential (euclidean, round spheres, products of
-    those) use it unless force_rk4 is set.  Exiting the domain raises
-    DomainExit with the fraction of the parameter interval that stayed inside.
+    those) use it unless force_rk4 is set.  steps < 1 raises ValueError and
+    exiting the domain DomainExit.
     """
+    if steps < 1:
+        raise ValueError(f"exp_map needs a positive step count, got {steps}")
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     if not force_rk4:
         closed = chart.exp_closed(p, v)
         if closed is not None:
             if not np.all(chart.domain.inside_mask(closed)):
-                raise DomainExit(f"geodesic endpoint left {chart.name}", exit_fraction=1.0)
+                raise DomainExit(f"geodesic endpoint left {chart.name}")
             return closed
 
     def deriv(y):
@@ -977,32 +954,28 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
     return np.moveaxis(x, 0, -1).copy()
 
 
-def exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
+def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
     """Exp_p(t u) and its differential dExp_p(t u) at the nodes t_nodes (..., k)
-    of the rays u (..., n); returns (points (..., k, n), dexp (..., k, n, n)).
+    of the component-major rays u (n, ...); returns points (n, ..., k) and
+    dexp (n, n, ..., k), the differential of Exp_p at each t u.
 
     Nodes must be positive and increasing along each ray, and substeps has
-    one entry per node; ValueError otherwise.  Charts with a closed-form
-    exponential answer both from one dexp_closed call unless force_rk4 is
-    set.  Otherwise the RK4 of exp_map integrates each geodesic with its
-    variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = I, whose
-    solution is J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from node
-    j - 1 (or from t = 0) to node j, so every node is hit exactly.  A ray
-    point outside the domain raises DomainExit, as in exp_map.
+    one positive entry per node; ValueError otherwise.  Charts with a
+    closed-form exponential answer both from one dexp_closed call unless
+    force_rk4 is set.  Otherwise the RK4 of exp_map integrates each geodesic
+    with its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = I,
+    whose solution is J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from
+    node j - 1 (or from t = 0) to node j, so every node is hit exactly.  A
+    ray point outside the domain raises DomainExit, as in exp_map.
     """
-    points, dexp = _exp_rays(chart, p, _component_major(u), t_nodes, substeps, force_rk4)
-    return np.moveaxis(points, 0, -1), np.moveaxis(dexp, (0, 1), (-2, -1))
-
-
-def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
-    """exp_rays component-major: rays u (n, ...) in, points (n, ..., k) and
-    dexp (n, n, ..., k) out, from the closed form or the RK4 states alike."""
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
     t_nodes = np.asarray(t_nodes, dtype=float)
     n = chart.dim
     if len(substeps) != t_nodes.shape[-1]:
         raise ValueError(f"{len(substeps)} substep counts for {t_nodes.shape[-1]} nodes per ray")
+    if any(count < 1 for count in substeps):
+        raise ValueError(f"substep counts must be positive, got {list(substeps)}")
     if not (np.all(t_nodes[..., :1] > 0.0) and np.all(np.diff(t_nodes, axis=-1) > 0.0)):
         raise ValueError("ray nodes must be positive and increasing")
     if not force_rk4:
@@ -1010,7 +983,7 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
         if closed is not None:
             points, dexp = closed
             if not np.all(chart.domain.inside_mask(np.moveaxis(points, 0, -1))):
-                raise DomainExit(f"ray left {chart.name}", exit_fraction=1.0)
+                raise DomainExit(f"ray left {chart.name}")
             return points, dexp
 
     # state: the positions (n, ...), and one array (n, 2n + 1, ...) of the

@@ -36,11 +36,11 @@ from .measure import QUANTITIES, expansion_threshold, verify_many
 
 CONFIG_KEYS = {
     "chart": "chart family: euclidean | round_sphere | conformal_bump | product",
-    "chart.a": "round_sphere radius (default 1.0)",
-    "chart.eps": "conformal_bump amplitude (default -0.1)",
-    "chart.s": "conformal_bump width (default 0.5)",
-    "chart.x0": "conformal_bump center, comma-separated (default origin)",
-    "chart.dim": "chart dimension (default 3)",
+    "chart.a": "round_sphere radius",
+    "chart.eps": "conformal_bump amplitude",
+    "chart.s": "conformal_bump width",
+    "chart.x0": "conformal_bump center, comma-separated",
+    "chart.dim": "chart dimension",
     "chart.half_width": "half-width of the chart domain box",
     "chart.factors": "product factors as dim:radius pairs, e.g. 2:1.0,1:inf",
     "bubble.m": "sheet dimension m (default 2)",
@@ -154,15 +154,7 @@ def _factors(text: str, key: str) -> list[tuple[int, float]]:
     return factors
 
 
-# the chart.* settings each family reads, each a number unless it has its own
-# parser; the chart constructors hold the defaults of the settings a config
-# leaves out
-_CHART_SETTINGS = {
-    "euclidean": ("dim", "half_width"),
-    "round_sphere": ("a", "dim"),
-    "conformal_bump": ("eps", "x0", "s", "dim", "half_width"),
-    "product": ("factors",),
-}
+# parsers of the chart.* settings that are not one number
 _PARSE_SETTING = {
     "dim": lambda text, key: _number(text, key, int, positive=True),
     "x0": lambda text, key: np.array(_numbers(text, key)),
@@ -171,16 +163,17 @@ _PARSE_SETTING = {
 
 
 def build_chart(cfg: dict):
+    """The chart family with every chart.* setting the config gives."""
     family = cfg["chart"]
-    if family not in _CHART_SETTINGS:
-        raise ConfigError(f"unknown chart family {family!r}")
-    settings = {
-        name: _PARSE_SETTING.get(name, _number)(cfg[f"chart.{name}"], f"chart.{name}")
-        for name in _CHART_SETTINGS[family]
-        if f"chart.{name}" in cfg
-    }
+    settings = {}
+    for key, text in cfg.items():
+        name = key.removeprefix("chart.")
+        if name != key:
+            settings[name] = _PARSE_SETTING.get(name, _number)(text, key)
     try:
         return builtin_chart(family, **settings)
+    except TypeError as exc:
+        raise ConfigError(f"chart = {family}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -325,8 +318,8 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     geodesic_steps = _number(cfg["geodesic_steps"], "geodesic_steps", int, positive=True)
     quantities = [q.strip() for q in cfg["quantities"].split(",") if q.strip()]
     unknown = [q for q in quantities if q not in QUANTITIES]
-    if unknown:
-        raise ConfigError(f"unknown quantities {unknown}; options {QUANTITIES}")
+    if unknown or not quantities or len(set(quantities)) < len(quantities):
+        raise ConfigError(f"quantities needs distinct names from {QUANTITIES}, got {quantities}")
     if len(rhos) < 3 or any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ConfigError(f"rho_list needs at least 3 strictly decreasing scales, got {rhos}")
     if params.m not in (2, 3):
@@ -411,6 +404,8 @@ def cmd_predict(cfg: dict, outdir: Path) -> int:
     chart = build_chart(cfg)
     params = _bubble_params(cfg, chart)
     seeds = _point_list(cfg["seeds"], "seeds", chart.dim)
+    if not seeds:
+        raise ConfigError("seeds gives no point")
     rho = _number(cfg["rho"], "rho", positive=True)
     tol = _number(cfg["newton_tol"], "newton_tol", positive=True)
     preds, points = predict_full(chart, seeds, rho, params, tol=tol)

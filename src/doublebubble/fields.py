@@ -188,23 +188,12 @@ def angles_to_dirs(m: int, angles: np.ndarray) -> np.ndarray:
     raise ValueError(f"angle parametrization requires m in (2, 3), got m={m}")
 
 
-def flat_point_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.ndarray:
-    """Sheet point at full parameter vectors z = (polar, angles), shape (N, m)."""
-    z = np.asarray(z, dtype=float)
-    dirs = angles_to_dirs(bubble.m, z[..., 1:])
-    return sheet_point(bubble, sheet, z[..., 0], dirs)
-
-
-def flat_normal_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    return sheet_normal(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]))
-
-
 def displaced_point_z(
     bubble: StandardBubble, sheet: int, z: np.ndarray, field: PerturbationField | None
 ) -> np.ndarray:
-    """x + w N + Y at parameters z, the directions and the flat point x
-    computed once."""
+    """x + w N + Y at parameters z = (polar, angles) (..., m), the directions
+    and the flat point x computed once; the flat point itself when field is
+    None."""
     z = np.asarray(z, dtype=float)
     dirs = angles_to_dirs(bubble.m, z[..., 1:])
     x = sheet_point(bubble, sheet, z[..., 0], dirs)
@@ -248,26 +237,21 @@ def sheet_point_data(
     field values with their stencil derivatives at parameters z (N, m)."""
     z = np.asarray(z, dtype=float)
     h = _param_steps(bubble, sheet)
-    x, tangents = _stencil(lambda zz: flat_point_z(bubble, sheet, zz), z, h)
-    normal = flat_normal_z(bubble, sheet, z)
+    x, tangents = _stencil(lambda zz: displaced_point_z(bubble, sheet, zz, None), z, h)
+    normal = _normal_at(bubble, sheet, x)
     g, gamma = flat_metric(bubble, sheet, z)
     ginv = np.linalg.inv(g)
-    if field is None:
-        nshape = z.shape[:-1]
-        w = np.zeros(nshape)
-        dw = np.zeros(nshape + (bubble.m,))
-        d2w = np.zeros(nshape + (bubble.m, bubble.m))
-        yvec = np.zeros(nshape + (bubble.m + 1,))
-        dy = np.zeros(nshape + (bubble.m, bubble.m + 1))
-    else:
-        def wfun(zz):
-            return field.w(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
+    # the zero field gives the zero amplitudes and derivatives of a flat sheet
+    field = PerturbationField(bubble, (None, None, None)) if field is None else field
 
-        def yfun(zz):
-            return field.y(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
+    def wfun(zz):
+        return field.w(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
 
-        w, dw, d2w = _stencil(wfun, z, h, order=2)
-        yvec, dy = _stencil(yfun, z, h)
+    def yfun(zz):
+        return field.y(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
+
+    w, dw, d2w = _stencil(wfun, z, h, order=2)
+    yvec, dy = _stencil(yfun, z, h)
     return SheetPointData(
         x=x, normal=normal, tangents=tangents, g=g, ginv=ginv, gamma=gamma,
         w=w, dw=dw, d2w=d2w, yvec=yvec, dy=dy,

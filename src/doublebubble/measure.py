@@ -82,13 +82,12 @@ from .fields import (
     displaced_point_z,
     first_order_area_corrections,
     first_order_volume_corrections,
-    flat_normal_z,
     neck_angle_grid,
     perturbed_mean_curvature,
     _neck_z,
     _param_steps,
 )
-from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, round_metric
+from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, round_metric, sheet_normal
 
 # relative parameter step of the sheet stencils (ten times it for the second
 # derivatives of measure_fundamental_forms)
@@ -263,7 +262,8 @@ class EmbeddedBubble:
 
     The flat side comes from a FlatModel of the bubble, the field and these
     settings, `model` when given (verify_many shares one over its sweep),
-    else the bubble's own.  The bubble forms its displaced sheet x + (s w) N
+    else the bubble's own; the settings are read from the model, which
+    checks them.  The bubble forms its displaced sheet x + (s w) N
     + s Y from the model's raw field values and its own field scale s, the
     same arithmetic as PerturbationField.w/y and displaced_point_z.
     """
@@ -301,9 +301,6 @@ class EmbeddedBubble:
         self.bubble = bubble
         self.rho = float(rho)
         self.perturbation = perturbation
-        self.grid = grid
-        self.geodesic_steps = geodesic_steps
-        self.sector_nodes = sector_nodes
         self.model = model
         self._sheet_cache: dict = {}
 
@@ -312,7 +309,7 @@ class EmbeddedBubble:
     def embed_flat(self, flat_pts: np.ndarray) -> np.ndarray:
         """Map flat-model points (frame components) through Exp_p(rho . )."""
         v = self.rho * np.asarray(flat_pts, dtype=float) @ self.frame.matrix.T
-        return exp_map(self.chart, self.frame.base, v, steps=self.geodesic_steps)
+        return exp_map(self.chart, self.frame.base, v, steps=self.model.geodesic_steps)
 
     def embed_params(self, sheet: int, z: np.ndarray) -> np.ndarray:
         return self.embed_flat(displaced_point_z(self.bubble, sheet, z, self.perturbation))
@@ -389,7 +386,7 @@ def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
     y = flat[:, None] + tau * displ[:, None]
     u = (e @ (eb.rho * y).reshape(n, -1)).reshape(y.shape)
     points, dexp = _exp_rays(
-        eb.chart, eb.frame.base, u, np.ones(y.shape[1:] + (1,)), [eb.geodesic_steps]
+        eb.chart, eb.frame.base, u, np.ones(y.shape[1:] + (1,)), [eb.model.geodesic_steps]
     )
     # the flat columns [d_tau y, d_z y] at each level (n, m + 1, 6, N), and
     # E times them
@@ -416,7 +413,7 @@ def _ball_exit(bubble: StandardBubble, sheet: int, theta_z) -> np.ndarray:
 def _ray_volumes(eb: EmbeddedBubble, rays: _RayRule) -> list[float]:
     """Volumes of Exp_p(rho E {t theta : t in segment j}) for each segment j
     of a ray rule, integrated over its directions."""
-    q = eb.sector_nodes
+    q = eb.model.sector_nodes
     e = eb.frame.matrix
     u = np.ascontiguousarray((eb.rho * rays.theta @ e.T).T)
     points, dexp = _exp_rays(eb.chart, eb.frame.base, u, rays.t_nodes, rays.substeps)
@@ -493,7 +490,7 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     # reference normal direction: push the flat normal through the embedding
     eps = 1e-5 * min(r for r in b.radii if math.isfinite(r))
     flat = displaced_point_z(b, sheet, z, eb.perturbation)
-    nflat = flat_normal_z(b, sheet, z)
+    nflat = sheet_normal(b, sheet, z[:, 0], angles_to_dirs(b.m, z[:, 1:]))
     ref = (eb.embed_flat(flat + eps * nflat) - pos) / eps
     normal = _orthonormal_normal(gmat, tangents, ref)
     # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part

@@ -10,12 +10,12 @@ from doublebubble.charts import (
     MetricChart,
     _det,
     _dot,
+    _exp_rays,
     _stencil,
     builtin_chart,
     christoffel,
     curvature_at,
     exp_map,
-    exp_rays,
     nabla_riemann,
     normal_metric_expansion,
     orthonormal_frame,
@@ -128,9 +128,8 @@ def test_exp_map_euclidean_exact_and_domain_exit():
     p = np.zeros(3)
     v = np.array([[1.0, 0.0, 0.0]])
     assert np.allclose(exp_map(eu, p, v), v)
-    with pytest.raises(DomainExit) as err:
+    with pytest.raises(DomainExit):
         exp_map(eu, p, np.array([[20.0, 0.0, 0.0]]), force_rk4=True)
-    assert err.value.exit_fraction is not None and 0.0 < err.value.exit_fraction <= 1.0
 
 
 def test_exp_map_great_circle_distance():
@@ -154,10 +153,12 @@ def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
         builtin_chart("euclidean", dim=3),
         builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
     ):
-        pts_c, dexp_c = exp_rays(chart, p, u, t_nodes, [50] * 4)
-        pts_r, dexp_r = exp_rays(chart, p, u, t_nodes, [50] * 4, force_rk4=True)
+        pts_c, dexp_c = _exp_rays(chart, p, u.T, t_nodes, [50] * 4)
+        pts_r, dexp_r = _exp_rays(chart, p, u.T, t_nodes, [50] * 4, force_rk4=True)
+        assert pts_c.shape == (3, 6, 4) and dexp_c.shape == (3, 3, 6, 4)
         # one closed form: the rays' points are exp_map's, bit for bit
-        assert np.array_equal(pts_c, exp_map(chart, p, t_nodes[..., None] * u[:, None]))
+        ends = exp_map(chart, p, t_nodes[..., None] * u[:, None])
+        assert np.array_equal(pts_c, np.moveaxis(ends, -1, 0))
         assert np.abs(pts_r - pts_c).max() <= 1e-10, chart.name
         assert np.abs(dexp_r - dexp_c).max() <= 1e-10, chart.name
 
@@ -165,19 +166,17 @@ def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
 def test_acc_jacobi_hook_matches_directional_differences():
     # A_x J + A_v J' of every family (the analytic forms, and the product's
     # from its factors) against 4th-order differences of the component-major
-    # geodesic_acc along each column (J_c, J'_c); also MetricChart's
-    # finite-difference default on the bump
+    # geodesic_acc along each column (J_c, J'_c)
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.6, 0.6, size=(3, 8))
     v = rng.normal(size=(3, 8))
     jac = rng.normal(size=(3, 4, 8))
     jac_dot = rng.normal(size=(3, 4, 8))
     h = 1e-3
-    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
     for chart in (
         builtin_chart("euclidean", dim=3),
         builtin_chart("round_sphere", a=1.0),
-        bump,
+        builtin_chart("conformal_bump", eps=-0.1, s=0.5),
         builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
     ):
         acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
@@ -189,9 +188,22 @@ def test_acc_jacobi_hook_matches_directional_differences():
 
         fd = (8.0 * (along(1) - along(-1)) - (along(2) - along(-2))) / (12.0 * h)
         assert np.abs(var - fd).max() <= 1e-7, chart.name
-    acc, var = MetricChart.geodesic_acc_jacobi(bump, x, v, jac, jac_dot)
-    assert np.array_equal(acc, bump.geodesic_acc(x, v))
-    assert np.abs(var - bump.geodesic_acc_jacobi(x, v, jac, jac_dot)[1]).max() <= 1e-7
+
+
+def test_builtin_families_define_the_geodesic_hooks():
+    # every family defines the required hooks itself; MetricChart has no
+    # finite-difference fallback for the Jacobi hook
+    for cls in charts._FAMILIES.values():
+        for hook in ("metric", "christoffel_closed", "geodesic_acc", "geodesic_acc_jacobi"):
+            assert hook in vars(cls), (cls.__name__, hook)
+    class AccOnly(MetricChart):
+        def geodesic_acc(self, x, v):
+            return np.zeros(np.shape(v))
+
+    chart = AccOnly(3, "acc only", Box(lo=np.full(3, -1.0), hi=np.full(3, 1.0)))
+    x = np.zeros((3, 2))
+    with pytest.raises(NotImplementedError):
+        chart.geodesic_acc_jacobi(x, x, np.zeros((3, 1, 2)), np.zeros((3, 1, 2)))
 
 
 def test_dot_is_numpy_sum_bit_for_bit():
@@ -301,9 +313,10 @@ def test_component_major_closed_form_is_the_point_major_formula(family, kw):
     u[[3, 17]] = 0.0
     for k in (3, 1):
         t_nodes = np.sort(rng.uniform(0.3, 1.5, size=(40, k)), axis=1)
-        points, dexp = exp_rays(chart, p, u, t_nodes, [4] * k)
+        points, dexp = _exp_rays(chart, p, u.T, t_nodes, [4] * k)
         ref_points, ref_dexp = _point_major_closed_form(chart, p, t_nodes[..., None] * u[:, None])
-        assert points.shape == (40, k, n) and dexp.shape == (40, k, n, n)
+        ref_points, ref_dexp = np.moveaxis(ref_points, -1, 0), np.moveaxis(ref_dexp, (-2, -1), (0, 1))
+        assert points.shape == (n, 40, k) and dexp.shape == (n, n, 40, k)
         if k > 1:
             assert np.array_equal(points, ref_points), chart.name
             assert np.array_equal(dexp, ref_dexp), chart.name
@@ -311,7 +324,7 @@ def test_component_major_closed_form_is_the_point_major_formula(family, kw):
             assert np.abs(points - ref_points).max() <= 1e-15 * np.abs(ref_points).max(), chart.name
             assert np.abs(dexp - ref_dexp).max() <= 1e-15 * np.abs(ref_dexp).max(), chart.name
         # zero speed: the base point itself
-        assert np.array_equal(points[[3, 17]], np.broadcast_to(p, (2, k, n)))
+        assert np.array_equal(points[:, [3, 17]], np.broadcast_to(p[:, None, None], (n, 2, k)))
     assert np.array_equal(exp_map(chart, p, u), _point_major_closed_form(chart, p, u)[0]), chart.name
 
 
@@ -352,6 +365,24 @@ def test_inside_mask_closed_box_and_nan():
     # the centre and the six points on the faces
     assert mask.sum() == 7
     assert box.inside_mask(inside) and not box.inside_mask(np.full(3, np.nan))
+
+
+def test_box_contains_exactly_at_the_clearance():
+    # the box shrunk by the clearance is closed, and one ulp beyond it is out
+    box = Box(lo=np.array([-1.0, -2.0, 0.5]), hi=np.array([1.0, 2.0, 1.5]))
+    c = 0.25
+    inside = np.array([0.0, 0.0, 1.0])
+    for i in range(3):
+        for edge, outward in ((box.lo[i] + c, -np.inf), (box.hi[i] - c, np.inf)):
+            x = inside.copy()
+            x[i] = edge
+            assert box.contains(x, c)
+            x[i] = np.nextafter(edge, outward)
+            assert not box.contains(x, c)
+            assert box.contains(x)
+    assert box.contains(np.stack([inside, box.lo + c, box.hi - c]), c)
+    assert not box.contains(np.stack([inside, box.lo]), c)
+    assert not box.contains(np.full(3, np.nan))
 
 
 def test_stencil_exact_on_batched_polynomials():
@@ -402,16 +433,15 @@ def test_exp_rays_domain_exit():
     u = np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.0]])
     t_nodes = np.array([[0.5, 1.0, 2.5], [0.5, 1.0, 2.5]])
     for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
-        with pytest.raises(DomainExit) as err:
-            exp_rays(chart, np.zeros(3), u, t_nodes, [10, 10, 10])
-        assert 0.0 < err.value.exit_fraction <= 1.0
+        with pytest.raises(DomainExit):
+            _exp_rays(chart, np.zeros(3), u.T, t_nodes, [10, 10, 10])
 
 
 def test_exp_rays_rejects_bad_nodes():
     u = np.array([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
     good = np.array([[0.5, 1.0], [0.4, 0.9]])
     for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
-        exp_rays(chart, np.zeros(3), u, good, [5, 5])
+        _exp_rays(chart, np.zeros(3), u.T, good, [5, 5])
         for t_nodes, substeps in (
             (np.array([[0.0, 1.0], [0.4, 0.9]]), [5, 5]),  # a zero node
             (np.array([[-0.5, 1.0], [0.4, 0.9]]), [5, 5]),  # a negative node
@@ -419,10 +449,27 @@ def test_exp_rays_rejects_bad_nodes():
             (np.array([[0.5, 0.5], [0.4, 0.9]]), [5, 5]),  # repeated
             (good, [5]),  # one substep count for two nodes
             (good, [5, 5, 5]),
+            (good, [0, 5]),  # a zero substep count
+            (good, [5, -1]),  # a negative one
         ):
             for force_rk4 in (False, True):
                 with pytest.raises(ValueError):
-                    exp_rays(chart, np.zeros(3), u, t_nodes, substeps, force_rk4=force_rk4)
+                    _exp_rays(chart, np.zeros(3), u.T, t_nodes, substeps, force_rk4=force_rk4)
+
+
+def test_exp_map_rejects_non_positive_steps():
+    # on every chart, closed forms included
+    v = np.array([[0.1, 0.0, 0.0]])
+    for chart in (
+        builtin_chart("euclidean", dim=3),
+        builtin_chart("round_sphere", a=1.0),
+        builtin_chart("conformal_bump", eps=-0.1, s=0.5),
+        builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
+    ):
+        for force_rk4 in (False, True):
+            for steps in (0, -3):
+                with pytest.raises(ValueError):
+                    exp_map(chart, np.zeros(3), v, steps=steps, force_rk4=force_rk4)
 
 
 def test_geodesics_couple_no_rays():
@@ -437,28 +484,28 @@ def test_geodesics_couple_no_rays():
         halves = [exp_map(chart, p, u[:6], steps=20), exp_map(chart, p, u[6:], steps=20)]
         assert np.array_equal(np.concatenate(halves), ends), chart.name
         assert np.array_equal(exp_map(chart, p, u.reshape(3, 4, 3), steps=20).reshape(12, 3), ends), chart.name
-        rays = exp_rays(chart, p, u, t_nodes, [4, 4, 4])
-        first = exp_rays(chart, p, u[:6], t_nodes[:6], [4, 4, 4])
-        second = exp_rays(chart, p, u[6:], t_nodes[6:], [4, 4, 4])
-        stacked = exp_rays(chart, p, u.reshape(3, 4, 3), t_nodes.reshape(3, 4, 3), [4, 4, 4])
+        rays = _exp_rays(chart, p, u.T, t_nodes, [4, 4, 4])
+        first = _exp_rays(chart, p, u[:6].T, t_nodes[:6], [4, 4, 4])
+        second = _exp_rays(chart, p, u[6:].T, t_nodes[6:], [4, 4, 4])
+        stacked = _exp_rays(chart, p, u.T.reshape(3, 3, 4), t_nodes.reshape(3, 4, 3), [4, 4, 4])
         for whole, a, b, c in zip(rays, first, second, stacked):
-            assert np.array_equal(np.concatenate([a, b]), whole), chart.name
+            # the batch axis is the one before the nodes
+            assert np.array_equal(np.concatenate([a, b], axis=-2), whole), chart.name
             assert np.array_equal(c.reshape(whole.shape), whole), chart.name
 
 
 def test_rk4_exp_map_is_exp_rays_at_one_node():
-    # one integrator: exp_map's RK4 is exp_rays' without the Jacobi fields,
+    # one integrator: exp_map's RK4 is _exp_rays' without the Jacobi fields,
     # stepped to the single node t = 1
     p = np.array([0.12, -0.05, 0.08])
     v = np.random.default_rng(5).normal(size=(64, 3)) * 0.15
     for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
         ends = exp_map(chart, p, v, steps=50, force_rk4=True)
-        points, _ = exp_rays(chart, p, v, np.ones((len(v), 1)), [50], force_rk4=True)
-        assert np.array_equal(ends, points[:, 0]), chart.name
+        points, _ = _exp_rays(chart, p, v.T, np.ones((len(v), 1)), [50], force_rk4=True)
+        assert np.array_equal(ends, points[..., 0].T), chart.name
     bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
-    with pytest.raises(DomainExit) as err:
+    with pytest.raises(DomainExit):
         exp_map(bump, p, np.array([[0.2, 0.0, 0.0], [3.0, 0.0, 0.0]]), steps=20, force_rk4=True)
-    assert 0.0 < err.value.exit_fraction <= 1.0
 
 
 def test_exp_map_rk4_order():
@@ -634,7 +681,7 @@ def test_charts_evaluate_each_kernel_once(monkeypatch):
     # one closed-form call gives a ray's points and differentials
     sp = builtin_chart("round_sphere", a=1.0)
     u = np.random.default_rng(4).normal(size=(5, 3)) * 0.1
-    exp_rays(sp, np.array([0.1, 0.0, -0.2]), u, np.array([[0.5, 1.0]] * 5), [1, 1])
+    _exp_rays(sp, np.array([0.1, 0.0, -0.2]), u.T, np.array([[0.5, 1.0]] * 5), [1, 1])
     assert calls["closed"] == 1
     # one Riemann tensor per curvature evaluation
     bp = builtin_chart("conformal_bump", eps=-0.1, s=0.5)

@@ -196,8 +196,39 @@ def test_exit_codes(tmp_path):
         ("predict", "rho = 0\n"),
         ("predict", "newton_tol = tight\n"),
     ):
-        wrong = write_cfg(tmp_path / "wrong.cfg", BASE_CFG + text)
+        # a family other than the round sphere does not take BASE_CFG's chart.a
+        base = BASE_CFG.replace("chart.a = 1.0\n", "") if "chart = " in text else BASE_CFG
+        wrong = write_cfg(tmp_path / "wrong.cfg", base + text)
         assert main([command, "--config", str(wrong), "--out", str(tmp_path)]) == 2, text
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        ("verify", "quantities =\n"),
+        ("verify", "quantities = ,\n"),
+        ("verify", "quantities = area,area\n"),
+        ("verify", "quantities = v1,area,v1\n"),
+        ("predict", "seeds =\n"),
+        ("predict", "seeds = ;\n"),
+    ],
+)
+def test_empty_and_repeated_inputs_are_config_errors(tmp_path, command, text):
+    cfg = write_cfg(tmp_path / "run.cfg", BASE_CFG + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not (out / "verify.csv").exists() and not (out / "predictions.json").exists()
+
+
+def test_chart_setting_the_family_does_not_take_is_a_config_error(tmp_path):
+    cfg = write_cfg(tmp_path / "run.cfg", "chart = product\nchart.a = 2\n")
+    assert main(["curvature", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    with pytest.raises(ConfigError, match="chart = product"):
+        build_chart(parse_config(cfg))
+    # every setting a config gives reaches the constructor
+    cfg = write_cfg(tmp_path / "run.cfg", "chart = conformal_bump\nchart.eps = 0.2\nchart.dim = 4\n")
+    chart = build_chart(parse_config(cfg))
+    assert (chart.eps, chart.dim) == (0.2, 4)
 
 
 def chart_settings(chart) -> dict:

@@ -20,8 +20,8 @@ from doublebubble.fields import (
     sheet_grid,
     _neck_z,
     angles_to_dirs,
+    displaced_point_z,
 )
-from doublebubble.fields import flat_point_z
 from doublebubble.geometry import BubbleParams, flat_metric, flat_rule, solve_standard_bubble
 
 from exact_models import junction_residual, random_smooth_field
@@ -49,7 +49,7 @@ def test_flat_metric_matches_finite_differences(m):
             z = np.array([[0.3 * upper, 0.7, 2.1], [0.8 * upper, 2.0, 4.4]])[:, :m]
 
             def metric(zz, s=s):
-                t = np.stack([d4(lambda y: flat_point_z(b, s, y), zz, i) for i in range(m)], axis=-2)
+                t = np.stack([d4(lambda y: displaced_point_z(b, s, y, None), zz, i) for i in range(m)], axis=-2)
                 return np.einsum("...ik,...jk->...ij", t, t)
 
             g_fd = metric(z)

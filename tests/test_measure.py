@@ -202,13 +202,13 @@ def test_oracle_against_independent_sphere_model():
     b = ASYM
     eb = EmbeddedBubble(SP, FRAME_SP, b, rho, grid=(24, 48), sector_nodes=10)
     areas = measure_area(eb)
-    from doublebubble.fields import flat_point_z
+    from doublebubble.fields import displaced_point_z
 
     for s in range(3):
-        z, _, w = flat_rule(b.m, b.polar_limit(s), eb.grid)
+        z, _, w = flat_rule(b.m, b.polar_limit(s), eb.model.grid)
         steps = _param_steps(b, s, 1e-4)
         area_ref = exact_models.surface_area(
-            lambda zz, ss=s: rho * flat_point_z(b, ss, zz), z, w, steps
+            lambda zz, ss=s: rho * displaced_point_z(b, ss, zz, None), z, w, steps
         )
         assert areas[s] == pytest.approx(area_ref, rel=1e-9)
     v1, v2 = measure_volumes(eb)
