@@ -599,9 +599,10 @@ def _fd_d1(fun, x, h, depth=2):
     trailing tensor axes; the new derivative axis is inserted first.
 
     One call of fun per shifted point.  Batching the shifts as _stencil does
-    makes the locator's curvature tensors several times faster; ROADMAP item
-    4 defers that until the benchmark's peak-RSS metric stops growing with
-    the number of operations it completes."""
+    makes the locator's curvature tensors several times faster; ROADMAP items
+    1 and 2 defer that: the benchmark's peak-RSS metric grows with the number
+    of operations it completes until item 1 lands, and item 2 replaces these
+    differences with closed-form curvature."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     rows = []

@@ -133,7 +133,10 @@ def _vector(text: str, key: str, dim: int) -> np.ndarray:
 
 
 def _point_list(text: str, key: str, dim: int) -> list[np.ndarray]:
-    return [_vector(chunk, key, dim) for chunk in text.split(";") if chunk.strip()]
+    points = [_vector(chunk, key, dim) for chunk in text.split(";") if chunk.strip()]
+    if not points:
+        raise ConfigError(f"{key} gives no point")
+    return points
 
 
 def _bool(text: str) -> bool:
@@ -404,8 +407,6 @@ def cmd_predict(cfg: dict, outdir: Path) -> int:
     chart = build_chart(cfg)
     params = _bubble_params(cfg, chart)
     seeds = _point_list(cfg["seeds"], "seeds", chart.dim)
-    if not seeds:
-        raise ConfigError("seeds gives no point")
     rho = _number(cfg["rho"], "rho", positive=True)
     tol = _number(cfg["newton_tol"], "newton_tol", positive=True)
     preds, points = predict_full(chart, seeds, rho, params, tol=tol)

@@ -20,12 +20,18 @@ The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
 against; curvature enters through frame components of the ambient Riemann
 tensor at the center point (charts.CurvatureAtPoint).
+
+The linearized junction problem (Jacobi operator, neck trace and
+equiangularity rows) decouples by spherical-harmonic degree k: jacobi_block
+is its matrix per k at any m, field_modes an m = 2 field's amplitudes per k,
+and the Killing fields (killing_basis) span the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,8 +51,8 @@ SQRT3 = math.sqrt(3.0)
 RESPONSE_GRID = (32, 64)
 # polar nodes of the grid on which sup_amplitude samples a field
 SUP_NODES = 12
-# points of the neck angle grid of linearized_equiangularity_residual
-NECK_ANGLES = 64
+# angles per turn on which field_modes samples a field
+MODE_ANGLES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +213,16 @@ def displaced_point_z(
 def _param_steps(bubble: StandardBubble, sheet: int, rel: float = 1e-4) -> np.ndarray:
     scales = [bubble.polar_limit(sheet)] + [math.pi] * (bubble.m - 1)
     return rel * np.asarray(scales)
+
+
+def neck_angle_grid(m: int, n_angle: int) -> np.ndarray:
+    if m == 2:
+        return (2.0 * math.pi * np.arange(n_angle) / n_angle)[:, None]
+    raise ValueError("neck grids are implemented for m = 2")
+
+
+def _neck_z(bubble: StandardBubble, sheet: int, angles: np.ndarray) -> np.ndarray:
+    return np.concatenate([np.full((len(angles), 1), bubble.polar_limit(sheet)), angles], axis=-1)
 
 
 @dataclass
@@ -523,64 +539,13 @@ def perturbed_volume_expansion(
 
 
 # ---------------------------------------------------------------------------
-# linearized equiangularity and the Jacobi operator
-
-
-def neck_angle_grid(m: int, n_angle: int) -> np.ndarray:
-    if m == 2:
-        return (2.0 * math.pi * np.arange(n_angle) / n_angle)[:, None]
-    raise ValueError("neck grids are implemented for m = 2")
-
-
-def _neck_z(bubble: StandardBubble, sheet: int, angles: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.full((len(angles), 1), bubble.polar_limit(sheet)), angles], axis=-1)
-
-
-def conormal_derivative(
-    bubble: StandardBubble, sheet: int, field: PerturbationField, angles: np.ndarray
-) -> np.ndarray:
-    """dw/dnu at the neck: the derivative along the inward unit conormal.
-
-    Inward means decreasing polar parameter, with arclength R dphi on caps
-    and dy on the disk.
-    """
-    def wfun(zz):
-        return field.w(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
-
-    _, d1 = _stencil(wfun, _neck_z(bubble, sheet, angles), _param_steps(bubble, sheet), neck=True)
-    dpol = d1[:, 0]
-    scale = 1.0 if (sheet == 0 and bubble.symmetric) else bubble.radii[sheet]
-    return -dpol / scale
-
-
-def linearized_equiangularity_residual(
-    bubble: StandardBubble,
-    field: PerturbationField,
-    coupling: CouplingData,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two junction balance fields on the neck angle grid:
-
-      e0 = dw0/dnu0 + r0 w0 + dw1/dnu1 + r1 w1,
-      e2 = dw1/dnu1 + r1 w1 + dw2/dnu2 + r2 w2,
-
-    with (r0, r1, r2) the Robin coefficients of `coupling`; both vanish for
-    displacements that keep the junction equiangular to first order.
-    """
-    angles = neck_angle_grid(bubble.m, NECK_ANGLES)
-    rob = coupling.robin
-    terms = []
-    for s in range(3):
-        z = _neck_z(bubble, s, angles)
-        dirs = angles_to_dirs(bubble.m, z[..., 1:])
-        w = field.w(s, z[..., 0], dirs)
-        dn = conormal_derivative(bubble, s, field, angles)
-        terms.append(dn + rob[s] * w)
-    return terms[0] + terms[1], terms[1] + terms[2]
+# the linearized junction problem, one block per harmonic degree
 
 
 def fornberg_weights(xs: np.ndarray, x0: float, der: int) -> np.ndarray:
-    """Finite-difference weights for the der-th derivative at x0 on arbitrary
-    nodes xs (Fornberg's recursion)."""
+    """Finite-difference weights at x0 on arbitrary nodes xs (Fornberg's
+    recursion): column d of the (len(xs), der + 1) table for the d-th
+    derivative."""
     n = len(xs)
     c = np.zeros((n, der + 1))
     c[0, 0] = 1.0
@@ -602,98 +567,107 @@ def fornberg_weights(xs: np.ndarray, x0: float, der: int) -> np.ndarray:
             c[j, 1 : mn + 1] = (c4 * c[j, 1 : mn + 1] - np.arange(1, mn + 1) * c[j, 0:mn]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, der]
+    return c
 
 
 _GHOSTS = 3
 _WINDOW = 7
 
 
-@dataclass(frozen=True)
-class SheetGrid:
-    """Half-offset uniform polar x angle grid of one sheet (m = 2).
+def _polar_nodes(upper: float, n: int) -> np.ndarray:
+    """Half-offset polar nodes (j + 1/2) upper / n: the pole is not a node."""
+    return upper * (np.arange(n) + 0.5) / n
 
-    polar nodes sit at (j + 1/2) upper / n, so the pole is excluded and smooth
-    fields extend across it by the reflection w(-y, theta) = w(y, theta + pi);
-    polar differentiation uses 7-point Fornberg stencils on the ghost-extended
-    grid (one-sided only at the neck end) and the angle factor is spectral.
+
+@lru_cache(maxsize=None)
+def _polar_weights(upper: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fornberg weights on _polar_nodes, built once per (upper, n).
+
+    Returns the (2, n, n + 3) first and second derivative matrices over three
+    pole ghosts at -polar_2, -polar_1, -polar_0 and then the nodes (7-point
+    windows, one-sided only at the neck end), and the (7, 2) value and first
+    derivative weights at the neck on the last 7 nodes.
     """
-
-    bubble: StandardBubble
-    sheet: int
-    polar: np.ndarray
-    theta: np.ndarray
-
-    @property
-    def upper(self) -> float:
-        return self.bubble.polar_limit(self.sheet)
-
-    def mesh(self):
-        pol, th = np.meshgrid(self.polar, self.theta, indexing="ij")
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return pol, dirs
-
-    def _ext_matrix(self, order: int) -> np.ndarray:
-        """(n, n + ghosts) differentiation matrix on the ghost-extended grid."""
-        n = len(self.polar)
-        h = self.polar[1] - self.polar[0]
-        ext = np.concatenate([-self.polar[:_GHOSTS][::-1], self.polar])
-        d = np.zeros((n, n + _GHOSTS))
-        for i in range(n):
-            row = i + _GHOSTS
-            lo = min(max(0, row - _WINDOW // 2), n + _GHOSTS - _WINDOW)
-            win = slice(lo, lo + _WINDOW)
-            d[i, win] = fornberg_weights(ext[win], ext[row], order)
-        return d
-
-    def extend(self, w: np.ndarray) -> np.ndarray:
-        """Prepend the pole-reflection ghost rows (needs an even angle count)."""
-        n_theta = w.shape[1]
-        ghost = np.roll(w[:_GHOSTS][::-1], n_theta // 2, axis=1)
-        return np.concatenate([ghost, w], axis=0)
+    polar = _polar_nodes(upper, n)
+    ext = np.concatenate([-polar[:_GHOSTS][::-1], polar])
+    d = np.zeros((2, n, n + _GHOSTS))
+    for i in range(n):
+        row = i + _GHOSTS
+        lo = min(max(0, row - _WINDOW // 2), n + _GHOSTS - _WINDOW)
+        d[:, i, lo : lo + _WINDOW] = fornberg_weights(ext[lo : lo + _WINDOW], ext[row], 2)[:, 1:].T
+    return d, fornberg_weights(polar[-_WINDOW:], upper, 1)
 
 
-def sheet_grid(bubble: StandardBubble, sheet: int, n_polar: int = 64, n_angle: int = 128) -> SheetGrid:
-    if bubble.m != 2:
-        raise ValueError("grid operators are implemented for m = 2")
-    if n_angle % 2 != 0:
-        raise ValueError("the angle count must be even for pole reflection")
-    polar = bubble.polar_limit(sheet) * (np.arange(n_polar) + 0.5) / n_polar
-    theta = 2.0 * math.pi * np.arange(n_angle) / n_angle
-    return SheetGrid(bubble=bubble, sheet=sheet, polar=polar, theta=theta)
+def jacobi_block(bubble: StandardBubble, k: int, n_polar: int) -> np.ndarray:
+    """The linearized junction problem in spherical-harmonic degree k.
+
+    Acts on one degree-k harmonic's amplitudes at the three sheets' polar
+    nodes (j + 1/2) polar_limit(s) / n_polar, sheet after sheet.  The
+    (3n + 3, 3n) matrix has the rows
+
+      R Delta w + (m/R) w on caps, Delta w on the symmetric disk, with the
+        angular part of Delta -k(k+m-2)/sin^2(polar) (/polar^2 on the disk);
+      the neck trace w1 - w0 - w2;
+      the equiangularity balances e0 = dw0/dnu0 + r0 w0 + dw1/dnu1 + r1 w1
+        and e2 = dw1/dnu1 + r1 w1 + dw2/dnu2 + r2 w2,
+
+    nu_s the inward unit conormal (arclength R dpolar on caps, dpolar on the
+    disk) and r_s the Robin coefficients of coupling_constants.  The neck
+    rows take their values from Fornberg weights on the last 7 nodes.  Its
+    kernel holds the degree-k parts of the Killing fields: one axial
+    translation at k = 0, a translation and a tilt at k = 1.
+    """
+    if k < 0 or n_polar < _WINDOW:
+        raise ValueError(f"need degree k >= 0 and n_polar >= {_WINDOW}, got {k}, {n_polar}")
+    m, n = bubble.m, n_polar
+    angular = k * (k + m - 2)
+    robin = coupling_constants(bubble.params).robin
+    out = np.zeros((3 * n + 3, 3 * n))
+    for s in range(3):
+        upper = bubble.polar_limit(s)
+        pol = _polar_nodes(upper, n)
+        ext, neck_weights = _polar_weights(upper, n)
+        # a degree-k harmonic takes the value (-1)^k w(y) at polar -y: each
+        # ghost column folds onto its mirror node
+        d = ext[:, :, _GHOSTS:].copy()
+        d[:, :, :_GHOSTS] += (-1) ** k * ext[:, :, _GHOSTS - 1 :: -1]
+        d1, d2 = d
+        cols = slice(s * n, (s + 1) * n)
+        if s == 0 and bubble.symmetric:
+            scale = 1.0
+            out[cols, cols] = d2 + ((m - 1) / pol)[:, None] * d1 - np.diag(angular / pol**2)
+        else:
+            scale = bubble.radii[s]
+            lap = d2 + ((m - 1) / np.tan(pol))[:, None] * d1 - np.diag(angular / np.sin(pol) ** 2)
+            out[cols, cols] = lap / scale + np.diag(np.full(n, m / scale))
+        neck = slice((s + 1) * n - _WINDOW, (s + 1) * n)
+        value, slope = neck_weights.T
+        balance = -slope / scale + robin[s] * value
+        out[3 * n, neck] = value if s == 1 else -value
+        if s < 2:
+            out[3 * n + 1, neck] += balance
+        if s > 0:
+            out[3 * n + 2, neck] += balance
+    return out
 
 
-_D_CACHE: dict = {}
-
-
-def _grid_derivative_matrices(grid: SheetGrid):
-    key = (grid.sheet, grid.upper, len(grid.polar))
-    if key not in _D_CACHE:
-        _D_CACHE[key] = (grid._ext_matrix(1), grid._ext_matrix(2))
-    return _D_CACHE[key]
-
-
-def jacobi_apply(grid: SheetGrid, w: np.ndarray) -> np.ndarray:
-    """Jacobi operator on a sheet grid: R Delta w + (m/R) w on caps, Delta w
-    on the symmetric disk (plain Laplace-Beltrami; kernel membership is
-    unaffected by the disk scaling)."""
-    b = grid.bubble
-    m = b.m
-    pol = grid.polar[:, None]
-    n_theta = len(grid.theta)
-    k = np.fft.rfftfreq(n_theta, d=1.0 / n_theta)
-    w_hat = np.fft.rfft(w, axis=1)
-    d2_theta = np.fft.irfft(-(k**2) * w_hat, n=n_theta, axis=1)
-    d1, d2 = _grid_derivative_matrices(grid)
-    wext = grid.extend(w)
-    w_p = d1 @ wext
-    w_pp = d2 @ wext
-    disk = grid.sheet == 0 and b.symmetric
-    if disk:
-        return w_pp + (m - 1) / pol * w_p + d2_theta / pol**2
-    r_s = b.radii[grid.sheet]
-    lap = (w_pp + (m - 1) / np.tan(pol) * w_p + d2_theta / np.sin(pol) ** 2) / r_s**2
-    return r_s * lap + (m / r_s) * w
+def field_modes(field: PerturbationField, n_polar: int) -> np.ndarray:
+    """Degree-k cos and sin amplitudes of an m = 2 field's w_s on the nodes of
+    jacobi_block: (MODE_ANGLES // 2, 3 n_polar, 2), from a real FFT over
+    MODE_ANGLES equispaced angles.  jacobi_block(bubble, k, n_polar) @
+    field_modes(field, n_polar)[k] are the field's residuals in degree k."""
+    b = field.bubble
+    if b.m != 2:
+        raise ValueError("field modes are implemented for m = 2")
+    theta = 2.0 * math.pi * np.arange(MODE_ANGLES) / MODE_ANGLES
+    dirs = np.broadcast_to(np.stack([np.cos(theta), np.sin(theta)], axis=-1), (n_polar, MODE_ANGLES, 2))
+    w = np.concatenate([
+        field.w(s, np.broadcast_to(_polar_nodes(b.polar_limit(s), n_polar)[:, None], dirs.shape[:2]), dirs)
+        for s in range(3)
+    ])
+    c = np.fft.rfft(w, axis=1)[:, : MODE_ANGLES // 2] * (2.0 / MODE_ANGLES)
+    c[:, 0] /= 2.0
+    return np.stack([c.real, -c.imag], axis=-1).transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ metric; a sheet's area weights are flat_rule's weights times sqrt(det g).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -223,17 +223,7 @@ def solve_standard_bubble(params: BubbleParams) -> StandardBubble:
         sheet_areas=(0.0, 0.0, 0.0),
     )
     v1, v2 = enclosed_volumes(bubble)
-    areas = tuple(sheet_area(bubble, s) for s in range(3))
-    return StandardBubble(
-        params=params,
-        radii=radii,
-        phi=phi,
-        neck_radius=r,
-        centers=centers,
-        v1=v1,
-        v2=v2,
-        sheet_areas=areas,
-    )
+    return replace(bubble, v1=v1, v2=v2, sheet_areas=tuple(sheet_area(bubble, s) for s in range(3)))
 
 
 def region_volume(bubble: StandardBubble, sheet: int) -> float:

@@ -211,13 +211,15 @@ def test_exit_codes(tmp_path):
         ("verify", "quantities = v1,area,v1\n"),
         ("predict", "seeds =\n"),
         ("predict", "seeds = ;\n"),
+        ("curvature", "points =\n"),
+        ("curvature", "points = ;\n"),
     ],
 )
 def test_empty_and_repeated_inputs_are_config_errors(tmp_path, command, text):
     cfg = write_cfg(tmp_path / "run.cfg", BASE_CFG + text)
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-    assert not (out / "verify.csv").exists() and not (out / "predictions.json").exists()
+    assert not any((out / name).exists() for name in ("verify.csv", "predictions.json", "curvature.csv"))
 
 
 def test_chart_setting_the_family_does_not_take_is_a_config_error(tmp_path):

@@ -7,19 +7,16 @@ from doublebubble.fields import (
     admissible_closure,
     admissibility_bound,
     check_admissible,
-    conormal_derivative,
     coupling_constants,
+    field_modes,
     first_order_area_corrections,
     first_order_volume_corrections,
-    jacobi_apply,
+    jacobi_block,
     killing_basis,
-    linearized_equiangularity_residual,
-    neck_angle_grid,
     perturbed_mean_curvature,
     random_admissible_field,
-    sheet_grid,
-    _neck_z,
-    angles_to_dirs,
+    MODE_ANGLES,
+    PerturbationField,
     displaced_point_z,
 )
 from doublebubble.geometry import BubbleParams, flat_metric, flat_rule, solve_standard_bubble
@@ -91,26 +88,23 @@ def test_admissible_closure_relations():
         admissible_closure(np.ones(4), np.ones(5))
 
 
+def junction_blocks(b, n_polar):
+    """jacobi_block for every degree field_modes resolves: (degrees, 3n + 3, 3n)."""
+    return np.stack([jacobi_block(b, k, n_polar) for k in range(MODE_ANGLES // 2)])
+
+
 def test_killing_fields_pass_all_residuals():
+    n = 64
     for b in (SYM, ASYM):
-        coup = coupling_constants(b.params)
+        blocks = junction_blocks(b, n)
         fields = killing_basis(b)
         assert len(fields) == 2 * b.m + 1
         for f in fields:
-            worst_jacobi = 0.0
-            for s in range(3):
-                g = sheet_grid(b, s, 64, 128)
-                pol, dirs = g.mesh()
-                worst_jacobi = max(worst_jacobi, float(np.abs(jacobi_apply(g, f.w(s, pol, dirs))).max()))
-            assert worst_jacobi <= 1e-6
-            ang = neck_angle_grid(2, 64)
-            traces = []
-            for s in range(3):
-                z = _neck_z(b, s, ang)
-                traces.append(f.w(s, z[:, 0], angles_to_dirs(2, z[:, 1:])))
-            assert np.abs(traces[1] - traces[0] - traces[2]).max() <= 1e-6
-            e0, e2 = linearized_equiangularity_residual(b, f, coup)
-            assert max(np.abs(e0).max(), np.abs(e2).max()) <= 1e-6
+            res = blocks @ field_modes(f, n)
+            # Jacobi rows, neck trace w1 - w0 - w2, equiangularity e0 and e2
+            assert np.abs(res[:, : 3 * n]).max() <= 1e-6
+            assert np.abs(res[:, 3 * n]).max() <= 1e-6
+            assert np.abs(res[:, 3 * n + 1 :]).max() <= 1e-6
 
 
 def test_killing_fields_linearly_independent():
@@ -129,33 +123,46 @@ def test_killing_fields_linearly_independent():
 def test_random_fields_fail_residuals():
     rng = np.random.default_rng(123)
     for b in (SYM, ASYM):
-        coup = coupling_constants(b.params)
+        blocks = junction_blocks(b, 32)
         for _ in range(20):
             f = random_smooth_field(b, rng)
-            res = 0.0
-            for s in range(3):
-                g = sheet_grid(b, s, 32, 64)
-                pol, dirs = g.mesh()
-                res = max(res, float(np.abs(jacobi_apply(g, f.w(s, pol, dirs))).max()))
-            e0, e2 = linearized_equiangularity_residual(b, f, coup)
-            res = max(res, float(np.abs(e0).max()), float(np.abs(e2).max()))
-            assert res >= 1e-2
+            assert np.abs(blocks @ field_modes(f, 32)).max() >= 1e-2
 
 
 def test_jacobi_grid_operator_spot_values():
-    # w = cos(polar) on a cap solves R lap w + (m/R) w = 0 exactly
+    # the Jacobi rows of one sheet, at its polar nodes (j + 1/2) upper / n
+    n = 64
     b = SYM
-    g = sheet_grid(b, 1, 64, 128)
-    pol, dirs = g.mesh()
-    w = np.cos(pol)
-    assert np.abs(jacobi_apply(g, w)).max() <= 1e-7
-    # disk: harmonics of the flat laplacian
-    g0 = sheet_grid(b, 0, 64, 128)
-    pol0, dirs0 = g0.mesh()
-    w0 = pol0 * dirs0[..., 0]  # the linear function x
-    assert np.abs(jacobi_apply(g0, w0)).max() <= 1e-7
-    w_rand = np.sin(3 * pol0)
-    assert np.abs(jacobi_apply(g0, w_rand)).max() > 1e-2
+
+    def jacobi_rows(sheet, k, w):
+        amps = np.zeros(3 * n)
+        amps[sheet * n : (sheet + 1) * n] = w(b.polar_limit(sheet) * (np.arange(n) + 0.5) / n)
+        return (jacobi_block(b, k, n) @ amps)[sheet * n : (sheet + 1) * n]
+
+    # w = cos(polar) on a cap solves R lap w + (m/R) w = 0 exactly
+    assert np.abs(jacobi_rows(1, 0, np.cos)).max() <= 1e-7
+    # disk: the linear function x = y cos(theta), degree 1 with amplitude y
+    assert np.abs(jacobi_rows(0, 1, lambda y: y)).max() <= 1e-7
+    assert np.abs(jacobi_rows(0, 0, lambda y: np.sin(3 * y))).max() > 1e-2
+    # the neck rows need a full Fornberg window; field_modes samples m = 2
+    with pytest.raises(ValueError):
+        jacobi_block(b, 0, 6)
+    with pytest.raises(ValueError):
+        jacobi_block(b, -1, n)
+    b3 = solve_standard_bubble(BubbleParams(3, 0.0, 3.0, 3.0))
+    with pytest.raises(ValueError):
+        field_modes(PerturbationField(b3, (None, None, None)), n)
+
+
+@pytest.mark.parametrize("h", [(2, 0.0, 3.0, 3.0), (2, 1.0, 3.0, 2.0), (3, 0.0, 3.0, 3.0), (3, 1.0, 3.0, 2.0)])
+def test_jacobi_block_kernel_is_the_killing_fields(h):
+    # nullity 1 (axial translation) at k = 0, 2 (translation and tilt) per
+    # degree-1 harmonic, none above: 2m+1 over the harmonics, at m = 2 and 3
+    b = solve_standard_bubble(BubbleParams(*h))
+    for k, nullity in enumerate((1, 2, 0, 0)):
+        sv = np.linalg.svd(jacobi_block(b, k, 64), compute_uv=False)
+        assert int(np.sum(sv < 1e-6)) == nullity, k
+        assert sv[sv >= 1e-6].min() >= 0.1, k
 
 
 def test_random_admissible_field_junction_and_bound():
@@ -270,12 +277,12 @@ def test_perturbed_mean_curvature_concentric_shift():
 
 
 def test_conormal_derivative_sign():
-    # w increasing toward the neck has negative inward derivative
+    # w = polar^2 on sheet 1 alone increases toward the neck, so its inward
+    # conormal derivative -2 phi1 / R1 is negative; e0 adds r1 phi1^2
     b = SYM
-    from doublebubble.fields import PerturbationField
-
-    f = PerturbationField(b, tuple(lambda pol, dirs: np.asarray(pol) ** 2 for _ in range(3)))
-    ang = neck_angle_grid(2, 8)
-    d1 = conormal_derivative(b, 1, f, ang)
-    assert np.all(d1 < 0.0)
-    assert d1[0] == pytest.approx(-2.0 * b.phi[1] / b.radii[1], rel=1e-8)
+    n = 64
+    f = PerturbationField(b, (None, lambda pol, dirs: np.asarray(pol) ** 2, None))
+    e0 = (jacobi_block(b, 0, n) @ field_modes(f, n)[0, :, 0])[3 * n + 1]
+    r1 = coupling_constants(b.params).robin[1]
+    assert e0 < 0.0
+    assert e0 == pytest.approx(-2.0 * b.phi[1] / b.radii[1] + r1 * b.phi[1] ** 2, rel=1e-8)
