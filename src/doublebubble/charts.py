@@ -20,10 +20,14 @@ forms.  Every central difference in chart coordinates takes the one step
 FD_STEP.
 
 Geodesics take a chart's closed-form exponential where it has one, and
-otherwise one fixed-step RK4 integrator (_rk4): exp_map runs it on position
-and velocity, the private ray core _exp_rays (there is no public one) on
-the same state together with the Jacobi fields that give the differential
-of the exponential map.
+otherwise one fixed-step RK4 integrator (_rk4), which updates its state in
+place on preallocated stage, slope-sum and scratch buffers: exp_map runs it
+on position and velocity, the private ray core _exp_rays on the same state
+together with k Jacobi fields, J(0) = 0 and J'(0) = W, whose values give
+the pushforward dExp W of the directions W (the identity by default, for
+the whole differential).  exp_map(..., directions=W) is the one-node case
+of that core: it returns the endpoints and dExp_p(v) W, the tangents of an
+embedded sheet when W holds its parameter derivatives.
 
 Layout: the public functions take and return points (..., n), but the RK4
 state, the geodesic hooks and the closed-form ray kernel are component-major,
@@ -35,16 +39,19 @@ derivatives of the acceleration in x and v, and dexp_closed(p, v) maps v
 (n, ...) to points (n, ...) and dexp (n, n, ...).  No Jacobian matrix is
 built: the conformal charts apply their Hessian of f, alpha d d^T + beta I,
 to J directly, and the round sphere fills dexp one column at a time.  Both
-ray paths meet in _exp_rays, which takes rays (n, ...) and returns points
-(n, ..., k) and dexp (n, n, ..., k) at the k nodes of each ray.  Every
-kernel operation then runs over the whole batch at once instead of over a
-length-n axis per point.
+ray paths meet in _exp_rays, which takes rays (n, ...) and directions (n,
+k, ...) and returns points (n, ..., K) and dExp W (n, k, ..., K) at the K
+nodes of each ray.  Every kernel operation then runs over the whole batch
+at once instead of over a length-n axis per point.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
-axis)) and _det takes the package's determinants by cofactor expansion of
-component-major stacks (n, n, ...), so no numpy reduction over a length-3
-axis and no LAPACK call per small matrix sits on a hot path.
+axis)), the conformal geodesic kernels reduce the component axis of the
+contiguous RK4 state in one einsum per dot product (_batch_dot) and form
+their terms in place, and _det takes the package's determinants by
+cofactor expansion of component-major stacks (n, n, ...), so no numpy
+reduction over a length-3 axis and no LAPACK call per small matrix sits on
+a hot path.
 
 Charts are local by design; leaving the domain box is an error, never a
 clamp.  Box.inside_mask is the one box test: Box.contains shrinks the box
@@ -82,6 +89,15 @@ def _dot(a, b, axis: int = -1) -> np.ndarray:
     for i in range(1, np.shape(a)[-1]):
         out = out + a[..., i] * b[..., i]
     return out
+
+
+def _batch_dot(a, b) -> np.ndarray:
+    """_dot(a, b, axis=0) of the geodesic kernels, as one einsum reduction
+    without a temporary per component: bit for bit the unrolled sum when the
+    batch axes, last in memory, hold more than one point, as in the RK4
+    state; in the last bit otherwise (einsum then sums along the component
+    axis in another order)."""
+    return np.einsum("i...,i...->...", a, b)
 
 
 def _det(a) -> np.ndarray:
@@ -124,13 +140,17 @@ class Box:
         """Every point of x (..., n) in the closed box shrunk by clearance."""
         return bool(np.all(Box(self.lo + clearance, self.hi - clearance).inside_mask(x)))
 
-    def inside_mask(self, x) -> np.ndarray:
-        """Points of x (..., n) inside the closed box; NaN is outside.
-        Unrolled over the coordinates, as _dot."""
+    def inside_mask(self, x, axis: int = -1) -> np.ndarray:
+        """Points of x (..., n), or with axis=0 of component-major x (n, ...),
+        inside the closed box; NaN is outside.  Unrolled over the
+        coordinates, as _dot, and indexed in place on either axis."""
+        if axis not in (0, -1):
+            raise ValueError(f"inside_mask takes the components on axis 0 or -1, not {axis}")
         x = np.asarray(x, dtype=float)
-        mask = (x[..., 0] >= self.lo[0]) & (x[..., 0] <= self.hi[0])
-        for i in range(1, x.shape[-1]):
-            mask &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
+        lead = () if axis == 0 else (Ellipsis,)
+        mask = (x[lead + (0,)] >= self.lo[0]) & (x[lead + (0,)] <= self.hi[0])
+        for i in range(1, x.shape[axis]):
+            mask &= (x[lead + (i,)] >= self.lo[i]) & (x[lead + (i,)] <= self.hi[i])
         return mask
 
 
@@ -261,10 +281,14 @@ def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _conformal_acc(grad_f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, component-major
-    fv = _dot(grad_f, v, axis=0)
-    vv = _dot(v, v, axis=0)
-    return -2.0 * fv * v + vv * grad_f
+    # -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, component-major; spends
+    # grad_f, a fresh array of the caller's
+    out = _batch_dot(grad_f, v)
+    out *= -2.0
+    out = np.multiply(out, v)
+    grad_f *= _batch_dot(v, v)
+    out += grad_f
+    return out
 
 
 def _conformal_acc_jacobi(grad_f, d, alpha, beta, v, jac, jac_dot):
@@ -274,14 +298,32 @@ def _conformal_acc_jacobi(grad_f, d, alpha, beta, v, jac, jac_dot):
     The derivatives of -2 (grad_f . v) v + |v|^2 grad_f along the columns
     (J_c, J'_c), with d grad_f = H J = alpha d (d . J) + beta J:
       -2 (H J . v + grad_f . J') v + |v|^2 H J - 2 (grad_f . v) J' + 2 (v . J') grad_f.
+    Every term is formed in place, in this order, so the bits are those of
+    the formula as written.
     """
-    fv = _dot(grad_f, v, axis=0)
-    vv = _dot(v, v, axis=0)
-    acc = -2.0 * fv * v + vv * grad_f
+    fv = _batch_dot(grad_f, v)
+    fv *= -2.0
+    vv = _batch_dot(v, v)
+    acc = np.multiply(fv, v)
+    acc += vv * grad_f
     g, v, d = grad_f[:, None], v[:, None], d[:, None]
-    hj = alpha * _dot(d, jac, axis=0) * d + beta * jac
-    s = -2.0 * (_dot(hj, v, axis=0) + _dot(g, jac_dot, axis=0))
-    return acc, s * v + vv * hj - (2.0 * fv) * jac_dot + 2.0 * _dot(v, jac_dot, axis=0) * g
+    # H J, then |v|^2 H J in its place
+    dj = _batch_dot(d, jac)
+    dj *= alpha
+    var = np.multiply(dj, d)
+    tmp = np.multiply(beta, jac)
+    var += tmp
+    s = _batch_dot(var, v)
+    s += _batch_dot(g, jac_dot)
+    s *= -2.0
+    var *= vv
+    var += np.multiply(s, v, out=tmp)
+    # - (2 fv) J' is + (-2 fv) J' exactly
+    var += np.multiply(fv, jac_dot, out=tmp)
+    vj = _batch_dot(v, jac_dot)
+    vj *= 2.0
+    var += np.multiply(vj, g, out=tmp)
+    return acc, var
 
 
 class RoundSphereChart(MetricChart):
@@ -343,8 +385,11 @@ class RoundSphereChart(MetricChart):
     def _grad_f(self, x):
         # f = log(2 a^2 / (a^2 + |x|^2)) at component-major x (n, ...); also
         # returns u = a^2 + |x|^2
-        u = self.a**2 + _dot(x, x, axis=0)
-        return -2.0 * x / u, u
+        u = _batch_dot(x, x)
+        u += self.a**2
+        grad = np.multiply(x, -2.0)
+        grad /= u
+        return grad, u
 
     def christoffel_closed(self, x):
         return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
@@ -460,13 +505,17 @@ class ConformalBumpChart(MetricChart):
         # with axis=0
         x0 = self.x0 if axis == -1 else self.x0.reshape((-1,) + (1,) * (np.ndim(x) - 1))
         d = x - x0
-        return self.eps * np.exp(_dot(d, d, axis) / -self.s**2), d
+        f = np.exp((_batch_dot(d, d) if axis == 0 else _dot(d, d)) / -self.s**2)
+        f *= self.eps
+        return f, d
 
     def _grad_f(self, x):
         # -2 f d / s^2 at component-major x, with the factor 2 (exact in
         # floating point) on f
         f, d = self._f(x, axis=0)
-        return (-2.0 * f) * (d / self.s**2), f, d
+        grad = np.divide(d, self.s**2)
+        grad *= -2.0 * f
+        return grad, f, d
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
@@ -894,50 +943,80 @@ def curvature_at(chart: MetricChart, p, seed_axis, nabla: bool = True) -> Curvat
 
 
 def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
-    """Fixed-step RK4 from t = 0 of a state y, a tuple of component-major
-    arrays led by the positions (n, ...), under y' = deriv(y); yields the
-    state at each node of t_nodes (..., k), which substeps[j] steps reach
-    from node j - 1 (or from t = 0).  The batch axes of t_nodes broadcast
-    against the trailing batch axes of every state array: nodes shared by
-    every geodesic, shape (k,), keep the steps scalar.
+    """Fixed-step RK4 from t = 0 of a state y, a tuple of C-contiguous
+    component-major arrays led by the positions (n, ...), under y' =
+    deriv(y); yields y at each node of t_nodes (..., k), which substeps[j]
+    steps reach from node j - 1 (or from t = 0).  The batch axes of t_nodes
+    broadcast against the trailing batch axes of every state array: nodes
+    shared by every geodesic, shape (k,), keep the steps scalar.
+
+    y is updated in place, with the stages, the weighted sum of the slopes
+    and one scratch array per state array allocated once; each update runs
+    in the order of y + h/6 (k1 + 2 k2 + 2 k3 + k4) with stages y + (h/2) k,
+    so the bits are those of the formulas as written.  deriv returns one
+    slope per state array, fresh or a later state array of its argument
+    itself (the velocities for the positions, J' for J): each stage is
+    formed in tuple order, so such a slope is read before it is overwritten.
 
     The one geodesic integrator of the package: exp_map runs it on (position,
     velocity), _exp_rays adds the Jacobi fields.  A position outside the
     domain raises DomainExit naming the step.
     """
+    stage = tuple(np.empty_like(c) for c in y)
+    total_k = tuple(np.empty_like(c) for c in y)
+    scratch = tuple(np.empty_like(c) for c in y)
     total = int(sum(substeps))
     done = 0
     t_prev = 0.0
     for j, count in enumerate(substeps):
         h = (t_nodes[..., j] - t_prev) / count
+        half, sixth = 0.5 * h, h / 6.0
         for _ in range(count):
-            k1 = deriv(y)
-            k2 = deriv(tuple(c + 0.5 * h * k for c, k in zip(y, k1)))
-            k3 = deriv(tuple(c + 0.5 * h * k for c, k in zip(y, k2)))
-            k4 = deriv(tuple(c + h * k for c, k in zip(y, k3)))
-            y = tuple(
-                c + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-                for c, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
-            )
+            for c, k, st, tk in zip(y, deriv(y), stage, total_k):
+                np.copyto(tk, k)
+                np.multiply(k, half, out=st)
+                st += c
+            for weight, step in ((2.0, half), (2.0, h), (1.0, None)):
+                for c, k, st, tk, tmp in zip(y, deriv(stage), stage, total_k, scratch):
+                    tk += k if weight == 1.0 else np.multiply(k, weight, out=tmp)
+                    if step is not None:
+                        np.multiply(k, step, out=st)
+                        st += c
+            for c, tk in zip(y, total_k):
+                tk *= sixth
+                c += tk
             done += 1
-            if not np.all(chart.domain.inside_mask(np.moveaxis(y[0], 0, -1))):
+            if not np.all(chart.domain.inside_mask(y[0], axis=0)):
                 raise DomainExit(f"geodesic left {chart.name} at step {done}/{total}")
         yield y
         t_prev = t_nodes[..., j]
 
 
-def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False) -> np.ndarray:
+def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False, directions=None):
     """Geodesic endpoint Exp_p(v) in chart coordinates; v may be batched (..., n).
 
     Fixed-step RK4 on the geodesic equation, `steps` steps to t = 1; charts
     with a closed-form exponential (euclidean, round spheres, products of
     those) use it unless force_rk4 is set.  steps < 1 raises ValueError and
     exiting the domain DomainExit.
+
+    With directions W (..., n, k), k columns per geodesic, returns (points,
+    pushforward), the pushforward dExp_p(v) W (..., n, k): the Jacobi fields
+    J(1) along each geodesic with J(0) = 0 and J'(0) = W, from the ray core
+    _exp_rays at its one node t = 1 (the closed form contracts dexp_closed
+    with W).  The points are those of the call without directions, bit for
+    bit.
     """
     if steps < 1:
         raise ValueError(f"exp_map needs a positive step count, got {steps}")
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
+    if directions is not None:
+        w = np.moveaxis(np.asarray(directions, dtype=float), (-2, -1), (0, 1))
+        points, push = _exp_rays(
+            chart, p, _component_major(v), np.ones(1), [steps], force_rk4=force_rk4, directions=w
+        )
+        return np.moveaxis(points[..., 0], 0, -1), np.moveaxis(push[..., 0], (0, 1), (-2, -1))
     if not force_rk4:
         closed = chart.exp_closed(p, v)
         if closed is not None:
@@ -955,19 +1034,22 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False)
     return np.moveaxis(x, 0, -1).copy()
 
 
-def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False):
-    """Exp_p(t u) and its differential dExp_p(t u) at the nodes t_nodes (..., k)
-    of the component-major rays u (n, ...); returns points (n, ..., k) and
-    dexp (n, n, ..., k), the differential of Exp_p at each t u.
+def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False, directions=None):
+    """Exp_p(t u) and its differential dExp_p(t u) W at the nodes t_nodes (..., K)
+    of the component-major rays u (n, ...); returns points (n, ..., K) and
+    the pushed directions (n, k, ..., K).  The directions W (n, k, ...), k
+    per ray, broadcast against the rays; the default, the identity (k = n),
+    gives dexp (n, n, ..., K), the differential of Exp_p at each t u.
 
     Nodes must be positive and increasing along each ray, and substeps has
     one positive entry per node; ValueError otherwise.  Charts with a
-    closed-form exponential answer both from one dexp_closed call unless
-    force_rk4 is set.  Otherwise the RK4 of exp_map integrates each geodesic
-    with its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = I,
-    whose solution is J(t) = t dExp_p(t u); substeps[j] RK4 steps lead from
-    node j - 1 (or from t = 0) to node j, so every node is hit exactly.  A
-    ray point outside the domain raises DomainExit, as in exp_map.
+    closed-form exponential answer both from one dexp_closed call, contracted
+    with W, unless force_rk4 is set.  Otherwise the RK4 of exp_map integrates
+    each geodesic with its variational equation J'' = A_x J + A_v J', J(0) =
+    0, J'(0) = W, whose solution is J(t) = t dExp_p(t u) W; substeps[j] RK4
+    steps lead from node j - 1 (or from t = 0) to node j, so every node is
+    hit exactly.  A ray point outside the domain raises DomainExit, as in
+    exp_map.  The caller's u and W are read, never written.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -979,36 +1061,39 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
         raise ValueError(f"substep counts must be positive, got {list(substeps)}")
     if not (np.all(t_nodes[..., :1] > 0.0) and np.all(np.diff(t_nodes, axis=-1) > 0.0)):
         raise ValueError("ray nodes must be positive and increasing")
+    batch = np.broadcast_shapes(u.shape[1:], t_nodes.shape[:-1])
+    w = np.eye(n).reshape((n, n) + (1,) * len(batch)) if directions is None else directions
+    w = np.broadcast_to(np.asarray(w, dtype=float), np.shape(w)[:2] + batch)
     if not force_rk4:
         closed = chart.dexp_closed(p, u[..., None] * t_nodes)
         if closed is not None:
             points, dexp = closed
-            if not np.all(chart.domain.inside_mask(np.moveaxis(points, 0, -1))):
+            if not np.all(chart.domain.inside_mask(points, axis=0)):
                 raise DomainExit(f"ray left {chart.name}")
-            return points, dexp
+            if directions is None:
+                return points, dexp
+            # pushed[i, c] = sum_j dexp[i, j] W[j, c] at every node
+            return points, _dot(np.swapaxes(dexp, 0, 1)[:, :, None], w[:, None, ..., None], axis=0)
+    k = w.shape[1]
 
-    # state: the positions (n, ...), and one array (n, 2n + 1, ...) of the
-    # columns velocity, J (n columns) and J' (n columns), which each RK4
-    # stage updates at once
+    # state: positions, velocities, J and J' (n, k, ...), contiguous copies
+    # over the whole batch, so the caller's arrays stay as they are
     def deriv(y):
-        x, cols = y
-        v, jac, jac_dot = cols[:, 0], cols[:, 1 : 1 + n], cols[:, 1 + n :]
+        x, v, jac, jac_dot = y
         acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
-        return v, np.concatenate([acc[:, None], jac_dot, var], axis=1)
+        return v, acc, jac_dot, var
 
-    batch = u.shape[1:]
-    cols = np.zeros((n, 2 * n + 1) + batch)
-    cols[:, 0] = u
-    cols[:, 1 + n :] = np.eye(n).reshape((n, n) + (1,) * len(batch))
-    x = np.broadcast_to(p.reshape((n,) + (1,) * len(batch)), u.shape).copy()
-    states = _rk4(chart, (x, cols), deriv, t_nodes, substeps)
-    shape = np.broadcast_shapes(batch, t_nodes.shape[:-1]) + t_nodes.shape[-1:]
+    x = np.broadcast_to(p.reshape((n,) + (1,) * len(batch)), (n,) + batch).copy()
+    v = np.broadcast_to(u, (n,) + batch).copy()
+    jac_dot = w.copy()
+    states = _rk4(chart, (x, v, np.zeros_like(jac_dot), jac_dot), deriv, t_nodes, substeps)
+    shape = batch + t_nodes.shape[-1:]
     points = np.empty((n,) + shape)
-    dexp = np.empty((n, n) + shape)
-    for j, (x, cols) in enumerate(states):
+    pushed = np.empty((n, k) + shape)
+    for j, (x, _, jac, _) in enumerate(states):
         points[..., j] = x
-        dexp[..., j] = cols[:, 1 : 1 + n] / t_nodes[..., j]
-    return points, dexp
+        np.divide(jac, t_nodes[..., j], out=pushed[..., j])
+    return points, pushed
 
 
 # ---------------------------------------------------------------------------

@@ -8,17 +8,19 @@ parameter-space finite differences.  Nothing here uses the closed-form
 curvature expansions; those are *checked against* these numbers.
 
 Sheets are sampled on the geometry.flat_rule grid of their parameters
-z = (polar, angles), and differentiated by the 4th-order stencils of
-charts._stencil, which push every shifted parameter point of a sheet
-through the exponential map in one batched call.  The rho-independent half
-of this, the flat side, is a FlatModel: per sheet the flat points and the
-raw field values at every stencil point, the flat sheet's derivatives and
-the prisms' orientation signs, and the volume rays' directions, exits and
-nodes.  An EmbeddedBubble keeps three layers per sheet (sheet_layer: the
-flat sheet from the model, its displacement x + (s w) N + s Y at the
-bubble's field scale s, and the embedded displaced sheet, built only for
-the areas), so the areas and the swept prisms of the volumes displace each
-sheet once and embed it at most once.
+z = (polar, angles).  The rho-independent half of the oracle, the flat
+side, is a FlatModel: per sheet the flat points and the raw field values
+at every point of the 4th-order parameter stencils of charts._stencil, the
+flat sheet's derivatives and the prisms' orientation signs, and the volume
+rays' directions, exits and nodes.  An EmbeddedBubble keeps two layers per
+sheet (sheet_layer: the flat sheet from the model, and its displacement
+(s w) N + s Y at the bubble's field scale s), so the areas and the swept
+prisms of the volumes displace each sheet once.  Neither embeds a stencil:
+the areas push the displaced sheet's parameter derivatives through the
+differential of the exponential map, one geodesic with m Jacobi fields per
+node (exp_map with directions), and the prisms do the same at their tau
+levels.  Mean curvature and the conormal defect still difference the
+embedding, through embed_params.
 
 Enclosed volumes are ray integrals from the base point, which sits at the
 centre of the flat neck disk and so inside every ball of the bubble.  Each
@@ -93,7 +95,7 @@ from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, rou
 # derivatives of measure_fundamental_forms)
 H_REL = 1e-4
 # layers of EmbeddedBubble.sheet_layer
-FLAT, DISPLACEMENT, EMBEDDED = range(3)
+FLAT, DISPLACEMENT = range(2)
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
 
@@ -317,13 +319,10 @@ class EmbeddedBubble:
     def sheet_layer(self, sheet: int, layer: int):
         """(values (N, n), d1 (N, m, n)) of one layer of a sheet on the
         model's nodes: FLAT, the flat sheet; DISPLACEMENT, its displacement by
-        the perturbation; EMBEDDED, the embedded displaced sheet.
-
-        FLAT is the model's; the others are computed once per bubble, each
-        from the displaced stencil points, and only EMBEDDED embeds them: the
-        swept prisms of measure_volumes read FLAT and DISPLACEMENT,
-        measure_area reads EMBEDDED.
-        """
+        the perturbation, computed once per bubble from the displaced stencil
+        points.  The displaced sheet is their sum; the swept prisms of
+        measure_volumes and the pushforward tangents of measure_area read
+        both."""
         sh = self.model.sheets[sheet]
         if layer == FLAT:
             return sh.x[0], sh.flat_d1
@@ -334,8 +333,7 @@ class EmbeddedBubble:
                 s = self.perturbation.scale
                 normal = _normal_at(self.bubble, sheet, sh.x)
                 displaced = sh.x + (s * sh.fw)[..., None] * normal + s * sh.fy
-            stack = displaced - sh.x if layer == DISPLACEMENT else self.embed_flat(displaced)
-            values, d1 = _stencil_differences(stack, sh.z, sh.steps)
+            values, d1 = _stencil_differences(displaced - sh.x, sh.z, sh.steps)
             # a copy, so that the cache does not pin every shifted point
             cached = self._sheet_cache[(sheet, layer)] = (values.copy(), d1)
         return cached
@@ -346,15 +344,38 @@ class EmbeddedBubble:
 
 
 def measure_area(eb: EmbeddedBubble) -> np.ndarray:
-    """Per-sheet m-areas by quadrature of sqrt(det Gram)."""
+    """Per-sheet m-areas by quadrature of sqrt(det Gram).
+
+    The embedded sheet is Exp_p(rho E y(z)) over the displaced flat sheet y
+    = FLAT + DISPLACEMENT, and its tangents are the pushforward rho
+    dExp_p(rho E y) E d_z y: one exp_map call for all three sheets carries,
+    per node, one geodesic and the m Jacobi fields with J'(0) = rho E d_z y,
+    the columns of the layers' parameter derivatives.  The Gram matrix T^T G
+    T is contracted component-major, the nodes last.
+    """
     cached = eb._sheet_cache.get("areas")
     if cached is not None:
         return cached.copy()
-    out = np.zeros(3)
+    e = eb.frame.matrix
+    ys, cols = [], []
     for s in range(3):
-        pos, tangents = eb.sheet_layer(s, EMBEDDED)
-        gram = np.einsum("...ik,...kl,...jl->...ij", tangents, eb.chart.metric(pos), tangents)
-        out[s] = float(np.sum(eb.model.sheets[s].w * np.sqrt(_det(_component_major(gram, 2)))))
+        flat, flat_d1 = eb.sheet_layer(s, FLAT)
+        displ, displ_d1 = eb.sheet_layer(s, DISPLACEMENT)
+        ys.append(flat + displ)
+        cols.append(flat_d1 + displ_d1)
+    v = eb.rho * np.concatenate(ys) @ e.T
+    # the directions rho E d_z y (N, n, m)
+    w = eb.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2)
+    pos, push = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
+    # component-major: tangents T (n, m, N) and metric G (n, n, N)
+    tangents = np.moveaxis(push, 0, -1)
+    gmat = _component_major(eb.chart.metric(pos), 2)
+    # (G T)[i, b] = sum_j G[i, j] T[j, b], then gram[a, b] = sum_i T[i, a] (G T)[i, b]
+    gt = _dot(np.swapaxes(gmat, 0, 1)[:, :, None], tangents[:, None], axis=0)
+    densities = np.sqrt(_det(_dot(tangents[:, :, None], gt[:, None], axis=0)))
+    sheets = eb.model.sheets
+    parts = np.split(densities, np.cumsum([len(sh.w) for sh in sheets])[:-1])
+    out = np.array([float(np.sum(sh.w * part)) for sh, part in zip(sheets, parts)])
     eb._sheet_cache["areas"] = out
     return out.copy()
 

@@ -365,6 +365,12 @@ def test_inside_mask_closed_box_and_nan():
     # the centre and the six points on the faces
     assert mask.sum() == 7
     assert box.inside_mask(inside) and not box.inside_mask(np.full(3, np.nan))
+    # the same test on component-major points (n, ...), copies and views
+    for cm in (np.moveaxis(pts, -1, 0), np.moveaxis(pts, -1, 0).copy()):
+        assert np.array_equal(box.inside_mask(cm, axis=0), mask)
+    assert box.inside_mask(inside, axis=0) and not box.inside_mask(np.full(3, np.nan), axis=0)
+    with pytest.raises(ValueError):
+        box.inside_mask(pts, axis=1)
 
 
 def test_box_contains_exactly_at_the_clearance():
@@ -383,6 +389,20 @@ def test_box_contains_exactly_at_the_clearance():
     assert box.contains(np.stack([inside, box.lo + c, box.hi - c]), c)
     assert not box.contains(np.stack([inside, box.lo]), c)
     assert not box.contains(np.full(3, np.nan))
+    # the component-major call of the RK4 domain test: the same shrunk box,
+    # the same mask on its faces, one ulp beyond them and at NaN
+    shrunk = Box(box.lo + c, box.hi - c)
+    pts = [inside]
+    for i in range(3):
+        for edge, outward in ((box.lo[i] + c, -np.inf), (box.hi[i] - c, np.inf)):
+            for value in (edge, np.nextafter(edge, outward), np.nan):
+                x = inside.copy()
+                x[i] = value
+                pts.append(x)
+    pts = np.array(pts)
+    mask = shrunk.inside_mask(pts.T.copy(), axis=0)
+    assert np.array_equal(mask, [box.contains(x, c) for x in pts])
+    assert mask.sum() == 7
 
 
 def test_stencil_exact_on_batched_polynomials():
@@ -506,6 +526,95 @@ def test_rk4_exp_map_is_exp_rays_at_one_node():
     bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
     with pytest.raises(DomainExit):
         exp_map(bump, p, np.array([[0.2, 0.0, 0.0], [3.0, 0.0, 0.0]]), steps=20, force_rk4=True)
+
+
+def test_exp_map_directions_push_forward_by_the_differential():
+    # exp_map(..., directions=W) returns the endpoints and dExp_p(v) W: on
+    # closed-form charts the RK4 Jacobi fields match dexp_closed contracted
+    # with W, and on the bump central differences of exp_map along W
+    p = np.array([0.15, -0.1, 0.2])
+    rng = np.random.default_rng(8)
+    v = rng.normal(size=(2, 5, 3)) * 0.1
+    w = rng.normal(size=(2, 5, 3, 2))
+    for chart in (
+        builtin_chart("round_sphere", a=1.0),
+        builtin_chart("euclidean", dim=3),
+        builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
+    ):
+        points, push = exp_map(chart, p, v, directions=w)
+        assert points.shape == (2, 5, 3) and push.shape == (2, 5, 3, 2)
+        # the points are those of the call without directions, bit for bit
+        assert np.array_equal(points, exp_map(chart, p, v)), chart.name
+        _, dexp = chart.dexp_closed(p, np.moveaxis(v, -1, 0))
+        closed = np.einsum("ij...,...jc->...ic", dexp, w)
+        assert np.abs(push - closed).max() <= 1e-14, chart.name
+        points_r, push_r = exp_map(chart, p, v, steps=100, force_rk4=True, directions=w)
+        assert np.abs(points_r - points).max() <= 1e-10, chart.name
+        assert np.abs(push_r - closed).max() <= 1e-10, chart.name
+    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    points, push = exp_map(bump, p, v, steps=50, directions=w)
+    assert np.array_equal(points, exp_map(bump, p, v, steps=50))
+    h = 1e-3
+    for c in range(2):
+        def at(k):
+            return exp_map(bump, p, v + k * h * w[..., c], steps=50)
+
+        fd = (8.0 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12.0 * h)
+        assert np.abs(push[..., c] - fd).max() <= 1e-9
+
+
+def _textbook_rk4(deriv, y, t_nodes, substeps):
+    """Out-of-place RK4 of the textbook, node by node from t = 0."""
+    out = []
+    t_prev = 0.0
+    for t, count in zip(t_nodes, substeps):
+        h = (t - t_prev) / count
+        for _ in range(count):
+            k1 = deriv(y)
+            k2 = deriv(tuple(c + 0.5 * h * k for c, k in zip(y, k1)))
+            k3 = deriv(tuple(c + 0.5 * h * k for c, k in zip(y, k2)))
+            k4 = deriv(tuple(c + h * k for c, k in zip(y, k3)))
+            y = tuple(
+                c + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                for c, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)
+            )
+        out.append(y)
+        t_prev = t
+    return out
+
+
+def test_in_place_rk4_is_the_textbook_rk4_bit_for_bit():
+    # the in-place stages of _rk4 give the bits of the out-of-place formula,
+    # over geodesic_acc for exp_map and geodesic_acc_jacobi for _exp_rays,
+    # and leave the caller's v, u and W as they were
+    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    p = np.array([0.12, -0.05, 0.08])
+    rng = np.random.default_rng(13)
+    v = rng.normal(size=(40, 3)) * 0.15
+    w = rng.normal(size=(3, 2, 40))
+    v_before, w_before = v.copy(), w.copy()
+    x0 = np.broadcast_to(p[:, None], (3, 40)).copy()
+
+    (ref,) = _textbook_rk4(lambda y: (y[1], bump.geodesic_acc(*y)), (x0, v.T.copy()), [1.0], [30])
+    assert np.array_equal(exp_map(bump, p, v, steps=30, force_rk4=True), ref[0].T)
+
+    def jacobi(y):
+        x, u, jac, jac_dot = y
+        acc, var = bump.geodesic_acc_jacobi(x, u, jac, jac_dot)
+        return u, acc, jac_dot, var
+
+    t_nodes, substeps = [0.4, 1.0, 1.3], [8, 12, 5]
+    refs = _textbook_rk4(jacobi, (x0, v.T.copy(), np.zeros_like(w), w.copy()), t_nodes, substeps)
+    points, pushed = _exp_rays(bump, p, v.T, np.array(t_nodes), substeps, directions=w)
+    assert points.shape == (3, 40, 3) and pushed.shape == (3, 2, 40, 3)
+    for j, (x, _, jac, _) in enumerate(refs):
+        assert np.array_equal(points[..., j], x)
+        assert np.array_equal(pushed[..., j], jac / t_nodes[j])
+    # exp_map with directions is the one-node case
+    points, push = exp_map(bump, p, v, steps=30, force_rk4=True, directions=np.moveaxis(w, -1, 0))
+    (ref,) = _textbook_rk4(jacobi, (x0, v.T.copy(), np.zeros_like(w), w.copy()), [1.0], [30])
+    assert np.array_equal(points, ref[0].T) and np.array_equal(push, np.moveaxis(ref[2], -1, 0))
+    assert np.array_equal(v, v_before) and np.array_equal(w, w_before)
 
 
 def test_exp_map_rk4_order():

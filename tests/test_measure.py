@@ -75,8 +75,8 @@ def test_areas_and_volumes_share_one_stencil_per_sheet():
 
 
 def test_volumes_embed_no_sheet(monkeypatch):
-    # the swept prisms read the flat and displaced sheets only; the embedded
-    # sheets wait for measure_area
+    # the swept prisms read the flat and displaced sheets only; exp_map, which
+    # pushes their tangents forward, waits for measure_area
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25).scaled(0.01)
     eb = EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, perturbation=field, grid=(8, 16), sector_nodes=4)
 
@@ -172,6 +172,65 @@ def test_prisms_reproduce_stencil_oracle(family, kw, rho, options, refs):
     eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field, **options)
     for s, ref in enumerate(refs):
         assert _prism_volume(eb, s) / rho**3 == pytest.approx(ref, rel=5e-9, abs=0)
+
+@pytest.mark.parametrize(
+    "family,kw,perturbed,options,refs",
+    [
+        (
+            "conformal_bump",
+            {"eps": -0.1, "s": 0.5},
+            False,
+            {"grid": (16, 32), "sector_nodes": 8, "geodesic_steps": 50},
+            {
+                0.07: (1.3850048341522674, 3.3247291042470883, 11.081494350395685),
+                0.05: (1.384773993323281, 3.3225737522454315, 11.057368907851346),
+                0.035: (1.3846511299011532, 3.321406890976128, 11.044707287192594),
+                0.025: (1.3845932707716921, 3.3208509356418787, 11.038829789480177),
+            },
+        ),
+        (
+            "conformal_bump",
+            {"eps": -0.1, "s": 0.5},
+            True,
+            {"grid": (16, 32), "sector_nodes": 8, "geodesic_steps": 50},
+            {0.05: (1.3839122220175042, 3.3198142624980083, 11.056808380866713)},
+        ),
+        (
+            "round_sphere",
+            {"a": 1.0},
+            True,
+            {"grid": (32, 64), "sector_nodes": 10, "geodesic_steps": 200},
+            {0.1: (1.380526791680546, 3.303507400826327, 10.97390281828966)},
+        ),
+    ],
+    ids=["bump", "perturbed-bump", "perturbed-sphere"],
+)
+def test_areas_reproduce_stencil_oracle(family, kw, perturbed, options, refs):
+    # area / rho^2 per sheet from the 9-point stencils of the embedded sheet
+    # through exp_map that the pushforward tangents replaced, same settings
+    # (the bump's are the volumes_bump benchmark's, at its four rhos)
+    chart = builtin_chart(family, dim=3, **kw)
+    frame = orthonormal_frame(chart, np.array([0.12, -0.05, 0.08]), np.array([0.25, -0.4, 0.88]))
+    for rho, ref in refs.items():
+        field = None
+        if perturbed:
+            field = random_admissible_field(ASYM, np.random.default_rng(1), 0.25).scaled(rho**2)
+        eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field, **options)
+        assert measure_area(eb) / rho**2 == pytest.approx(ref, rel=1e-11, abs=0)
+
+
+def test_flat_pushforward_areas_exact_at_m3():
+    # the pushforward tangents at m = 3 (n = 4): three Jacobi columns per
+    # node, against the flat closed-form sheet areas
+    rho = 0.1
+    eu = builtin_chart("euclidean", dim=4)
+    frame = orthonormal_frame(eu, np.zeros(4), np.eye(4)[-1])
+    for h in ((0.0, 3.0, 3.0), (1.0, 3.0, 2.0)):
+        b = solve_standard_bubble(BubbleParams(3, *h))
+        eb = EmbeddedBubble(eu, frame, b, rho, grid=(16, 8), sector_nodes=4)
+        areas = measure_area(eb)
+        assert np.abs(areas / (rho**3 * np.array(b.sheet_areas)) - 1.0).max() <= 1e-10
+
 
 def test_flat_energy_matches_closed_form():
     rho = 0.1
