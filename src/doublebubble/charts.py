@@ -10,39 +10,40 @@ and Sc = n(n-1)/a^2.  Index layout of derivative tensors: dg[..., k, i, j]
 is d_k g_ij and d2g[..., l, k, i, j] is d_l d_k g_ij.  Curvature arrays are
 returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 
-Chart hooks (MetricChart): metric, christoffel_closed, geodesic_acc and
+Chart hooks (MetricChart): metric, christoffel_closed and
 geodesic_acc_jacobi are required, the last with no finite-difference
-default; metric_d1, metric_d2, exp_closed and dexp_closed, which returns
-(points, dexp), are optional and return None without a closed form;
-volume_element (sqrt(det G) at component-major points) defaults to the
-metric's cofactor determinant, which the builtin charts replace by closed
-forms.  Every central difference in chart coordinates takes the one step
-FD_STEP.
+default; metric_d1, metric_d2 and dexp_closed, which returns (points, dexp),
+are optional and return None without a closed form; exp_closed is defined
+once, as the points of dexp_closed; volume_element (sqrt(det G) at
+component-major points) defaults to the metric's cofactor determinant, which
+the builtin charts replace by closed forms.  Every central difference in
+chart coordinates takes the one step FD_STEP.
 
-Geodesics take a chart's closed-form exponential where it has one, and
+Every exponential map of the package runs through one function, the private
+ray core _exp_rays: a chart's closed-form exponential where it has one, and
 otherwise one fixed-step RK4 integrator (_rk4), which updates its state in
-place on preallocated stage, slope-sum and scratch buffers: exp_map runs it
-on position and velocity, the private ray core _exp_rays on the same state
-together with k Jacobi fields, J(0) = 0 and J'(0) = W, whose values give
-the pushforward dExp W of the directions W (the identity by default, for
-the whole differential).  exp_map(..., directions=W) is the one-node case
-of that core: it returns the endpoints and dExp_p(v) W, the tangents of an
-embedded sheet when W holds its parameter derivatives.
+place on preallocated stage, slope-sum and scratch buffers, on position,
+velocity and k Jacobi fields, J(0) = 0 and J'(0) = W, whose values give the
+pushforward dExp W of the directions W (the identity by default, for the
+whole differential).  exp_map is its one-node call: it returns the
+endpoints, and with directions=W also dExp_p(v) W, the tangents of an
+embedded sheet when W holds its parameter derivatives; without directions W
+has no columns.
 
 Layout: the public functions take and return points (..., n), but the RK4
-state, the geodesic hooks and the closed-form ray kernel are component-major,
-components first and the batch axes last and contiguous: geodesic_acc(x, v)
-maps positions and velocities (n, ...) to -Gamma(v, v) (n, ...),
-geodesic_acc_jacobi(x, v, jac, jac_dot) returns it together with A_x J +
-A_v J' (n, k, ...) for k columns J, J' (n, k, ...), where A_x and A_v are the
-derivatives of the acceleration in x and v, and dexp_closed(p, v) maps v
-(n, ...) to points (n, ...) and dexp (n, n, ...).  No Jacobian matrix is
-built: the conformal charts apply their Hessian of f, alpha d d^T + beta I,
-to J directly, and the round sphere fills dexp one column at a time.  Both
-ray paths meet in _exp_rays, which takes rays (n, ...) and directions (n,
-k, ...) and returns points (n, ..., K) and dExp W (n, k, ..., K) at the K
-nodes of each ray.  Every kernel operation then runs over the whole batch
-at once instead of over a length-n axis per point.
+state, the geodesic hook and the closed-form ray kernel are component-major,
+components first and the batch axes last and contiguous:
+geodesic_acc_jacobi(x, v, jac, jac_dot) maps positions and velocities (n,
+...) and k columns J, J' (n, k, ...) to the acceleration -Gamma(v, v) (n,
+...) and A_x J + A_v J' (n, k, ...), where A_x and A_v are the derivatives
+of the acceleration in x and v, and dexp_closed(p, v) maps v (n, ...) to
+points (n, ...) and dexp (n, n, ...).  No Jacobian matrix is built: the
+conformal charts apply their Hessian of f, alpha d d^T + beta I, to J
+directly, and the round sphere fills dexp one column at a time.  _exp_rays
+takes rays (n, ...) and directions (n, k, ...) and returns points (n, ...,
+K) and dExp W (n, k, ..., K) at the K nodes of each ray.  Every kernel
+operation then runs over the whole batch at once instead of over a
+length-n axis per point.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
@@ -164,13 +165,12 @@ class MetricChart:
     """Base chart: a metric on an axis-aligned box in R^n.
 
     Subclasses implement the required hooks metric(x), christoffel_closed(x)
-    = Gamma[..., a, i, j], and the component-major geodesic_acc(x, v) =
-    -Gamma(v, v) and geodesic_acc_jacobi, which has no finite-difference
-    default; the optional closed forms metric_d1, metric_d2, exp_closed
-    (points (..., n)) and dexp_closed, which returns (Exp_p(v) (n, ...),
-    dExp_p(v) (n, n, ...)) from one evaluation at component-major v (n, ...),
-    return None here.  Missing analytic metric derivatives are central
-    differences with step FD_STEP.
+    = Gamma[..., a, i, j] and the component-major geodesic_acc_jacobi, which
+    has no finite-difference default; the optional closed forms metric_d1,
+    metric_d2 and dexp_closed, which returns (Exp_p(v) (n, ...), dExp_p(v) (n,
+    n, ...)) from one evaluation at component-major v (n, ...), return None
+    here.  exp_closed gives the points of dexp_closed.  Missing analytic
+    metric derivatives are central differences with step FD_STEP.
     """
 
     def __init__(self, dim: int, name: str, domain: Box):
@@ -184,9 +184,6 @@ class MetricChart:
     def christoffel_closed(self, x):
         raise NotImplementedError
 
-    def geodesic_acc(self, x, v):
-        raise NotImplementedError
-
     # analytic fast paths; return None when unavailable
     def metric_d1(self, x):
         return None
@@ -194,14 +191,17 @@ class MetricChart:
     def metric_d2(self, x):
         return None
 
-    def exp_closed(self, p, v):
-        return None
-
     def dexp_closed(self, p, v):
         """(points, dexp): Exp_p(v) (n, ...) and its differential in v
         (n, n, ...), dexp[i, j] = d points_i / d v_j, at a single base point p
         and component-major v (n, ...); None when unavailable."""
         return None
+
+    def exp_closed(self, p, v):
+        """Exp_p(v) (..., n) at points v (..., n), the points of dexp_closed;
+        None when unavailable."""
+        closed = self.dexp_closed(p, _component_major(v))
+        return None if closed is None else np.moveaxis(closed[0], 0, -1)
 
     def volume_element(self, x):
         """sqrt(det G) at component-major points x (n, ...), shape (...)."""
@@ -250,14 +250,8 @@ class EuclideanChart(MetricChart):
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape[:-1] + (self.dim,) * 3)
 
-    def geodesic_acc(self, x, v):
-        return np.zeros(np.shape(v))
-
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         return np.zeros(np.shape(v)), np.zeros(np.shape(jac))
-
-    def exp_closed(self, p, v):
-        return np.asarray(p, dtype=float) + np.asarray(v, dtype=float)
 
     def dexp_closed(self, p, v):
         v = np.asarray(v, dtype=float)
@@ -280,23 +274,14 @@ def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
     return gamma
 
 
-def _conformal_acc(grad_f: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, component-major; spends
-    # grad_f, a fresh array of the caller's
-    out = _batch_dot(grad_f, v)
-    out *= -2.0
-    out = np.multiply(out, v)
-    grad_f *= _batch_dot(v, v)
-    out += grad_f
-    return out
-
-
 def _conformal_acc_jacobi(grad_f, d, alpha, beta, v, jac, jac_dot):
-    """(acc, A_x J + A_v J') of _conformal_acc when Hess f = alpha d d^T + beta I,
-    component-major: grad_f, d, v (n, ...), alpha, beta (...), J, J' (n, k, ...).
+    """(acc, A_x J + A_v J') of a conformal metric g = e^(2f) delta when Hess f =
+    alpha d d^T + beta I, component-major: grad_f, d, v (n, ...), alpha, beta
+    (...), J, J' (n, k, ...).
 
-    The derivatives of -2 (grad_f . v) v + |v|^2 grad_f along the columns
-    (J_c, J'_c), with d grad_f = H J = alpha d (d . J) + beta J:
+    The acceleration is -Gamma(v, v) = -2 (grad_f . v) v + |v|^2 grad_f, and
+    A_x J + A_v J' its derivatives along the columns (J_c, J'_c), with d grad_f
+    = H J = alpha d (d . J) + beta J:
       -2 (H J . v + grad_f . J') v + |v|^2 H J - 2 (grad_f . v) J' + 2 (v . J') grad_f.
     Every term is formed in place, in this order, so the bits are those of
     the formula as written.
@@ -394,9 +379,6 @@ class RoundSphereChart(MetricChart):
     def christoffel_closed(self, x):
         return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
 
-    def geodesic_acc(self, x, v):
-        return _conformal_acc(self._grad_f(x)[0], v)
-
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         # Hess f = (4 / u^2) x x^T - (2 / u) I
         grad_f, u = self._grad_f(x)
@@ -411,14 +393,13 @@ class RoundSphereChart(MetricChart):
             [2.0 * self.a**2 * x / denom, self.a * (s - self.a**2) / denom], axis=-1
         )
 
-    def _great_circle(self, p, v):
-        """Exp_p(v) along the great circle of the embedded sphere, for a single
-        base point p and component-major v (n, ...): returns the embedding
-        differential at p (n + 1, n), the embedded p as a column (n + 1, 1,
-        ...), the unit direction (n + 1, ...) of the pushed v with its angle
-        and the angle's cosine and sine (...), the great circle's endpoint
-        (n + 1, ...) in R^(n + 1) and its projection back to the chart
-        (n, ...), which is p itself at zero speed."""
+    def dexp_closed(self, p, v):
+        """(Exp_p(v) (n, ...), its differential in v (n, n, ...)) at a single
+        base point p and component-major v (n, ...), along the great circle
+        of the embedded sphere: v is pushed into R^(n + 1) by the embedding
+        differential at p, the circle's endpoint is projected back to the
+        chart (p itself at zero speed), and dexp is filled one entry at a
+        time in place."""
         a = self.a
         n = self.dim
         p = np.asarray(p, dtype=float)
@@ -442,18 +423,6 @@ class RoundSphereChart(MetricChart):
         points = a * u1[:-1]
         points /= a - u1[-1]
         np.copyto(points, p.reshape(column), where=still)
-        return push, u0, wdir, theta, cos, sin, u1, points
-
-    def exp_closed(self, p, v):
-        return np.moveaxis(self._great_circle(p, _component_major(v))[-1], 0, -1)
-
-    def dexp_closed(self, p, v):
-        """(Exp_p(v) (n, ...), its differential in v (n, n, ...)) at a single
-        base point p, component-major, filled one entry at a time in place."""
-        a = self.a
-        n = self.dim
-        push, u0, wdir, theta, cos, sin, u1, points = self._great_circle(p, v)
-        batch = theta.shape
         sinc = np.sinc(theta / math.pi)
         # d u1 = k (wdir . dw) + sinc dw with dw = push dv
         k = (-sin / a) * u0
@@ -467,7 +436,7 @@ class RoundSphereChart(MetricChart):
         tail /= z**2
         # the great circle's own arrays are spent: free them before dexp, at
         # the peak of a ray batch's memory
-        del wdir, theta, cos, sin, u1, z
+        del w, wdir, speed, still, theta, cos, sin, u1, z
         dexp = np.empty((n, n) + batch)
         tmp = np.empty(batch)
         for c in range(n):
@@ -531,9 +500,6 @@ class ConformalBumpChart(MetricChart):
     def christoffel_closed(self, x):
         return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
 
-    def geodesic_acc(self, x, v):
-        return _conformal_acc(self._grad_f(x)[0], v)
-
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         # Hess f = (4 f / s^4) d d^T - (2 f / s^2) I
         grad_f, f, d = self._grad_f(x)
@@ -588,13 +554,6 @@ class ProductRoundChart(MetricChart):
 
     # the geodesic hooks, component-major, factor by factor on their rows
 
-    def geodesic_acc(self, x, v):
-        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
-        for off, d, sub in self._charts:
-            sl = slice(off, off + d)
-            out[sl] = sub.geodesic_acc(x[sl], v[sl])
-        return out
-
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         acc = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(v)))
         var = np.zeros(np.broadcast_shapes(np.shape(jac), np.shape(jac_dot)))
@@ -602,15 +561,6 @@ class ProductRoundChart(MetricChart):
             sl = slice(off, off + d)
             acc[sl], var[sl] = sub.geodesic_acc_jacobi(x[sl], v[sl], jac[sl], jac_dot[sl])
         return acc, var
-
-    def exp_closed(self, p, v):
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
-        out = np.empty(np.broadcast_shapes(p.shape, v.shape))
-        for off, d, sub in self._charts:
-            sl = slice(off, off + d)
-            out[..., sl] = sub.exp_closed(p[..., sl], v[..., sl])
-        return out
 
     def dexp_closed(self, p, v):
         p = np.asarray(p, dtype=float)
@@ -958,9 +908,9 @@ def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
     itself (the velocities for the positions, J' for J): each stage is
     formed in tuple order, so such a slope is read before it is overwritten.
 
-    The one geodesic integrator of the package: exp_map runs it on (position,
-    velocity), _exp_rays adds the Jacobi fields.  A position outside the
-    domain raises DomainExit naming the step.
+    The one geodesic integrator of the package: _exp_rays runs it on
+    position, velocity and the Jacobi fields.  A position outside the domain
+    raises DomainExit naming the step.
     """
     stage = tuple(np.empty_like(c) for c in y)
     total_k = tuple(np.empty_like(c) for c in y)
@@ -993,45 +943,32 @@ def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
 
 
 def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False, directions=None):
-    """Geodesic endpoint Exp_p(v) in chart coordinates; v may be batched (..., n).
+    """Geodesic endpoints Exp_p(v) (..., n) in chart coordinates at a single
+    base point p; v may be batched (..., n).
 
-    Fixed-step RK4 on the geodesic equation, `steps` steps to t = 1; charts
-    with a closed-form exponential (euclidean, round spheres, products of
-    those) use it unless force_rk4 is set.  steps < 1 raises ValueError and
-    exiting the domain DomainExit.
+    The one-node call of the ray core _exp_rays at t = 1: charts with a
+    closed-form exponential (euclidean, round spheres, products of those)
+    use it unless force_rk4 is set, the others fixed-step RK4 with `steps`
+    steps.  steps < 1 raises ValueError and exiting the domain DomainExit.
 
     With directions W (..., n, k), k columns per geodesic, returns (points,
     pushforward), the pushforward dExp_p(v) W (..., n, k): the Jacobi fields
-    J(1) along each geodesic with J(0) = 0 and J'(0) = W, from the ray core
-    _exp_rays at its one node t = 1 (the closed form contracts dexp_closed
-    with W).  The points are those of the call without directions, bit for
-    bit.
+    J(1) along each geodesic with J(0) = 0 and J'(0) = W (the closed form
+    contracts dexp_closed with W).  Without directions W has no columns and
+    only the points come back, the same bits as with them.
     """
     if steps < 1:
         raise ValueError(f"exp_map needs a positive step count, got {steps}")
-    p = np.asarray(p, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if directions is not None:
+    v = _component_major(v)
+    if directions is None:
+        w = np.zeros((chart.dim, 0) + v.shape[1:])
+    else:
         w = np.moveaxis(np.asarray(directions, dtype=float), (-2, -1), (0, 1))
-        points, push = _exp_rays(
-            chart, p, _component_major(v), np.ones(1), [steps], force_rk4=force_rk4, directions=w
-        )
-        return np.moveaxis(points[..., 0], 0, -1), np.moveaxis(push[..., 0], (0, 1), (-2, -1))
-    if not force_rk4:
-        closed = chart.exp_closed(p, v)
-        if closed is not None:
-            if not np.all(chart.domain.inside_mask(closed)):
-                raise DomainExit(f"geodesic endpoint left {chart.name}")
-            return closed
-
-    def deriv(y):
-        x, u = y
-        return u, chart.geodesic_acc(x, u)
-
-    # contiguous copies: every RK4 stage then runs over the batch at once
-    y = (_component_major(np.broadcast_to(p, v.shape)).copy(), _component_major(v).copy())
-    ((x, _),) = _rk4(chart, y, deriv, np.ones(1), [steps])
-    return np.moveaxis(x, 0, -1).copy()
+    points, push = _exp_rays(chart, p, v, np.ones(1), [steps], force_rk4, w)
+    points = np.moveaxis(points[..., 0], 0, -1)
+    if directions is None:
+        return points
+    return points, np.moveaxis(push[..., 0], (0, 1), (-2, -1))
 
 
 def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = False, directions=None):
@@ -1044,12 +981,12 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     Nodes must be positive and increasing along each ray, and substeps has
     one positive entry per node; ValueError otherwise.  Charts with a
     closed-form exponential answer both from one dexp_closed call, contracted
-    with W, unless force_rk4 is set.  Otherwise the RK4 of exp_map integrates
-    each geodesic with its variational equation J'' = A_x J + A_v J', J(0) =
-    0, J'(0) = W, whose solution is J(t) = t dExp_p(t u) W; substeps[j] RK4
-    steps lead from node j - 1 (or from t = 0) to node j, so every node is
-    hit exactly.  A ray point outside the domain raises DomainExit, as in
-    exp_map.  The caller's u and W are read, never written.
+    with W, unless force_rk4 is set.  Otherwise _rk4 integrates each geodesic
+    with its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = W,
+    whose solution is J(t) = t dExp_p(t u) W; substeps[j] RK4 steps lead
+    from node j - 1 (or from t = 0) to node j, so every node is hit exactly.
+    A ray point outside the domain raises DomainExit.  The caller's u and W
+    are read, never written.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -1136,6 +1073,12 @@ def scalar_gradient(chart: MetricChart, p) -> np.ndarray:
 
 def scalar_hessian(chart: MetricChart, p) -> np.ndarray:
     """Symmetrized central-difference Hessian of the scalar curvature."""
+    return _scalar_hessian(chart, p)[1]
+
+
+def _scalar_hessian(chart: MetricChart, p):
+    """(Sc(p), scalar_hessian(chart, p)), from the one Sc evaluation at p that
+    the Hessian's diagonal takes."""
     p = np.asarray(p, dtype=float)
     h = FD_STEP * 10.0
     if not chart.domain.contains(p, 4.0 * h):
@@ -1157,4 +1100,4 @@ def scalar_hessian(chart: MetricChart, p) -> np.ndarray:
                 + scalar_curvature(chart, p - ek - el)
             ) / (4.0 * h**2)
             out[k, l] = out[l, k] = mixed
-    return 0.5 * (out + out.T)
+    return sc0, 0.5 * (out + out.T)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import FD_STEP, CurvatureAtPoint, DomainExit, MetricChart, curvature_at
-from .charts import scalar_curvature, scalar_gradient, scalar_hessian
+from .charts import _scalar_hessian, scalar_gradient, scalar_hessian
 from .expansions import phi_limit_constants, reduced_functional_leading
 from .geometry import BubbleParams, solve_standard_bubble
 
@@ -126,9 +126,8 @@ def find_critical_scalar(chart: MetricChart, x0, tol: float = 1e-6) -> CriticalP
             gnorm = float(np.linalg.norm(grad))
     else:
         raise RuntimeError(f"no critical point within {MAX_NEWTON_ITER} iterations (|grad|={gnorm:.2e})")
-    hess = scalar_hessian(chart, x)
+    sc_here, hess = _scalar_hessian(chart, x)
     eigs = np.linalg.eigvalsh(hess)
-    sc_here = scalar_curvature(chart, x)
     # degenerate when the spectrum has a (relative) near-zero eigenvalue, or
     # when the whole Hessian sits at the finite-difference noise floor
     # (constant-curvature charts)

@@ -20,7 +20,8 @@ the areas push the displaced sheet's parameter derivatives through the
 differential of the exponential map, one geodesic with m Jacobi fields per
 node (exp_map with directions), and the prisms do the same at their tau
 levels.  Mean curvature and the conormal defect still difference the
-embedding, through embed_params.
+embedding, through embed_params; the reference normal that orients the
+second fundamental form is the flat normal pushed forward the same way.
 
 Enclosed volumes are ray integrals from the base point, which sits at the
 centre of the flat neck disk and so inside every ball of the bubble.  Each
@@ -308,13 +309,10 @@ class EmbeddedBubble:
 
     # -- embedding ----------------------------------------------------------
 
-    def embed_flat(self, flat_pts: np.ndarray) -> np.ndarray:
-        """Map flat-model points (frame components) through Exp_p(rho . )."""
-        v = self.rho * np.asarray(flat_pts, dtype=float) @ self.frame.matrix.T
-        return exp_map(self.chart, self.frame.base, v, steps=self.model.geodesic_steps)
-
     def embed_params(self, sheet: int, z: np.ndarray) -> np.ndarray:
-        return self.embed_flat(displaced_point_z(self.bubble, sheet, z, self.perturbation))
+        """Exp_p(rho E y) of the displaced sheet points y at parameters z."""
+        v = self.rho * displaced_point_z(self.bubble, sheet, z, self.perturbation) @ self.frame.matrix.T
+        return exp_map(self.chart, self.frame.base, v, steps=self.model.geodesic_steps)
 
     def sheet_layer(self, sheet: int, layer: int):
         """(values (N, n), d1 (N, m, n)) of one layer of a sheet on the
@@ -508,12 +506,14 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     gmat = eb.chart.metric(pos)
     gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
     gamma = christoffel(eb.chart, pos)
-    # reference normal direction: push the flat normal through the embedding
-    eps = 1e-5 * min(r for r in b.radii if math.isfinite(r))
+    # reference normal direction: the flat normal pushed forward by
+    # dExp_p(rho E y) E at the sample points; it only picks the sign
+    e = eb.frame.matrix
     flat = displaced_point_z(b, sheet, z, eb.perturbation)
     nflat = sheet_normal(b, sheet, z[:, 0], angles_to_dirs(b.m, z[:, 1:]))
-    ref = (eb.embed_flat(flat + eps * nflat) - pos) / eps
-    normal = _orthonormal_normal(gmat, tangents, ref)
+    v, w = eb.rho * flat @ e.T, (nflat @ e.T)[..., None]
+    _, ref = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
+    normal = _orthonormal_normal(gmat, tangents, ref[..., 0])
     # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part
     cov = second + np.einsum("...aij,...pi,...qj->...pqa", gamma, tangents, tangents)
     return gram, np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)

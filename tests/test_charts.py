@@ -165,13 +165,15 @@ def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
 
 def test_acc_jacobi_hook_matches_directional_differences():
     # A_x J + A_v J' of every family (the analytic forms, and the product's
-    # from its factors) against 4th-order differences of the component-major
-    # geodesic_acc along each column (J_c, J'_c)
+    # from its factors) against 4th-order differences of the hook's own
+    # component-major acceleration along each column (J_c, J'_c), taken
+    # with no Jacobi columns, as exp_map takes it without directions
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.6, 0.6, size=(3, 8))
     v = rng.normal(size=(3, 8))
     jac = rng.normal(size=(3, 4, 8))
     jac_dot = rng.normal(size=(3, 4, 8))
+    none = np.zeros((3, 0, 4, 8))
     h = 1e-3
     for chart in (
         builtin_chart("euclidean", dim=3),
@@ -181,29 +183,45 @@ def test_acc_jacobi_hook_matches_directional_differences():
     ):
         acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
         assert acc.shape == (3, 8) and var.shape == (3, 4, 8)
-        assert np.array_equal(acc, chart.geodesic_acc(x, v)), chart.name
+        acc_alone, var_alone = chart.geodesic_acc_jacobi(x, v, none[:, :, 0], none[:, :, 0])
+        assert np.array_equal(acc_alone, acc) and var_alone.shape == (3, 0, 8), chart.name
 
         def along(c):
-            return chart.geodesic_acc(x[:, None] + c * h * jac, v[:, None] + c * h * jac_dot)
+            shifted = (x[:, None] + c * h * jac, v[:, None] + c * h * jac_dot)
+            return chart.geodesic_acc_jacobi(*shifted, none, none)[0]
 
         fd = (8.0 * (along(1) - along(-1)) - (along(2) - along(-2))) / (12.0 * h)
         assert np.abs(var - fd).max() <= 1e-7, chart.name
 
 
 def test_builtin_families_define_the_geodesic_hooks():
-    # every family defines the required hooks itself; MetricChart has no
-    # finite-difference fallback for the Jacobi hook
-    for cls in charts._FAMILIES.values():
-        for hook in ("metric", "christoffel_closed", "geodesic_acc", "geodesic_acc_jacobi"):
+    # every family defines the three required hooks itself and one geodesic
+    # kernel, the Jacobi hook; exp_closed is MetricChart's alone, the points
+    # of dexp_closed, and MetricChart has no finite-difference fallback for
+    # the Jacobi hook
+    p = np.array([0.15, -0.1, 0.2])
+    v = np.random.default_rng(6).normal(size=(2, 5, 3)) * 0.1
+    for family, cls in charts._FAMILIES.items():
+        for hook in ("metric", "christoffel_closed", "geodesic_acc_jacobi"):
             assert hook in vars(cls), (cls.__name__, hook)
-    class AccOnly(MetricChart):
-        def geodesic_acc(self, x, v):
-            return np.zeros(np.shape(v))
+        assert not hasattr(cls, "geodesic_acc") and "exp_closed" not in vars(cls), cls.__name__
+        chart = builtin_chart(family)
+        closed = chart.dexp_closed(p, np.moveaxis(v, -1, 0))
+        if family == "conformal_bump":
+            assert closed is None and chart.exp_closed(p, v) is None
+        else:
+            assert np.array_equal(chart.exp_closed(p, v), np.moveaxis(closed[0], 0, -1)), family
 
-    chart = AccOnly(3, "acc only", Box(lo=np.full(3, -1.0), hi=np.full(3, 1.0)))
+    class MetricOnly(MetricChart):
+        def metric(self, x):
+            return np.broadcast_to(np.eye(3), np.shape(x) + (3,))
+
+    chart = MetricOnly(3, "metric only", Box(lo=np.full(3, -1.0), hi=np.full(3, 1.0)))
     x = np.zeros((3, 2))
     with pytest.raises(NotImplementedError):
         chart.geodesic_acc_jacobi(x, x, np.zeros((3, 1, 2)), np.zeros((3, 1, 2)))
+    with pytest.raises(NotImplementedError):
+        exp_map(chart, np.zeros(3), x.T)
 
 
 def test_dot_is_numpy_sum_bit_for_bit():
@@ -584,9 +602,10 @@ def _textbook_rk4(deriv, y, t_nodes, substeps):
 
 
 def test_in_place_rk4_is_the_textbook_rk4_bit_for_bit():
-    # the in-place stages of _rk4 give the bits of the out-of-place formula,
-    # over geodesic_acc for exp_map and geodesic_acc_jacobi for _exp_rays,
-    # and leave the caller's v, u and W as they were
+    # the in-place stages of _rk4 give the bits of the out-of-place formula
+    # over geodesic_acc_jacobi, for exp_map without directions (no Jacobi
+    # columns) and for _exp_rays with them, and leave the caller's v, u and
+    # W as they were
     bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
     p = np.array([0.12, -0.05, 0.08])
     rng = np.random.default_rng(13)
@@ -595,7 +614,10 @@ def test_in_place_rk4_is_the_textbook_rk4_bit_for_bit():
     v_before, w_before = v.copy(), w.copy()
     x0 = np.broadcast_to(p[:, None], (3, 40)).copy()
 
-    (ref,) = _textbook_rk4(lambda y: (y[1], bump.geodesic_acc(*y)), (x0, v.T.copy()), [1.0], [30])
+    none = np.zeros((3, 0, 40))
+    (ref,) = _textbook_rk4(
+        lambda y: (y[1], bump.geodesic_acc_jacobi(*y, none, none)[0]), (x0, v.T.copy()), [1.0], [30]
+    )
     assert np.array_equal(exp_map(bump, p, v, steps=30, force_rk4=True), ref[0].T)
 
     def jacobi(y):
@@ -750,7 +772,7 @@ def test_nabla_riemann_bianchi_consistency():
 def test_christoffel_matches_conformal_identity():
     # the required hooks of every family against the metric: Christoffels
     # from the metric derivative stack (finite differences on the bump), and
-    # geodesic_acc(x, v) = -Gamma(v, v)
+    # the Jacobi hook's acceleration -Gamma(v, v)
     from doublebubble.charts import _christoffel_from_stack, metric_d1
 
     rng = np.random.default_rng(8)
@@ -767,18 +789,20 @@ def test_christoffel_matches_conformal_identity():
         assert np.abs(gamma - gamma_fd).max() <= 1e-9, chart.name
         xs = np.broadcast_to(x, v.shape)
         acc = -np.einsum("...aij,...i,...j->...a", christoffel(chart, xs), v, v)
-        # geodesic_acc is component-major: (n, batch) in and out
-        assert np.abs(chart.geodesic_acc(xs.T, v.T).T - acc).max() <= 1e-14, chart.name
+        # the Jacobi hook is component-major: (n, batch) in and out
+        none = np.zeros((3, 0, len(v)))
+        acc_hook = chart.geodesic_acc_jacobi(xs.T, v.T, none, none)[0].T
+        assert np.abs(acc_hook - acc).max() <= 1e-14, chart.name
 
 
 def test_charts_evaluate_each_kernel_once(monkeypatch):
-    calls = {"closed": 0, "riemann": 0, "curvature_at": 0}
+    seen = {"closed": [], "riemann": [], "curvature_at": []}
 
     def counting(owner, name, key):
         original = getattr(owner, name)
 
         def counted(*args, **kwargs):
-            calls[key] += 1
+            seen[key].append(args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -791,13 +815,16 @@ def test_charts_evaluate_each_kernel_once(monkeypatch):
     sp = builtin_chart("round_sphere", a=1.0)
     u = np.random.default_rng(4).normal(size=(5, 3)) * 0.1
     _exp_rays(sp, np.array([0.1, 0.0, -0.2]), u.T, np.array([[0.5, 1.0]] * 5), [1, 1])
-    assert calls["closed"] == 1
+    assert len(seen["closed"]) == 1
     # one Riemann tensor per curvature evaluation
     bp = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
     cv = curvature_at(bp, np.array([0.1, -0.2, 0.05]), np.array([0.0, 0.0, 1.0]), nabla=False)
-    assert calls["riemann"] == 1
+    assert len(seen["riemann"]) == 1
     # predict_full reads frame and Sc from the Ricci eigendecomposition's curvature
     preds, points = locate.predict_full(bp, [np.array([0.02, 0.01, -0.01])], 0.05, BubbleParams(2, 1.0, 3.0, 2.0))
     nondegenerate = sum(cp.nondegenerate for cp in points)
     assert nondegenerate == 1 and len(preds) == 1
-    assert calls["curvature_at"] == nondegenerate
+    assert len(seen["curvature_at"]) == nondegenerate
+    # two Riemann tensors at the converged point: one Sc, shared by the final
+    # Hessian and the point's sc, and the Ricci eigendecomposition's
+    assert sum(np.array_equal(args[1], points[0].coords) for args in seen["riemann"]) == 2
