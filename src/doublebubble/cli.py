@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expansions
 from .charts import DomainExit, builtin_chart, curvature_at
-from .fields import random_admissible_field
+from .fields import check_admissible, random_admissible_field
 from .geometry import BubbleParams, conormals_at_neck, solve_standard_bubble
 from .locate import predict_full, prediction_record, ricci_eigendecomposition
 from .measure import QUANTITIES, expansion_threshold, verify_many
@@ -52,7 +52,7 @@ CONFIG_KEYS = {
     "rho_list": "comma-separated decreasing scales",
     "rho": "single scale (predict)",
     "grid": "quadrature grid n_polar,n_sphere",
-    "sector_nodes": "Gauss-Legendre nodes of the radial ray rule",
+    "sector_nodes": "Gauss-Legendre nodes along the rays of the volume cones",
     "geodesic_steps": "RK4 steps of the exponential map",
     "quantities": "verify quantities, comma-separated (see measure.QUANTITIES)",
     "perturbed": "true to verify with a rho^2-scaled admissible field",
@@ -340,6 +340,11 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
     perturbation = None
     if perturbed:
         perturbation = random_admissible_field(bubble, np.random.default_rng(seed), amplitude)
+        # the sweep scales the field by rho^2, so its largest rho decides
+        try:
+            check_admissible(perturbation.scaled(max(rhos) ** 2))
+        except ValueError as exc:
+            raise ConfigError(f"field_amplitude = {amplitude:g} at rho = {max(rhos):g}: {exc}") from None
 
     results = verify_many(
         chart,

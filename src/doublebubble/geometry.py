@@ -352,22 +352,19 @@ def sphere_rule(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     raise ValueError(f"no sphere rule for m = {m} (supported: 1, 2, 3)")
 
 
-def flat_rule(m: int, upper: float, grid: tuple[int, int], density=None):
+def flat_rule(m: int, upper: float, grid: tuple[int, int]):
     """Tensor-product rule on the flat parameter domain [0, upper] x S^(m-1).
 
     Gauss-Legendre nodes in the polar parameter times sphere_rule(m, n_sphere),
     grid = (n_polar, n_sphere).  Returns the nodes z = (polar, angles) (N, m),
-    their unit directions (N, m) and the weights (N,) of d(polar) d(angles),
-    each polar weight first multiplied by density(polar) when given.  Sheet
-    s of a bubble takes upper = bubble.polar_limit(s); its area weights are
-    these weights times the flat area element sqrt(det g) of flat_metric.
+    their unit directions (N, m) and the weights (N,) of d(polar) d(angles).
+    Sheet s of a bubble takes upper = bubble.polar_limit(s); its area weights
+    are these weights times the flat area element sqrt(det g) of flat_metric.
     """
     n_polar, n_sphere = grid
     t, w = gauss_legendre(n_polar)
     polar = 0.5 * upper * (t + 1.0)
     w_polar = 0.5 * upper * w
-    if density is not None:
-        w_polar = w_polar * density(polar)
     angles, dirs, w_angles = sphere_rule(m, n_sphere)
     k = len(w_angles)
     z = np.concatenate([np.repeat(polar, k)[:, None], np.tile(angles, (n_polar, 1))], axis=1)

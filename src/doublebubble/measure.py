@@ -11,36 +11,31 @@ Sheets are sampled on the geometry.flat_rule grid of their parameters
 z = (polar, angles).  The rho-independent half of the oracle, the flat
 side, is a FlatModel: per sheet the flat points and the raw field values
 at every point of the 4th-order parameter stencils of charts._stencil, the
-flat sheet's derivatives and the prisms' orientation signs, and the volume
-rays' directions, exits and nodes.  An EmbeddedBubble keeps two layers per
-sheet (sheet_layer: the flat sheet from the model, and its displacement
-(s w) N + s Y at the bubble's field scale s), so the areas and the swept
-prisms of the volumes displace each sheet once.  Neither embeds a stencil:
-the areas push the displaced sheet's parameter derivatives through the
-differential of the exponential map, one geodesic with m Jacobi fields per
-node (exp_map with directions), and the prisms do the same at their tau
-levels.  Mean curvature and the conormal defect still difference the
-embedding, through embed_params; the reference normal that orients the
-second fundamental form is the flat normal pushed forward the same way.
+flat sheet's derivatives and its orientation signs.  An EmbeddedBubble
+keeps two layers per sheet (sheet_layer: the flat sheet from the model,
+and its displacement (s w) N + s Y at the bubble's field scale s), so the
+areas and the volume cones displace each sheet once.  Neither embeds a
+stencil: both push the displaced sheet y and its parameter derivatives
+through the differential of the exponential map, one geodesic with Jacobi
+fields per node (exp_map with directions for the areas, charts._exp_rays
+at the cone's radial nodes for the volumes).  Mean curvature and the
+conormal defect still difference the embedding, through embed_params; the
+reference normal that orients the second fundamental form is the flat
+normal pushed forward the same way.
 
-Enclosed volumes are ray integrals from the base point, which sits at the
-centre of the flat neck disk and so inside every ball of the bubble.  Each
-chamber is a union of radial intervals: along a unit direction theta (frame
-components, theta_z its axial part) the ray leaves ball s at
+Enclosed volumes are signed geodesic cones from the base point over the
+sheets.  Sheet s is the cone (t, z) -> Exp_p(t rho E y(z)), t in [0, 1],
+whose Jacobian is, with W = rho E [y, d_z y] (n, n),
 
-  r_s(theta) = c_s theta_z + sqrt(R_s^2 - c_s^2 (1 - theta_z^2)),
+  t^m det(dExp_p(t rho E y) W) sqrt(det G)
 
-so V1 integrates [0, r1] over theta_z > 0 and [0, r0] over theta_z < 0, and
-V2 integrates [r0, r2] over theta_z < 0 (the symmetric case has no r0: V1 and
-V2 are the two half-balls [0, r1] and [0, r2]).  The directions of a
-half-sphere are flat_rule nodes of the unit cap with upper limit pi/2.  The
-volume density at the flat point t theta is
-
-  rho^n |det(dExp_p(t rho E theta) E)| sqrt(det G) t^(n-1),
-
-with dExp from charts._exp_rays and sqrt(det G) from the chart's
-volume_element.  Perturbed volumes add the swept-prism
-volume of each sheet, which is closure independent.
+(do Carmo, Riemannian Geometry, ch. 5), with dExp W from one
+charts._exp_rays call per sheet at sector_nodes Gauss-Legendre nodes in t
+and sqrt(det G) from the chart's volume_element.  Signed by the sheet's
+flat orientation (normal N_s first) and by sign(det E), the cone is C_s,
+and the chambers are V1 = -(C1 + C0) and V2 = C0 - C2, for the symmetric,
+asymmetric and perturbed bubble alike (N_s points into B1 on sheets 0 and
+1 and into B2 on sheet 2).
 
 verify_many sweeps rho once.  It builds one FlatModel before its threads
 start, and at each rho one EmbeddedBubble on it, measuring only the
@@ -90,7 +85,7 @@ from .fields import (
     _neck_z,
     _param_steps,
 )
-from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, round_metric, sheet_normal
+from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, sheet_normal
 
 # relative parameter step of the sheet stencils (ten times it for the second
 # derivatives of measure_fundamental_forms)
@@ -159,20 +154,6 @@ class _FlatSheet(NamedTuple):
     orient: np.ndarray  # sign of the flat-model determinant [N, d_z x] (N,)
 
 
-class _RayRule(NamedTuple):
-    """The rays of one half-sphere of directions theta (N, n) with weights
-    (N,): segment j, of lengths[j] (N,), carries sector_nodes Gauss-Legendre
-    nodes of t_nodes (N, k) with half-weights radial (q,); substeps[j] RK4
-    steps lead to node j."""
-
-    theta: np.ndarray
-    weights: np.ndarray
-    lengths: list
-    t_nodes: np.ndarray
-    substeps: list
-    radial: np.ndarray
-
-
 class FlatModel:
     """The rho-independent half of the oracle: the flat model of a bubble and
     a field at one resolution, which every EmbeddedBubble built on it maps
@@ -180,10 +161,10 @@ class FlatModel:
 
     sheets holds one _FlatSheet per sheet: the flat_rule nodes and weights,
     the flat points and the raw field values (without the field's scale) at
-    every stencil point, the FLAT layer's derivatives and the prisms'
-    orientation signs.  rays holds the two half-spheres of volume rays.  Both
-    are built on first use; verify_many builds them before its threads
-    start, so that every rho of a sweep reads one model.
+    every stencil point, the FLAT layer's derivatives and the volume cones'
+    orientation signs.  They are built on first use; verify_many builds them
+    before its threads start, so that every rho of a sweep reads one
+    model.
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -213,55 +194,15 @@ class FlatModel:
         orient = np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(flat_d1)], axis=1)))
         return _FlatSheet(z, w, steps, x, fw, fy, flat_d1, orient)
 
-    @cached_property
-    def rays(self) -> tuple:
-        """(up, down) _RayRule: up ends at sphere 1; down at sphere 2, and in
-        the asymmetric case first at sphere 0."""
-        b = self.bubble
-        # upper half of S^m: polar angle alpha in [0, pi/2] from the axis with
-        # density sin^(m-1)(alpha), times the round measure of S^(m-1)
-        z, dirs, w = flat_rule(
-            b.m, 0.5 * math.pi, self.grid, lambda alpha: np.sin(alpha) ** (b.m - 1)
-        )
-        weights = w * np.sqrt(_det(_component_major(round_metric(z[:, 1:])[0], 2)))
-        up = np.concatenate([np.sin(z[:, :1]) * dirs, np.cos(z[:, :1])], axis=1)
-        down = up * np.append(np.ones(b.m), -1.0)
-        down_ends = [_ball_exit(b, 2, down[:, -1])]
-        if not b.symmetric:
-            down_ends.insert(0, _ball_exit(b, 0, down[:, -1]))
-        return (
-            self._ray_rule(up, weights, [_ball_exit(b, 1, up[:, -1])]),
-            self._ray_rule(down, weights, down_ends),
-        )
-
-    def _ray_rule(self, theta, weights, ends) -> _RayRule:
-        """Each segment carries sector_nodes Gauss-Legendre nodes and about
-        geodesic_steps RK4 steps, split over the node gaps in proportion; the
-        first segment starts at t = 0."""
-        t, w = gauss_legendre(self.sector_nodes)
-        frac = 0.5 * (t + 1.0)
-        gaps = np.diff(np.concatenate([[0.0], frac, [1.0]]))
-        counts = np.maximum(1, np.ceil(self.geodesic_steps * gaps)).astype(int)
-        starts = [np.zeros(len(theta))] + list(ends[:-1])
-        t_nodes = np.concatenate(
-            [a[:, None] + (e - a)[:, None] * frac for a, e in zip(starts, ends)], axis=1
-        )
-        substeps = []
-        for j in range(len(ends)):
-            # the gap after a segment's last node opens the next segment
-            substeps += [counts[0] + (counts[-1] if j else 0), *counts[1:-1]]
-        lengths = [e - a for a, e in zip(starts, ends)]
-        return _RayRule(theta, weights, lengths, t_nodes, substeps, 0.5 * w)
-
 
 class EmbeddedBubble:
     """Geodesic image of a (possibly perturbed) standard bubble in a chart.
 
     grid = (n_polar, n_sphere) controls the quadrature resolution of the
-    sheets and of each half-sphere of volume rays; sector_nodes the
-    Gauss-Legendre order of the radial ray rule; geodesic_steps the RK4 steps
-    of one geodesic (of one radial segment, for volume rays).  Parameter
-    stencils step H_REL times each parameter's range.
+    sheets, which the areas and the volume cones share; sector_nodes the
+    Gauss-Legendre order of the cones along their rays; geodesic_steps the
+    RK4 steps of one geodesic (split over the node gaps of a cone's ray).
+    Parameter stencils step H_REL times each parameter's range.
 
     The flat side comes from a FlatModel of the bubble, the field and these
     settings, `model` when given (verify_many shares one over its sweep),
@@ -318,7 +259,7 @@ class EmbeddedBubble:
         """(values (N, n), d1 (N, m, n)) of one layer of a sheet on the
         model's nodes: FLAT, the flat sheet; DISPLACEMENT, its displacement by
         the perturbation, computed once per bubble from the displaced stencil
-        points.  The displaced sheet is their sum; the swept prisms of
+        points.  The displaced sheet is their sum; the volume cones of
         measure_volumes and the pushforward tangents of measure_area read
         both."""
         sh = self.model.sheets[sheet]
@@ -341,6 +282,13 @@ class EmbeddedBubble:
 # measurements
 
 
+def _displaced_sheet(eb: EmbeddedBubble, sheet: int):
+    """(y (N, n), d_z y (N, m, n)) of the displaced sheet, FLAT + DISPLACEMENT."""
+    flat, flat_d1 = eb.sheet_layer(sheet, FLAT)
+    displ, displ_d1 = eb.sheet_layer(sheet, DISPLACEMENT)
+    return flat + displ, flat_d1 + displ_d1
+
+
 def measure_area(eb: EmbeddedBubble) -> np.ndarray:
     """Per-sheet m-areas by quadrature of sqrt(det Gram).
 
@@ -355,12 +303,7 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
     if cached is not None:
         return cached.copy()
     e = eb.frame.matrix
-    ys, cols = [], []
-    for s in range(3):
-        flat, flat_d1 = eb.sheet_layer(s, FLAT)
-        displ, displ_d1 = eb.sheet_layer(s, DISPLACEMENT)
-        ys.append(flat + displ)
-        cols.append(flat_d1 + displ_d1)
+    ys, cols = zip(*(_displaced_sheet(eb, s) for s in range(3)))
     v = eb.rho * np.concatenate(ys) @ e.T
     # the directions rho E d_z y (N, n, m)
     w = eb.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2)
@@ -378,100 +321,38 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
     return out.copy()
 
 
-def _prism_volume(eb: EmbeddedBubble, sheet: int) -> float:
-    """Signed volume swept between a sheet and its perturbed image.
-
-    Parametrized by (tau, z) -> Exp(rho E y), y = x(z) + tau (w N + Y)(z) in
-    the flat model; the signed coordinate Jacobian times sqrt(det G)
-    integrates to the exact region change, positive when the sheet moves
-    along its own normal N_s.  The Jacobian is rho dExp_p(rho E y) E
-    [d_tau y, d_z y]: dExp comes from one charts._exp_rays call (closed form,
-    or RK4 on the Jacobi equation with geodesic_steps steps) at all 6
-    Gauss-Legendre tau levels at once, and the flat columns d_z y from
-    4-point stencils of the flat and displaced sheets
-    (EmbeddedBubble.sheet_layer), which are linear in tau.  Everything
-    from the levels on is component-major, the batch (6, N) last.
-    """
-    sh = eb.model.sheets[sheet]
-    flat, tang_flat = eb.sheet_layer(sheet, FLAT)
-    displ, tang_displ = eb.sheet_layer(sheet, DISPLACEMENT)
-    flat, displ = flat.T, displ.T
-    # columns d_z y, (n, m, N)
-    tang_flat, tang_displ = np.transpose(tang_flat), np.transpose(tang_displ)
-    n, m = tang_flat.shape[:2]
-    e = eb.frame.matrix
-    t, wt = gauss_legendre(6)
-    tau = (0.5 * (t + 1.0))[:, None]
-    y = flat[:, None] + tau * displ[:, None]
-    u = (e @ (eb.rho * y).reshape(n, -1)).reshape(y.shape)
-    points, dexp = _exp_rays(
-        eb.chart, eb.frame.base, u, np.ones(y.shape[1:] + (1,)), [eb.model.geodesic_steps]
-    )
-    # the flat columns [d_tau y, d_z y] at each level (n, m + 1, 6, N), and
-    # E times them
-    flat_cols = np.empty((n, m + 1) + y.shape[1:])
-    flat_cols[:, 0] = displ[:, None]
-    flat_cols[:, 1:] = tang_flat[:, :, None] + tau * tang_displ[:, :, None]
-    cols = (e @ flat_cols.reshape(n, -1)).reshape(flat_cols.shape)
-    # jac[i, c] = rho sum_j dExp[i, j] cols[j, c]
-    jac = eb.rho * _dot(np.swapaxes(dexp[..., 0], 0, 1)[:, :, None], cols[:, None], axis=0)
-    dets = _det(jac) * eb.chart.volume_element(points[..., 0]) * sh.orient
-    total = 0.0
-    for tw, level in zip(0.5 * wt, dets):
-        total += tw * float(np.sum(sh.w * level))
-    return total
-
-
-def _ball_exit(bubble: StandardBubble, sheet: int, theta_z) -> np.ndarray:
-    """Flat distance from the neck centre to sphere `sheet` along unit
-    directions with axial component theta_z."""
-    c, r = bubble.centers[sheet], bubble.radii[sheet]
-    return c * theta_z + np.sqrt(r**2 - c**2 * (1.0 - theta_z**2))
-
-
-def _ray_volumes(eb: EmbeddedBubble, rays: _RayRule) -> list[float]:
-    """Volumes of Exp_p(rho E {t theta : t in segment j}) for each segment j
-    of a ray rule, integrated over its directions."""
-    q = eb.model.sector_nodes
-    e = eb.frame.matrix
-    u = np.ascontiguousarray((eb.rho * rays.theta @ e.T).T)
-    points, dexp = _exp_rays(eb.chart, eb.frame.base, u, rays.t_nodes, rays.substeps)
-    n = rays.theta.shape[1]
-    density = (
-        eb.rho**n
-        * abs(_det(e))
-        * np.abs(_det(dexp))
-        * eb.chart.volume_element(points)
-        * rays.t_nodes ** (n - 1)
-    )
-    out = []
-    for j, length in enumerate(rays.lengths):
-        radial = density[:, j * q : (j + 1) * q] @ rays.radial * length
-        out.append(float(rays.weights @ radial))
-    return out
-
-
 def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
-    """(V1, V2) as ray integrals from the neck centre; see the module docstring.
+    """(V1, V2) from the signed geodesic cones over the three sheets; see the
+    module docstring.
 
-    Perturbation corrections are exact swept-prism volumes per sheet, which
-    coincide with the per-sheet sector differences once the chambers are
-    closed (the neck faces cancel by admissibility)."""
+    Per sheet, one charts._exp_rays call runs the rays u = rho E y and the
+    directions W = rho E [y, d_z y] of the displaced sheet y (FLAT +
+    DISPLACEMENT, as measure_area reads them) to the sector_nodes
+    Gauss-Legendre nodes t in [0, 1], geodesic_steps RK4 steps split over
+    the node gaps; the cone's Jacobian there is t^m det(dExp W) sqrt(det G).
+    """
     cached = eb._sheet_cache.get("volumes")
     if cached is not None:
         return cached
-    up, down = eb.model.rays
-    (v1,) = _ray_volumes(eb, up)
-    if eb.bubble.symmetric:
-        (v2,) = _ray_volumes(eb, down)
-    else:
-        p0, v2 = _ray_volumes(eb, down)
-        v1 += p0
-    if eb.perturbation is not None:
-        prisms = [_prism_volume(eb, s) for s in range(3)]
-        v1 += -prisms[1] - prisms[0]
-        v2 += -prisms[2] + prisms[0]
-    out = (float(v1), float(v2))
+    model = eb.model
+    t, wt = gauss_legendre(model.sector_nodes)
+    t = 0.5 * (t + 1.0)
+    gaps = np.diff(np.concatenate([[0.0], t]))
+    substeps = np.maximum(1, np.ceil(model.geodesic_steps * gaps)).astype(int)
+    radial = 0.5 * wt * t**eb.bubble.m
+    e = eb.frame.matrix
+    n = e.shape[0]
+    cones = []
+    for s, sh in enumerate(model.sheets):
+        y, d1 = _displaced_sheet(eb, s)
+        # W = rho E [y, d_z y], component-major (n, n, N); its first column is u
+        cols = np.concatenate([y.T[:, None], np.transpose(d1)], axis=1)
+        w = eb.rho * (e @ cols.reshape(n, -1)).reshape(cols.shape)
+        points, push = _exp_rays(eb.chart, eb.frame.base, w[:, 0], t, substeps, directions=w)
+        jacobian = _det(push) * eb.chart.volume_element(points)
+        cones.append(float(np.sum(sh.w * sh.orient * (jacobian @ radial))))
+    c0, c1, c2 = np.sign(_det(e)) * np.array(cones)
+    out = (float(-(c1 + c0)), float(c0 - c2))
     eb._sheet_cache["volumes"] = out
     return out
 
@@ -658,10 +539,8 @@ def verify_many(
 
     # the flat side of every rho, its arrays built before the threads read them
     model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
-    if "area" in quantities or "phi" in quantities or (perturbation is not None and volumes_wanted):
+    if "area" in quantities or "phi" in quantities or volumes_wanted:
         model.sheets
-    if volumes_wanted or "phi" in quantities:
-        model.rays
 
     def measure_at(rho):
         """Oracle values at rho; for h* and conormal the residual itself."""

@@ -185,6 +185,8 @@ def test_exit_codes(tmp_path):
         ("verify", "seed = x\n"),
         ("verify", "seed = -1\nperturbed = true\n"),
         ("verify", "field_amplitude = big\n"),
+        # admissible at scale 1 but not once scaled by the largest rho^2
+        ("verify", "perturbed = true\nfield_amplitude = 100\n"),
         ("verify", "point = 0,zero,0\n"),
         ("verify", "chart.a = one\n"),
         ("verify", "chart.a = -1\n"),
@@ -261,6 +263,17 @@ def test_verify_perturbed_path(tmp_path):
     assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
     body = (out / "verify.csv").read_text()
     assert body.count("pass") == 2
+
+
+def test_verify_left_handed_axis_passes(tmp_path):
+    # seed axis (0,0,-1) gives a left-handed frame; the volume cones carry
+    # the sign of its determinant, so the perturbed volumes still converge
+    cfg = write_cfg(
+        tmp_path / "left.cfg",
+        BASE_CFG + "quantities = v1,v2,vtot\nperturbed = true\naxis = 0,0,-1\n",
+    )
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "verify.csv").read_text().count("pass") == 3
 
 
 def test_verify_measures_each_rho_once(tmp_path, monkeypatch):

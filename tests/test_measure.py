@@ -15,7 +15,6 @@ from doublebubble import measure
 from doublebubble.measure import (
     QUANTITIES,
     EmbeddedBubble,
-    _prism_volume,
     expansion_threshold,
     fit_order,
     measure_area,
@@ -38,7 +37,7 @@ FRAME_SP = orthonormal_frame(SP, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 def test_areas_and_volumes_share_one_stencil_per_sheet():
     # a perturbed sweep evaluates each sheet's field for the stencils of the
-    # areas and of the swept prisms once, not once per scale: 3 and 5 scales
+    # areas and of the volume cones once, not once per scale: 3 and 5 scales
     # make the same calls, and every scale measures what a bubble with its
     # own flat model measures
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
@@ -75,8 +74,9 @@ def test_areas_and_volumes_share_one_stencil_per_sheet():
 
 
 def test_volumes_embed_no_sheet(monkeypatch):
-    # the swept prisms read the flat and displaced sheets only; exp_map, which
-    # pushes their tangents forward, waits for measure_area
+    # the cones read the flat and displaced sheets through the ray core
+    # _exp_rays; exp_map, which pushes the sheet tangents forward, waits for
+    # measure_area
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25).scaled(0.01)
     eb = EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, perturbation=field, grid=(8, 16), sector_nodes=4)
 
@@ -108,7 +108,7 @@ def test_flat_measurements_exact():
                 assert abs(h - 2.0 / (rho * b.radii[s])) <= 1e-8
 
 
-def test_flat_ray_volumes_exact_in_dims_3_and_4():
+def test_flat_cone_volumes_exact_in_dims_3_and_4():
     rho = 0.1
     for dim in (3, 4):
         eu = builtin_chart("euclidean", dim=dim)
@@ -129,8 +129,9 @@ def test_flat_ray_volumes_exact_in_dims_3_and_4():
     ],
     ids=["asym", "sym"],
 )
-def test_ray_volumes_reproduce_cone_oracle_on_bump(h, v1_ref, v2_ref):
-    # V / rho^3 from the exp-image cone oracle this ray oracle replaced, at the same settings
+def test_cone_volumes_reproduce_stencil_cone_oracle_on_bump(h, v1_ref, v2_ref):
+    # V / rho^3 from the exp-image cone oracle on finite-difference stencils
+    # that the hemisphere rays replaced, at the same settings
     bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5, dim=3)
     p = np.array([0.12, -0.05, 0.08])
     frame = orthonormal_frame(bump, p, np.array([0.25, -0.4, 0.88]))
@@ -151,27 +152,44 @@ def test_ray_volumes_reproduce_cone_oracle_on_bump(h, v1_ref, v2_ref):
             {"a": 1.0},
             0.1,
             {"grid": (32, 64), "sector_nodes": 10, "geodesic_steps": 200},
-            (6.439308903820903e-04, 3.171266753052356e-03, 3.223375741055464e-03),
+            (0.8645555058023531, 3.923223030464151),
         ),
         (
             "conformal_bump",
             {"eps": -0.1, "s": 0.5},
             0.05,
             {"grid": (16, 32), "sector_nodes": 8, "geodesic_steps": 50},
-            (1.613479322911809e-04, 7.963169184203626e-04, 8.139866395653791e-04),
+            (0.8686477010510221, 3.948298894687936),
         ),
     ],
     ids=["sphere", "bump"],
 )
-def test_prisms_reproduce_stencil_oracle(family, kw, rho, options, refs):
-    # prism volume / rho^3 per sheet from the finite-difference stencils
-    # through exp_map that the exp-map differential replaced, same settings
+def test_perturbed_cone_volumes_reproduce_prism_oracle(family, kw, rho, options, refs):
+    # perturbed (V1, V2) / rho^3 from the hemisphere rays plus swept prisms
+    # that the signed cones over the displaced sheets replaced, same settings
     chart = builtin_chart(family, dim=3, **kw)
     frame = orthonormal_frame(chart, np.array([0.12, -0.05, 0.08]), np.array([0.25, -0.4, 0.88]))
     field = random_admissible_field(ASYM, np.random.default_rng(1), 0.25).scaled(rho**2)
     eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field, **options)
-    for s, ref in enumerate(refs):
-        assert _prism_volume(eb, s) / rho**3 == pytest.approx(ref, rel=5e-9, abs=0)
+    v1, v2 = measure_volumes(eb)
+    assert v1 / rho**3 == pytest.approx(refs[0], rel=1e-10, abs=0)
+    assert v2 / rho**3 == pytest.approx(refs[1], rel=1e-10, abs=0)
+
+
+def test_left_handed_frame_gives_the_same_volumes():
+    # the cones carry sign(det E): seed axes (0,0,1) and (0,0,-1) give frames
+    # of opposite handedness and one and the same perturbed bubble
+    field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25).scaled(0.01)
+    volumes = []
+    for seed in ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)):
+        frame = orthonormal_frame(EU, np.zeros(3), np.array(seed))
+        volumes.append(measure_volumes(
+            EmbeddedBubble(EU, frame, ASYM, 0.1, perturbation=field, grid=(16, 32), sector_nodes=6)
+        ))
+    assert np.linalg.det(frame.matrix) < 0.0
+    for right, left in zip(*volumes):
+        assert left == pytest.approx(right, rel=1e-12, abs=0)
+
 
 @pytest.mark.parametrize(
     "family,kw,perturbed,options,refs",
