@@ -614,31 +614,24 @@ def _fd_d1(fun, x, h, depth=2):
     return np.stack(rows, axis=-(depth + 1))
 
 
-def _stencil(fun, x, h, order: int = 1, neck: bool = False):
-    """4th-order finite differences of an array-valued fun at points x (..., n).
+def _stencil(fun, x, h, order: int = 1):
+    """4th-order central finite differences of an array-valued fun at points
+    x (..., n).
 
     h is the step of each coordinate (a scalar applies to all of them).
     Returns (f, d1), or (f, d1, d2) with order=2, where f = fun(x) and the
     derivative axes follow the batch axes of x: d1[..., i, *out] = d_i f and
     d2[..., i, j, *out] = d_i d_j f.  First derivatives and the diagonal of
     d2 use the central 5-point stencils, the mixed entries of d2 the 4-point
-    cross.  With neck=True the derivative along x_0 is the one-sided 5-point
-    stencil on x_0, x_0 - h, ..., x_0 - 4h instead, for points on the neck
-    end x_0 = upper of a sheet (first derivatives only).  fun sees every
-    shifted point in one call, the _stencil_points stack; values of fun
-    taken there earlier go to _stencil_differences directly.
+    cross.  fun sees every shifted point in one call, stacked on a new
+    leading axis with the centre first, so fun must be defined a few steps
+    past the points.
     """
-    return _stencil_differences(fun(_stencil_points(x, h, order, neck)), x, h, order, neck)
-
-
-def _stencil_keys(n: int, order: int, neck: bool) -> list:
-    """The shifts of _stencil, each a tuple of (axis, multiple of that axis'
-    step); () is the centre."""
-    if neck and order != 1:
-        raise ValueError("the one-sided neck stencil gives first derivatives only")
-    keys = [()]
-    for i in range(n):
-        keys += [((i, c),) for c in ((-1, -2, -3, -4) if neck and i == 0 else (1, -1, 2, -2))]
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    # each shift a tuple of (axis, multiple of that axis' step); () is the centre
+    keys = [()] + [((i, c),) for i in range(n) for c in (1, -1, 2, -2)]
     if order == 2:
         keys += [
             ((i, ci), (j, cj))
@@ -647,45 +640,21 @@ def _stencil_keys(n: int, order: int, neck: bool) -> list:
             for ci in (1, -1)
             for cj in (1, -1)
         ]
-    return keys
-
-
-def _stencil_points(x, h, order: int = 1, neck: bool = False) -> np.ndarray:
-    """Every shifted point of _stencil at points x (..., n), stacked on a new
-    leading axis, the centre first."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    keys = _stencil_keys(n, order, neck)
     shifts = np.zeros((len(keys), n))
     for row, key in enumerate(keys):
         for i, c in key:
             shifts[row, i] = c * h[i]
-    return x + shifts.reshape((len(keys),) + (1,) * (x.ndim - 1) + (n,))
-
-
-def _stencil_differences(values, x, h, order: int = 1, neck: bool = False):
-    """_stencil from the values of fun at _stencil_points(x, h, order, neck)."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
-    f = dict(zip(_stencil_keys(n, order, neck), values))
+    f = dict(zip(keys, fun(x + shifts.reshape((len(keys),) + (1,) * (x.ndim - 1) + (n,)))))
     f0 = f[()]
 
     def at(i, c):
         return f[((i, c),)]
 
     axis = x.ndim - 1
-    d1 = []
-    for i in range(n):
-        if neck and i == 0:
-            d1.append(
-                (25.0 * f0 - 48.0 * at(0, -1) + 36.0 * at(0, -2) - 16.0 * at(0, -3) + 3.0 * at(0, -4))
-                / (12.0 * h[0])
-            )
-        else:
-            d1.append((8.0 * (at(i, 1) - at(i, -1)) - (at(i, 2) - at(i, -2))) / (12.0 * h[i]))
-    d1 = np.stack(d1, axis=axis)
+    d1 = np.stack(
+        [(8.0 * (at(i, 1) - at(i, -1)) - (at(i, 2) - at(i, -2))) / (12.0 * h[i]) for i in range(n)],
+        axis=axis,
+    )
     if order == 1:
         return f0, d1
     d2 = [[None] * n for _ in range(n)]

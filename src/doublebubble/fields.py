@@ -12,9 +12,10 @@ closed-form callables (polar, dirs) -> values per sheet, so they can be
 sampled on any grid and differentiated by parameter stencils.
 
 Sheet data live in the flat parameters z = (polar, angles) of
-geometry.flat_rule: the flat metric and Christoffels there are closed form
-(geometry.flat_metric), tangents and field derivatives come from the
-4th-order stencils of charts._stencil.
+geometry.flat_rule: the flat tangents, metric and Christoffels there are
+closed form (geometry.sheet_tangents and flat_metric); only the field
+derivatives come from the 4th-order stencils of charts._stencil, with the
+parameter steps H_REL times each parameter's range (_param_steps).
 
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
@@ -40,10 +41,12 @@ from .geometry import (
     BubbleParams,
     StandardBubble,
     _normal_at,
+    angles_to_dirs,
     flat_metric,
     flat_rule,
     sheet_normal,
     sheet_point,
+    sheet_tangents,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -53,6 +56,9 @@ RESPONSE_GRID = (32, 64)
 SUP_NODES = 12
 # angles per turn on which field_modes samples a field
 MODE_ANGLES = 64
+# relative parameter step of the field stencils (ten times it for the second
+# derivatives of measure.measure_fundamental_forms)
+H_REL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +187,6 @@ def check_admissible(field: PerturbationField, unit_sup: float | None = None) ->
 # flat sheet parametrization and derivatives in parameters z = (polar, angles)
 
 
-def angles_to_dirs(m: int, angles: np.ndarray) -> np.ndarray:
-    angles = np.asarray(angles, dtype=float)
-    if m == 2:
-        th = angles[..., 0]
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    if m == 3:
-        al, be = angles[..., 0], angles[..., 1]
-        return np.stack(
-            [np.sin(al) * np.cos(be), np.sin(al) * np.sin(be), np.cos(al)], axis=-1
-        )
-    raise ValueError(f"angle parametrization requires m in (2, 3), got m={m}")
-
-
 def displaced_point_z(
     bubble: StandardBubble, sheet: int, z: np.ndarray, field: PerturbationField | None
 ) -> np.ndarray:
@@ -210,7 +203,9 @@ def displaced_point_z(
     return x + w[..., None] * _normal_at(bubble, sheet, x) + y
 
 
-def _param_steps(bubble: StandardBubble, sheet: int, rel: float = 1e-4) -> np.ndarray:
+def _param_steps(bubble: StandardBubble, sheet: int, rel: float = H_REL) -> np.ndarray:
+    """Parameter steps of the stencils on a sheet: rel times the range of the
+    polar parameter and pi for each angle."""
     scales = [bubble.polar_limit(sheet)] + [math.pi] * (bubble.m - 1)
     return rel * np.asarray(scales)
 
@@ -248,12 +243,13 @@ def sheet_point_data(
     z: np.ndarray,
     field: PerturbationField | None = None,
 ) -> SheetPointData:
-    """Flat positions, normals and tangents (4th-order stencils), the
-    closed-form flat metric and Christoffels (geometry.flat_metric) and the
-    field values with their stencil derivatives at parameters z (N, m)."""
+    """Flat positions and normals, the closed-form tangents, metric and
+    Christoffels (geometry.sheet_tangents and flat_metric) and the field
+    values with their 4th-order stencil derivatives at parameters z (N, m)."""
     z = np.asarray(z, dtype=float)
     h = _param_steps(bubble, sheet)
-    x, tangents = _stencil(lambda zz: displaced_point_z(bubble, sheet, zz, None), z, h)
+    x = displaced_point_z(bubble, sheet, z, None)
+    tangents = sheet_tangents(bubble, sheet, z)
     normal = _normal_at(bubble, sheet, x)
     g, gamma = flat_metric(bubble, sheet, z)
     ginv = np.linalg.inv(g)

@@ -293,6 +293,56 @@ def sheet_point(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
     return np.concatenate([radial, axial], axis=-1)
 
 
+def angles_to_dirs(m: int, angles: np.ndarray) -> np.ndarray:
+    """Unit directions (..., m) of the angles (..., m - 1) of sphere_rule."""
+    angles = np.asarray(angles, dtype=float)
+    if m == 2:
+        th = angles[..., 0]
+        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+    if m == 3:
+        al, be = angles[..., 0], angles[..., 1]
+        return np.stack(
+            [np.sin(al) * np.cos(be), np.sin(al) * np.sin(be), np.cos(al)], axis=-1
+        )
+    raise ValueError(f"angle parametrization requires m in (2, 3), got m={m}")
+
+
+def sheet_tangents(bubble: StandardBubble, sheet: int, z) -> np.ndarray:
+    """Closed-form parameter derivatives d_z x (..., m, m + 1) of sheet_point
+    at z = (polar, angles) (..., m), row i the derivative along z_i.
+
+    The polar row is (R cos(polar) dirs, -sign R sin(polar)) on a cap and
+    (dirs, 0) on the symmetric disk; the angle rows are the radius
+    (R sin(polar), or polar on the disk) times the angle derivatives of the
+    directions, with no axial part.
+    """
+    z = np.asarray(z, dtype=float)
+    m = bubble.m
+    polar, angles = z[..., 0], z[..., 1:]
+    dirs = angles_to_dirs(m, angles)
+    # d dirs / d angles (..., m - 1, m); the last angle turns the first two axes
+    turn = np.stack([-dirs[..., 1], dirs[..., 0]] + [np.zeros(polar.shape)] * (m - 2), axis=-1)
+    if m == 2:
+        ddirs = turn[..., None, :]
+    else:
+        al, be = angles[..., 0], angles[..., 1]
+        d_al = np.stack([np.cos(al) * np.cos(be), np.cos(al) * np.sin(be), -np.sin(al)], axis=-1)
+        ddirs = np.stack([d_al, turn], axis=-2)
+    # the radius of sheet_point, its polar derivative and the axial one
+    if sheet == 0 and bubble.symmetric:
+        radius, d_radius, d_axial = polar, np.ones(polar.shape), 0.0
+    else:
+        r_s = bubble.radii[sheet]
+        sign = 1.0 if sheet == 1 else -1.0
+        radius, d_radius = r_s * np.sin(polar), r_s * np.cos(polar)
+        d_axial = -sign * radius
+    out = np.zeros(z.shape + (m + 1,))
+    out[..., 0, :m] = d_radius[..., None] * dirs
+    out[..., 0, m] = d_axial
+    out[..., 1:, :m] = radius[..., None, None] * ddirs
+    return out
+
+
 def sheet_normal(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
     """Unit normal at the given parameters, oriented so that N1 = N0 + N2 on the neck.
 

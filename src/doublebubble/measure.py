@@ -9,19 +9,18 @@ curvature expansions; those are *checked against* these numbers.
 
 Sheets are sampled on the geometry.flat_rule grid of their parameters
 z = (polar, angles).  The rho-independent half of the oracle, the flat
-side, is a FlatModel: per sheet the flat points and the raw field values
-at every point of the 4th-order parameter stencils of charts._stencil, the
-flat sheet's derivatives and its orientation signs.  An EmbeddedBubble
-keeps two layers per sheet (sheet_layer: the flat sheet from the model,
-and its displacement (s w) N + s Y at the bubble's field scale s), so the
-areas and the volume cones displace each sheet once.  Neither embeds a
-stencil: both push the displaced sheet y and its parameter derivatives
-through the differential of the exponential map, one geodesic with Jacobi
-fields per node (exp_map with directions for the areas, charts._exp_rays
-at the cone's radial nodes for the volumes).  Mean curvature and the
-conormal defect still difference the embedding, through embed_params; the
-reference normal that orients the second fundamental form is the flat
-normal pushed forward the same way.
+side, is a FlatModel: per sheet the node values of the flat points x, their
+closed-form tangents d_z x (geometry.sheet_tangents), the field's
+displacement D = w N + Y at scale 1 with d_z D from one central stencil of
+the field alone (charts._stencil), and the orientation signs.  A bubble at
+field scale s displaces its sheets linearly, y = x + s D with tangents
+d_z y = d_z x + s d_z D, and embeds no stencil for its areas, volumes and
+conormals: it pushes y and d_z y through the differential of the
+exponential map, one geodesic with Jacobi fields per node (exp_map with
+directions for the areas and the conormals at the neck, charts._exp_rays
+at the cone's radial nodes for the volumes).  Only mean curvature still
+differences the embedding; the reference normal that orients its second
+fundamental form is the flat normal pushed forward the same way.
 
 Enclosed volumes are signed geodesic cones from the base point over the
 sheets.  Sheet s is the cone (t, z) -> Exp_p(t rho E y(z)), t in [0, 1],
@@ -67,15 +66,13 @@ from .charts import (
     _dot,
     _exp_rays,
     _stencil,
-    _stencil_differences,
-    _stencil_points,
     christoffel,
     curvature_at,
     exp_map,
 )
 from .fields import (
+    H_REL,
     PerturbationField,
-    angles_to_dirs,
     check_admissible,
     displaced_point_z,
     first_order_area_corrections,
@@ -85,13 +82,16 @@ from .fields import (
     _neck_z,
     _param_steps,
 )
-from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, sheet_normal
+from .geometry import (
+    StandardBubble,
+    _normal_at,
+    angles_to_dirs,
+    flat_rule,
+    gauss_legendre,
+    sheet_normal,
+    sheet_tangents,
+)
 
-# relative parameter step of the sheet stencils (ten times it for the second
-# derivatives of measure_fundamental_forms)
-H_REL = 1e-4
-# layers of EmbeddedBubble.sheet_layer
-FLAT, DISPLACEMENT = range(2)
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
 
@@ -140,17 +140,29 @@ def _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes) -> tup
     return bubble, funcs, tuple(grid), geodesic_steps, sector_nodes
 
 
+def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tuple:
+    """(x, d_z x, D, d_z D) of a sheet at parameters z (N, m): the flat points
+    (N, n) and their closed-form tangents (N, m, n), and the displacement
+    D = w N + Y of the field at scale 1 with its central-stencil derivatives
+    (None, None without a field; the field is defined past the neck)."""
+    x, dx = displaced_point_z(bubble, sheet, z, None), sheet_tangents(bubble, sheet, z)
+    if field is None:
+        return x, dx, None, None
+
+    def displacement(zz):
+        polar, dirs = zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:])
+        normal = sheet_normal(bubble, sheet, polar, dirs)
+        return field.w(sheet, polar, dirs)[..., None] * normal + field.y(sheet, polar, dirs)
+
+    return (x, dx) + _stencil(displacement, z, _param_steps(bubble, sheet))
+
+
 class _FlatSheet(NamedTuple):
-    """One sheet of a FlatModel; the stencil points are the
-    charts._stencil_points of the nodes z with parameter steps `steps`."""
+    """One sheet of a FlatModel."""
 
     z: np.ndarray  # flat_rule nodes (N, m)
     w: np.ndarray  # and weights (N,)
-    steps: np.ndarray
-    x: np.ndarray  # flat points at the stencil points (k, N, n)
-    fw: np.ndarray | None  # the field at scale 1 there: normal amplitude (k, N)
-    fy: np.ndarray | None  # and tangential part (k, N, n)
-    flat_d1: np.ndarray  # parameter derivatives (N, m, n) of the FLAT layer x[0]
+    jet: tuple  # the _sheet_jet at the nodes
     orient: np.ndarray  # sign of the flat-model determinant [N, d_z x] (N,)
 
 
@@ -159,12 +171,12 @@ class FlatModel:
     a field at one resolution, which every EmbeddedBubble built on it maps
     through the exponential map at its own rho and field scale.
 
-    sheets holds one _FlatSheet per sheet: the flat_rule nodes and weights,
-    the flat points and the raw field values (without the field's scale) at
-    every stencil point, the FLAT layer's derivatives and the volume cones'
-    orientation signs.  They are built on first use; verify_many builds them
-    before its threads start, so that every rho of a sweep reads one
-    model.
+    sheets holds one _FlatSheet per sheet, all of it node values: the
+    flat_rule nodes and weights, the flat points with their closed-form
+    tangents (geometry.sheet_tangents), the field's displacement w N + Y at
+    scale 1 with its stencil derivatives, and the volume cones' orientation
+    signs.  They are built on first use; verify_many builds them before its
+    threads start, so that every rho of a sweep reads one model.
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -181,18 +193,10 @@ class FlatModel:
     def _sheet(self, sheet: int) -> _FlatSheet:
         b = self.bubble
         z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
-        steps = _param_steps(b, sheet, H_REL)
-        zz = _stencil_points(z, steps)
-        # the flat sheet, as displaced_point_z forms it without a field
-        x = displaced_point_z(b, sheet, zz, None)
-        fw = fy = None
-        if self.field is not None:
-            dirs = angles_to_dirs(b.m, zz[..., 1:])
-            fw, fy = self.field.w(sheet, zz[..., 0], dirs), self.field.y(sheet, zz[..., 0], dirs)
-        _, flat_d1 = _stencil_differences(x, z, steps)
-        nrm = _normal_at(b, sheet, x[0])
-        orient = np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(flat_d1)], axis=1)))
-        return _FlatSheet(z, w, steps, x, fw, fy, flat_d1, orient)
+        jet = _sheet_jet(b, sheet, z, self.field)
+        nrm = _normal_at(b, sheet, jet[0])
+        orient = np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(jet[1])], axis=1)))
+        return _FlatSheet(z, w, jet, orient)
 
 
 class EmbeddedBubble:
@@ -207,9 +211,9 @@ class EmbeddedBubble:
     The flat side comes from a FlatModel of the bubble, the field and these
     settings, `model` when given (verify_many shares one over its sweep),
     else the bubble's own; the settings are read from the model, which
-    checks them.  The bubble forms its displaced sheet x + (s w) N
-    + s Y from the model's raw field values and its own field scale s, the
-    same arithmetic as PerturbationField.w/y and displaced_point_z.
+    checks them.  With the field scale s, the displaced sheet is x + s D and
+    its tangents d_z x + s d_z D, from the model's flat sheet x and unit-scale
+    displacement D (_displaced).
     """
 
     def __init__(
@@ -248,62 +252,35 @@ class EmbeddedBubble:
         self.model = model
         self._sheet_cache: dict = {}
 
-    # -- embedding ----------------------------------------------------------
-
-    def embed_params(self, sheet: int, z: np.ndarray) -> np.ndarray:
-        """Exp_p(rho E y) of the displaced sheet points y at parameters z."""
-        v = self.rho * displaced_point_z(self.bubble, sheet, z, self.perturbation) @ self.frame.matrix.T
-        return exp_map(self.chart, self.frame.base, v, steps=self.model.geodesic_steps)
-
-    def sheet_layer(self, sheet: int, layer: int):
-        """(values (N, n), d1 (N, m, n)) of one layer of a sheet on the
-        model's nodes: FLAT, the flat sheet; DISPLACEMENT, its displacement by
-        the perturbation, computed once per bubble from the displaced stencil
-        points.  The displaced sheet is their sum; the volume cones of
-        measure_volumes and the pushforward tangents of measure_area read
-        both."""
-        sh = self.model.sheets[sheet]
-        if layer == FLAT:
-            return sh.x[0], sh.flat_d1
-        cached = self._sheet_cache.get((sheet, layer))
-        if cached is None:
-            displaced = sh.x
-            if self.perturbation is not None:
-                s = self.perturbation.scale
-                normal = _normal_at(self.bubble, sheet, sh.x)
-                displaced = sh.x + (s * sh.fw)[..., None] * normal + s * sh.fy
-            values, d1 = _stencil_differences(displaced - sh.x, sh.z, sh.steps)
-            # a copy, so that the cache does not pin every shifted point
-            cached = self._sheet_cache[(sheet, layer)] = (values.copy(), d1)
-        return cached
-
 
 # ---------------------------------------------------------------------------
 # measurements
 
 
-def _displaced_sheet(eb: EmbeddedBubble, sheet: int):
-    """(y (N, n), d_z y (N, m, n)) of the displaced sheet, FLAT + DISPLACEMENT."""
-    flat, flat_d1 = eb.sheet_layer(sheet, FLAT)
-    displ, displ_d1 = eb.sheet_layer(sheet, DISPLACEMENT)
-    return flat + displ, flat_d1 + displ_d1
+def _displaced(eb: EmbeddedBubble, jet: tuple):
+    """(y (N, n), d_z y (N, m, n)) of the displaced sheet x + s D of a
+    _sheet_jet at the bubble's field scale s."""
+    x, dx, d, dd = jet
+    if d is None:
+        return x, dx
+    s = eb.perturbation.scale
+    return x + s * d, dx + s * dd
 
 
 def measure_area(eb: EmbeddedBubble) -> np.ndarray:
     """Per-sheet m-areas by quadrature of sqrt(det Gram).
 
-    The embedded sheet is Exp_p(rho E y(z)) over the displaced flat sheet y
-    = FLAT + DISPLACEMENT, and its tangents are the pushforward rho
-    dExp_p(rho E y) E d_z y: one exp_map call for all three sheets carries,
-    per node, one geodesic and the m Jacobi fields with J'(0) = rho E d_z y,
-    the columns of the layers' parameter derivatives.  The Gram matrix T^T G
-    T is contracted component-major, the nodes last.
+    The embedded sheet is Exp_p(rho E y(z)) over the displaced sheet y of
+    _displaced, and its tangents are the pushforward rho dExp_p(rho E y) E
+    d_z y: one exp_map call for all three sheets carries, per node, one
+    geodesic and the m Jacobi fields with J'(0) = rho E d_z y.  The Gram
+    matrix T^T G T is contracted component-major, the nodes last.
     """
     cached = eb._sheet_cache.get("areas")
     if cached is not None:
         return cached.copy()
     e = eb.frame.matrix
-    ys, cols = zip(*(_displaced_sheet(eb, s) for s in range(3)))
+    ys, cols = zip(*(_displaced(eb, sh.jet) for sh in eb.model.sheets))
     v = eb.rho * np.concatenate(ys) @ e.T
     # the directions rho E d_z y (N, n, m)
     w = eb.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2)
@@ -326,8 +303,8 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     module docstring.
 
     Per sheet, one charts._exp_rays call runs the rays u = rho E y and the
-    directions W = rho E [y, d_z y] of the displaced sheet y (FLAT +
-    DISPLACEMENT, as measure_area reads them) to the sector_nodes
+    directions W = rho E [y, d_z y] of the displaced sheet y (_displaced,
+    as measure_area reads it) to the sector_nodes
     Gauss-Legendre nodes t in [0, 1], geodesic_steps RK4 steps split over
     the node gaps; the cone's Jacobian there is t^m det(dExp W) sqrt(det G).
     """
@@ -343,8 +320,8 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     e = eb.frame.matrix
     n = e.shape[0]
     cones = []
-    for s, sh in enumerate(model.sheets):
-        y, d1 = _displaced_sheet(eb, s)
+    for sh in model.sheets:
+        y, d1 = _displaced(eb, sh.jet)
         # W = rho E [y, d_z y], component-major (n, n, N); its first column is u
         cols = np.concatenate([y.T[:, None], np.transpose(d1)], axis=1)
         w = eb.rho * (e @ cols.reshape(n, -1)).reshape(cols.shape)
@@ -383,13 +360,18 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     h = _param_steps(b, sheet, H_REL * 10.0)
     if np.any(z[:, 0] + 2.5 * h[0] > upper) or np.any(z[:, 0] - 2.5 * h[0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
-    pos, tangents, second = _stencil(lambda zz: eb.embed_params(sheet, zz), z, h, order=2)
+    e = eb.frame.matrix
+
+    def embed(zz):
+        v = eb.rho * displaced_point_z(b, sheet, zz, eb.perturbation) @ e.T
+        return exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps)
+
+    pos, tangents, second = _stencil(embed, z, h, order=2)
     gmat = eb.chart.metric(pos)
     gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
     gamma = christoffel(eb.chart, pos)
     # reference normal direction: the flat normal pushed forward by
     # dExp_p(rho E y) E at the sample points; it only picks the sign
-    e = eb.frame.matrix
     flat = displaced_point_z(b, sheet, z, eb.perturbation)
     nflat = sheet_normal(b, sheet, z[:, 0], angles_to_dirs(b.m, z[:, 1:]))
     v, w = eb.rho * flat @ e.T, (nflat @ e.T)[..., None]
@@ -411,34 +393,31 @@ def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
     """sup over neck samples of || sum_s conormal_s ||_G.
 
     Each sheet's inward unit conormal is the G-normalized boundary-inward
-    tangent orthogonal to the neck directions, built from one-sided polar
-    stencils of the embedding.
+    tangent orthogonal to the neck direction.  Both tangents are the
+    pushforward rho dExp_p(rho E y) E d_z y at the neck points, one exp_map
+    call per sheet, with the displaced sheet y and d_z y formed as for the
+    areas from the sheet's _sheet_jet there.
     """
     b = eb.bubble
     ang = neck_angle_grid(b.m, n_samples)
-    gsum = None
-    gmat_at = None
+    e = eb.frame.matrix
+
+    def dot(a, gmat, b):
+        return np.einsum("...i,...ij,...j->...", a, gmat, b)[..., None]
+
+    gsum = 0.0
     for s in range(3):
-        # one-sided polar derivative at the neck, central one along the neck
-        pos, d1 = _stencil(
-            lambda zz, s=s: eb.embed_params(s, zz),
-            _neck_z(b, s, ang),
-            _param_steps(b, s, H_REL),
-            neck=True,
+        y, d1 = _displaced(eb, _sheet_jet(b, s, _neck_z(b, s, ang), eb.model.field))
+        w = eb.rho * np.swapaxes(d1 @ e.T, -1, -2)
+        pos, push = exp_map(
+            eb.chart, eb.frame.base, eb.rho * y @ e.T, steps=eb.model.geodesic_steps, directions=w
         )
-        dpol, dth = d1[:, 0], d1[:, 1]
+        dpol, dth = push[..., 0], push[..., 1]
         gmat = eb.chart.metric(pos)
         # G-orthogonalize the inward polar tangent against the neck tangent
-        inward = -dpol
-        proj = np.einsum("...i,...ij,...j->...", inward, gmat, dth) / np.einsum(
-            "...i,...ij,...j->...", dth, gmat, dth
-        )
-        nu = inward - proj[..., None] * dth
-        nu = nu / np.sqrt(np.einsum("...i,...ij,...j->...", nu, gmat, nu))[..., None]
-        gsum = nu if gsum is None else gsum + nu
-        gmat_at = gmat
-    norms = np.sqrt(np.einsum("...i,...ij,...j->...", gsum, gmat_at, gsum))
-    return float(np.max(norms))
+        nu = (dot(dpol, gmat, dth) / dot(dth, gmat, dth)) * dth - dpol
+        gsum = gsum + nu / np.sqrt(dot(nu, gmat, nu))
+    return float(np.max(np.sqrt(dot(gsum, gmat, gsum))))
 
 
 def measure_energy(eb: EmbeddedBubble) -> float:

@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from doublebubble.fields import displaced_point_z
+from doublebubble.charts import _stencil
+from doublebubble.fields import _param_steps, displaced_point_z
 from doublebubble.geometry import (
     BubbleParams,
     FOUR_THIRDS_PI,
     TWO_THIRDS_PI,
+    angles_to_dirs,
     conormals_at_neck,
     flat_metric,
     flat_rule,
     sheet_area,
     sheet_normal,
     sheet_point,
+    sheet_tangents,
     sine_power_integral,
     solve_standard_bubble,
     unit_ball_volume,
@@ -201,3 +204,25 @@ def test_sheet_normal_has_the_shape_of_sheet_point():
     # on the disk polar and dirs broadcast against each other either way
     for pol, d in ((0.3, dirs), (polar, dirs[0])):
         assert sheet_normal(b, 0, pol, d).shape == sheet_point(b, 0, pol, d).shape == (3, 3)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sheet_tangents_are_the_closed_form_derivatives(m):
+    # on every sheet of the symmetric and an asymmetric bubble: T T^T is the
+    # flat metric, T is normal-free and matches the stencil of sheet_point
+    for h in ((0.0, 3.0, 3.0), (1.0, 3.0, 2.0)):
+        b = solve_standard_bubble(BubbleParams(m, *h))
+        for s in range(3):
+            z, dirs, _ = flat_rule(m, b.polar_limit(s), (8, 8))
+            t = sheet_tangents(b, s, z)
+            assert t.shape == (len(z), m, m + 1)
+            g, _ = flat_metric(b, s, z)
+            assert np.abs(np.einsum("...ik,...jk->...ij", t, t) - g).max() <= 1e-13
+            normal = sheet_normal(b, s, z[:, 0], dirs)
+            assert np.abs(np.einsum("...ik,...k->...i", t, normal)).max() <= 1e-13
+
+            def point(zz, s=s):
+                return sheet_point(b, s, zz[..., 0], angles_to_dirs(m, zz[..., 1:]))
+
+            _, d1 = _stencil(point, z, _param_steps(b, s))
+            assert np.abs(t - d1).max() <= 1e-10

@@ -237,6 +237,41 @@ def test_areas_reproduce_stencil_oracle(family, kw, perturbed, options, refs):
         assert measure_area(eb) / rho**2 == pytest.approx(ref, rel=1e-11, abs=0)
 
 
+@pytest.mark.parametrize(
+    "family,kw,steps,refs",
+    [
+        (
+            "conformal_bump",
+            {"eps": -0.1, "s": 0.5},
+            50,
+            {
+                0.07: 0.003538051919988135,
+                0.05: 0.0018050238449467508,
+                0.035: 0.0008843553498804325,
+                0.025: 0.00045114911313277433,
+            },
+        ),
+        (
+            "round_sphere",
+            {"a": 1.0},
+            200,
+            {0.2: 0.02559731665186498, 0.1: 0.006422035500936658, 0.05: 0.0016069371415918187},
+        ),
+    ],
+    ids=["perturbed-bump", "perturbed-sphere"],
+)
+def test_conormal_defect_reproduces_stencil_oracle(family, kw, steps, refs):
+    # the perturbed conormal defect from one-sided stencils of the embedded
+    # neck through exp_map that the pushforward tangents replaced, same
+    # settings; the tolerance covers the stencils' eps/h roundoff
+    chart = builtin_chart(family, dim=3, **kw)
+    frame = orthonormal_frame(chart, np.array([0.12, -0.05, 0.08]), np.array([0.25, -0.4, 0.88]))
+    for rho, ref in refs.items():
+        field = random_admissible_field(ASYM, np.random.default_rng(5), 0.25).scaled(rho**2)
+        eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field, grid=(16, 32), geodesic_steps=steps)
+        assert measure_conormal_defect(eb) == pytest.approx(ref, rel=1e-6, abs=0)
+
+
 def test_flat_pushforward_areas_exact_at_m3():
     # the pushforward tangents at m = 3 (n = 4): three Jacobi columns per
     # node, against the flat closed-form sheet areas
