@@ -10,25 +10,27 @@ and Sc = n(n-1)/a^2.  Index layout of derivative tensors: dg[..., k, i, j]
 is d_k g_ij and d2g[..., l, k, i, j] is d_l d_k g_ij.  Curvature arrays are
 returned with Rm[..., i, j, k, l] = Rm(e_i, e_j, e_k, e_l).
 
-Chart hooks (MetricChart): metric, christoffel_closed and
-geodesic_acc_jacobi are required, the last with no finite-difference
-default; metric_d1, metric_d2 and dexp_closed, which returns (points, dexp),
-are optional and return None without a closed form; exp_closed is defined
-once, as the points of dexp_closed; volume_element (sqrt(det G) at
-component-major points) defaults to the metric's cofactor determinant, which
-the builtin charts replace by closed forms.  Every central difference in
-chart coordinates takes the one step FD_STEP.
+Chart hooks (MetricChart): metric and geodesic_acc_jacobi, the chart's one
+statement of its connection, are required, the second with no
+finite-difference default (christoffel polarizes its A(v) = -Gamma(v, v));
+metric_d1, metric_d2 and dexp_closed, which returns (points, dExp W), are
+optional and return None without a closed form; exp_closed is dexp_closed
+without columns; volume_element (sqrt(det G) at component-major points)
+defaults to the metric's cofactor determinant, which the builtin charts
+replace by closed forms.  Every central difference in chart coordinates
+takes the one step FD_STEP.
 
 Every exponential map of the package runs through one function, the private
 ray core _exp_rays: a chart's closed-form exponential where it has one, and
 otherwise one fixed-step RK4 integrator (_rk4), which updates its state in
 place on preallocated stage, slope-sum and scratch buffers, on position,
 velocity and k Jacobi fields, J(0) = 0 and J'(0) = W, whose values give the
-pushforward dExp W of the directions W (the identity by default, for the
-whole differential).  exp_map is its one-node call: it returns the
-endpoints, and with directions=W also dExp_p(v) W, the tangents of an
-embedded sheet when W holds its parameter derivatives; without directions W
-has no columns.
+pushforward dExp W of the directions W.  Jacobi fields are linear in J'(0),
+so both push only the k columns given (the identity for the whole
+differential), and a ray without columns carries no Jacobi state.  exp_map
+is the core's one-node call: it returns the endpoints, and with
+directions=W also dExp_p(v) W, the tangents of an embedded sheet when W
+holds its parameter derivatives.
 
 Layout: the public functions take and return points (..., n), but the RK4
 state, the geodesic hook and the closed-form ray kernel are component-major,
@@ -36,14 +38,14 @@ components first and the batch axes last and contiguous:
 geodesic_acc_jacobi(x, v, jac, jac_dot) maps positions and velocities (n,
 ...) and k columns J, J' (n, k, ...) to the acceleration -Gamma(v, v) (n,
 ...) and A_x J + A_v J' (n, k, ...), where A_x and A_v are the derivatives
-of the acceleration in x and v, and dexp_closed(p, v) maps v (n, ...) to
-points (n, ...) and dexp (n, n, ...).  No Jacobian matrix is built: the
-conformal charts apply their Hessian of f, alpha d d^T + beta I, to J
-directly, and the round sphere fills dexp one column at a time.  _exp_rays
-takes rays (n, ...) and directions (n, k, ...) and returns points (n, ...,
-K) and dExp W (n, k, ..., K) at the K nodes of each ray.  Every kernel
-operation then runs over the whole batch at once instead of over a
-length-n axis per point.
+of the acceleration in x and v, and dexp_closed(p, v, w) maps v (n, ...)
+and k columns w (n, k, ...) to points (n, ...) and dExp_p(v) w (n, k, ...).
+No Jacobian matrix is built: the conformal charts apply their Hessian of f,
+alpha d d^T + beta I, to J directly, and the round sphere pushes w one
+column at a time.  _exp_rays takes rays (n, ...) and directions (n, k, ...)
+and returns points (n, ..., K) and dExp W (n, k, ..., K) at the K nodes of
+each ray.  Every kernel operation then runs over the whole batch at once
+instead of over a length-n axis per point.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
@@ -164,13 +166,13 @@ FD_STEP = 1e-3
 class MetricChart:
     """Base chart: a metric on an axis-aligned box in R^n.
 
-    Subclasses implement the required hooks metric(x), christoffel_closed(x)
-    = Gamma[..., a, i, j] and the component-major geodesic_acc_jacobi, which
-    has no finite-difference default; the optional closed forms metric_d1,
-    metric_d2 and dexp_closed, which returns (Exp_p(v) (n, ...), dExp_p(v) (n,
-    n, ...)) from one evaluation at component-major v (n, ...), return None
-    here.  exp_closed gives the points of dexp_closed.  Missing analytic
-    metric derivatives are central differences with step FD_STEP.
+    Subclasses implement the two required hooks, metric(x) and the
+    component-major geodesic_acc_jacobi, which has no finite-difference
+    default; the optional closed forms metric_d1, metric_d2 and dexp_closed,
+    which returns (Exp_p(v) (n, ...), dExp_p(v) W (n, k, ...)) from one
+    evaluation, return None here.  exp_closed is dexp_closed without columns.
+    Missing analytic metric derivatives are central differences with step
+    FD_STEP.
     """
 
     def __init__(self, dim: int, name: str, domain: Box):
@@ -181,9 +183,6 @@ class MetricChart:
     def metric(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def christoffel_closed(self, x):
-        raise NotImplementedError
-
     # analytic fast paths; return None when unavailable
     def metric_d1(self, x):
         return None
@@ -191,16 +190,17 @@ class MetricChart:
     def metric_d2(self, x):
         return None
 
-    def dexp_closed(self, p, v):
-        """(points, dexp): Exp_p(v) (n, ...) and its differential in v
-        (n, n, ...), dexp[i, j] = d points_i / d v_j, at a single base point p
-        and component-major v (n, ...); None when unavailable."""
+    def dexp_closed(self, p, v, w):
+        """(Exp_p(v) (n, ...), dExp_p(v) w (n, k, ...)) at a single base point p,
+        component-major v (n, ...) and k columns w (n, k, ...) broadcasting
+        against v, the pushed array new; None when unavailable."""
         return None
 
     def exp_closed(self, p, v):
-        """Exp_p(v) (..., n) at points v (..., n), the points of dexp_closed;
+        """Exp_p(v) (..., n) at points v (..., n), dexp_closed without columns;
         None when unavailable."""
-        closed = self.dexp_closed(p, _component_major(v))
+        v = _component_major(v)
+        closed = self.dexp_closed(p, v, np.empty((self.dim, 0) + v.shape[1:]))
         return None if closed is None else np.moveaxis(closed[0], 0, -1)
 
     def volume_element(self, x):
@@ -246,32 +246,13 @@ class EuclideanChart(MetricChart):
     def volume_element(self, x):
         return np.ones(np.shape(x)[1:])
 
-    def christoffel_closed(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.dim,) * 3)
-
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         return np.zeros(np.shape(v)), np.zeros(np.shape(jac))
 
-    def dexp_closed(self, p, v):
+    def dexp_closed(self, p, v, w):
         v = np.asarray(v, dtype=float)
-        dexp = np.zeros((self.dim,) + v.shape)
-        for i in range(self.dim):
-            dexp[i, i] = 1.0
-        return np.reshape(p, (-1,) + (1,) * (v.ndim - 1)) + v, dexp
-
-
-def _conformal_christoffel(grad_f: np.ndarray, dim: int) -> np.ndarray:
-    # Gamma^k_ij = delta_ik f_j + delta_jk f_i - delta_ij f_k for g = e^(2f) delta,
-    # from a component-major grad_f (n, ...) to Gamma[..., k, i, j]
-    grad_f = np.moveaxis(grad_f, 0, -1)
-    shape = grad_f.shape[:-1]
-    eye = np.eye(dim)
-    gamma = np.zeros(shape + (dim, dim, dim))
-    gamma += eye[:, None, :] * grad_f[..., None, :, None]
-    gamma += eye[:, :, None] * grad_f[..., None, None, :]
-    gamma -= eye[None, :, :] * grad_f[..., :, None, None]
-    return gamma
+        pushed = np.broadcast_to(w, np.shape(w)[:2] + v.shape[1:]).copy()
+        return np.reshape(p, (-1,) + (1,) * (v.ndim - 1)) + v, pushed
 
 
 def _conformal_acc_jacobi(grad_f, d, alpha, beta, v, jac, jac_dot):
@@ -284,13 +265,15 @@ def _conformal_acc_jacobi(grad_f, d, alpha, beta, v, jac, jac_dot):
     = H J = alpha d (d . J) + beta J:
       -2 (H J . v + grad_f . J') v + |v|^2 H J - 2 (grad_f . v) J' + 2 (v . J') grad_f.
     Every term is formed in place, in this order, so the bits are those of
-    the formula as written.
+    the formula as written; without columns (k = 0) only acc is formed.
     """
     fv = _batch_dot(grad_f, v)
     fv *= -2.0
     vv = _batch_dot(v, v)
     acc = np.multiply(fv, v)
     acc += vv * grad_f
+    if jac.shape[1] == 0:
+        return acc, np.empty(jac.shape)
     g, v, d = grad_f[:, None], v[:, None], d[:, None]
     # H J, then |v|^2 H J in its place
     dj = _batch_dot(d, jac)
@@ -376,9 +359,6 @@ class RoundSphereChart(MetricChart):
         grad /= u
         return grad, u
 
-    def christoffel_closed(self, x):
-        return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
-
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         # Hess f = (4 / u^2) x x^T - (2 / u) I
         grad_f, u = self._grad_f(x)
@@ -393,17 +373,19 @@ class RoundSphereChart(MetricChart):
             [2.0 * self.a**2 * x / denom, self.a * (s - self.a**2) / denom], axis=-1
         )
 
-    def dexp_closed(self, p, v):
-        """(Exp_p(v) (n, ...), its differential in v (n, n, ...)) at a single
-        base point p and component-major v (n, ...), along the great circle
-        of the embedded sphere: v is pushed into R^(n + 1) by the embedding
-        differential at p, the circle's endpoint is projected back to the
-        chart (p itself at zero speed), and dexp is filled one entry at a
-        time in place."""
+    def dexp_closed(self, p, v, w):
+        """(Exp_p(v) (n, ...), dExp_p(v) w (n, k, ...)) at a single base point p,
+        component-major v (n, ...) and directions w (n, k, ...), along the
+        great circle of the embedded sphere: v is pushed into R^(n + 1) by
+        the embedding differential at p and the circle's endpoint projected
+        back to the chart (p itself at zero speed); each column of w takes
+        the same steps, du = push dw once per ray, d u1 = k (vdir . du) +
+        sinc du and the differential of the projection, row by row in place."""
         a = self.a
         n = self.dim
         p = np.asarray(p, dtype=float)
         v = np.asarray(v, dtype=float)
+        w = np.asarray(w, dtype=float)
         batch = v.shape[1:]
         column = (-1,) + (1,) * len(batch)
         den = a**2 + p @ p
@@ -411,51 +393,54 @@ class RoundSphereChart(MetricChart):
             [(2.0 * a**2 / den) * (np.eye(n) - 2.0 * np.outer(p, p) / den), 4.0 * a**3 * p / den**2]
         )
         # one matrix product over the whole batch, bit for bit the rows of v @ push.T
-        w = (push @ v.reshape(n, -1)).reshape((n + 1,) + batch)
-        speed = np.sqrt(_dot(w, w, axis=0))  # = |v|_G by conformality
+        vdir = (push @ v.reshape(n, -1)).reshape((n + 1,) + batch)
+        speed = np.sqrt(_dot(vdir, vdir, axis=0))  # = |v|_G by conformality
         still = speed == 0.0
         theta = speed / a
-        wdir = np.divide(w, np.where(still, 1.0, speed), out=w)
+        vdir /= np.where(still, 1.0, speed)
         cos, sin = np.cos(theta), np.sin(theta)
         u0 = self.embed(p).reshape(column)
         u1 = cos * u0
-        u1 += (a * sin) * wdir
+        u1 += (a * sin) * vdir
         points = a * u1[:-1]
         points /= a - u1[-1]
         np.copyto(points, p.reshape(column), where=still)
+        if w.shape[1] == 0:
+            return points, np.empty((n, 0) + batch)
         sinc = np.sinc(theta / math.pi)
-        # d u1 = k (wdir . dw) + sinc dw with dw = push dv
         k = (-sin / a) * u0
-        k += (cos - sinc) * wdir
-        # wdir . dw along each coordinate of v, bit for bit the rows of wdir @ push
-        wpush = (push.T @ wdir.reshape(n + 1, -1)).reshape((n,) + batch)
+        k += (cos - sinc) * vdir
         # the stereographic projection back: scale d u1[:-1] + tail d u1[-1]
         z = a - u1[-1]
         scale = a / z
         tail = a * u1[:-1]
         tail /= z**2
-        # the great circle's own arrays are spent: free them before dexp, at
-        # the peak of a ray batch's memory
-        del w, wdir, speed, still, theta, cos, sin, u1, z
-        dexp = np.empty((n, n) + batch)
+        # vdir . du = vpush . dw: at the identity's columns the rows of vdir @ push
+        vpush = (push.T @ vdir.reshape(n + 1, -1)).reshape((n,) + batch)
+        # the great circle's own arrays are spent: free them before the
+        # pushes, at the peak of a ray batch's memory
+        del vdir, speed, still, theta, cos, sin, u1, z
+        pushed = np.empty((n, w.shape[1]) + batch)
         tmp = np.empty(batch)
-        for c in range(n):
-            last = k[n] * wpush[c]
-            last += sinc * push[n, c]
+        for c in range(w.shape[1]):
+            du = (push @ w[:, c].reshape(n, -1)).reshape((n + 1,) + w.shape[2:])
+            s = _batch_dot(vpush, w[:, c])
+            last = k[n] * s
+            last += np.multiply(sinc, du[n], out=tmp)
             for r in range(n):
-                out = np.multiply(k[r], wpush[c], out=dexp[r, c, ...])
-                out += np.multiply(sinc, push[r, c], out=tmp)
+                out = np.multiply(k[r], s, out=pushed[r, c])
+                out += np.multiply(sinc, du[r], out=tmp)
                 out *= scale
                 out += np.multiply(tail[r], last, out=tmp)
-        return points, dexp
+        return points, pushed
 
 
 class ConformalBumpChart(MetricChart):
     """g = e^(2f) delta with a Gaussian bump f = eps exp(-|x - x0|^2 / s^2).
 
-    Metric derivatives go through the finite-difference pipeline; only the
-    Christoffel symbols (needed inside the geodesic integrator) use the exact
-    conformal identity with the analytic gradient of f.
+    Metric derivatives go through the finite-difference pipeline; the
+    geodesic kernel, and with it the Christoffel symbols, is the exact
+    conformal identity with the analytic gradient and Hessian of f.
     """
 
     def __init__(self, eps: float = -0.1, x0=None, s: float = 0.5, dim: int = 3, half_width: float = 1.5):
@@ -496,9 +481,6 @@ class ConformalBumpChart(MetricChart):
 
     def volume_element(self, x):
         return np.exp(self.dim * self._f(x, axis=0)[0])
-
-    def christoffel_closed(self, x):
-        return _conformal_christoffel(self._grad_f(_component_major(x))[0], self.dim)
 
     def geodesic_acc_jacobi(self, x, v, jac, jac_dot):
         # Hess f = (4 f / s^4) d d^T - (2 f / s^2) I
@@ -543,9 +525,6 @@ class ProductRoundChart(MetricChart):
     def metric_d2(self, x):
         return self._block_diagonal(x, "metric_d2", 4)
 
-    def christoffel_closed(self, x):
-        return self._block_diagonal(x, "christoffel_closed", 3)
-
     def volume_element(self, x):
         out = np.ones(np.shape(x)[1:])
         for off, d, sub in self._charts:
@@ -562,15 +541,14 @@ class ProductRoundChart(MetricChart):
             acc[sl], var[sl] = sub.geodesic_acc_jacobi(x[sl], v[sl], jac[sl], jac_dot[sl])
         return acc, var
 
-    def dexp_closed(self, p, v):
-        p = np.asarray(p, dtype=float)
-        v = np.asarray(v, dtype=float)
+    def dexp_closed(self, p, v, w):
+        # dExp is block diagonal: the rows of a factor push that factor's rows of w
         points = np.empty(v.shape)
-        dexp = np.zeros((self.dim,) + v.shape)
+        pushed = np.empty((self.dim, w.shape[1]) + v.shape[1:])
         for off, d, sub in self._charts:
             sl = slice(off, off + d)
-            points[sl], dexp[sl, sl] = sub.dexp_closed(p[sl], v[sl])
-        return points, dexp
+            points[sl], pushed[sl] = sub.dexp_closed(p[sl], v[sl], w[sl])
+        return points, pushed
 
 
 _FAMILIES = {
@@ -685,8 +663,23 @@ def metric_d2(chart: MetricChart, x) -> np.ndarray:
 
 
 def christoffel(chart: MetricChart, x) -> np.ndarray:
-    """Christoffel symbols Gamma[..., a, i, j] = Gamma^a_ij."""
-    return chart.christoffel_closed(x)
+    """Christoffel symbols Gamma[..., a, i, j] = Gamma^a_ij at points x (..., n),
+    by polarization of the geodesic acceleration A(v) = -Gamma(v, v), from
+    one geodesic_acc_jacobi call without columns at the directions e_i + e_j,
+    i <= j: Gamma(e_i, e_j) = (A(e_i) + A(e_j) - A(e_i + e_j)) / 2 with A(e_i)
+    = A(2 e_i) / 4, stored as Gamma^a_ij and Gamma^a_ji."""
+    x = _component_major(x)
+    n = len(x)
+    i, j = np.triu_indices(n)
+    # positions and the velocities e_i + e_j, component-major (n, pairs, ...)
+    shape = (n, len(i)) + x.shape[1:]
+    dirs = (np.eye(n)[:, i] + np.eye(n)[:, j]).reshape(shape[:2] + (1,) * (x.ndim - 1))
+    xs, v = (np.broadcast_to(a, shape).copy() for a in (x[:, None], dirs))
+    acc = chart.geodesic_acc_jacobi(xs, v, *[np.empty((n, 0) + shape[1:])] * 2)[0]
+    unit = acc[:, i == j] / 4.0
+    gamma = np.empty((n, n, n) + x.shape[1:])
+    gamma[:, i, j] = gamma[:, j, i] = (unit[:, i] + unit[:, j] - acc) / 2.0
+    return np.moveaxis(gamma, (0, 1, 2), (-3, -2, -1))
 
 
 def _christoffel_from_stack(g, dg):
@@ -878,8 +871,8 @@ def _rk4(chart: MetricChart, y, deriv, t_nodes, substeps):
     formed in tuple order, so such a slope is read before it is overwritten.
 
     The one geodesic integrator of the package: _exp_rays runs it on
-    position, velocity and the Jacobi fields.  A position outside the domain
-    raises DomainExit naming the step.
+    position and velocity, and the Jacobi fields when it has columns.  A
+    position outside the domain raises DomainExit naming the step.
     """
     stage = tuple(np.empty_like(c) for c in y)
     total_k = tuple(np.empty_like(c) for c in y)
@@ -922,18 +915,14 @@ def exp_map(chart: MetricChart, p, v, steps: int = 200, force_rk4: bool = False,
 
     With directions W (..., n, k), k columns per geodesic, returns (points,
     pushforward), the pushforward dExp_p(v) W (..., n, k): the Jacobi fields
-    J(1) along each geodesic with J(0) = 0 and J'(0) = W (the closed form
-    contracts dexp_closed with W).  Without directions W has no columns and
-    only the points come back, the same bits as with them.
+    J(1) along each geodesic with J(0) = 0 and J'(0) = W, or the closed
+    form's push of the same columns.  Without directions the rays carry no
+    Jacobi state and only the points come back, the same bits as with them.
     """
     if steps < 1:
         raise ValueError(f"exp_map needs a positive step count, got {steps}")
-    v = _component_major(v)
-    if directions is None:
-        w = np.zeros((chart.dim, 0) + v.shape[1:])
-    else:
-        w = np.moveaxis(np.asarray(directions, dtype=float), (-2, -1), (0, 1))
-    points, push = _exp_rays(chart, p, v, np.ones(1), [steps], force_rk4, w)
+    w = None if directions is None else np.moveaxis(np.asarray(directions, dtype=float), (-2, -1), (0, 1))
+    points, push = _exp_rays(chart, p, _component_major(v), np.ones(1), [steps], force_rk4, w)
     points = np.moveaxis(points[..., 0], 0, -1)
     if directions is None:
         return points
@@ -944,14 +933,14 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     """Exp_p(t u) and its differential dExp_p(t u) W at the nodes t_nodes (..., K)
     of the component-major rays u (n, ...); returns points (n, ..., K) and
     the pushed directions (n, k, ..., K).  The directions W (n, k, ...), k
-    per ray, broadcast against the rays; the default, the identity (k = n),
-    gives dexp (n, n, ..., K), the differential of Exp_p at each t u.
+    per ray (the identity for the whole differential; none for k = 0),
+    broadcast against the rays.
 
     Nodes must be positive and increasing along each ray, and substeps has
     one positive entry per node; ValueError otherwise.  Charts with a
-    closed-form exponential answer both from one dexp_closed call, contracted
-    with W, unless force_rk4 is set.  Otherwise _rk4 integrates each geodesic
-    with its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = W,
+    closed-form exponential answer both from one dexp_closed call unless
+    force_rk4 is set.  Otherwise _rk4 integrates each geodesic and, for k >
+    0, its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = W,
     whose solution is J(t) = t dExp_p(t u) W; substeps[j] RK4 steps lead
     from node j - 1 (or from t = 0) to node j, so every node is hit exactly.
     A ray point outside the domain raises DomainExit.  The caller's u and W
@@ -968,37 +957,36 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     if not (np.all(t_nodes[..., :1] > 0.0) and np.all(np.diff(t_nodes, axis=-1) > 0.0)):
         raise ValueError("ray nodes must be positive and increasing")
     batch = np.broadcast_shapes(u.shape[1:], t_nodes.shape[:-1])
-    w = np.eye(n).reshape((n, n) + (1,) * len(batch)) if directions is None else directions
+    w = np.empty((n, 0) + batch) if directions is None else directions
     w = np.broadcast_to(np.asarray(w, dtype=float), np.shape(w)[:2] + batch)
-    if not force_rk4:
-        closed = chart.dexp_closed(p, u[..., None] * t_nodes)
-        if closed is not None:
-            points, dexp = closed
-            if not np.all(chart.domain.inside_mask(points, axis=0)):
-                raise DomainExit(f"ray left {chart.name}")
-            if directions is None:
-                return points, dexp
-            # pushed[i, c] = sum_j dexp[i, j] W[j, c] at every node
-            return points, _dot(np.swapaxes(dexp, 0, 1)[:, :, None], w[:, None, ..., None], axis=0)
     k = w.shape[1]
+    if not force_rk4:
+        closed = chart.dexp_closed(p, u[..., None] * t_nodes, w[..., None])
+        if closed is not None:
+            if not np.all(chart.domain.inside_mask(closed[0], axis=0)):
+                raise DomainExit(f"ray left {chart.name}")
+            return closed
 
-    # state: positions, velocities, J and J' (n, k, ...), contiguous copies
-    # over the whole batch, so the caller's arrays stay as they are
+    # state: positions, velocities and, with columns, J and J' (n, k, ...),
+    # contiguous copies over the whole batch, so the caller's arrays stay as
+    # they are; without columns the hook gets the empty w as J and J'
     def deriv(y):
+        if k == 0:
+            return y[1], chart.geodesic_acc_jacobi(*y, w, w)[0]
         x, v, jac, jac_dot = y
         acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
         return v, acc, jac_dot, var
 
     x = np.broadcast_to(p.reshape((n,) + (1,) * len(batch)), (n,) + batch).copy()
     v = np.broadcast_to(u, (n,) + batch).copy()
-    jac_dot = w.copy()
-    states = _rk4(chart, (x, v, np.zeros_like(jac_dot), jac_dot), deriv, t_nodes, substeps)
+    state = (x, v) if k == 0 else (x, v, np.zeros(w.shape), w.copy())
     shape = batch + t_nodes.shape[-1:]
     points = np.empty((n,) + shape)
     pushed = np.empty((n, k) + shape)
-    for j, (x, _, jac, _) in enumerate(states):
-        points[..., j] = x
-        np.divide(jac, t_nodes[..., j], out=pushed[..., j])
+    for j, y in enumerate(_rk4(chart, state, deriv, t_nodes, substeps)):
+        points[..., j] = y[0]
+        if k:
+            np.divide(y[2], t_nodes[..., j], out=pushed[..., j])
     return points, pushed
 
 

@@ -12,15 +12,16 @@ z = (polar, angles).  The rho-independent half of the oracle, the flat
 side, is a FlatModel: per sheet the node values of the flat points x, their
 closed-form tangents d_z x (geometry.sheet_tangents), the field's
 displacement D = w N + Y at scale 1 with d_z D from one central stencil of
-the field alone (charts._stencil), and the orientation signs.  A bubble at
-field scale s displaces its sheets linearly, y = x + s D with tangents
-d_z y = d_z x + s d_z D, and embeds no stencil for its areas, volumes and
-conormals: it pushes y and d_z y through the differential of the
-exponential map, one geodesic with Jacobi fields per node (exp_map with
-directions for the areas and the conormals at the neck, charts._exp_rays
-at the cone's radial nodes for the volumes).  Only mean curvature still
-differences the embedding; the reference normal that orients its second
-fundamental form is the flat normal pushed forward the same way.
+the field alone (charts._stencil), and the orientation signs; and the same
+jets at the neck points of the conormal defect.  A bubble at field scale s
+displaces its sheets linearly, y = x + s D with tangents d_z y = d_z x +
+s d_z D, and embeds no stencil for its areas, volumes and conormals: it
+pushes y and d_z y through the differential of the exponential map, one
+geodesic with Jacobi fields per node (exp_map with directions for the
+areas and the conormals at the neck, charts._exp_rays at the cone's radial
+nodes for the volumes).  Only mean curvature still differences the
+embedding; the reference normal that orients its second fundamental form
+is the flat normal pushed forward the same way.
 
 Enclosed volumes are signed geodesic cones from the base point over the
 sheets.  Sheet s is the cone (t, z) -> Exp_p(t rho E y(z)), t in [0, 1],
@@ -94,6 +95,8 @@ from .geometry import (
 
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
+# neck angles per sheet at which the conormal defect is sampled
+NECK_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,10 @@ class FlatModel:
     flat_rule nodes and weights, the flat points with their closed-form
     tangents (geometry.sheet_tangents), the field's displacement w N + Y at
     scale 1 with its stencil derivatives, and the volume cones' orientation
-    signs.  They are built on first use; verify_many builds them before its
-    threads start, so that every rho of a sweep reads one model.
+    signs.  necks holds per sheet the _sheet_jet at its NECK_SAMPLES neck
+    points, which the conormal defect reads.  Both are built on first use;
+    verify_many builds those it needs before its threads start, so that
+    every rho of a sweep reads one model.
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -189,6 +194,11 @@ class FlatModel:
     @cached_property
     def sheets(self) -> list:
         return [self._sheet(s) for s in range(3)]
+
+    @cached_property
+    def necks(self) -> list:
+        ang = neck_angle_grid(self.bubble.m, NECK_SAMPLES)
+        return [_sheet_jet(self.bubble, s, _neck_z(self.bubble, s, ang), self.field) for s in range(3)]
 
     def _sheet(self, sheet: int) -> _FlatSheet:
         b = self.bubble
@@ -389,17 +399,15 @@ def measure_mean_curvature(eb: EmbeddedBubble, sheet: int, z: np.ndarray) -> np.
     return np.einsum("...ij,...ij->...", np.linalg.inv(gram), hmat)
 
 
-def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
-    """sup over neck samples of || sum_s conormal_s ||_G.
+def measure_conormal_defect(eb: EmbeddedBubble) -> float:
+    """sup over the NECK_SAMPLES neck samples of || sum_s conormal_s ||_G.
 
     Each sheet's inward unit conormal is the G-normalized boundary-inward
     tangent orthogonal to the neck direction.  Both tangents are the
     pushforward rho dExp_p(rho E y) E d_z y at the neck points, one exp_map
     call per sheet, with the displaced sheet y and d_z y formed as for the
-    areas from the sheet's _sheet_jet there.
+    areas from the model's neck jet of the sheet (FlatModel.necks).
     """
-    b = eb.bubble
-    ang = neck_angle_grid(b.m, n_samples)
     e = eb.frame.matrix
 
     def dot(a, gmat, b):
@@ -407,7 +415,7 @@ def measure_conormal_defect(eb: EmbeddedBubble, n_samples: int = 32) -> float:
 
     gsum = 0.0
     for s in range(3):
-        y, d1 = _displaced(eb, _sheet_jet(b, s, _neck_z(b, s, ang), eb.model.field))
+        y, d1 = _displaced(eb, eb.model.necks[s])
         w = eb.rho * np.swapaxes(d1 @ e.T, -1, -2)
         pos, push = exp_map(
             eb.chart, eb.frame.base, eb.rho * y @ e.T, steps=eb.model.geodesic_steps, directions=w
@@ -520,6 +528,8 @@ def verify_many(
     model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
     if "area" in quantities or "phi" in quantities or volumes_wanted:
         model.sheets
+    if "conormal" in quantities:
+        model.necks
 
     def measure_at(rho):
         """Oracle values at rho; for h* and conormal the residual itself."""

@@ -148,13 +148,15 @@ def test_exp_rays_rk4_jacobi_matches_closed_form_differential():
     p = np.array([0.15, -0.1, 0.2])
     u = np.random.default_rng(3).normal(size=(6, 3)) * 0.05
     t_nodes = np.array([0.4, 1.0, 1.7, 2.5]) * np.linspace(0.8, 1.2, 6)[:, None]
+    # the identity directions give the whole differential
+    eye = np.eye(3)[:, :, None]
     for chart in (
         builtin_chart("round_sphere", a=1.0),
         builtin_chart("euclidean", dim=3),
         builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
     ):
-        pts_c, dexp_c = _exp_rays(chart, p, u.T, t_nodes, [50] * 4)
-        pts_r, dexp_r = _exp_rays(chart, p, u.T, t_nodes, [50] * 4, force_rk4=True)
+        pts_c, dexp_c = _exp_rays(chart, p, u.T, t_nodes, [50] * 4, directions=eye)
+        pts_r, dexp_r = _exp_rays(chart, p, u.T, t_nodes, [50] * 4, force_rk4=True, directions=eye)
         assert pts_c.shape == (3, 6, 4) and dexp_c.shape == (3, 3, 6, 4)
         # one closed form: the rays' points are exp_map's, bit for bit
         ends = exp_map(chart, p, t_nodes[..., None] * u[:, None])
@@ -195,18 +197,20 @@ def test_acc_jacobi_hook_matches_directional_differences():
 
 
 def test_builtin_families_define_the_geodesic_hooks():
-    # every family defines the three required hooks itself and one geodesic
-    # kernel, the Jacobi hook; exp_closed is MetricChart's alone, the points
-    # of dexp_closed, and MetricChart has no finite-difference fallback for
-    # the Jacobi hook
+    # every family defines the two required hooks itself, the metric and one
+    # geodesic kernel, the Jacobi hook, which states the connection once (no
+    # family has a Christoffel hook beside it); exp_closed is MetricChart's
+    # alone, the points of dexp_closed without columns, and MetricChart has
+    # no finite-difference fallback for the Jacobi hook
     p = np.array([0.15, -0.1, 0.2])
     v = np.random.default_rng(6).normal(size=(2, 5, 3)) * 0.1
     for family, cls in charts._FAMILIES.items():
-        for hook in ("metric", "christoffel_closed", "geodesic_acc_jacobi"):
+        for hook in ("metric", "geodesic_acc_jacobi"):
             assert hook in vars(cls), (cls.__name__, hook)
+        assert not hasattr(cls, "christoffel_closed"), cls.__name__
         assert not hasattr(cls, "geodesic_acc") and "exp_closed" not in vars(cls), cls.__name__
         chart = builtin_chart(family)
-        closed = chart.dexp_closed(p, np.moveaxis(v, -1, 0))
+        closed = chart.dexp_closed(p, np.moveaxis(v, -1, 0), np.empty((3, 0, 2, 5)))
         if family == "conformal_bump":
             assert closed is None and chart.exp_closed(p, v) is None
         else:
@@ -260,7 +264,8 @@ def test_det_matches_lapack():
     # the closed-form exp-map differentials behind the chamber volumes,
     # component-major (n, n, ...)
     sp = builtin_chart("round_sphere", a=1.0)
-    _, dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), rng.normal(size=(3, 50, 4)) * 0.5)
+    v = rng.normal(size=(3, 50, 4)) * 0.5
+    _, dexp = sp.dexp_closed(np.array([0.15, -0.1, 0.2]), v, np.eye(3)[:, :, None, None])
     ref = np.linalg.det(np.moveaxis(dexp, (0, 1), (-2, -1)))
     assert np.all(np.abs(_det(dexp) - ref) <= 1e-13 * np.abs(ref))
 
@@ -321,18 +326,23 @@ def _point_major_closed_form(chart, p, v):
 def test_component_major_closed_form_is_the_point_major_formula(family, kw):
     # the component-major closed form against the point-major formula: bit
     # for bit for rays with several nodes and for exp_map, zero-speed rays
-    # included; at one node per ray the point-major products were one
-    # matrix-vector product per ray, which rounds differently
+    # included, where the identity directions give the whole differential;
+    # at one node per ray the point-major products were one matrix-vector
+    # product per ray, which rounds differently.  General directions W match
+    # the point-major dExp W to roundoff, and without columns the points are
+    # the same bits
     chart = builtin_chart(family, **kw)
     rng = np.random.default_rng(13)
     n = chart.dim
     p = rng.uniform(-0.2, 0.2, size=n)
     u = rng.normal(size=(40, n)) * 0.1
     u[[3, 17]] = 0.0
+    w = np.random.default_rng(14).normal(size=(40, n, 2))
     for k in (3, 1):
         t_nodes = np.sort(rng.uniform(0.3, 1.5, size=(40, k)), axis=1)
-        points, dexp = _exp_rays(chart, p, u.T, t_nodes, [4] * k)
+        points, dexp = _exp_rays(chart, p, u.T, t_nodes, [4] * k, directions=np.eye(n)[:, :, None])
         ref_points, ref_dexp = _point_major_closed_form(chart, p, t_nodes[..., None] * u[:, None])
+        ref_push = np.moveaxis(ref_dexp @ w[:, None], (-2, -1), (0, 1))
         ref_points, ref_dexp = np.moveaxis(ref_points, -1, 0), np.moveaxis(ref_dexp, (-2, -1), (0, 1))
         assert points.shape == (n, 40, k) and dexp.shape == (n, n, 40, k)
         if k > 1:
@@ -341,6 +351,11 @@ def test_component_major_closed_form_is_the_point_major_formula(family, kw):
         else:
             assert np.abs(points - ref_points).max() <= 1e-15 * np.abs(ref_points).max(), chart.name
             assert np.abs(dexp - ref_dexp).max() <= 1e-15 * np.abs(ref_dexp).max(), chart.name
+        _, push = _exp_rays(chart, p, u.T, t_nodes, [4] * k, directions=np.moveaxis(w, 0, -1))
+        assert push.shape == (n, 2, 40, k)
+        assert np.abs(push - ref_push).max() <= 1e-15 * np.abs(ref_push).max(), chart.name
+        bare, none = _exp_rays(chart, p, u.T, t_nodes, [4] * k)
+        assert np.array_equal(bare, points) and none.shape == (n, 0, 40, k), chart.name
         # zero speed: the base point itself
         assert np.array_equal(points[:, [3, 17]], np.broadcast_to(p[:, None, None], (n, 2, k)))
     assert np.array_equal(exp_map(chart, p, u), _point_major_closed_form(chart, p, u)[0]), chart.name
@@ -514,15 +529,18 @@ def test_geodesics_couple_no_rays():
     p = np.array([0.12, -0.05, 0.08])
     u = rng.normal(size=(12, 3)) * 0.2
     t_nodes = np.sort(rng.uniform(0.2, 1.0, size=(12, 3)), axis=1)
+    eye = np.eye(3)[:, :, None]
     for chart in (builtin_chart("conformal_bump", eps=-0.1, s=0.5), builtin_chart("round_sphere", a=1.0)):
         ends = exp_map(chart, p, u, steps=20)
         halves = [exp_map(chart, p, u[:6], steps=20), exp_map(chart, p, u[6:], steps=20)]
         assert np.array_equal(np.concatenate(halves), ends), chart.name
         assert np.array_equal(exp_map(chart, p, u.reshape(3, 4, 3), steps=20).reshape(12, 3), ends), chart.name
-        rays = _exp_rays(chart, p, u.T, t_nodes, [4, 4, 4])
-        first = _exp_rays(chart, p, u[:6].T, t_nodes[:6], [4, 4, 4])
-        second = _exp_rays(chart, p, u[6:].T, t_nodes[6:], [4, 4, 4])
-        stacked = _exp_rays(chart, p, u.T.reshape(3, 3, 4), t_nodes.reshape(3, 4, 3), [4, 4, 4])
+        rays = _exp_rays(chart, p, u.T, t_nodes, [4, 4, 4], directions=eye)
+        first = _exp_rays(chart, p, u[:6].T, t_nodes[:6], [4, 4, 4], directions=eye)
+        second = _exp_rays(chart, p, u[6:].T, t_nodes[6:], [4, 4, 4], directions=eye)
+        stacked = _exp_rays(
+            chart, p, u.T.reshape(3, 3, 4), t_nodes.reshape(3, 4, 3), [4, 4, 4], directions=eye[..., None]
+        )
         for whole, a, b, c in zip(rays, first, second, stacked):
             # the batch axis is the one before the nodes
             assert np.array_equal(np.concatenate([a, b], axis=-2), whole), chart.name
@@ -545,8 +563,9 @@ def test_rk4_exp_map_is_exp_rays_at_one_node():
 
 def test_exp_map_directions_push_forward_by_the_differential():
     # exp_map(..., directions=W) returns the endpoints and dExp_p(v) W: on
-    # closed-form charts the RK4 Jacobi fields match dexp_closed contracted
-    # with W, and on the bump central differences of exp_map along W
+    # closed-form charts the RK4 Jacobi fields match the closed form's
+    # differential (dexp_closed of the identity) contracted with W, and on
+    # the bump central differences of exp_map along W
     p = np.array([0.15, -0.1, 0.2])
     rng = np.random.default_rng(8)
     v = rng.normal(size=(2, 5, 3)) * 0.1
@@ -560,7 +579,7 @@ def test_exp_map_directions_push_forward_by_the_differential():
         assert points.shape == (2, 5, 3) and push.shape == (2, 5, 3, 2)
         # the points are those of the call without directions, bit for bit
         assert np.array_equal(points, exp_map(chart, p, v)), chart.name
-        _, dexp = chart.dexp_closed(p, np.moveaxis(v, -1, 0))
+        _, dexp = chart.dexp_closed(p, np.moveaxis(v, -1, 0), np.eye(3)[:, :, None, None])
         closed = np.einsum("ij...,...jc->...ic", dexp, w)
         assert np.abs(push - closed).max() <= 1e-14, chart.name
         points_r, push_r = exp_map(chart, p, v, steps=100, force_rk4=True, directions=w)
@@ -752,27 +771,40 @@ def test_nabla_riemann_bianchi_consistency():
 
 
 def test_christoffel_matches_conformal_identity():
-    # the required hooks of every family against the metric: Christoffels
-    # from the metric derivative stack (finite differences on the bump), and
-    # the Jacobi hook's acceleration -Gamma(v, v)
+    # Christoffels by polarization of the Jacobi hook against the metric:
+    # against the metric derivative stack (finite differences on the bump)
+    # on every family, beyond n = 3 too, and on the conformal charts against
+    # the identity Gamma^k_ij = delta_ik f_j + delta_jk f_i - delta_ij f_k
+    # for g = e^(2f) delta; symmetric in i, j exactly, and -Gamma(v, v) is
+    # the hook's acceleration
     from doublebubble.charts import _christoffel_from_stack, metric_d1
 
     rng = np.random.default_rng(8)
-    x = np.array([0.2, -0.3, 0.1])
-    v = rng.normal(size=(5, 3))
     for chart in (
         builtin_chart("conformal_bump", eps=0.2, s=0.7),
         builtin_chart("euclidean", dim=3),
         builtin_chart("round_sphere", a=1.0),
+        builtin_chart("round_sphere", a=1.0, dim=4),
         builtin_chart("product", factors=[(2, 2.0), (1, math.inf)]),
+        builtin_chart("product", factors=[(3, 1.0), (1, math.inf)]),
     ):
+        n = chart.dim
+        x = np.array([0.2, -0.3, 0.1, 0.15])[:n]
+        v = rng.normal(size=(5, n))
         gamma = christoffel(chart, x)
+        assert gamma.shape == (n, n, n) and np.array_equal(gamma, np.swapaxes(gamma, -1, -2)), chart.name
         gamma_fd = _christoffel_from_stack(chart.metric(x), metric_d1(chart, x))
         assert np.abs(gamma - gamma_fd).max() <= 1e-9, chart.name
+        if isinstance(chart, (charts.RoundSphereChart, charts.ConformalBumpChart)):
+            df = chart._grad_f(x[:, None])[0][:, 0]
+            eye = np.eye(n)
+            ref = eye[:, :, None] * df[None, None, :] + eye[:, None, :] * df[None, :, None]
+            ref -= eye[None] * df[:, None, None]
+            assert np.abs(gamma - ref).max() <= 1e-15 * np.abs(ref).max(), chart.name
         xs = np.broadcast_to(x, v.shape)
         acc = -np.einsum("...aij,...i,...j->...a", christoffel(chart, xs), v, v)
         # the Jacobi hook is component-major: (n, batch) in and out
-        none = np.zeros((3, 0, len(v)))
+        none = np.zeros((n, 0, len(v)))
         acc_hook = chart.geodesic_acc_jacobi(xs.T, v.T, none, none)[0].T
         assert np.abs(acc_hook - acc).max() <= 1e-14, chart.name
 

@@ -73,6 +73,33 @@ def test_areas_and_volumes_share_one_stencil_per_sheet():
         assert res["v2"][1][k]["oracle"] == v2 / rho**3
 
 
+def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
+    # the conormal defect reads the model's rho-independent neck jets: a
+    # perturbed sweep makes one _sheet_jet call per sheet, at its neck,
+    # whatever the number of scales and threads, and every scale measures
+    # what a bubble with its own flat model measures
+    field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
+    axis = np.array([0.25, -0.4, 0.88])
+    calls = []
+    sheet_jet = measure._sheet_jet
+
+    def counted(bubble, sheet, z, fld):
+        calls.append((sheet, bool(np.all(z[:, 0] == bubble.polar_limit(sheet)))))
+        return sheet_jet(bubble, sheet, z, fld)
+
+    monkeypatch.setattr(measure, "_sheet_jet", counted)
+    for rhos in ([0.2, 0.14, 0.1], [0.2, 0.14, 0.1, 0.07, 0.05]):
+        calls.clear()
+        res = verify_many(SP, np.zeros(3), axis, ASYM, ["conormal"], rhos, grid=(8, 16),
+                          sector_nodes=4, perturbation=field, jobs=2)
+        assert sorted(calls) == [(0, True), (1, True), (2, True)], calls
+    frame = curvature_at(SP, np.zeros(3), axis, nabla=False).frame
+    for k, rho in enumerate(rhos):
+        eb = EmbeddedBubble(SP, frame, ASYM, rho, perturbation=field.scaled(rho**2), grid=(8, 16),
+                            sector_nodes=4)
+        assert res["conormal"][1][k]["oracle"] == measure_conormal_defect(eb)
+
+
 def test_volumes_embed_no_sheet(monkeypatch):
     # the cones read the flat and displaced sheets through the ray core
     # _exp_rays; exp_map, which pushes the sheet tangents forward, waits for
@@ -98,7 +125,7 @@ def test_flat_measurements_exact():
         v1, v2 = measure_volumes(eb)
         assert abs(v1 / (rho**3 * b.v1) - 1.0) <= 1e-10
         assert abs(v2 / (rho**3 * b.v2) - 1.0) <= 1e-10
-        assert measure_conormal_defect(eb, 16) <= 1e-10
+        assert measure_conormal_defect(eb) <= 1e-10
         for s in range(3):
             upper = b.polar_limit(s)
             h = measure_mean_curvature(eb, s, np.array([[0.5 * upper, 1.0]]))[0]
