@@ -723,20 +723,15 @@ def killing_basis(bubble: StandardBubble) -> list[PerturbationField]:
 
 
 def sheet_unit_tangents(bubble: StandardBubble, sheet: int, polar, dirs):
-    """Closed-form unit tangents (e_polar, e_angle) of a sheet for m = 2."""
+    """Unit tangents (e_polar, e_angle) of a sheet for m = 2: the rows of
+    geometry.sheet_tangents at the directions' angle, normalized."""
     if bubble.m != 2:
         raise ValueError("unit tangents are implemented for m = 2")
-    polar = np.asarray(polar, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    ct, st = dirs[..., 0], dirs[..., 1]
-    e_th = np.stack([-st, ct, np.zeros(np.shape(ct))], axis=-1)
-    if sheet == 0 and bubble.symmetric:
-        e_pol = np.stack([ct, st, np.zeros(np.shape(ct))], axis=-1)
-        return e_pol, e_th
-    sign = 1.0 if sheet == 1 else -1.0
-    cp, sp = np.cos(polar), np.sin(polar)
-    e_pol = np.stack([cp * ct, cp * st, -sign * sp], axis=-1)
-    return e_pol, e_th
+    polar, angle = np.broadcast_arrays(polar, np.arctan2(dirs[..., 1], dirs[..., 0]))
+    rows = sheet_tangents(bubble, sheet, np.stack([polar, angle], axis=-1))
+    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    return rows[..., 0, :], rows[..., 1, :]
 
 
 def random_admissible_field(

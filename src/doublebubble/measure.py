@@ -17,23 +17,23 @@ jets at the neck points of the conormal defect.  A bubble at field scale s
 displaces its sheets linearly, y = x + s D with tangents d_z y = d_z x +
 s d_z D, and embeds no stencil for its areas, volumes and conormals: it
 pushes y and d_z y through the differential of the exponential map, one
-geodesic with Jacobi fields per node (exp_map with directions for the
-areas and the conormals at the neck, charts._exp_rays at the cone's radial
-nodes for the volumes).  Only mean curvature still differences the
-embedding; the reference normal that orients its second fundamental form
-is the flat normal pushed forward the same way.
+geodesic with Jacobi fields per node.  One exp_map call gives the embedded
+sheets, Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y, that its
+areas and volumes share, and one call per sheet the conormals' neck
+tangents.  Only mean curvature still differences the embedding; the
+reference normal that orients its second fundamental form is the flat
+normal pushed forward the same way.
 
-Enclosed volumes are signed geodesic cones from the base point over the
-sheets.  Sheet s is the cone (t, z) -> Exp_p(t rho E y(z)), t in [0, 1],
-whose Jacobian is, with W = rho E [y, d_z y] (n, n),
-
-  t^m det(dExp_p(t rho E y) W) sqrt(det G)
-
-(do Carmo, Riemannian Geometry, ch. 5), with dExp W from one
-charts._exp_rays call per sheet at sector_nodes Gauss-Legendre nodes in t
-and sqrt(det G) from the chart's volume_element.  Signed by the sheet's
-flat orientation (normal N_s first) and by sign(det E), the cone is C_s,
-and the chambers are V1 = -(C1 + C0) and V2 = C0 - C2, for the symmetric,
+Enclosed volumes are signed straight chart cones from the base point over
+the embedded sheets; they integrate no geodesic.  sqrt(det G) is the
+coordinate divergence of F(x) = (x - p) int_0^1 t^(n-1) sqrt(det G)(p + t
+(x - p)) dt, so a chamber's volume is the flux of F through its boundary,
+and through sheet s that flux is the cone (t, z) -> p + t (Y(z) - p), t in
+[0, 1], with Jacobian t^m det[Y - p, T] sqrt(det G): the chart's
+volume_element at sector_nodes Gauss-Legendre nodes in t (the chart box is
+convex, so the segments stay in the domain).  Signed by the sheet's flat
+orientation (normal N_s first) and by sign(det E), the cone is C_s, and the
+chambers are V1 = -(C1 + C0) and V2 = C0 - C2, for the symmetric,
 asymmetric and perturbed bubble alike (N_s points into B1 on sheets 0 and
 1 and into B2 on sheet 2).
 
@@ -65,7 +65,6 @@ from .charts import (
     _component_major,
     _det,
     _dot,
-    _exp_rays,
     _stencil,
     christoffel,
     curvature_at,
@@ -214,8 +213,8 @@ class EmbeddedBubble:
 
     grid = (n_polar, n_sphere) controls the quadrature resolution of the
     sheets, which the areas and the volume cones share; sector_nodes the
-    Gauss-Legendre order of the cones along their rays; geodesic_steps the
-    RK4 steps of one geodesic (split over the node gaps of a cone's ray).
+    Gauss-Legendre order of the cones along their straight chart segments;
+    geodesic_steps the RK4 steps of one geodesic of the exponential map.
     Parameter stencils step H_REL times each parameter's range.
 
     The flat side comes from a FlatModel of the bubble, the field and these
@@ -277,68 +276,62 @@ def _displaced(eb: EmbeddedBubble, jet: tuple):
     return x + s * d, dx + s * dd
 
 
-def measure_area(eb: EmbeddedBubble) -> np.ndarray:
-    """Per-sheet m-areas by quadrature of sqrt(det Gram).
+def _embedded_sheets(eb: EmbeddedBubble) -> tuple:
+    """(Y (N, n), T (n, m, N)) of the three embedded sheets at their
+    concatenated flat_rule nodes, from one exp_map call per bubble: Y =
+    Exp_p(rho E y) over the displaced sheet y (_displaced) and the Jacobi
+    fields T = rho dExp_p(rho E y) E d_z y, component-major, nodes last."""
+    cached = eb._sheet_cache.get("sheets")
+    if cached is None:
+        e = eb.frame.matrix
+        ys, cols = zip(*(_displaced(eb, sh.jet) for sh in eb.model.sheets))
+        v = eb.rho * np.concatenate(ys) @ e.T
+        # the directions rho E d_z y (N, n, m)
+        w = eb.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2)
+        pos, push = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
+        cached = eb._sheet_cache["sheets"] = (pos, np.moveaxis(push, 0, -1))
+    return cached
 
-    The embedded sheet is Exp_p(rho E y(z)) over the displaced sheet y of
-    _displaced, and its tangents are the pushforward rho dExp_p(rho E y) E
-    d_z y: one exp_map call for all three sheets carries, per node, one
-    geodesic and the m Jacobi fields with J'(0) = rho E d_z y.  The Gram
-    matrix T^T G T is contracted component-major, the nodes last.
-    """
+
+def _sheet_sums(eb: EmbeddedBubble, densities: np.ndarray) -> np.ndarray:
+    """Per-sheet flat_rule sums of node densities (N,) on the concatenated sheets."""
+    sheets = eb.model.sheets
+    parts = np.split(densities, np.cumsum([len(sh.w) for sh in sheets])[:-1])
+    return np.array([float(np.sum(sh.w * part)) for sh, part in zip(sheets, parts)])
+
+
+def measure_area(eb: EmbeddedBubble) -> np.ndarray:
+    """Per-sheet m-areas by quadrature of sqrt(det Gram) over the embedded
+    sheets, the Gram matrix T^T G T contracted component-major."""
     cached = eb._sheet_cache.get("areas")
     if cached is not None:
         return cached.copy()
-    e = eb.frame.matrix
-    ys, cols = zip(*(_displaced(eb, sh.jet) for sh in eb.model.sheets))
-    v = eb.rho * np.concatenate(ys) @ e.T
-    # the directions rho E d_z y (N, n, m)
-    w = eb.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2)
-    pos, push = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
-    # component-major: tangents T (n, m, N) and metric G (n, n, N)
-    tangents = np.moveaxis(push, 0, -1)
+    pos, tangents = _embedded_sheets(eb)
     gmat = _component_major(eb.chart.metric(pos), 2)
     # (G T)[i, b] = sum_j G[i, j] T[j, b], then gram[a, b] = sum_i T[i, a] (G T)[i, b]
     gt = _dot(np.swapaxes(gmat, 0, 1)[:, :, None], tangents[:, None], axis=0)
-    densities = np.sqrt(_det(_dot(tangents[:, :, None], gt[:, None], axis=0)))
-    sheets = eb.model.sheets
-    parts = np.split(densities, np.cumsum([len(sh.w) for sh in sheets])[:-1])
-    out = np.array([float(np.sum(sh.w * part)) for sh, part in zip(sheets, parts)])
+    out = _sheet_sums(eb, np.sqrt(_det(_dot(tangents[:, :, None], gt[:, None], axis=0))))
     eb._sheet_cache["areas"] = out
     return out.copy()
 
 
 def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
-    """(V1, V2) from the signed geodesic cones over the three sheets; see the
-    module docstring.
-
-    Per sheet, one charts._exp_rays call runs the rays u = rho E y and the
-    directions W = rho E [y, d_z y] of the displaced sheet y (_displaced,
-    as measure_area reads it) to the sector_nodes
-    Gauss-Legendre nodes t in [0, 1], geodesic_steps RK4 steps split over
-    the node gaps; the cone's Jacobian there is t^m det(dExp W) sqrt(det G).
-    """
+    """(V1, V2) from the signed straight chart cones over the embedded
+    sheets, the segments p + t (Y - p) at the sector_nodes Gauss-Legendre
+    nodes t in [0, 1]; see the module docstring."""
     cached = eb._sheet_cache.get("volumes")
     if cached is not None:
         return cached
-    model = eb.model
-    t, wt = gauss_legendre(model.sector_nodes)
+    pos, tangents = _embedded_sheets(eb)
+    t, wt = gauss_legendre(eb.model.sector_nodes)
     t = 0.5 * (t + 1.0)
-    gaps = np.diff(np.concatenate([[0.0], t]))
-    substeps = np.maximum(1, np.ceil(model.geodesic_steps * gaps)).astype(int)
-    radial = 0.5 * wt * t**eb.bubble.m
-    e = eb.frame.matrix
-    n = e.shape[0]
-    cones = []
-    for sh in model.sheets:
-        y, d1 = _displaced(eb, sh.jet)
-        # W = rho E [y, d_z y], component-major (n, n, N); its first column is u
-        cols = np.concatenate([y.T[:, None], np.transpose(d1)], axis=1)
-        w = eb.rho * (e @ cols.reshape(n, -1)).reshape(cols.shape)
-        points, push = _exp_rays(eb.chart, eb.frame.base, w[:, 0], t, substeps, directions=w)
-        jacobian = _det(push) * eb.chart.volume_element(points)
-        cones.append(float(np.sum(sh.w * sh.orient * (jacobian @ radial))))
-    c0, c1, c2 = np.sign(_det(e)) * np.array(cones)
+    base = eb.frame.base[:, None]
+    chord = pos.T - base
+    segments = base[..., None] + chord[..., None] * t
+    radial = eb.chart.volume_element(segments) @ (0.5 * wt * t**eb.bubble.m)
+    jacobian = _det(np.concatenate([chord[:, None], tangents], axis=1)) * radial
+    orient = np.concatenate([sh.orient for sh in eb.model.sheets])
+    c0, c1, c2 = np.sign(_det(eb.frame.matrix)) * _sheet_sums(eb, orient * jacobian)
     out = (float(-(c1 + c0)), float(c0 - c2))
     eb._sheet_cache["volumes"] = out
     return out

@@ -4,6 +4,10 @@
   the great-circle formula and all first fundamental forms are computed with
   the ambient Euclidean metric of R^4.
 * Monte-Carlo chamber volumes of the flat model.
+* Chamber volumes of an EmbeddedBubble from signed geodesic cones over its
+  sheets, the reference for the package's straight chart cones.  The rays
+  come from the ray kernel the caller passes in, so this check shares the
+  chart's geodesics and judges the straight-cone identity alone.
 * The rho^2 coefficients of the cap volumes and sheet areas by direct
   quadrature of their moment integrands, and the per-sheet assembly of the
   symmetric reduced-energy constants.
@@ -111,6 +115,42 @@ def chamber_volumes(rho, centers, radii, symmetric, n_nodes=200):
         v1 += p0
         v2 -= p0
     return v1, v2
+
+
+def geodesic_cone_volumes(eb, exp_rays):
+    """(V1, V2) of an EmbeddedBubble from the signed geodesic cones over its
+    sheets, where measure_volumes takes straight chart cones.
+
+    Sheet s is the cone (t, z) -> Exp_p(t rho E y(z)), t in [0, 1], over the
+    displaced flat sheet y = x + s D of the bubble's flat model, whose
+    Jacobian is t^m det(dExp_p(t rho E y) W) sqrt(det G) with W = rho E [y,
+    d_z y] (do Carmo, Riemannian Geometry, ch. 5).  exp_rays is the ray
+    kernel charts._exp_rays, passed in so that this module imports no judged
+    module: one call per sheet gives the points and dExp W at sector_nodes
+    Gauss-Legendre nodes in t, geodesic_steps RK4 steps split over the node
+    gaps.  The cones carry the sheets' orientation signs and sign(det E);
+    V1 = -(C1 + C0) and V2 = C0 - C2.
+    """
+    model = eb.model
+    t, wt = np.polynomial.legendre.leggauss(model.sector_nodes)
+    t = 0.5 * (t + 1.0)
+    gaps = np.diff(np.concatenate([[0.0], t]))
+    substeps = np.maximum(1, np.ceil(model.geodesic_steps * gaps)).astype(int)
+    radial = 0.5 * wt * t**eb.bubble.m
+    e = eb.frame.matrix
+    scale = 0.0 if eb.perturbation is None else eb.perturbation.scale
+    cones = []
+    for sheet in model.sheets:
+        x, dx, d, dd = sheet.jet
+        y, dy = (x, dx) if d is None else (x + scale * d, dx + scale * dd)
+        # columns [y, d_z y] (N, n, n) mapped to W = rho E [y, d_z y] (n, n, N)
+        cols = np.concatenate([y[:, None], dy], axis=1)
+        w = eb.rho * np.einsum("ij,nkj->ikn", e, cols)
+        points, push = exp_rays(eb.chart, eb.frame.base, w[:, 0], t, substeps, directions=w)
+        jacobian = np.linalg.det(np.moveaxis(push, (0, 1), (-2, -1))) * eb.chart.volume_element(points)
+        cones.append(float(np.sum(sheet.w * sheet.orient * (jacobian @ radial))))
+    c0, c1, c2 = np.sign(np.linalg.det(e)) * np.array(cones)
+    return float(-(c1 + c0)), float(c0 - c2)
 
 
 def geodesic_ball_volume(t):

@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublebubble.charts import DomainExit, builtin_chart, curvature_at, orthonormal_frame
+from doublebubble.charts import (
+    DomainExit,
+    _exp_rays,
+    builtin_chart,
+    curvature_at,
+    exp_map,
+    orthonormal_frame,
+)
 from doublebubble.cli import _claimed_orders
 from doublebubble.expansions import phi_from_energy
 from doublebubble.fields import random_admissible_field, _param_steps
@@ -100,20 +107,62 @@ def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
         assert res["conormal"][1][k]["oracle"] == measure_conormal_defect(eb)
 
 
-def test_volumes_embed_no_sheet(monkeypatch):
-    # the cones read the flat and displaced sheets through the ray core
-    # _exp_rays; exp_map, which pushes the sheet tangents forward, waits for
-    # measure_area
+def test_areas_and_volumes_share_one_exp_map_call(monkeypatch):
+    # the embedded sheets of one exp_map call serve the areas and the volume
+    # cones, whichever is measured first, and volumes alone make that call
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25).scaled(0.01)
-    eb = EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, perturbation=field, grid=(8, 16), sector_nodes=4)
+    calls = []
 
-    def no_exp_map(*args, **kwargs):
-        raise AssertionError("exp_map called")
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("directions") is not None)
+        return exp_map(*args, **kwargs)
 
-    monkeypatch.setattr(measure, "exp_map", no_exp_map)
-    measure_volumes(eb)
-    with pytest.raises(AssertionError):
-        measure_area(eb)
+    monkeypatch.setattr(measure, "exp_map", counted)
+    results = []
+    for order in ((measure_area, measure_volumes), (measure_volumes, measure_area), (measure_volumes,)):
+        calls.clear()
+        eb = EmbeddedBubble(SP, FRAME_SP, ASYM, 0.1, perturbation=field, grid=(8, 16), sector_nodes=4)
+        results.append({fn.__name__: fn(eb) for fn in order})
+        assert calls == [True], (order, calls)
+    assert np.array_equal(results[0]["measure_area"], results[1]["measure_area"])
+    assert results[0]["measure_volumes"] == results[1]["measure_volumes"] == results[2]["measure_volumes"]
+
+
+_CONE_CHARTS = {
+    "euclidean": lambda dim: builtin_chart("euclidean", dim=dim),
+    "sphere": lambda dim: builtin_chart("round_sphere", a=1.0, dim=dim),
+    "product": lambda dim: builtin_chart("product", factors=[(dim - 1, 1.0), (1, math.inf)]),
+    "bump": lambda dim: builtin_chart("conformal_bump", eps=-0.1, s=0.5, dim=dim),
+}
+
+
+@pytest.mark.parametrize("family", list(_CONE_CHARTS))
+def test_straight_cones_match_geodesic_cones(family):
+    # measure_volumes' straight chart cones against the signed geodesic cones
+    # over the same sheets: the closed-form charts agree to rounding, the
+    # bump to the 50-step RK4 error of the geodesic cones
+    bound = 1e-9 if family == "bump" else 1e-14
+    m3 = solve_standard_bubble(BubbleParams(3, 1.0, 3.0, 2.0))
+    field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
+    tilted, left = (0.25, -0.4, 0.88), (0.0, 0.0, -1.0)
+    cases = [
+        (SYM, None, tilted, (12, 24), (0.2, 0.07)),
+        (ASYM, None, tilted, (12, 24), (0.2, 0.07)),
+        (ASYM, field, tilted, (12, 24), (0.2, 0.07)),
+        (ASYM, field, left, (12, 24), (0.2, 0.07)),
+        (m3, None, (0.1, 0.25, -0.4, -0.88), (16, 16), (0.2,)),
+    ]
+    for b, f, axis, grid, rhos in cases:
+        dim = b.m + 1
+        chart = _CONE_CHARTS[family](dim)
+        frame = orthonormal_frame(chart, np.array([0.03, 0.12, -0.05, 0.08][-dim:]), np.array(axis))
+        assert np.sign(np.linalg.det(frame.matrix)) == np.sign(axis[-1])
+        for rho in rhos:
+            eb = EmbeddedBubble(chart, frame, b, rho, perturbation=None if f is None else f.scaled(rho**2),
+                                grid=grid, sector_nodes=8, geodesic_steps=50)
+            ref = exact_models.geodesic_cone_volumes(eb, _exp_rays)
+            for got, want in zip(measure_volumes(eb), ref):
+                assert abs(got / want - 1.0) <= bound, (b.params, f is None, axis, rho, got, want)
 
 
 def test_flat_measurements_exact():
