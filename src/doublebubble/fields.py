@@ -9,13 +9,16 @@ three sheets keep a common boundary:
 
 and the neck-tangential parts of the Y_s agree.  Fields are represented by
 closed-form callables (polar, dirs) -> values per sheet, so they can be
-sampled on any grid and differentiated by parameter stencils.
+sampled on any grid and differentiated in their parameters.
 
 Sheet data live in the flat parameters z = (polar, angles) of
 geometry.flat_rule: the flat tangents, metric and Christoffels there are
-closed form (geometry.sheet_tangents and flat_metric); only the field
-derivatives come from the 4th-order stencils of charts._stencil, with the
-parameter steps H_REL times each parameter's range (_param_steps).
+closed form (geometry.sheet_tangents and flat_metric).  The field's first
+derivatives are complex-step jets (field_jet): d_b f = Im f(z + i h e_b) / h,
+exact to roundoff, which asks the field's callables to be analytic in
+complex parameters (PerturbationField).  Only the Hessian of w comes from
+the 4th-order stencil of charts._stencil, with the parameter steps H_REL
+times each parameter's range (_param_steps).
 
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
@@ -31,8 +34,10 @@ and the Killing fields (killing_basis) span the kernel.
 from __future__ import annotations
 
 import math
+import threading
+import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,7 +45,9 @@ from .charts import CurvatureAtPoint, _component_major, _det, _stencil
 from .geometry import (
     BubbleParams,
     StandardBubble,
+    _inexact,
     _normal_at,
+    _tangent_rows,
     angles_to_dirs,
     flat_metric,
     flat_rule,
@@ -56,9 +63,14 @@ RESPONSE_GRID = (32, 64)
 SUP_NODES = 12
 # angles per turn on which field_modes samples a field
 MODE_ANGLES = 64
-# relative parameter step of the field stencils (ten times it for the second
-# derivatives of measure.measure_fundamental_forms)
+# relative parameter step of the field Hessian's stencil (ten times it for
+# the second derivatives of measure.measure_fundamental_forms)
 H_REL = 1e-4
+# imaginary step of the complex-step field jets: the O(h^2) change of a
+# shifted value's real part lies far below its ulp, and its O(h) imaginary
+# part far above the smallest normal double
+CSTEP = 1e-30
+_JET_LOCK = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +113,8 @@ def admissible_closure(w0_trace, w2_trace):
     neck grid, so that the reconstructed displacements w_s N_s + u_s nu_s
     agree across the three sheets.
     """
-    w0 = np.asarray(w0_trace, dtype=float)
-    w2 = np.asarray(w2_trace, dtype=float)
+    w0 = _inexact(w0_trace)
+    w2 = _inexact(w2_trace)
     if w0.shape != w2.shape:
         raise ValueError("w0 and w2 traces must share a grid")
     return {
@@ -126,6 +138,12 @@ class PerturbationField:
     w callables map (polar, dirs) -> (N,); y callables map (polar, dirs) ->
     (N, m+1) ambient vectors tangent to the sheet, or None for zero.  `scale`
     multiplies both on evaluation, so rho-dependent sweeps reuse one field.
+
+    The callables must take complex parameters and be analytic in them: the
+    field's first derivatives are complex-step jets (field_jet).  So they
+    use no arctan2, abs, np.linalg.norm or cast to float; the angle's modes
+    come from the directions themselves (cos th = dirs[0], sin th = dirs[1]).
+    A cast that drops the imaginary part raises ValueError in field_jet.
     """
 
     bubble: StandardBubble
@@ -138,15 +156,14 @@ class PerturbationField:
         fn = self.w_funcs[sheet]
         if fn is None:
             return np.zeros(np.shape(np.asarray(polar)))
-        return self.scale * np.asarray(fn(polar, dirs), dtype=float)
+        return _inexact(fn(polar, dirs)) * self.scale
 
     def y(self, sheet: int, polar, dirs):
-        dirs = np.asarray(dirs, dtype=float)
         fn = self.y_funcs[sheet]
         n = self.bubble.m + 1
         if fn is None:
             return np.zeros(np.shape(np.asarray(polar)) + (n,))
-        return self.scale * np.asarray(fn(polar, dirs), dtype=float)
+        return _inexact(fn(polar, dirs)) * self.scale
 
     def scaled(self, factor: float) -> "PerturbationField":
         return PerturbationField(
@@ -220,54 +237,79 @@ def _neck_z(bubble: StandardBubble, sheet: int, angles: np.ndarray) -> np.ndarra
     return np.concatenate([np.full((len(angles), 1), bubble.polar_limit(sheet)), angles], axis=-1)
 
 
-@dataclass
-class SheetPointData:
-    """Flat geometry and field data at parameter points of one sheet."""
-
-    x: np.ndarray  # (N, n) positions
-    normal: np.ndarray  # (N, n)
-    tangents: np.ndarray  # (N, m, n) d x / d z_i
-    g: np.ndarray  # (N, m, m) flat first form
-    ginv: np.ndarray
-    gamma: np.ndarray  # (N, k, i, j) flat sheet Christoffels in z coordinates
-    w: np.ndarray  # (N,)
-    dw: np.ndarray  # (N, m)
-    d2w: np.ndarray  # (N, m, m)
-    yvec: np.ndarray  # (N, n)
-    dy: np.ndarray  # (N, m, n)
-
-
-def sheet_point_data(
-    bubble: StandardBubble,
-    sheet: int,
-    z: np.ndarray,
-    field: PerturbationField | None = None,
-) -> SheetPointData:
-    """Flat positions and normals, the closed-form tangents, metric and
-    Christoffels (geometry.sheet_tangents and flat_metric) and the field
-    values with their 4th-order stencil derivatives at parameters z (N, m)."""
+def field_jet(fun, z: np.ndarray, sheet: int) -> tuple:
+    """(f, d_z f) of a field function fun at real parameters z (..., m) of a
+    sheet by complex step: d_b f = Im f(z + i h e_b) / h with h = CSTEP,
+    exact to roundoff with no step to tune, and f the real part of the b = 0
+    value.  fun sees the m shifted points in one call, stacked on a new
+    leading axis; the derivative axis follows the batch axes of z, as in
+    charts._stencil.  fun must be analytic (see PerturbationField): a
+    ComplexWarning, a cast that dropped the imaginary part and would leave
+    zero derivatives, raises ValueError naming the sheet."""
     z = np.asarray(z, dtype=float)
-    h = _param_steps(bubble, sheet)
-    x = displaced_point_z(bubble, sheet, z, None)
-    tangents = sheet_tangents(bubble, sheet, z)
-    normal = _normal_at(bubble, sheet, x)
-    g, gamma = flat_metric(bubble, sheet, z)
-    ginv = np.linalg.inv(g)
-    # the zero field gives the zero amplitudes and derivatives of a flat sheet
-    field = PerturbationField(bubble, (None, None, None)) if field is None else field
+    m = z.shape[-1]
+    shifts = (1j * CSTEP * np.eye(m)).reshape((m,) + (1,) * (z.ndim - 1) + (m,))
+    # catch_warnings swaps process-wide filters, so jets on other threads
+    # wait rather than restore each other's filters out of order
+    with _JET_LOCK, warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            f = np.asarray(fun(z + shifts))
+        except np.exceptions.ComplexWarning as exc:
+            raise ValueError(f"field on sheet {sheet} is not analytic in its parameters: {exc}") from None
+    return f[0].real.copy(), np.moveaxis(f.imag, 0, z.ndim - 1) / CSTEP
 
-    def wfun(zz):
-        return field.w(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
 
-    def yfun(zz):
-        return field.y(sheet, zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:]))
+class SheetPointData:
+    """Flat geometry and field data at parameter points z (N, m) of one sheet.
 
-    w, dw, d2w = _stencil(wfun, z, h, order=2)
-    yvec, dy = _stencil(yfun, z, h)
-    return SheetPointData(
-        x=x, normal=normal, tangents=tangents, g=g, ginv=ginv, gamma=gamma,
-        w=w, dw=dw, d2w=d2w, yvec=yvec, dy=dy,
-    )
+    The flat positions x, normals, tangents d_z x (geometry.sheet_tangents),
+    first form g, its inverse and the Christoffels gamma[k, i, j] in z
+    (flat_metric) are closed form.  The field's data are evaluated on first
+    use, so each caller pays only for what it reads: w (N,) by one real
+    evaluation, dw (N, m) and (yvec (N, n), dy (N, m, n)) by complex-step
+    jets (field_jet), and only the Hessian d2w (N, m, m) by the 4th-order
+    stencil of charts._stencil.  Without a field all of them are zero.
+    """
+
+    def __init__(self, bubble: StandardBubble, sheet: int, z: np.ndarray, field=None):
+        self.bubble, self.sheet, self.z = bubble, sheet, np.asarray(z, dtype=float)
+        self.field = PerturbationField(bubble, (None, None, None)) if field is None else field
+        self.x = displaced_point_z(bubble, sheet, self.z, None)
+        self.normal = _normal_at(bubble, sheet, self.x)
+        self.tangents = sheet_tangents(bubble, sheet, self.z)
+        self.g, self.gamma = flat_metric(bubble, sheet, self.z)
+        self.ginv = np.linalg.inv(self.g)
+
+    def _w(self, zz):
+        return self.field.w(self.sheet, zz[..., 0], angles_to_dirs(self.bubble.m, zz[..., 1:]))
+
+    def _y(self, zz):
+        return self.field.y(self.sheet, zz[..., 0], angles_to_dirs(self.bubble.m, zz[..., 1:]))
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return self._w(self.z)
+
+    @cached_property
+    def dw(self) -> np.ndarray:
+        return field_jet(self._w, self.z, self.sheet)[1]
+
+    @cached_property
+    def d2w(self) -> np.ndarray:
+        return _stencil(self._w, self.z, _param_steps(self.bubble, self.sheet), order=2)[2]
+
+    @cached_property
+    def _y_jet(self) -> tuple:
+        return field_jet(self._y, self.z, self.sheet)
+
+    @property
+    def yvec(self) -> np.ndarray:
+        return self._y_jet[0]
+
+    @property
+    def dy(self) -> np.ndarray:
+        return self._y_jet[1]
 
 
 def covariant_hessian(data: SheetPointData) -> np.ndarray:
@@ -301,7 +343,7 @@ def perturbed_first_form(
     Returns the (N, m, m) matrices in the sheet's parameter coordinates,
     directly comparable with the pullback Gram matrices the oracle measures.
     """
-    d = sheet_point_data(bubble, sheet, z, field)
+    d = SheetPointData(bubble, sheet, z, field)
     m = bubble.m
     x = d.x
     th = d.tangents
@@ -389,7 +431,7 @@ def perturbed_second_form(
 ) -> np.ndarray:
     """Closed-form expansion of the second fundamental form at z, oriented
     along the sheet normal convention (N into B1 on sheets 0 and 1)."""
-    d = sheet_point_data(bubble, sheet, z, field)
+    d = SheetPointData(bubble, sheet, z, field)
     m = bubble.m
     x, th = d.x, d.tangents
     hessw = covariant_hessian(d)
@@ -435,7 +477,7 @@ def perturbed_mean_curvature(
     terms are the trace of the printed fundamental-form expansions; note the
     tangential field Y drops out at these orders.
     """
-    d = sheet_point_data(bubble, sheet, z, field)
+    d = SheetPointData(bubble, sheet, z, field)
     m = bubble.m
     x = d.x
     lap = laplace_beltrami(d)
@@ -470,7 +512,7 @@ def first_order_area_corrections(bubble: StandardBubble, field: PerturbationFiel
     out = np.zeros(3)
     for s in range(3):
         z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
-        d = sheet_point_data(bubble, s, z, field)
+        d = SheetPointData(bubble, s, z, field)
         dmu = w * np.sqrt(_det(_component_major(d.g, 2)))
         div = tangential_divergence(d)
         if s == 0 and bubble.symmetric:
@@ -724,13 +766,15 @@ def killing_basis(bubble: StandardBubble) -> list[PerturbationField]:
 
 def sheet_unit_tangents(bubble: StandardBubble, sheet: int, polar, dirs):
     """Unit tangents (e_polar, e_angle) of a sheet for m = 2: the rows of
-    geometry.sheet_tangents at the directions' angle, normalized."""
+    geometry.sheet_tangents at the directions, normalized analytically (by
+    the square root of the sum of squares), so complex parameters pass."""
     if bubble.m != 2:
         raise ValueError("unit tangents are implemented for m = 2")
-    dirs = np.asarray(dirs, dtype=float)
-    polar, angle = np.broadcast_arrays(polar, np.arctan2(dirs[..., 1], dirs[..., 0]))
-    rows = sheet_tangents(bubble, sheet, np.stack([polar, angle], axis=-1))
-    rows /= np.linalg.norm(rows, axis=-1, keepdims=True)
+    dirs = _inexact(dirs)
+    polar = np.broadcast_to(_inexact(polar), dirs.shape[:-1])
+    rows = _tangent_rows(bubble, sheet, polar, dirs)
+    squares = rows * rows
+    rows = rows / np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])[..., None]
     return rows[..., 0, :], rows[..., 1, :]
 
 
@@ -751,11 +795,11 @@ def random_admissible_field(
         raise ValueError("random admissible fields are implemented for m = 2")
 
     def modes(dirs):
-        # cos th, sin th, cos 2th, sin 2th of the directions' angle th, once
-        # per field evaluation for every profile that reads them
-        d = np.asarray(dirs, dtype=float)
-        th = np.arctan2(d[..., 1], d[..., 0])
-        return np.cos(th), np.sin(th), np.cos(2 * th), np.sin(2 * th)
+        # cos th, sin th, cos 2th, sin 2th of the directions' angle th, from
+        # the directions (d0, d1) = (cos th, sin th), once per field
+        # evaluation for every profile that reads them
+        d0, d1 = np.moveaxis(_inexact(dirs), -1, 0)
+        return d0, d1, d0 * d0 - d1 * d1, 2.0 * d0 * d1
 
     def trig(c):
         def t(md):
@@ -788,7 +832,7 @@ def random_admissible_field(
             return lambda polar, dirs: w2f(np.asarray(polar) / uppers[2], modes(dirs))
 
         def w1(polar, dirs):
-            u = np.asarray(polar, dtype=float) / uppers[1]
+            u = np.asarray(polar) / uppers[1]
             md = modes(dirs)
             trace = w0f(1.0, md) + w2f(1.0, md)
             return u**2 * trace + (1.0 - u**2) * w1_int(u, md)
@@ -807,7 +851,7 @@ def random_admissible_field(
         na, nb = noise[sheet]
 
         def y(polar, dirs):
-            u = np.asarray(polar, dtype=float) / uppers[sheet]
+            u = np.asarray(polar) / uppers[sheet]
             md = modes(dirs)
             # the conormal component the junction relations require on the neck
             u_s = admissible_closure(w0f(1.0, md), w2f(1.0, md))[f"u{sheet}"]

@@ -271,6 +271,14 @@ def conormals_at_neck(bubble: StandardBubble) -> np.ndarray:
     )
 
 
+def _inexact(a) -> np.ndarray:
+    """a as a float64 array, or complex128 when it is complex: the sheet
+    parametrization is analytic, so it accepts the complex parameters of the
+    field jets (fields.field_jet)."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a, np.float64), copy=False)
+
+
 def sheet_point(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
     """Point of a sheet in R^(m+1) at parameters (polar, unit direction).
 
@@ -278,8 +286,8 @@ def sheet_point(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
     takes polar = radius in [0, r].  `dirs` has shape (..., m) with unit rows;
     `polar` broadcasts against its leading shape.
     """
-    polar = np.asarray(polar, dtype=float)[..., None]
-    dirs = np.asarray(dirs, dtype=float)
+    polar = _inexact(polar)[..., None]
+    dirs = _inexact(dirs)
     axis_is_disk = sheet == 0 and bubble.symmetric
     if axis_is_disk:
         radial = polar * dirs
@@ -295,7 +303,7 @@ def sheet_point(bubble: StandardBubble, sheet: int, polar, dirs) -> np.ndarray:
 
 def angles_to_dirs(m: int, angles: np.ndarray) -> np.ndarray:
     """Unit directions (..., m) of the angles (..., m - 1) of sphere_rule."""
-    angles = np.asarray(angles, dtype=float)
+    angles = _inexact(angles)
     if m == 2:
         th = angles[..., 0]
         return np.stack([np.cos(th), np.sin(th)], axis=-1)
@@ -316,10 +324,15 @@ def sheet_tangents(bubble: StandardBubble, sheet: int, z) -> np.ndarray:
     (R sin(polar), or polar on the disk) times the angle derivatives of the
     directions, with no axial part.
     """
-    z = np.asarray(z, dtype=float)
+    z = _inexact(z)
+    return _tangent_rows(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]), z[..., 1:])
+
+
+def _tangent_rows(bubble: StandardBubble, sheet: int, polar, dirs, angles=None) -> np.ndarray:
+    """sheet_tangents at the polar parameters (...) and the directions
+    (..., m) of the angles (..., m - 1); at m = 2 the directions alone give
+    their angle derivative, and angles may be None."""
     m = bubble.m
-    polar, angles = z[..., 0], z[..., 1:]
-    dirs = angles_to_dirs(m, angles)
     # d dirs / d angles (..., m - 1, m); the last angle turns the first two axes
     turn = np.stack([-dirs[..., 1], dirs[..., 0]] + [np.zeros(polar.shape)] * (m - 2), axis=-1)
     if m == 2:
@@ -336,7 +349,7 @@ def sheet_tangents(bubble: StandardBubble, sheet: int, z) -> np.ndarray:
         sign = 1.0 if sheet == 1 else -1.0
         radius, d_radius = r_s * np.sin(polar), r_s * np.cos(polar)
         d_axial = -sign * radius
-    out = np.zeros(z.shape + (m + 1,))
+    out = np.zeros(polar.shape + (m, m + 1), dtype=np.result_type(polar, dirs))
     out[..., 0, :m] = d_radius[..., None] * dirs
     out[..., 0, m] = d_axial
     out[..., 1:, :m] = radius[..., None, None] * ddirs

@@ -3,21 +3,22 @@
 The oracle takes a chart, a base point with an orthonormal frame, a standard
 bubble and a scale rho, maps the (possibly perturbed) flat model through the
 exponential map and measures areas, enclosed volumes, mean curvature samples,
-the junction conormal defect and the two-volume energy by quadrature and
-parameter-space finite differences.  Nothing here uses the closed-form
-curvature expansions; those are *checked against* these numbers.
+the junction conormal defect and the two-volume energy by quadrature of the
+pushforward tangents and, for mean curvature alone, parameter-space finite
+differences.  Nothing here uses the closed-form curvature expansions; those
+are *checked against* these numbers.
 
 Sheets are sampled on the geometry.flat_rule grid of their parameters
 z = (polar, angles).  The rho-independent half of the oracle, the flat
 side, is a FlatModel: per sheet the node values of the flat points x, their
 closed-form tangents d_z x (geometry.sheet_tangents), the field's
-displacement D = w N + Y at scale 1 with d_z D from one central stencil of
-the field alone (charts._stencil), and the orientation signs; and the same
-jets at the neck points of the conormal defect.  A bubble at field scale s
-displaces its sheets linearly, y = x + s D with tangents d_z y = d_z x +
-s d_z D, and embeds no stencil for its areas, volumes and conormals: it
-pushes y and d_z y through the differential of the exponential map, one
-geodesic with Jacobi fields per node.  One exp_map call gives the embedded
+displacement D = w N + Y at scale 1 with d_z D from one complex-step jet of
+the field alone (fields.field_jet, exact to roundoff), and the orientation
+signs; and the same jets at the neck points of the conormal defect.  A
+bubble at field scale s displaces its sheets linearly, y = x + s D with
+tangents d_z y = d_z x + s d_z D, and embeds no stencil for its areas,
+volumes and conormals: it pushes y and d_z y through the differential of
+the exponential map, one geodesic with Jacobi fields per node.  One exp_map call gives the embedded
 sheets, Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y, that its
 areas and volumes share, and one call per sheet the conormals' neck
 tangents.  Only mean curvature still differences the embedding; the
@@ -75,6 +76,7 @@ from .fields import (
     PerturbationField,
     check_admissible,
     displaced_point_z,
+    field_jet,
     first_order_area_corrections,
     first_order_volume_corrections,
     neck_angle_grid,
@@ -145,8 +147,8 @@ def _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes) -> tup
 def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tuple:
     """(x, d_z x, D, d_z D) of a sheet at parameters z (N, m): the flat points
     (N, n) and their closed-form tangents (N, m, n), and the displacement
-    D = w N + Y of the field at scale 1 with its central-stencil derivatives
-    (None, None without a field; the field is defined past the neck)."""
+    D = w N + Y of the field at scale 1 with its derivatives, one
+    complex-step jet (fields.field_jet; None, None without a field)."""
     x, dx = displaced_point_z(bubble, sheet, z, None), sheet_tangents(bubble, sheet, z)
     if field is None:
         return x, dx, None, None
@@ -156,7 +158,7 @@ def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tupl
         normal = sheet_normal(bubble, sheet, polar, dirs)
         return field.w(sheet, polar, dirs)[..., None] * normal + field.y(sheet, polar, dirs)
 
-    return (x, dx) + _stencil(displacement, z, _param_steps(bubble, sheet))
+    return (x, dx) + field_jet(displacement, z, sheet)
 
 
 class _FlatSheet(NamedTuple):
@@ -176,9 +178,9 @@ class FlatModel:
     sheets holds one _FlatSheet per sheet, all of it node values: the
     flat_rule nodes and weights, the flat points with their closed-form
     tangents (geometry.sheet_tangents), the field's displacement w N + Y at
-    scale 1 with its stencil derivatives, and the volume cones' orientation
-    signs.  necks holds per sheet the _sheet_jet at its NECK_SAMPLES neck
-    points, which the conormal defect reads.  Both are built on first use;
+    scale 1 with its complex-step derivatives, and the volume cones'
+    orientation signs.  necks holds per sheet the _sheet_jet at its
+    NECK_SAMPLES neck points, which the conormal defect reads.  Both are built on first use;
     verify_many builds those it needs before its threads start, so that
     every rho of a sweep reads one model.
     """
@@ -215,7 +217,8 @@ class EmbeddedBubble:
     sheets, which the areas and the volume cones share; sector_nodes the
     Gauss-Legendre order of the cones along their straight chart segments;
     geodesic_steps the RK4 steps of one geodesic of the exponential map.
-    Parameter stencils step H_REL times each parameter's range.
+    The mean-curvature stencils step 10 H_REL times each parameter's
+    range; the field's first derivatives take no step (FlatModel).
 
     The flat side comes from a FlatModel of the bubble, the field and these
     settings, `model` when given (verify_many shares one over its sweep),

@@ -1,31 +1,64 @@
 import math
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from doublebubble.charts import _stencil
 from doublebubble.fields import (
     admissible_closure,
     admissibility_bound,
     check_admissible,
     coupling_constants,
+    field_jet,
     field_modes,
     first_order_area_corrections,
     first_order_volume_corrections,
     jacobi_block,
     killing_basis,
+    neck_angle_grid,
     perturbed_mean_curvature,
     random_admissible_field,
+    sheet_unit_tangents,
     MODE_ANGLES,
     PerturbationField,
+    SheetPointData,
     displaced_point_z,
+    _neck_z,
+    _param_steps,
 )
-from doublebubble.geometry import BubbleParams, flat_metric, flat_rule, solve_standard_bubble
+from doublebubble.geometry import (
+    BubbleParams,
+    angles_to_dirs,
+    flat_metric,
+    flat_rule,
+    sheet_normal,
+    solve_standard_bubble,
+)
+from doublebubble.measure import _sheet_jet
 
 from exact_models import junction_residual, random_smooth_field
 
 SYM = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
 ASYM = solve_standard_bubble(BubbleParams(2, 1.0, 3.0, 2.0))
 SQ3 = math.sqrt(3.0)
+
+
+def rotational_field(b):
+    """The rotation about the axis, faded in from the pole: tangent and
+    divergence free on every sheet."""
+
+    def make_y(sheet):
+        def y(pol, dirs):
+            _, e_th = sheet_unit_tangents(b, sheet, pol, dirs)
+            u = np.asarray(pol) / b.polar_limit(sheet)
+            return (u**2)[..., None] * e_th
+
+        return y
+
+    return PerturbationField(b, (None, None, None), tuple(make_y(s) for s in range(3)))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -224,20 +257,118 @@ def test_first_order_volume_signs_and_sum_rule():
 
 def test_divergence_free_tangential_field_keeps_area():
     # a rotational field around the axis is divergence free and tangent
-    b = SYM
-    from doublebubble.fields import PerturbationField, sheet_unit_tangents
-
-    def make_y(sheet):
-        def y(pol, dirs):
-            _, e_th = sheet_unit_tangents(b, sheet, pol, dirs)
-            u = np.asarray(pol) / b.polar_limit(sheet)
-            return (u**2)[..., None] * e_th
-
-        return y
-
-    f = PerturbationField(b, (None, None, None), tuple(make_y(s) for s in range(3)))
-    corr = first_order_area_corrections(b, f)
+    corr = first_order_area_corrections(SYM, rotational_field(SYM))
     assert np.abs(corr).max() <= 1e-10
+
+
+JET_FIELDS = {
+    "random0": lambda b: random_admissible_field(b, np.random.default_rng(0), 0.25),
+    "random1": lambda b: random_admissible_field(b, np.random.default_rng(1), 0.25),
+    "random2": lambda b: random_admissible_field(b, np.random.default_rng(2), 0.25),
+    "killing": lambda b: killing_basis(b)[3],
+    "rotational": rotational_field,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(JET_FIELDS))
+@pytest.mark.parametrize("b", [SYM, ASYM], ids=["sym", "asym"])
+def test_field_jets_match_stencils(b, kind):
+    # the complex-step jets against 4th-order central stencils at the field
+    # steps: the flat model's displacement D = w N + Y at the flat nodes and
+    # the neck points, and the dw and dy of SheetPointData; the jets' values
+    # are a real evaluation's to roundoff
+    field = JET_FIELDS[kind](b)
+    for s in range(3):
+        h = _param_steps(b, s)
+
+        def real(fn, zz, s=s):
+            return fn(s, zz[..., 0], angles_to_dirs(2, zz[..., 1:]))
+
+        def displacement(zz, s=s):
+            normal = sheet_normal(b, s, zz[..., 0], angles_to_dirs(2, zz[..., 1:]))
+            return real(field.w, zz)[..., None] * normal + real(field.y, zz)
+
+        nodes = flat_rule(2, b.polar_limit(s), (8, 16))[0]
+        for z in (nodes, _neck_z(b, s, neck_angle_grid(2, 32))):
+            _, _, d, dd = _sheet_jet(b, s, z, field)
+            ref, dref = _stencil(displacement, z, h)
+            assert np.abs(dd - dref).max() <= 1e-10
+            assert np.abs(d - ref).max() <= 1e-15 * np.abs(ref).max()
+        data = SheetPointData(b, s, nodes, field)
+        for value, deriv, fn in ((data.w, data.dw, field.w), (data.yvec, data.dy, field.y)):
+            ref, dref = _stencil(lambda zz: real(fn, zz), nodes, h)
+            assert np.abs(deriv - dref).max() <= 1e-10
+            assert np.abs(value - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.array_equal(data.w, real(field.w, nodes))
+
+
+def test_field_jets_refuse_casts_and_keep_constants():
+    # a field that casts its parameters to float would get zero derivatives
+    # silently: the jet raises, naming the sheet; a constant field whose
+    # callable returns real ones gets exactly zero derivatives
+    z = flat_rule(2, ASYM.polar_limit(1), (4, 8))[0]
+    cast = PerturbationField(ASYM, (None, lambda pol, dirs: np.asarray(pol, dtype=float), None))
+    with pytest.raises(ValueError, match="sheet 1"):
+        SheetPointData(ASYM, 1, z, cast).dw
+    with pytest.raises(ValueError, match="sheet 1"):
+        _sheet_jet(ASYM, 1, z, cast)
+    ones = PerturbationField(
+        ASYM, (None, lambda pol, dirs: np.ones(np.shape(pol)), None),
+        (None, lambda pol, dirs: np.ones(np.shape(pol) + (3,)), None),
+    )
+    data = SheetPointData(ASYM, 1, z, ones)
+    assert np.all(data.dw == 0.0) and np.all(data.dy == 0.0)
+    assert np.all(data.w == 1.0) and np.all(data.yvec == 1.0)
+    value, deriv = field_jet(lambda zz: np.ones(zz.shape[:-1]), z, 1)
+    assert value.shape == (len(z),) and deriv.shape == z.shape and not np.any(deriv)
+
+
+def test_field_jets_on_threads_keep_the_warning_filters():
+    # jets swap the process-wide warning filters; on more threads than cores,
+    # switching often, every jet still equals the serial one, a cast still
+    # raises, and the filters come back as they were
+    z = flat_rule(2, ASYM.polar_limit(1), (4, 8))[0]
+    f = random_admissible_field(ASYM, np.random.default_rng(0), 0.25)
+    cast = PerturbationField(ASYM, (None, lambda pol, dirs: np.asarray(pol, dtype=float), None))
+    ref = SheetPointData(ASYM, 1, z, f).dy
+    filters = list(warnings.filters)
+    results = []
+
+    def work(k):
+        for _ in range(20):
+            if k % 2:
+                results.append(np.array_equal(SheetPointData(ASYM, 1, z, f).dy, ref))
+            else:
+                try:
+                    SheetPointData(ASYM, 1, z, cast).dw
+                    results.append(False)
+                except ValueError:
+                    results.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 120 and all(results)
+    assert warnings.filters == filters
+
+
+def test_field_path_keeps_real_input_float():
+    # integer and real parameters evaluate to float; complex ones stay complex
+    f = random_admissible_field(ASYM, np.random.default_rng(0), 0.25)
+    polar, dirs = np.array([1, 2]), np.array([[1, 0], [0, 1]])
+    for s in range(3):
+        assert f.w(s, polar, dirs).dtype == f.y(s, polar, dirs).dtype == np.float64
+        assert f.w(s, polar + 0j, dirs + 0j).dtype == np.complex128
+    assert admissible_closure([1, 2], [3, 4])["u0"].dtype == np.float64
+    assert displaced_point_z(ASYM, 1, np.array([[1, 1]]), f).dtype == np.float64
 
 
 def test_perturbed_mean_curvature_flat_values():

@@ -42,8 +42,8 @@ FRAME_EU = orthonormal_frame(EU, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 FRAME_SP = orthonormal_frame(SP, np.zeros(3), np.array([0.0, 0.0, 1.0]))
 
 
-def test_areas_and_volumes_share_one_stencil_per_sheet():
-    # a perturbed sweep evaluates each sheet's field for the stencils of the
+def test_areas_and_volumes_share_one_field_jet_per_sheet():
+    # a perturbed sweep evaluates each sheet's field for the jets of the
     # areas and of the volume cones once, not once per scale: 3 and 5 scales
     # make the same calls, and every scale measures what a bubble with its
     # own flat model measures
