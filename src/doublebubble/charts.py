@@ -596,7 +596,9 @@ def _stencil(fun, x, h, order: int = 1):
     """4th-order central finite differences of an array-valued fun at points
     x (..., n).
 
-    h is the step of each coordinate (a scalar applies to all of them).
+    h is the step of each coordinate and broadcasts against x: a scalar
+    applies to every coordinate, an (n,) array to every point, and an
+    (..., n) array gives each point its own steps.
     Returns (f, d1), or (f, d1, d2) with order=2, where f = fun(x) and the
     derivative axes follow the batch axes of x: d1[..., i, *out] = d_i f and
     d2[..., i, j, *out] = d_i d_j f.  First derivatives and the diagonal of
@@ -607,7 +609,7 @@ def _stencil(fun, x, h, order: int = 1):
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    h = np.broadcast_to(np.asarray(h, dtype=float), (n,))
+    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
     # each shift a tuple of (axis, multiple of that axis' step); () is the centre
     keys = [()] + [((i, c),) for i in range(n) for c in (1, -1, 2, -2)]
     if order == 2:
@@ -618,17 +620,19 @@ def _stencil(fun, x, h, order: int = 1):
             for ci in (1, -1)
             for cj in (1, -1)
         ]
-    shifts = np.zeros((len(keys), n))
+    shifts = np.zeros((len(keys),) + x.shape)
     for row, key in enumerate(keys):
         for i, c in key:
-            shifts[row, i] = c * h[i]
-    f = dict(zip(keys, fun(x + shifts.reshape((len(keys),) + (1,) * (x.ndim - 1) + (n,)))))
+            shifts[row, ..., i] = c * h[..., i]
+    f = dict(zip(keys, fun(x + shifts)))
     f0 = f[()]
+    axis = x.ndim - 1
+    # the steps of coordinate i, broadcasting against the values of fun
+    h = [h[..., i].reshape(x.shape[:-1] + (1,) * (f0.ndim - axis)) for i in range(n)]
 
     def at(i, c):
         return f[((i, c),)]
 
-    axis = x.ndim - 1
     d1 = np.stack(
         [(8.0 * (at(i, 1) - at(i, -1)) - (at(i, 2) - at(i, -2))) / (12.0 * h[i]) for i in range(n)],
         axis=axis,

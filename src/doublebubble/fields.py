@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import threading
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -265,11 +265,14 @@ class SheetPointData:
 
     The flat positions x, normals, tangents d_z x (geometry.sheet_tangents),
     first form g, its inverse and the Christoffels gamma[k, i, j] in z
-    (flat_metric) are closed form.  The field's data are evaluated on first
-    use, so each caller pays only for what it reads: w (N,) by one real
-    evaluation, dw (N, m) and (yvec (N, n), dy (N, m, n)) by complex-step
-    jets (field_jet), and only the Hessian d2w (N, m, m) by the 4th-order
-    stencil of charts._stencil.  Without a field all of them are zero.
+    (flat_metric) are closed form; g is diagonal, so its inverse is the
+    reciprocal of the diagonal.  The field's data are evaluated on first
+    use, so each caller pays only for what it reads: dw (N, m) and (yvec (N,
+    n), dy (N, m, n)) by complex-step jets (field_jet), the Hessian d2w (N,
+    m, m) by the 4th-order stencil of charts._stencil, and w (N,) by one
+    real evaluation, or as the centre value of that stencil once the
+    Hessian was taken: the centre is z + 0.0, so the bits are the same.
+    Without a field all of them are zero.
     """
 
     def __init__(self, bubble: StandardBubble, sheet: int, z: np.ndarray, field=None):
@@ -279,7 +282,9 @@ class SheetPointData:
         self.normal = _normal_at(bubble, sheet, self.x)
         self.tangents = sheet_tangents(bubble, sheet, self.z)
         self.g, self.gamma = flat_metric(bubble, sheet, self.z)
-        self.ginv = np.linalg.inv(self.g)
+        diag = np.arange(bubble.m)
+        self.ginv = np.zeros_like(self.g)
+        self.ginv[..., diag, diag] = 1.0 / self.g[..., diag, diag]
 
     def _w(self, zz):
         return self.field.w(self.sheet, zz[..., 0], angles_to_dirs(self.bubble.m, zz[..., 1:]))
@@ -288,7 +293,13 @@ class SheetPointData:
         return self.field.y(self.sheet, zz[..., 0], angles_to_dirs(self.bubble.m, zz[..., 1:]))
 
     @cached_property
+    def _w_stencil(self) -> tuple:
+        return _stencil(self._w, self.z, _param_steps(self.bubble, self.sheet), order=2)
+
+    @cached_property
     def w(self) -> np.ndarray:
+        if "_w_stencil" in self.__dict__:
+            return self._w_stencil[0]
         return self._w(self.z)
 
     @cached_property
@@ -297,7 +308,7 @@ class SheetPointData:
 
     @cached_property
     def d2w(self) -> np.ndarray:
-        return _stencil(self._w, self.z, _param_steps(self.bubble, self.sheet), order=2)[2]
+        return self._w_stencil[2]
 
     @cached_property
     def _y_jet(self) -> tuple:
@@ -459,6 +470,42 @@ def perturbed_second_form(
     )
 
 
+def mean_curvature_terms(
+    bubble: StandardBubble,
+    sheet: int,
+    curv: CurvatureAtPoint,
+    z: np.ndarray,
+    field: PerturbationField | None = None,
+) -> tuple:
+    """The closed-form scaled mean curvature at z in three parts, (const,
+    curvature, field), that perturbed_mean_curvature combines at rho as
+    const + rho^2 curvature + field:
+
+    Cap:  m,  -Ric(x,x)/3 + (2/3) Ric(C,x) + ((m+2)/(6 R^2)) Rm(x,C,x,C),
+          R Delta w + (m/R) w;
+    Disk: 0,  (2/3) Ric(x, N),  Delta w.
+
+    None of them depends on rho, and the field part is linear in the field:
+    perturbed_mean_curvature and verify_many take it of the field at scale
+    1 and add s times it at field scale s, so a sweep computes all three
+    once.
+    """
+    d = SheetPointData(bubble, sheet, z, field)
+    m = bubble.m
+    x = d.x
+    lap = laplace_beltrami(d)
+    if sheet == 0 and bubble.symmetric:
+        return 0.0, (2.0 / 3.0) * np.einsum("...i,...j,ij->...", x, d.normal, curv.ricci), lap
+    r_s = bubble.radii[sheet]
+    cvec = np.zeros(m + 1)
+    cvec[-1] = bubble.centers[sheet]
+    ric_xx = np.einsum("...i,...j,ij->...", x, x, curv.ricci)
+    ric_cx = np.einsum("i,...j,ij->...", cvec, x, curv.ricci)
+    w_xc = np.einsum("...a,b,...c,d,abcd->...", x, cvec, x, cvec, curv.riemann)
+    quad = -ric_xx / 3.0 + (2.0 / 3.0) * ric_cx + ((m + 2) / (6.0 * r_s**2)) * w_xc
+    return float(m), quad, r_s * lap + (m / r_s) * d.w
+
+
 def perturbed_mean_curvature(
     bubble: StandardBubble,
     sheet: int,
@@ -475,29 +522,13 @@ def perturbed_mean_curvature(
 
     with x the absolute sheet position in frame components.  The curvature
     terms are the trace of the printed fundamental-form expansions; note the
-    tangential field Y drops out at these orders.
+    tangential field Y drops out at these orders.  The parts come from
+    mean_curvature_terms, the field part of the field at scale 1 times the
+    field's scale.
     """
-    d = SheetPointData(bubble, sheet, z, field)
-    m = bubble.m
-    x = d.x
-    lap = laplace_beltrami(d)
-    ric_xx = np.einsum("...i,...j,ij->...", x, x, curv.ricci)
-    if sheet == 0 and bubble.symmetric:
-        ric_xn = np.einsum("...i,...j,ij->...", x, d.normal, curv.ricci)
-        return lap + (2.0 * rho**2 / 3.0) * ric_xn
-    r_s = bubble.radii[sheet]
-    cvec = np.zeros(m + 1)
-    cvec[-1] = bubble.centers[sheet]
-    ric_cx = np.einsum("i,...j,ij->...", cvec, x, curv.ricci)
-    w_xc = np.einsum("...a,b,...c,d,abcd->...", x, cvec, x, cvec, curv.riemann)
-    return (
-        m
-        + r_s * lap
-        + (m / r_s) * d.w
-        - (rho**2 / 3.0) * ric_xx
-        + (2.0 * rho**2 / 3.0) * ric_cx
-        + ((m + 2) * rho**2 / (6.0 * r_s**2)) * w_xc
-    )
+    unit = None if field is None else replace(field, scale=1.0)
+    const, quad, lin = mean_curvature_terms(bubble, sheet, curv, z, unit)
+    return const + rho**2 * quad + (0.0 if field is None else field.scale) * lin
 
 
 # ---------------------------------------------------------------------------

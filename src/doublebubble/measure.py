@@ -20,10 +20,11 @@ tangents d_z y = d_z x + s d_z D, and embeds no stencil for its areas,
 volumes and conormals: it pushes y and d_z y through the differential of
 the exponential map, one geodesic with Jacobi fields per node.  One exp_map call gives the embedded
 sheets, Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y, that its
-areas and volumes share, and one call per sheet the conormals' neck
-tangents.  Only mean curvature still differences the embedding; the
-reference normal that orients its second fundamental form is the flat
-normal pushed forward the same way.
+areas and volumes share, and one call the conormals' neck tangents of the
+three sheets.  Only mean curvature still differences the embedding, in one
+stencil over the samples of all three sheets; the reference normal that
+orients its second fundamental form is the flat normal pushed forward the
+same way.
 
 Enclosed volumes are signed straight chart cones from the base point over
 the embedded sheets; they integrate no geodesic.  sqrt(det G) is the
@@ -45,7 +46,7 @@ v2, vtot and the energy behind phi; so each rho spends its time on the
 exponential map.  The expansions it compares with are built once per sweep;
 the first-order field responses are linear in the rho^2-scaled field, so
 they are computed once for the unscaled field and enter at rho as rho^2 *
-response.
+response, and so is the field part of the closed-form mean curvature.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ from .fields import (
     field_jet,
     first_order_area_corrections,
     first_order_volume_corrections,
+    mean_curvature_terms,
     neck_angle_grid,
-    perturbed_mean_curvature,
     _neck_z,
     _param_steps,
 )
@@ -352,34 +353,56 @@ def _orthonormal_normal(gmat, tangents, ref_dir):
     return cand * np.where(sign == 0.0, 1.0, sign)[..., None]
 
 
-def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
-    """(first form, second form) matrices of the embedded sheet at interior
+def measure_fundamental_forms(eb: EmbeddedBubble, sheet, z: np.ndarray):
+    """(first form, second form) matrices of the embedded sheets at interior
     parameters z (N, m), in sheet parameter coordinates.
 
-    The second form is oriented along the flat-model normal convention (N
-    into B1 on sheets 0 and 1).  Parameters too close to the neck for the
-    second-derivative stencil raise an error rather than extrapolating.
+    sheet is one sheet for every point or a sheet per point (N,), so one
+    call measures samples of all three sheets: one stencil with each point's
+    own steps (10 H_REL times its sheet's parameter ranges), one exp_map
+    call for every shifted point, and one pass of the metric, the
+    Christoffels and the normals; each point's forms are those of its sheet
+    measured alone.  The second form is oriented along the flat-model
+    normal convention (N into B1 on sheets 0 and 1).  Parameters too close
+    to the neck for the second-derivative stencil raise an error rather
+    than extrapolating.
     """
     b = eb.bubble
     z = np.atleast_2d(np.asarray(z, dtype=float))
-    upper = b.polar_limit(sheet)
-    h = _param_steps(b, sheet, H_REL * 10.0)
-    if np.any(z[:, 0] + 2.5 * h[0] > upper) or np.any(z[:, 0] - 2.5 * h[0] < 0.0):
+    sheets = np.broadcast_to(np.asarray(sheet), z.shape[:1])
+    upper = np.array([b.polar_limit(s) for s in range(3)])[sheets]
+    h = np.stack([_param_steps(b, s, H_REL * 10.0) for s in range(3)])[sheets]
+    if np.any(z[:, 0] + 2.5 * h[:, 0] > upper) or np.any(z[:, 0] - 2.5 * h[:, 0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
     e = eb.frame.matrix
 
+    def by_sheet(fun, zz):
+        """fun(sheet, points) of each point's sheet at parameters zz (..., N, m)."""
+        out = np.empty(zz.shape[:-1] + (b.m + 1,))
+        for s in range(3):
+            mask = sheets == s
+            if mask.any():
+                out[..., mask, :] = fun(s, zz[..., mask, :])
+        return out
+
+    flat = None
+
     def embed(zz):
-        v = eb.rho * displaced_point_z(b, sheet, zz, eb.perturbation) @ e.T
-        return exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps)
+        # every shifted point in one exp_map call; the displaced points of
+        # the centre (zz[0] = z + 0.0, so bit for bit those at z) are kept
+        nonlocal flat
+        y = by_sheet(lambda s, pts: displaced_point_z(b, s, pts, eb.perturbation), zz)
+        flat = y[0]
+        return exp_map(eb.chart, eb.frame.base, eb.rho * y @ e.T, steps=eb.model.geodesic_steps)
 
     pos, tangents, second = _stencil(embed, z, h, order=2)
     gmat = eb.chart.metric(pos)
     gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
     gamma = christoffel(eb.chart, pos)
     # reference normal direction: the flat normal pushed forward by
-    # dExp_p(rho E y) E at the sample points; it only picks the sign
-    flat = displaced_point_z(b, sheet, z, eb.perturbation)
-    nflat = sheet_normal(b, sheet, z[:, 0], angles_to_dirs(b.m, z[:, 1:]))
+    # dExp_p(rho E y) E at the displaced points of the stencil centre; it
+    # only picks the sign
+    nflat = by_sheet(lambda s, pts: sheet_normal(b, s, pts[..., 0], angles_to_dirs(b.m, pts[..., 1:])), z)
     v, w = eb.rho * flat @ e.T, (nflat @ e.T)[..., None]
     _, ref = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
     normal = _orthonormal_normal(gmat, tangents, ref[..., 0])
@@ -388,9 +411,9 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet: int, z: np.ndarray):
     return gram, np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)
 
 
-def measure_mean_curvature(eb: EmbeddedBubble, sheet: int, z: np.ndarray) -> np.ndarray:
-    """Mean curvature H = g^ij h_ij at interior parameters z (N, m); see
-    measure_fundamental_forms for conventions."""
+def measure_mean_curvature(eb: EmbeddedBubble, sheet, z: np.ndarray) -> np.ndarray:
+    """Mean curvature H = g^ij h_ij at interior parameters z (N, m) of one
+    sheet or of a sheet per point; see measure_fundamental_forms."""
     gram, hmat = measure_fundamental_forms(eb, sheet, z)
     return np.einsum("...ij,...ij->...", np.linalg.inv(gram), hmat)
 
@@ -401,27 +424,27 @@ def measure_conormal_defect(eb: EmbeddedBubble) -> float:
     Each sheet's inward unit conormal is the G-normalized boundary-inward
     tangent orthogonal to the neck direction.  Both tangents are the
     pushforward rho dExp_p(rho E y) E d_z y at the neck points, one exp_map
-    call per sheet, with the displaced sheet y and d_z y formed as for the
-    areas from the model's neck jet of the sheet (FlatModel.necks).
+    call for the three sheets, with the displaced sheet y and d_z y formed
+    as for the areas from the model's neck jets (FlatModel.necks).  The
+    norm of the sum takes the metric at sheet 2's neck points.
     """
     e = eb.frame.matrix
 
     def dot(a, gmat, b):
         return np.einsum("...i,...ij,...j->...", a, gmat, b)[..., None]
 
-    gsum = 0.0
-    for s in range(3):
-        y, d1 = _displaced(eb, eb.model.necks[s])
-        w = eb.rho * np.swapaxes(d1 @ e.T, -1, -2)
-        pos, push = exp_map(
-            eb.chart, eb.frame.base, eb.rho * y @ e.T, steps=eb.model.geodesic_steps, directions=w
-        )
-        dpol, dth = push[..., 0], push[..., 1]
-        gmat = eb.chart.metric(pos)
-        # G-orthogonalize the inward polar tangent against the neck tangent
-        nu = (dot(dpol, gmat, dth) / dot(dth, gmat, dth)) * dth - dpol
-        gsum = gsum + nu / np.sqrt(dot(nu, gmat, nu))
-    return float(np.max(np.sqrt(dot(gsum, gmat, gsum))))
+    ys, cols = zip(*(_displaced(eb, jet) for jet in eb.model.necks))
+    w = eb.rho * np.swapaxes(np.stack(cols) @ e.T, -1, -2)
+    pos, push = exp_map(
+        eb.chart, eb.frame.base, eb.rho * np.stack(ys) @ e.T, steps=eb.model.geodesic_steps, directions=w
+    )
+    dpol, dth = push[..., 0], push[..., 1]
+    gmat = eb.chart.metric(pos)
+    # G-orthogonalize the inward polar tangent against the neck tangent
+    nu = (dot(dpol, gmat, dth) / dot(dth, gmat, dth)) * dth - dpol
+    nu = nu / np.sqrt(dot(nu, gmat, nu))
+    gsum = nu[0] + nu[1] + nu[2]
+    return float(np.max(np.sqrt(dot(gsum, gmat[2], gsum))))
 
 
 def measure_energy(eb: EmbeddedBubble) -> float:
@@ -481,9 +504,12 @@ def verify_many(
     Returns {quantity: (ConvergenceFit, rows)} with rows carrying
     (rho, oracle, formula, error, slope so far).  Perturbations are scaled by
     rho^2 per sweep point, matching the smallness regime of the closed forms.
-    The expansion side is evaluated once per sweep: the curvature terms, and
-    for a perturbed sweep the first-order responses of the unscaled field,
-    which are linear in the field and so enter at rho as rho^2 * response.
+    The expansion side is evaluated once per sweep: the curvature terms, the
+    parts of the closed-form mean curvature (fields.mean_curvature_terms),
+    and for a perturbed sweep the first-order responses of the unscaled
+    field, which are linear in the field and so enter at rho as rho^2 *
+    response.  The h rows of every sheet are measured in one
+    measure_mean_curvature call per rho.
     With jobs > 1 the rho points are measured on that many threads (so at
     most len(rhos) are busy) and merged in rho order before the fits, so the
     result does not depend on jobs.
@@ -526,6 +552,13 @@ def verify_many(
         model.sheets
     if "conormal" in quantities:
         model.necks
+    # the h rows: the samples of every requested sheet, measured in one
+    # measure_mean_curvature call per rho, and the parts of the closed-form
+    # mean curvature of the unit-scale field (fields.mean_curvature_terms)
+    h_sheets = [s for s in range(3) if f"h{s}" in quantities]
+    h_params = [default_h_params(bubble, s) for s in h_sheets]
+    h_labels = np.repeat(h_sheets, [len(z) for z in h_params])
+    h_terms = [mean_curvature_terms(bubble, s, curv, z, model.field) for s, z in zip(h_sheets, h_params)]
 
     def measure_at(rho):
         """Oracle values at rho; for h* and conormal the residual itself."""
@@ -548,13 +581,13 @@ def verify_many(
             v1, v2 = measure_volumes(eb)
             norm = rho ** (m + 1)
             record.update(v1=v1 / norm, v2=v2 / norm, vtot=(v1 + v2) / norm)
-        for s in range(3):
-            if f"h{s}" in quantities:
-                z = default_h_params(bubble, s)
-                hvals = measure_mean_curvature(eb, s, z)
+        if h_sheets:
+            hvals = measure_mean_curvature(eb, h_labels, np.concatenate(h_params))
+            s_field = 0.0 if field is None else field.scale
+            for s, (const, quad, lin) in zip(h_sheets, h_terms):
                 scale = rho if (s == 0 and bubble.symmetric) else rho * bubble.radii[s]
-                fvals = perturbed_mean_curvature(bubble, s, curv, rho, z, field)
-                record[f"h{s}"] = float(np.max(np.abs(scale * hvals - fvals)))
+                fvals = const + rho**2 * quad + s_field * lin
+                record[f"h{s}"] = float(np.max(np.abs(scale * hvals[h_labels == s] - fvals)))
         if "conormal" in quantities:
             record["conormal"] = measure_conormal_defect(eb)
         if "phi" in quantities:

@@ -478,6 +478,16 @@ def test_stencil_exact_on_batched_polynomials():
     assert d1.shape == (4, 5, 3) and d2.shape == (4, 5, 3, 3)
     assert np.abs(d2 - hess).max() <= 1e-8
 
+    # steps per point: each point's derivatives are those of a call with its
+    # own steps alone, bit for bit, for vector and scalar values
+    steps = rng.uniform(0.005, 0.02, size=x.shape)
+    for fun, order in ((quartic, 1), (cubic, 2)):
+        batched = _stencil(fun, x, steps, order=order)
+        for idx in np.ndindex(x.shape[:-1]):
+            alone = _stencil(fun, x[idx], steps[idx], order=order)
+            for got, want in zip(batched, alone):
+                assert np.array_equal(got[idx], want)
+
 
 def test_exp_rays_domain_exit():
     u = np.array([[1.0, 0.0, 0.0], [0.0, 0.3, 0.0]])

@@ -277,9 +277,14 @@ def test_verify_left_handed_axis_passes(tmp_path):
 
 
 def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
-    embeds, volume_evals = [], []
+    embeds, volume_evals, h_passes, h_terms = [], [], [], []
     init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
-    responses = {"first_order_area_corrections": 0, "first_order_volume_corrections": 0}
+    mean_curvature, terms = measure.measure_mean_curvature, fields.mean_curvature_terms
+    responses = {
+        "first_order_area_corrections": 0,
+        "first_order_volume_corrections": 0,
+        "perturbed_mean_curvature": 0,
+    }
 
     def counting_init(self, chart, frame, bubble, rho, *args, **kwargs):
         embeds.append(rho)
@@ -289,6 +294,14 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
         if "volumes" not in eb._sheet_cache:
             volume_evals.append(eb.rho)
         return measure_volumes(eb)
+
+    def counting_h(eb, sheet, z):
+        h_passes.append((eb.rho, tuple(np.unique(sheet))))
+        return mean_curvature(eb, sheet, z)
+
+    def counting_terms(bubble, sheet, *args, **kwargs):
+        h_terms.append(sheet)
+        return terms(bubble, sheet, *args, **kwargs)
 
     def counting(name):
         original = getattr(fields, name)
@@ -301,6 +314,8 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
     monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
+    monkeypatch.setattr(measure, "measure_mean_curvature", counting_h)
+    monkeypatch.setattr(measure, "mean_curvature_terms", counting_terms)
     # the first-order field responses, wherever the sweep reaches them from
     for name in responses:
         wrapper = counting(name)
@@ -315,7 +330,15 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     )
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 0
     assert sorted(embeds) == sorted(volume_evals) == [0.1, 0.14, 0.2]
-    assert responses == {"first_order_area_corrections": 1, "first_order_volume_corrections": 1}
+    # one h-row pass per rho over the three sheets, and the formula side's
+    # parts, the field part among them, once per sheet and sweep
+    assert sorted(h_passes) == [(rho, (0, 1, 2)) for rho in (0.1, 0.14, 0.2)]
+    assert sorted(h_terms) == [0, 1, 2]
+    assert responses == {
+        "first_order_area_corrections": 1,
+        "first_order_volume_corrections": 1,
+        "perturbed_mean_curvature": 0,
+    }
 
 
 def test_module_entry_point(tmp_path):

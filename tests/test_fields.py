@@ -18,6 +18,8 @@ from doublebubble.fields import (
     first_order_volume_corrections,
     jacobi_block,
     killing_basis,
+    laplace_beltrami,
+    mean_curvature_terms,
     neck_angle_grid,
     perturbed_mean_curvature,
     random_admissible_field,
@@ -405,6 +407,96 @@ def test_perturbed_mean_curvature_concentric_shift():
     # formula is first order in the field: error drops quadratically
     assert errs[1] <= errs[0] * 1e-2 * 1.5
     assert errs[0] <= 5e-4
+
+
+def test_mean_curvature_terms_are_the_formula_at_every_rho():
+    # the parts of a sweep, computed once for the unscaled field and
+    # combined at rho as const + rho^2 curvature + s field with the field
+    # scale s, are perturbed_mean_curvature with the rho^2-scaled field, bit
+    # for bit.  Against the printed formula with the scaled field inside its
+    # callables, as summed before the split: the curvature side moves by
+    # the regrouping alone, and the field part by the roundoff of the
+    # Hessian's stencil, eps / h^2 with h = H_REL times the ranges
+    from doublebubble.charts import builtin_chart, curvature_at
+    from doublebubble.measure import default_h_params
+
+    sphere = builtin_chart("round_sphere", a=1.0)
+    cv = curvature_at(sphere, np.zeros(3), np.array([0.3, -0.2, 0.9]), nabla=False)
+    worst_curv = worst_field = 0.0
+    for b in (SYM, ASYM):
+        field = random_admissible_field(b, np.random.default_rng(3), 0.3)
+        unit = field.scaled(1.0 / field.scale)
+        assert unit.scale == 1.0
+        for s in range(3):
+            z = default_h_params(b, s)
+            const, quad, lin = mean_curvature_terms(b, s, cv, z, unit)
+            disk = s == 0 and b.symmetric
+            for rho in (0.2, 0.1, 0.05):
+                scaled = field.scaled(rho**2)
+                got = const + rho**2 * quad + scaled.scale * lin
+                assert np.array_equal(got, perturbed_mean_curvature(b, s, cv, rho, z, scaled))
+                d = SheetPointData(b, s, z, scaled)
+                x, ric, r_s = d.x, cv.ricci, b.radii[s]
+                c = np.array([0.0, 0.0, b.centers[s]])
+                if disk:
+                    printed = (2.0 * rho**2 / 3.0) * np.einsum("...i,...j,ij->...", x, d.normal, ric)
+                    field_part = laplace_beltrami(d)
+                else:
+                    printed = (
+                        2
+                        - (rho**2 / 3.0) * np.einsum("...i,...j,ij->...", x, x, ric)
+                        + (2.0 * rho**2 / 3.0) * np.einsum("i,...j,ij->...", c, x, ric)
+                        + (4 * rho**2 / (6.0 * r_s**2))
+                        * np.einsum("...a,b,...c,d,abcd->...", x, c, x, c, cv.riemann)
+                    )
+                    field_part = r_s * laplace_beltrami(d) + (2 / r_s) * d.w
+                curv_side = const + rho**2 * quad
+                worst_curv = max(worst_curv, float(np.max(np.abs(curv_side - printed) / np.abs(got))))
+                worst_field = max(
+                    worst_field, float(np.max(np.abs(scaled.scale * lin - field_part)) / np.max(np.abs(field_part)))
+                )
+    assert worst_curv <= 1e-14, worst_curv
+    assert worst_field <= 1e-7, worst_field
+
+
+def test_mean_curvature_terms_take_w_from_the_hessian_stencil():
+    # the field part reads w at the centre of the Hessian's stencil, which is
+    # the real evaluation bit for bit: one stencil and one jet per sheet
+    from doublebubble.charts import builtin_chart, curvature_at
+
+    cv = curvature_at(builtin_chart("euclidean", dim=3), np.zeros(3), np.array([0, 0, 1.0]), nabla=False)
+    field = random_admissible_field(ASYM, np.random.default_rng(2), 0.25)
+    calls = [0, 0, 0]
+
+    def counted(fn, sheet):
+        def f(polar, dirs):
+            calls[sheet] += 1
+            return fn(polar, dirs)
+
+        return f
+
+    counting = PerturbationField(ASYM, tuple(counted(fn, s) for s, fn in enumerate(field.w_funcs)),
+                                 field.y_funcs, field.scale)
+    z = flat_rule(2, ASYM.polar_limit(1), (4, 8))[0]
+    for s in range(3):
+        mean_curvature_terms(ASYM, s, cv, z, counting)
+    assert calls == [2, 2, 2]
+    data = SheetPointData(ASYM, 1, z, field)
+    data.d2w
+    assert np.array_equal(data.w, field.w(1, z[:, 0], angles_to_dirs(2, z[:, 1:])))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_flat_metric_is_diagonal_so_its_inverse_is_the_reciprocal(m):
+    # SheetPointData inverts the flat first form by the reciprocal of its
+    # diagonal: the metric has no off-diagonal entry on any sheet, and the
+    # inverse is LAPACK's bit for bit
+    for h in ((0.0, 3.0, 3.0), (1.0, 3.0, 2.0)):
+        b = solve_standard_bubble(BubbleParams(m, *h))
+        for s in range(3):
+            data = SheetPointData(b, s, flat_rule(m, b.polar_limit(s), (8, 16))[0])
+            assert not np.any(data.g * (1.0 - np.eye(m)))
+            assert np.array_equal(data.ginv, np.linalg.inv(data.g))
 
 
 def test_conormal_derivative_sign():

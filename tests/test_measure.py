@@ -490,6 +490,47 @@ def test_mean_curvature_boundary_guard():
     eb = EmbeddedBubble(EU, FRAME_EU, ASYM, 0.1, grid=(16, 32))
     with pytest.raises(ValueError):
         measure_mean_curvature(eb, 1, np.array([[ASYM.phi[1], 1.0]]))
+    # a sheet per point: the guard reads each point's own sheet and steps
+    z = np.array([[0.5 * ASYM.polar_limit(0), 1.0], [ASYM.phi[1], 1.0]])
+    with pytest.raises(ValueError):
+        measure_mean_curvature(eb, [0, 1], z)
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "field"])
+@pytest.mark.parametrize(
+    "family, kw, point, axis, steps",
+    [
+        ("round_sphere", {"a": 1.0}, (0.0, 0.0, 0.0), (0.3, -0.2, 0.9), 200),
+        ("round_sphere", {"a": 1.0}, (0.0, 0.0, 0.0), (0.0, 0.0, -1.0), 200),
+        ("conformal_bump", {"eps": -0.1, "s": 0.5}, (0.12, -0.05, 0.08), (0.25, -0.4, 0.88), 50),
+        ("product", {}, (0.0, 0.0, 0.0), (0.3, -0.5, 0.81), 200),
+    ],
+    ids=["sphere", "sphere-left-handed", "bump-rk4", "product"],
+)
+def test_batched_h_rows_are_the_per_sheet_bits(family, kw, point, axis, steps, perturbed):
+    # one call over the samples of all three sheets, each point with its own
+    # sheet's stencil steps, in one exp_map call: every sheet's forms and
+    # mean curvatures are those of a call for that sheet alone, bit for bit,
+    # and interleaving the sheets changes nothing
+    chart = builtin_chart(family, **kw)
+    frame = curvature_at(chart, np.array(point), np.array(axis), nabla=False).frame
+    assert (np.linalg.det(frame.matrix) < 0.0) == (axis == (0.0, 0.0, -1.0))
+    for b in (SYM, ASYM):
+        field = random_admissible_field(b, np.random.default_rng(5), 0.25) if perturbed else None
+        eb = EmbeddedBubble(chart, frame, b, 0.07, perturbation=field and field.scaled(0.07**2),
+                            grid=(8, 16), geodesic_steps=steps)
+        zs = [measure.default_h_params(b, s) for s in range(3)]
+        labels = np.repeat([0, 1, 2], [len(z) for z in zs])
+        z = np.concatenate(zs)
+        batched = measure_mean_curvature(eb, labels, z)
+        gram, hmat = measure.measure_fundamental_forms(eb, labels, z)
+        for s in range(3):
+            assert np.array_equal(batched[labels == s], measure_mean_curvature(eb, s, zs[s]))
+            alone = measure.measure_fundamental_forms(eb, s, zs[s])
+            assert np.array_equal(gram[labels == s], alone[0])
+            assert np.array_equal(hmat[labels == s], alone[1])
+        order = np.random.default_rng(0).permutation(len(z))
+        assert np.array_equal(measure_mean_curvature(eb, labels[order], z[order]), batched[order])
 
 
 def test_embedded_bubble_domain_guard():
