@@ -45,7 +45,8 @@ alpha d d^T + beta I, to J directly, and the round sphere pushes w one
 column at a time.  _exp_rays takes rays (n, ...) and directions (n, k, ...)
 and returns points (n, ..., K) and dExp W (n, k, ..., K) at the K nodes of
 each ray.  Every kernel operation then runs over the whole batch at once
-instead of over a length-n axis per point.
+(over blocks of RK4_BLOCK rays in RK4, whose state stays in cache) instead
+of over a length-n axis per point.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
@@ -161,6 +162,8 @@ class Box:
 # metric derivative, of nabla Rm and of the scalar-curvature gradient (ten
 # times it for the Hessian)
 FD_STEP = 1e-3
+# most rays per RK4 block of _exp_rays, whose state and stages stay in cache
+RK4_BLOCK = 4096
 
 
 class MetricChart:
@@ -943,7 +946,8 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     Nodes must be positive and increasing along each ray, and substeps has
     one positive entry per node; ValueError otherwise.  Charts with a
     closed-form exponential answer both from one dexp_closed call unless
-    force_rk4 is set.  Otherwise _rk4 integrates each geodesic and, for k >
+    force_rk4 is set.  Otherwise _rk4 integrates each geodesic, RK4_BLOCK
+    rays at a time (each ray's bits do not depend on its block), and, for k >
     0, its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = W,
     whose solution is J(t) = t dExp_p(t u) W; substeps[j] RK4 steps lead
     from node j - 1 (or from t = 0) to node j, so every node is hit exactly.
@@ -971,27 +975,39 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
                 raise DomainExit(f"ray left {chart.name}")
             return closed
 
-    # state: positions, velocities and, with columns, J and J' (n, k, ...),
-    # contiguous copies over the whole batch, so the caller's arrays stay as
-    # they are; without columns the hook gets the empty w as J and J'
+    # state: positions, velocities and, with columns, J and J' (n, k, rays),
+    # contiguous copies of one block of rays, so the caller's arrays stay as
+    # they are; without columns the hook gets empty columns as J and J'
     def deriv(y):
         if k == 0:
-            return y[1], chart.geodesic_acc_jacobi(*y, w, w)[0]
+            none = np.empty((n, 0) + y[0].shape[1:])
+            return y[1], chart.geodesic_acc_jacobi(*y, none, none)[0]
         x, v, jac, jac_dot = y
         acc, var = chart.geodesic_acc_jacobi(x, v, jac, jac_dot)
         return v, acc, jac_dot, var
 
-    x = np.broadcast_to(p.reshape((n,) + (1,) * len(batch)), (n,) + batch).copy()
-    v = np.broadcast_to(u, (n,) + batch).copy()
-    state = (x, v) if k == 0 else (x, v, np.zeros(w.shape), w.copy())
-    shape = batch + t_nodes.shape[-1:]
-    points = np.empty((n,) + shape)
-    pushed = np.empty((n, k) + shape)
-    for j, y in enumerate(_rk4(chart, state, deriv, t_nodes, substeps)):
-        points[..., j] = y[0]
-        if k:
-            np.divide(y[2], t_nodes[..., j], out=pushed[..., j])
-    return points, pushed
+    rays = math.prod(batch)
+    u = np.broadcast_to(u, (n,) + batch).reshape(n, rays)
+    w = w.reshape(n, k, rays)
+    # nodes shared by every ray stay (K,), so the RK4 steps stay scalar
+    nodes = t_nodes if t_nodes.ndim == 1 else np.broadcast_to(t_nodes, batch + t_nodes.shape[-1:]).reshape(rays, -1)
+    points = np.empty((n, rays, len(substeps)))
+    pushed = np.empty((n, k, rays, len(substeps)))
+    # at most RK4_BLOCK rays at a time, in blocks of near-equal size: at
+    # RK4_BLOCK >= 4 none holds a single ray unless the batch does (_batch_dot)
+    blocks = max(1, -(-rays // RK4_BLOCK))
+    edges = [rays * b // blocks for b in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        x = np.repeat(p[:, None], hi - lo, axis=1)
+        v = u[:, lo:hi].copy()
+        state = (x, v) if k == 0 else (x, v, np.zeros((n, k, hi - lo)), w[..., lo:hi].copy())
+        block_nodes = nodes if nodes.ndim == 1 else nodes[lo:hi]
+        for j, y in enumerate(_rk4(chart, state, deriv, block_nodes, substeps)):
+            points[:, lo:hi, j] = y[0]
+            if k:
+                np.divide(y[2], block_nodes[..., j], out=pushed[:, :, lo:hi, j])
+    shape = batch + (len(substeps),)
+    return points.reshape((n,) + shape), pushed.reshape((n, k) + shape)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def cmd_curvature(cfg: dict, outdir: Path) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
+def cmd_verify(cfg: dict, outdir: Path) -> int:
     chart = build_chart(cfg)
     params = _bubble_params(cfg, chart)
     p = _vector(cfg["point"], "point", chart.dim)
@@ -357,7 +357,6 @@ def cmd_verify(cfg: dict, outdir: Path, jobs: int = 1) -> int:
         geodesic_steps=geodesic_steps,
         sector_nodes=sector_nodes,
         perturbation=perturbation,
-        jobs=jobs,
     )
 
     claimed = _claimed_orders(bubble)
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="threads measuring verify rho points (helps up to len(rho_list) workers)",
+        help="accepted and ignored: verify measures every scale of rho_list in one pass",
     )
     args = parser.parse_args(argv)
     try:
@@ -450,7 +449,7 @@ def main(argv=None) -> int:
         if args.command == "curvature":
             return cmd_curvature(cfg, outdir)
         if args.command == "verify":
-            return cmd_verify(cfg, outdir, jobs=max(1, args.jobs))
+            return cmd_verify(cfg, outdir)
         return cmd_predict(cfg, outdir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,7 +34,6 @@ and the Killing fields (killing_basis) span the kernel.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -70,7 +69,6 @@ H_REL = 1e-4
 # shifted value's real part lies far below its ulp, and its O(h) imaginary
 # part far above the smallest normal double
 CSTEP = 1e-30
-_JET_LOCK = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +247,7 @@ def field_jet(fun, z: np.ndarray, sheet: int) -> tuple:
     z = np.asarray(z, dtype=float)
     m = z.shape[-1]
     shifts = (1j * CSTEP * np.eye(m)).reshape((m,) + (1,) * (z.ndim - 1) + (m,))
-    # catch_warnings swaps process-wide filters, so jets on other threads
-    # wait rather than restore each other's filters out of order
-    with _JET_LOCK, warnings.catch_warnings():
+    with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         try:
             f = np.asarray(fun(z + shifts))

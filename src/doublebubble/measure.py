@@ -24,7 +24,11 @@ areas and volumes share, and one call the conormals' neck tangents of the
 three sheets.  Only mean curvature still differences the embedding, in one
 stencil over the samples of all three sheets; the reference normal that
 orients its second fundamental form is the flat normal pushed forward the
-same way.
+same way.  Each of these ray passes takes one bubble or a sequence of
+bubbles on one chart, frame and FlatModel, at their own rho and field
+scale (verify_many's sweep), and stacks the rays of every bubble on a new
+leading axis of one exp_map call: every ray takes geodesic_steps steps to t
+= 1 whatever its rho, so each bubble gets the bits it gets alone.
 
 Enclosed volumes are signed straight chart cones from the base point over
 the embedded sheets; they integrate no geodesic.  sqrt(det G) is the
@@ -39,20 +43,22 @@ chambers are V1 = -(C1 + C0) and V2 = C0 - C2, for the symmetric,
 asymmetric and perturbed bubble alike (N_s points into B1 on sheets 0 and
 1 and into B2 on sheet 2).
 
-verify_many sweeps rho once.  It builds one FlatModel before its threads
-start, and at each rho one EmbeddedBubble on it, measuring only the
-requested quantities, its cache sharing areas and volumes between area, v1,
-v2, vtot and the energy behind phi; so each rho spends its time on the
-exponential map.  The expansions it compares with are built once per sweep;
-the first-order field responses are linear in the rho^2-scaled field, so
-they are computed once for the unscaled field and enter at rho as rho^2 *
-response, and so is the field part of the closed-form mean curvature.
+verify_many sweeps rho once.  It builds one FlatModel and on it the
+EmbeddedBubble of every rho, measuring only the requested quantities: one
+exp_map call embeds the sheets of every rho, each bubble's cache keeping
+its slice, which areas and volumes share between area, v1, v2, vtot and the
+energy behind phi; one mean-curvature pass and one conormal pass cover
+every rho as well, and the volume cones stay per rho, so that peak memory
+does not grow with the number of scales.  The expansions it compares with
+are built once per sweep; the first-order field responses are linear in
+the rho^2-scaled field, so they are computed once for the unscaled field
+and enter at rho as rho^2 * response, and so is the field part of the
+closed-form mean curvature.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -181,9 +187,8 @@ class FlatModel:
     tangents (geometry.sheet_tangents), the field's displacement w N + Y at
     scale 1 with its complex-step derivatives, and the volume cones'
     orientation signs.  necks holds per sheet the _sheet_jet at its
-    NECK_SAMPLES neck points, which the conormal defect reads.  Both are built on first use;
-    verify_many builds those it needs before its threads start, so that
-    every rho of a sweep reads one model.
+    NECK_SAMPLES neck points, which the conormal defect reads.  Both are
+    built on first use, and every rho of a verify_many sweep reads one model.
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -280,21 +285,50 @@ def _displaced(eb: EmbeddedBubble, jet: tuple):
     return x + s * d, dx + s * dd
 
 
-def _embedded_sheets(eb: EmbeddedBubble) -> tuple:
-    """(Y (N, n), T (n, m, N)) of the three embedded sheets at their
-    concatenated flat_rule nodes, from one exp_map call per bubble: Y =
-    Exp_p(rho E y) over the displaced sheet y (_displaced) and the Jacobi
-    fields T = rho dExp_p(rho E y) E d_z y, component-major, nodes last."""
-    cached = eb._sheet_cache.get("sheets")
-    if cached is None:
-        e = eb.frame.matrix
-        ys, cols = zip(*(_displaced(eb, sh.jet) for sh in eb.model.sheets))
-        v = eb.rho * np.concatenate(ys) @ e.T
-        # the directions rho E d_z y (N, n, m)
-        w = eb.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2)
-        pos, push = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
-        cached = eb._sheet_cache["sheets"] = (pos, np.moveaxis(push, 0, -1))
-    return cached
+def _stack(eb) -> list:
+    """The bubbles of a ray pass: [eb] for one EmbeddedBubble, else the
+    sequence, whose bubbles must share one chart, frame and FlatModel."""
+    ebs = [eb] if isinstance(eb, EmbeddedBubble) else list(eb)
+    if not ebs:
+        raise ValueError("a ray pass needs at least one bubble")
+    first = ebs[0]
+    if any(b.chart is not first.chart or b.frame is not first.frame or b.model is not first.model for b in ebs):
+        raise ValueError("stacked bubbles must share one chart, frame and flat model")
+    return ebs
+
+
+def _exp_stacked(ebs: list, v: list, w: list | None = None, axis: int = 0):
+    """exp_map of the rays v[i] (..., n) of every bubble ebs[i], with the
+    directions w[i] (..., n, k) when given, stacked on a new axis `axis`:
+    points, or (points, pushforward), with that axis."""
+    first = ebs[0]
+    directions = None if w is None else np.stack(w, axis)
+    return exp_map(
+        first.chart, first.frame.base, np.stack(v, axis), steps=first.model.geodesic_steps, directions=directions
+    )
+
+
+def _embedded_sheets(eb) -> list:
+    """[(Y (N, n), T (n, m, N))] of the three embedded sheets of each bubble
+    (one EmbeddedBubble or a sequence, see _stack) at their concatenated
+    flat_rule nodes: Y = Exp_p(rho E y) over the displaced sheet y
+    (_displaced) and the Jacobi fields T = rho dExp_p(rho E y) E d_z y,
+    component-major, nodes last.  One exp_map call embeds every bubble whose
+    cache lacks its sheets; each cache keeps its own slice."""
+    ebs = _stack(eb)
+    todo = [b for b in ebs if "sheets" not in b._sheet_cache]
+    if todo:
+        e = todo[0].frame.matrix
+        v, w = [], []
+        for b in todo:
+            ys, cols = zip(*(_displaced(b, sh.jet) for sh in b.model.sheets))
+            v.append(b.rho * np.concatenate(ys) @ e.T)
+            # the directions rho E d_z y (N, n, m)
+            w.append(b.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2))
+        pos, push = _exp_stacked(todo, v, w)
+        for b, y, t in zip(todo, pos, push):
+            b._sheet_cache["sheets"] = (y, np.moveaxis(t, 0, -1))
+    return [b._sheet_cache["sheets"] for b in ebs]
 
 
 def _sheet_sums(eb: EmbeddedBubble, densities: np.ndarray) -> np.ndarray:
@@ -310,7 +344,7 @@ def measure_area(eb: EmbeddedBubble) -> np.ndarray:
     cached = eb._sheet_cache.get("areas")
     if cached is not None:
         return cached.copy()
-    pos, tangents = _embedded_sheets(eb)
+    pos, tangents = _embedded_sheets(eb)[0]
     gmat = _component_major(eb.chart.metric(pos), 2)
     # (G T)[i, b] = sum_j G[i, j] T[j, b], then gram[a, b] = sum_i T[i, a] (G T)[i, b]
     gt = _dot(np.swapaxes(gmat, 0, 1)[:, :, None], tangents[:, None], axis=0)
@@ -326,7 +360,7 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     cached = eb._sheet_cache.get("volumes")
     if cached is not None:
         return cached
-    pos, tangents = _embedded_sheets(eb)
+    pos, tangents = _embedded_sheets(eb)[0]
     t, wt = gauss_legendre(eb.model.sector_nodes)
     t = 0.5 * (t + 1.0)
     base = eb.frame.base[:, None]
@@ -353,7 +387,7 @@ def _orthonormal_normal(gmat, tangents, ref_dir):
     return cand * np.where(sign == 0.0, 1.0, sign)[..., None]
 
 
-def measure_fundamental_forms(eb: EmbeddedBubble, sheet, z: np.ndarray):
+def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     """(first form, second form) matrices of the embedded sheets at interior
     parameters z (N, m), in sheet parameter coordinates.
 
@@ -362,19 +396,22 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet, z: np.ndarray):
     own steps (10 H_REL times its sheet's parameter ranges), one exp_map
     call for every shifted point, and one pass of the metric, the
     Christoffels and the normals; each point's forms are those of its sheet
-    measured alone.  The second form is oriented along the flat-model
-    normal convention (N into B1 on sheets 0 and 1).  Parameters too close
-    to the neck for the second-derivative stencil raise an error rather
-    than extrapolating.
+    measured alone.  eb is one EmbeddedBubble, or a sequence of them (see
+    _stack) whose forms come from the same single pass, stacked on a new
+    leading axis.  The second form is oriented along the flat-model normal
+    convention (N into B1 on sheets 0 and 1).  Parameters too close to the
+    neck for the second-derivative stencil raise an error rather than
+    extrapolating.
     """
-    b = eb.bubble
+    ebs = _stack(eb)
+    b = ebs[0].bubble
     z = np.atleast_2d(np.asarray(z, dtype=float))
     sheets = np.broadcast_to(np.asarray(sheet), z.shape[:1])
     upper = np.array([b.polar_limit(s) for s in range(3)])[sheets]
     h = np.stack([_param_steps(b, s, H_REL * 10.0) for s in range(3)])[sheets]
     if np.any(z[:, 0] + 2.5 * h[:, 0] > upper) or np.any(z[:, 0] - 2.5 * h[:, 0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
-    e = eb.frame.matrix
+    e = ebs[0].frame.matrix
 
     def by_sheet(fun, zz):
         """fun(sheet, points) of each point's sheet at parameters zz (..., N, m)."""
@@ -388,63 +425,80 @@ def measure_fundamental_forms(eb: EmbeddedBubble, sheet, z: np.ndarray):
     flat = None
 
     def embed(zz):
-        # every shifted point in one exp_map call; the displaced points of
-        # the centre (zz[0] = z + 0.0, so bit for bit those at z) are kept
+        # zz (shifts, bubbles, N, m): every shifted point of every bubble in
+        # one exp_map call; the displaced points of the centre (zz[0] = z +
+        # 0.0, so bit for bit those at z) are kept
         nonlocal flat
-        y = by_sheet(lambda s, pts: displaced_point_z(b, s, pts, eb.perturbation), zz)
-        flat = y[0]
-        return exp_map(eb.chart, eb.frame.base, eb.rho * y @ e.T, steps=eb.model.geodesic_steps)
+        ys = [
+            by_sheet(lambda s, pts: displaced_point_z(b, s, pts, bub.perturbation), zz[:, i])
+            for i, bub in enumerate(ebs)
+        ]
+        flat = [y[0] for y in ys]
+        return _exp_stacked(ebs, [bub.rho * y @ e.T for bub, y in zip(ebs, ys)], axis=1)
 
-    pos, tangents, second = _stencil(embed, z, h, order=2)
-    gmat = eb.chart.metric(pos)
+    stacked = np.broadcast_to(z, (len(ebs),) + z.shape)
+    pos, tangents, second = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape), order=2)
+    chart = ebs[0].chart
+    gmat = chart.metric(pos)
     gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
-    gamma = christoffel(eb.chart, pos)
+    gamma = christoffel(chart, pos)
     # reference normal direction: the flat normal pushed forward by
     # dExp_p(rho E y) E at the displaced points of the stencil centre; it
     # only picks the sign
     nflat = by_sheet(lambda s, pts: sheet_normal(b, s, pts[..., 0], angles_to_dirs(b.m, pts[..., 1:])), z)
-    v, w = eb.rho * flat @ e.T, (nflat @ e.T)[..., None]
-    _, ref = exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
+    w = (nflat @ e.T)[..., None]
+    _, ref = _exp_stacked(ebs, [bub.rho * y @ e.T for bub, y in zip(ebs, flat)], [w] * len(ebs))
     normal = _orthonormal_normal(gmat, tangents, ref[..., 0])
     # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part
     cov = second + np.einsum("...aij,...pi,...qj->...pqa", gamma, tangents, tangents)
-    return gram, np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)
+    hmat = np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)
+    if isinstance(eb, EmbeddedBubble):
+        return gram[0], hmat[0]
+    return gram, hmat
 
 
-def measure_mean_curvature(eb: EmbeddedBubble, sheet, z: np.ndarray) -> np.ndarray:
+def measure_mean_curvature(eb, sheet, z: np.ndarray) -> np.ndarray:
     """Mean curvature H = g^ij h_ij at interior parameters z (N, m) of one
-    sheet or of a sheet per point; see measure_fundamental_forms."""
+    sheet or of a sheet per point, of one bubble or, stacked on a leading
+    axis, of each of a sequence of bubbles; see measure_fundamental_forms."""
     gram, hmat = measure_fundamental_forms(eb, sheet, z)
     return np.einsum("...ij,...ij->...", np.linalg.inv(gram), hmat)
 
 
-def measure_conormal_defect(eb: EmbeddedBubble) -> float:
-    """sup over the NECK_SAMPLES neck samples of || sum_s conormal_s ||_G.
+def measure_conormal_defect(eb):
+    """sup over the NECK_SAMPLES neck samples of || sum_s conormal_s ||_G, a
+    float for one EmbeddedBubble and an array (one per bubble) for a
+    sequence of them (see _stack).
 
     Each sheet's inward unit conormal is the G-normalized boundary-inward
     tangent orthogonal to the neck direction.  Both tangents are the
     pushforward rho dExp_p(rho E y) E d_z y at the neck points, one exp_map
-    call for the three sheets, with the displaced sheet y and d_z y formed
-    as for the areas from the model's neck jets (FlatModel.necks).  The
-    norm of the sum takes the metric at sheet 2's neck points.
+    call for the three sheets of every bubble, with the displaced sheet y
+    and d_z y formed as for the areas from the model's neck jets
+    (FlatModel.necks).  The norm of the sum takes the metric at sheet 2's
+    neck points.
     """
-    e = eb.frame.matrix
+    ebs = _stack(eb)
+    e = ebs[0].frame.matrix
 
     def dot(a, gmat, b):
         return np.einsum("...i,...ij,...j->...", a, gmat, b)[..., None]
 
-    ys, cols = zip(*(_displaced(eb, jet) for jet in eb.model.necks))
-    w = eb.rho * np.swapaxes(np.stack(cols) @ e.T, -1, -2)
-    pos, push = exp_map(
-        eb.chart, eb.frame.base, eb.rho * np.stack(ys) @ e.T, steps=eb.model.geodesic_steps, directions=w
-    )
+    v, w = [], []
+    for bub in ebs:
+        ys, cols = zip(*(_displaced(bub, jet) for jet in bub.model.necks))
+        v.append(bub.rho * np.stack(ys) @ e.T)
+        w.append(bub.rho * np.swapaxes(np.stack(cols) @ e.T, -1, -2))
+    # (bubbles, sheets, neck points, ...)
+    pos, push = _exp_stacked(ebs, v, w)
     dpol, dth = push[..., 0], push[..., 1]
-    gmat = eb.chart.metric(pos)
+    gmat = ebs[0].chart.metric(pos)
     # G-orthogonalize the inward polar tangent against the neck tangent
     nu = (dot(dpol, gmat, dth) / dot(dth, gmat, dth)) * dth - dpol
     nu = nu / np.sqrt(dot(nu, gmat, nu))
-    gsum = nu[0] + nu[1] + nu[2]
-    return float(np.max(np.sqrt(dot(gsum, gmat[2], gsum))))
+    gsum = nu[:, 0] + nu[:, 1] + nu[:, 2]
+    defect = np.max(np.sqrt(dot(gsum, gmat[:, 2], gsum)), axis=(1, 2))
+    return float(defect[0]) if isinstance(eb, EmbeddedBubble) else defect
 
 
 def measure_energy(eb: EmbeddedBubble) -> float:
@@ -497,7 +551,6 @@ def verify_many(
     sector_nodes: int = 12,
     perturbation: PerturbationField | None = None,
     floors: dict | None = None,
-    jobs: int = 1,
 ) -> dict:
     """Sweep rho once, measuring every quantity from one EmbeddedBubble per rho.
 
@@ -508,11 +561,12 @@ def verify_many(
     parts of the closed-form mean curvature (fields.mean_curvature_terms),
     and for a perturbed sweep the first-order responses of the unscaled
     field, which are linear in the field and so enter at rho as rho^2 *
-    response.  The h rows of every sheet are measured in one
-    measure_mean_curvature call per rho.
-    With jobs > 1 the rho points are measured on that many threads (so at
-    most len(rhos) are busy) and merged in rho order before the fits, so the
-    result does not depend on jobs.
+    response.  The bubbles of every rho are built first, on one FlatModel;
+    then one exp_map call embeds the sheets of all of them (each bubble's
+    cache keeps its slice, from which its areas, volumes and energy are
+    measured per rho), one measure_mean_curvature pass measures the h rows
+    of every sheet and every rho, and one measure_conormal_defect pass the
+    conormals of every rho.
     """
     quantities = list(quantities)
     for q in quantities:
@@ -546,59 +600,55 @@ def verify_many(
             return terms[q].value(sc, ric_ss, rho) + rho**2 * response[q]
         return phi_leading if q == "phi" else 0.0
 
-    # the flat side of every rho, its arrays built before the threads read them
+    # one flat side and one bubble per rho, the field scaled by rho^2
     model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
-    if "area" in quantities or "phi" in quantities or volumes_wanted:
-        model.sheets
-    if "conormal" in quantities:
-        model.necks
-    # the h rows: the samples of every requested sheet, measured in one
-    # measure_mean_curvature call per rho, and the parts of the closed-form
-    # mean curvature of the unit-scale field (fields.mean_curvature_terms)
-    h_sheets = [s for s in range(3) if f"h{s}" in quantities]
-    h_params = [default_h_params(bubble, s) for s in h_sheets]
-    h_labels = np.repeat(h_sheets, [len(z) for z in h_params])
-    h_terms = [mean_curvature_terms(bubble, s, curv, z, model.field) for s, z in zip(h_sheets, h_params)]
-
-    def measure_at(rho):
-        """Oracle values at rho; for h* and conormal the residual itself."""
-        field = None if perturbation is None else perturbation.scaled(rho**2)
-        eb = EmbeddedBubble(
+    ebs = [
+        EmbeddedBubble(
             chart,
             curv.frame,
             bubble,
             rho,
-            perturbation=field,
+            perturbation=None if perturbation is None else perturbation.scaled(rho**2),
             grid=grid,
             geodesic_steps=geodesic_steps,
             sector_nodes=sector_nodes,
             model=model,
         )
-        record = {}
+        for rho in rhos
+    ]
+    # oracle values per rho; for h* and conormal the residual itself
+    records = [{} for _ in rhos]
+    if "area" in quantities or "phi" in quantities or volumes_wanted:
+        _embedded_sheets(ebs)
+    for eb, record in zip(ebs, records):
+        rho = eb.rho
         if "area" in quantities:
             record["area"] = float(np.sum(measure_area(eb))) / rho**m
         if volumes_wanted:
             v1, v2 = measure_volumes(eb)
             norm = rho ** (m + 1)
             record.update(v1=v1 / norm, v2=v2 / norm, vtot=(v1 + v2) / norm)
-        if h_sheets:
-            hvals = measure_mean_curvature(eb, h_labels, np.concatenate(h_params))
-            s_field = 0.0 if field is None else field.scale
+        if "phi" in quantities:
+            record["phi"] = expansions.phi_from_energy(measure_energy(eb), bubble, rho)
+    # the h rows: the samples of every requested sheet and every rho in one
+    # measure_mean_curvature pass, and the parts of the closed-form mean
+    # curvature of the unit-scale field (fields.mean_curvature_terms)
+    h_sheets = [s for s in range(3) if f"h{s}" in quantities]
+    if h_sheets:
+        h_params = [default_h_params(bubble, s) for s in h_sheets]
+        h_labels = np.repeat(h_sheets, [len(z) for z in h_params])
+        h_terms = [mean_curvature_terms(bubble, s, curv, z, model.field) for s, z in zip(h_sheets, h_params)]
+        hvals = measure_mean_curvature(ebs, h_labels, np.concatenate(h_params))
+        for eb, record, hval in zip(ebs, records, hvals):
+            rho = eb.rho
+            s_field = 0.0 if eb.perturbation is None else eb.perturbation.scale
             for s, (const, quad, lin) in zip(h_sheets, h_terms):
                 scale = rho if (s == 0 and bubble.symmetric) else rho * bubble.radii[s]
                 fvals = const + rho**2 * quad + s_field * lin
-                record[f"h{s}"] = float(np.max(np.abs(scale * hvals[h_labels == s] - fvals)))
-        if "conormal" in quantities:
-            record["conormal"] = measure_conormal_defect(eb)
-        if "phi" in quantities:
-            record["phi"] = expansions.phi_from_energy(measure_energy(eb), bubble, rho)
-        return record
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(measure_at, rhos))
-    else:
-        records = [measure_at(rho) for rho in rhos]
+                record[f"h{s}"] = float(np.max(np.abs(scale * hval[h_labels == s] - fvals)))
+    if "conormal" in quantities:
+        for record, defect in zip(records, measure_conormal_defect(ebs)):
+            record["conormal"] = float(defect)
     out = {}
     floors = floors or {}
     for q in quantities:

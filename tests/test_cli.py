@@ -93,6 +93,7 @@ def test_verify_deterministic_bytes(tmp_path):
 
 
 def test_verify_parallel_matches_serial(tmp_path):
+    # --jobs is accepted and changes nothing: verify measures every scale in one pass
     cfg = write_cfg(tmp_path / "run.cfg", BASE_CFG)
     out1, out2 = tmp_path / "s", tmp_path / "p"
     assert main(["verify", "--config", str(cfg), "--out", str(out1)]) == 0
@@ -277,9 +278,10 @@ def test_verify_left_handed_axis_passes(tmp_path):
 
 
 def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
-    embeds, volume_evals, h_passes, h_terms = [], [], [], []
+    embeds, volume_evals, h_passes, h_terms, conormal_passes = [], [], [], [], []
     init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
     mean_curvature, terms = measure.measure_mean_curvature, fields.mean_curvature_terms
+    conormal = measure.measure_conormal_defect
     responses = {
         "first_order_area_corrections": 0,
         "first_order_volume_corrections": 0,
@@ -295,9 +297,13 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
             volume_evals.append(eb.rho)
         return measure_volumes(eb)
 
-    def counting_h(eb, sheet, z):
-        h_passes.append((eb.rho, tuple(np.unique(sheet))))
-        return mean_curvature(eb, sheet, z)
+    def counting_h(ebs, sheet, z):
+        h_passes.append((tuple(eb.rho for eb in ebs), tuple(np.unique(sheet))))
+        return mean_curvature(ebs, sheet, z)
+
+    def counting_conormal(ebs):
+        conormal_passes.append(tuple(eb.rho for eb in ebs))
+        return conormal(ebs)
 
     def counting_terms(bubble, sheet, *args, **kwargs):
         h_terms.append(sheet)
@@ -315,6 +321,7 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
     monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
     monkeypatch.setattr(measure, "measure_mean_curvature", counting_h)
+    monkeypatch.setattr(measure, "measure_conormal_defect", counting_conormal)
     monkeypatch.setattr(measure, "mean_curvature_terms", counting_terms)
     # the first-order field responses, wherever the sweep reaches them from
     for name in responses:
@@ -328,11 +335,14 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
         + "quantities = area,v1,v2,h0,h1,h2,conormal,phi\n"
         + "perturbed = true\nfield_amplitude = 0.02\nseed = 4\n",
     )
-    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "2"]) == 0
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    # one bubble and one volume evaluation per rho
     assert sorted(embeds) == sorted(volume_evals) == [0.1, 0.14, 0.2]
-    # one h-row pass per rho over the three sheets, and the formula side's
-    # parts, the field part among them, once per sheet and sweep
-    assert sorted(h_passes) == [(rho, (0, 1, 2)) for rho in (0.1, 0.14, 0.2)]
+    # one h-row pass and one conormal pass per sweep, each over every rho
+    # (and the h rows over the three sheets), and the formula side's parts,
+    # the field part among them, once per sheet and sweep
+    assert h_passes == [((0.2, 0.14, 0.1), (0, 1, 2))]
+    assert conormal_passes == [(0.2, 0.14, 0.1)]
     assert sorted(h_terms) == [0, 1, 2]
     assert responses == {
         "first_order_area_corrections": 1,

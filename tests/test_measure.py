@@ -83,7 +83,7 @@ def test_areas_and_volumes_share_one_field_jet_per_sheet():
 def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
     # the conormal defect reads the model's rho-independent neck jets: a
     # perturbed sweep makes one _sheet_jet call per sheet, at its neck,
-    # whatever the number of scales and threads, and every scale measures
+    # whatever the number of scales, and every scale measures
     # what a bubble with its own flat model measures
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
     axis = np.array([0.25, -0.4, 0.88])
@@ -98,7 +98,7 @@ def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
     for rhos in ([0.2, 0.14, 0.1], [0.2, 0.14, 0.1, 0.07, 0.05]):
         calls.clear()
         res = verify_many(SP, np.zeros(3), axis, ASYM, ["conormal"], rhos, grid=(8, 16),
-                          sector_nodes=4, perturbation=field, jobs=2)
+                          sector_nodes=4, perturbation=field)
         assert sorted(calls) == [(0, True), (1, True), (2, True)], calls
     frame = curvature_at(SP, np.zeros(3), axis, nabla=False).frame
     for k, rho in enumerate(rhos):
@@ -594,7 +594,7 @@ def test_phi_depends_on_axis_only_through_ricci():
     assert abs(vals[0] - vals[1]) <= 1e-6
 
 
-def _perturbed_sphere_sweep(quantities, **options):
+def _perturbed_sphere_sweep(quantities):
     field = random_admissible_field(ASYM, np.random.default_rng(2), 0.25)
     result = verify_many(
         SP,
@@ -606,7 +606,6 @@ def _perturbed_sphere_sweep(quantities, **options):
         grid=(8, 16),
         sector_nodes=4,
         perturbation=field,
-        **options,
     )
     keys = ("rho", "oracle", "formula", "error", "slope_so_far")
     return {
@@ -622,7 +621,60 @@ def test_shared_sweep_matches_single_quantity_sweeps():
     assert list(shared) == quantities
     for q in quantities:
         assert shared[q] == _perturbed_sphere_sweep([q])[q], q
-    assert _perturbed_sphere_sweep(quantities, jobs=2) == shared
+
+
+@pytest.mark.parametrize(
+    "family, kw, point, steps",
+    [
+        ("round_sphere", {"a": 1.0}, (0.0, 0.0, 0.0), 200),
+        ("conformal_bump", {"eps": -0.1, "s": 0.5}, (0.12, -0.05, 0.08), 10),
+    ],
+    ids=["sphere", "bump-rk4"],
+)
+def test_stacked_sweep_is_each_rho_measured_alone(monkeypatch, family, kw, point, steps):
+    # a perturbed sweep of the eight default quantities stacks the rays of
+    # every rho into one exp_map call per ray pass: 4 calls for 3 or 5
+    # scales, and at every rho the bits of a fresh bubble measured alone
+    chart = builtin_chart(family, **kw)
+    axis = np.array([0.25, -0.4, 0.88])
+    field = random_admissible_field(ASYM, np.random.default_rng(3), 0.25)
+    frame = curvature_at(chart, np.array(point), axis, nabla=False).frame
+    quantities = [q for q in QUANTITIES if q != "vtot"]
+    calls, h_rows = [], []
+    exp, mean_curvature = measure.exp_map, measure.measure_mean_curvature
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return exp(*args, **kwargs)
+
+    def recorded(ebs, sheet, z):
+        h_rows.append((sheet, z, mean_curvature(ebs, sheet, z)))
+        return h_rows[-1][2]
+
+    monkeypatch.setattr(measure, "exp_map", counted)
+    monkeypatch.setattr(measure, "measure_mean_curvature", recorded)
+    scales = 0.5 * np.array([0.14, 0.1, 0.07, 0.05, 0.035])
+    for rhos in (scales[:3], scales):
+        calls.clear()
+        h_rows.clear()
+        res = verify_many(chart, np.array(point), axis, ASYM, quantities, rhos, grid=(8, 16),
+                          geodesic_steps=steps, sector_nodes=4, perturbation=field)
+        assert len(calls) == 4
+        (labels, z, hvals), = h_rows
+        for k, rho in enumerate(rhos):
+            eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field.scaled(rho**2),
+                                grid=(8, 16), geodesic_steps=steps, sector_nodes=4)
+            v1, v2 = measure_volumes(eb)
+            alone = {
+                "area": float(np.sum(measure_area(eb))) / rho**2,
+                "v1": v1 / rho**3,
+                "v2": v2 / rho**3,
+                "conormal": measure_conormal_defect(eb),
+                "phi": phi_from_energy(measure_energy(eb), ASYM, rho),
+            }
+            for q, value in alone.items():
+                assert res[q][1][k]["oracle"].hex() == value.hex(), (q, rho)
+            assert np.array_equal(hvals[k], measure_mean_curvature(eb, labels, z)), rho
 
 
 def test_m3_sweeps_pass_claimed_orders():
