@@ -44,9 +44,10 @@ No Jacobian matrix is built: the conformal charts apply their Hessian of f,
 alpha d d^T + beta I, to J directly, and the round sphere pushes w one
 column at a time.  _exp_rays takes rays (n, ...) and directions (n, k, ...)
 and returns points (n, ..., K) and dExp W (n, k, ..., K) at the K nodes of
-each ray.  Every kernel operation then runs over the whole batch at once
-(over blocks of RK4_BLOCK rays in RK4, whose state stays in cache) instead
-of over a length-n axis per point.
+each ray.  Every kernel operation then runs over a block of rays at once
+instead of over a length-n axis per point: _exp_rays takes the rays in
+blocks of at most RAY_BLOCK, in both branches, so their temporaries stay
+in cache.
 
 The kernels run on stacks of short vectors and small matrices: _dot unrolls
 dot products and norms over the component axis (bit for bit np.sum(a * b,
@@ -162,8 +163,9 @@ class Box:
 # metric derivative, of nabla Rm and of the scalar-curvature gradient (ten
 # times it for the Hessian)
 FD_STEP = 1e-3
-# most rays per RK4 block of _exp_rays, whose state and stages stay in cache
-RK4_BLOCK = 4096
+# most rays per block of _exp_rays, whose RK4 state and stages or closed-form
+# temporaries stay in cache
+RAY_BLOCK = 4096
 
 
 class MetricChart:
@@ -944,15 +946,18 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     broadcast against the rays.
 
     Nodes must be positive and increasing along each ray, and substeps has
-    one positive entry per node; ValueError otherwise.  Charts with a
-    closed-form exponential answer both from one dexp_closed call unless
-    force_rk4 is set.  Otherwise _rk4 integrates each geodesic, RK4_BLOCK
-    rays at a time (each ray's bits do not depend on its block), and, for k >
-    0, its variational equation J'' = A_x J + A_v J', J(0) = 0, J'(0) = W,
-    whose solution is J(t) = t dExp_p(t u) W; substeps[j] RK4 steps lead
-    from node j - 1 (or from t = 0) to node j, so every node is hit exactly.
-    A ray point outside the domain raises DomainExit.  The caller's u and W
-    are read, never written.
+    one positive entry per node; ValueError otherwise.  One loop runs the
+    rays in near-equal blocks of at most RAY_BLOCK, whose temporaries stay
+    in cache.  Charts with a closed-form exponential answer a block from one
+    dexp_closed call unless force_rk4 is set.  Otherwise _rk4 integrates
+    each geodesic of the block and, for k > 0, its variational equation J''
+    = A_x J + A_v J', J(0) = 0, J'(0) = W, whose solution is J(t) = t
+    dExp_p(t u) W; substeps[j] RK4 steps lead from node j - 1 (or from t =
+    0) to node j, so every node is hit exactly.  A ray's bits do not depend
+    on its block unless it is alone in it, which only a batch of one ray
+    is (_batch_dot sums a lone point in another order).  A ray point
+    outside the domain raises DomainExit.  The caller's u and W are read,
+    never written.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -968,12 +973,6 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     w = np.empty((n, 0) + batch) if directions is None else directions
     w = np.broadcast_to(np.asarray(w, dtype=float), np.shape(w)[:2] + batch)
     k = w.shape[1]
-    if not force_rk4:
-        closed = chart.dexp_closed(p, u[..., None] * t_nodes, w[..., None])
-        if closed is not None:
-            if not np.all(chart.domain.inside_mask(closed[0], axis=0)):
-                raise DomainExit(f"ray left {chart.name}")
-            return closed
 
     # state: positions, velocities and, with columns, J and J' (n, k, rays),
     # contiguous copies of one block of rays, so the caller's arrays stay as
@@ -993,15 +992,25 @@ def _exp_rays(chart: MetricChart, p, u, t_nodes, substeps, force_rk4: bool = Fal
     nodes = t_nodes if t_nodes.ndim == 1 else np.broadcast_to(t_nodes, batch + t_nodes.shape[-1:]).reshape(rays, -1)
     points = np.empty((n, rays, len(substeps)))
     pushed = np.empty((n, k, rays, len(substeps)))
-    # at most RK4_BLOCK rays at a time, in blocks of near-equal size: at
-    # RK4_BLOCK >= 4 none holds a single ray unless the batch does (_batch_dot)
-    blocks = max(1, -(-rays // RK4_BLOCK))
+    # at most RAY_BLOCK rays at a time, in blocks of near-equal size: at
+    # RAY_BLOCK >= 4 none holds a single ray unless the batch does (_batch_dot)
+    blocks = max(1, -(-rays // RAY_BLOCK))
     edges = [rays * b // blocks for b in range(blocks + 1)]
+    closed = not force_rk4
     for lo, hi in zip(edges, edges[1:]):
+        block_nodes = nodes if nodes.ndim == 1 else nodes[lo:hi]
+        if closed:
+            # a chart without a closed form says so (None) at the first block
+            out = chart.dexp_closed(p, u[:, lo:hi, None] * block_nodes, w[:, :, lo:hi, None])
+            closed = out is not None
+            if closed:
+                if not np.all(chart.domain.inside_mask(out[0], axis=0)):
+                    raise DomainExit(f"ray left {chart.name}")
+                points[:, lo:hi], pushed[:, :, lo:hi] = out
+                continue
         x = np.repeat(p[:, None], hi - lo, axis=1)
         v = u[:, lo:hi].copy()
         state = (x, v) if k == 0 else (x, v, np.zeros((n, k, hi - lo)), w[..., lo:hi].copy())
-        block_nodes = nodes if nodes.ndim == 1 else nodes[lo:hi]
         for j, y in enumerate(_rk4(chart, state, deriv, block_nodes, substeps)):
             points[:, lo:hi, j] = y[0]
             if k:

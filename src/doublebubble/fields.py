@@ -23,7 +23,11 @@ times each parameter's range (_param_steps).
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
 against; curvature enters through frame components of the ambient Riemann
-tensor at the center point (charts.CurvatureAtPoint).
+tensor at the center point (charts.CurvatureAtPoint).  The first-order area
+and volume responses are the first variations along D = w N + Y, sums over
+the jets (x, d_z x, D, d_z D) of _sheet_jet, the package's one jet
+builder, at flat_rule nodes: a FlatModel's, so verify_many evaluates its
+field once per sheet, or the field's own on RESPONSE_GRID.
 
 The linearized junction problem (Jacobi operator, neck trace and
 equiangularity rows) decouples by spherical-harmonic degree k: jacobi_block
@@ -40,7 +44,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .charts import CurvatureAtPoint, _component_major, _det, _stencil
+from .charts import CurvatureAtPoint, _stencil
 from .geometry import (
     BubbleParams,
     StandardBubble,
@@ -56,7 +60,8 @@ from .geometry import (
 )
 
 SQRT3 = math.sqrt(3.0)
-# polar x sphere grid of the first-order area and volume responses
+# polar x sphere grid of the first-order area and volume responses of a
+# field given alone (verify_many passes the jets of its own grid)
 RESPONSE_GRID = (32, 64)
 # polar nodes of the grid on which sup_amplitude samples a field
 SUP_NODES = 12
@@ -256,6 +261,23 @@ def field_jet(fun, z: np.ndarray, sheet: int) -> tuple:
     return f[0].real.copy(), np.moveaxis(f.imag, 0, z.ndim - 1) / CSTEP
 
 
+def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tuple:
+    """(x, d_z x, D, d_z D) of a sheet at parameters z (N, m): the flat points
+    (N, n) and their closed-form tangents (N, m, n), and the displacement
+    D = w N + Y of the field with its derivatives, one complex-step jet
+    (field_jet; None, None without a field)."""
+    x, dx = displaced_point_z(bubble, sheet, z, None), sheet_tangents(bubble, sheet, z)
+    if field is None:
+        return x, dx, None, None
+
+    def displacement(zz):
+        polar, dirs = zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:])
+        normal = sheet_normal(bubble, sheet, polar, dirs)
+        return field.w(sheet, polar, dirs)[..., None] * normal + field.y(sheet, polar, dirs)
+
+    return (x, dx) + field_jet(displacement, z, sheet)
+
+
 class SheetPointData:
     """Flat geometry and field data at parameter points z (N, m) of one sheet.
 
@@ -326,11 +348,6 @@ def covariant_hessian(data: SheetPointData) -> np.ndarray:
 def laplace_beltrami(data: SheetPointData) -> np.ndarray:
     """Delta_Sigma w at the data points: the trace of the covariant Hessian."""
     return np.einsum("...ij,...ij->...", data.ginv, covariant_hessian(data))
-
-
-def tangential_divergence(data: SheetPointData) -> np.ndarray:
-    """div_Sigma Y = g^ij <d_i Y, Theta_j> for a tangential field Y."""
-    return np.einsum("...ij,...ik,...jk->...", data.ginv, data.dy, data.tangents)
 
 
 # ---------------------------------------------------------------------------
@@ -531,21 +548,40 @@ def perturbed_mean_curvature(
 # first-order area and volume corrections
 
 
-def first_order_area_corrections(bubble: StandardBubble, field: PerturbationField) -> np.ndarray:
-    """Per-sheet first-order area shifts (rho^-m normalization):
+def _first_variation_densities(bubble: StandardBubble, field: PerturbationField, jets) -> list:
+    """Per sheet (dmu, g_ii, x, d_z x, D, d_z D) at flat_rule nodes: the
+    field's jets with the nodes' measure dmu = w sqrt(det g) and the
+    diagonal g_ii of the flat first form g_ij = <d_i x, d_j x>, which the
+    orthogonal parameters z make diagonal, so g^ij = delta_ij / g_ii.  jets
+    gives per sheet (flat_rule weights w, _sheet_jet of the field at those
+    nodes), as verify_many takes them from its FlatModel's sheets; without
+    it the jets are the field's own on RESPONSE_GRID."""
+    if jets is None:
+        jets = []
+        for s in range(3):
+            z, _, weights = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
+            jets.append((weights, _sheet_jet(bubble, s, z, field)))
+    out = []
+    for weights, (x, dx, d, dd) in jets:
+        gii = np.einsum("...ik,...ik->...i", dx, dx)
+        out.append((weights * np.sqrt(np.prod(gii, axis=-1)), gii, x, dx, d, dd))
+    return out
 
-    caps: -int (m w/R - div Y) dmu;  disk: +int div Y dmu.
+
+def first_order_area_corrections(bubble: StandardBubble, field: PerturbationField, jets=None) -> np.ndarray:
+    """Per-sheet first-order area shifts (rho^-m normalization): the first
+    variation of area along the displacement D = w N + Y,
+
+        int div_Sigma D dmu = int g^ij <d_i D, d_j x> dmu
+
+    (Simon, Lectures on Geometric Measure Theory, 9; Maggi, Sets of Finite
+    Perimeter, 17) over the field's jets (_first_variation_densities).
+    Since d_i N = -d_i x / R on a cap and 0 on the flat disk, this is
+    -int (m w/R - div Y) dmu on caps and int div Y dmu on the disk.
     """
     out = np.zeros(3)
-    for s in range(3):
-        z, _, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
-        d = SheetPointData(bubble, s, z, field)
-        dmu = w * np.sqrt(_det(_component_major(d.g, 2)))
-        div = tangential_divergence(d)
-        if s == 0 and bubble.symmetric:
-            out[s] = float(np.sum(dmu * div))
-        else:
-            out[s] = -float(np.sum(dmu * (bubble.m * d.w / bubble.radii[s] - div)))
+    for s, (dmu, gii, _, dx, _, dd) in enumerate(_first_variation_densities(bubble, field, jets)):
+        out[s] = float(np.sum(dmu * np.sum(np.einsum("...ik,...ik->...i", dd, dx) / gii, axis=-1)))
     return out
 
 
@@ -565,24 +601,24 @@ def perturbed_area_expansion(
     )
 
 
-def first_order_volume_corrections(bubble: StandardBubble, field: PerturbationField) -> tuple[float, float]:
+def first_order_volume_corrections(
+    bubble: StandardBubble, field: PerturbationField, jets=None
+) -> tuple[float, float]:
     """First-order shifts of rho^-(m+1) (V1, V2) under the displacement field.
 
-    The enclosed volumes respond only to the normal component of a continuous
-    displacement of the chamber boundary:
+    The first variation of a chamber's volume is the flux int <D, N> dmu of
+    the displacement through its boundary; with I_s = int_S_s <D, N_s> dmu,
 
-        dV1 = -int_S1 w1 - int_S0 w0,   dV2 = -int_S2 w2 + int_S0 w0,
+        dV1 = -I1 - I0,   dV2 = -I2 + I0,
 
     the signs following the normal conventions (N into B1 on sheets 0, 1 and
-    into B2 on sheet 2).  Tangential fields move the neck but not the volume
-    at first order; the per-sheet sector shifts do carry div(Y) terms, but
-    those cancel against the neck-ring flux once the chambers are closed.
+    into B2 on sheet 2).  Only the normal part w = <D, N> enters: tangential
+    fields move the neck but not the volume at first order.  The sums run
+    over the same jets as first_order_area_corrections.
     """
     ints = np.zeros(3)
-    for s in range(3):
-        z, dirs, w = flat_rule(bubble.m, bubble.polar_limit(s), RESPONSE_GRID)
-        g, _ = flat_metric(bubble, s, z)
-        ints[s] = float(np.sum(w * np.sqrt(_det(_component_major(g, 2))) * field.w(s, z[:, 0], dirs)))
+    for s, (dmu, _, x, _, d, _) in enumerate(_first_variation_densities(bubble, field, jets)):
+        ints[s] = float(np.sum(dmu * np.einsum("...k,...k->...", d, _normal_at(bubble, s, x))))
     dv1 = -ints[1] - ints[0]
     dv2 = -ints[2] + ints[0]
     return dv1, dv2
@@ -793,15 +829,14 @@ def killing_basis(bubble: StandardBubble) -> list[PerturbationField]:
 
 def sheet_unit_tangents(bubble: StandardBubble, sheet: int, polar, dirs):
     """Unit tangents (e_polar, e_angle) of a sheet for m = 2: the rows of
-    geometry.sheet_tangents at the directions, normalized analytically (by
-    the square root of the sum of squares), so complex parameters pass."""
+    geometry.sheet_tangents at the directions with their lengths factored
+    out in closed form (geometry._tangent_rows, unit=True), so complex
+    parameters pass without a square root."""
     if bubble.m != 2:
         raise ValueError("unit tangents are implemented for m = 2")
     dirs = _inexact(dirs)
     polar = np.broadcast_to(_inexact(polar), dirs.shape[:-1])
-    rows = _tangent_rows(bubble, sheet, polar, dirs)
-    squares = rows * rows
-    rows = rows / np.sqrt(squares[..., 0] + squares[..., 1] + squares[..., 2])[..., None]
+    rows = _tangent_rows(bubble, sheet, polar, dirs, unit=True)
     return rows[..., 0, :], rows[..., 1, :]
 
 

@@ -328,10 +328,13 @@ def sheet_tangents(bubble: StandardBubble, sheet: int, z) -> np.ndarray:
     return _tangent_rows(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]), z[..., 1:])
 
 
-def _tangent_rows(bubble: StandardBubble, sheet: int, polar, dirs, angles=None) -> np.ndarray:
+def _tangent_rows(bubble: StandardBubble, sheet: int, polar, dirs, angles=None, unit: bool = False) -> np.ndarray:
     """sheet_tangents at the polar parameters (...) and the directions
     (..., m) of the angles (..., m - 1); at m = 2 the directions alone give
-    their angle derivative, and angles may be None."""
+    their angle derivative, and angles may be None.  unit=True factors the
+    row lengths out (m = 2): the unit tangents (cos(polar) dirs, -sign
+    sin(polar)) and the turn (-d1, d0, 0) on a cap, (dirs, 0) and the turn
+    on the symmetric disk."""
     m = bubble.m
     # d dirs / d angles (..., m - 1, m); the last angle turns the first two axes
     turn = np.stack([-dirs[..., 1], dirs[..., 0]] + [np.zeros(polar.shape)] * (m - 2), axis=-1)
@@ -347,12 +350,13 @@ def _tangent_rows(bubble: StandardBubble, sheet: int, polar, dirs, angles=None) 
     else:
         r_s = bubble.radii[sheet]
         sign = 1.0 if sheet == 1 else -1.0
-        radius, d_radius = r_s * np.sin(polar), r_s * np.cos(polar)
+        sin, cos = np.sin(polar), np.cos(polar)
+        radius, d_radius = (sin, cos) if unit else (r_s * sin, r_s * cos)
         d_axial = -sign * radius
     out = np.zeros(polar.shape + (m, m + 1), dtype=np.result_type(polar, dirs))
     out[..., 0, :m] = d_radius[..., None] * dirs
     out[..., 0, m] = d_axial
-    out[..., 1:, :m] = radius[..., None, None] * ddirs
+    out[..., 1:, :m] = ddirs if unit else radius[..., None, None] * ddirs
     return out
 
 

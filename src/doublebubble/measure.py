@@ -13,7 +13,7 @@ z = (polar, angles).  The rho-independent half of the oracle, the flat
 side, is a FlatModel: per sheet the node values of the flat points x, their
 closed-form tangents d_z x (geometry.sheet_tangents), the field's
 displacement D = w N + Y at scale 1 with d_z D from one complex-step jet of
-the field alone (fields.field_jet, exact to roundoff), and the orientation
+the field alone (fields._sheet_jet, exact to roundoff), and the orientation
 signs; and the same jets at the neck points of the conormal defect.  A
 bubble at field scale s displaces its sheets linearly, y = x + s D with
 tangents d_z y = d_z x + s d_z D, and embeds no stencil for its areas,
@@ -50,9 +50,12 @@ its slice, which areas and volumes share between area, v1, v2, vtot and the
 energy behind phi; one mean-curvature pass and one conormal pass cover
 every rho as well, and the volume cones stay per rho, so that peak memory
 does not grow with the number of scales.  The expansions it compares with
-are built once per sweep; the first-order field responses are linear in
-the rho^2-scaled field, so they are computed once for the unscaled field
-and enter at rho as rho^2 * response, and so is the field part of the
+are built once per sweep; the first-order field responses are the first
+variations of area and volume along the FlatModel's own unit-scale jets
+(fields.first_order_area_corrections and first_order_volume_corrections),
+so the field is evaluated once per sheet.  They are linear in the
+rho^2-scaled field, so they are computed once for the unscaled field and
+enter at rho as rho^2 * response, and so is the field part of the
 closed-form mean curvature.
 """
 
@@ -83,13 +86,13 @@ from .fields import (
     PerturbationField,
     check_admissible,
     displaced_point_z,
-    field_jet,
     first_order_area_corrections,
     first_order_volume_corrections,
     mean_curvature_terms,
     neck_angle_grid,
     _neck_z,
     _param_steps,
+    _sheet_jet,
 )
 from .geometry import (
     StandardBubble,
@@ -98,7 +101,6 @@ from .geometry import (
     flat_rule,
     gauss_legendre,
     sheet_normal,
-    sheet_tangents,
 )
 
 # parameter points per sheet at which verify_many samples mean curvature
@@ -151,23 +153,6 @@ def _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes) -> tup
     return bubble, funcs, tuple(grid), geodesic_steps, sector_nodes
 
 
-def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tuple:
-    """(x, d_z x, D, d_z D) of a sheet at parameters z (N, m): the flat points
-    (N, n) and their closed-form tangents (N, m, n), and the displacement
-    D = w N + Y of the field at scale 1 with its derivatives, one
-    complex-step jet (fields.field_jet; None, None without a field)."""
-    x, dx = displaced_point_z(bubble, sheet, z, None), sheet_tangents(bubble, sheet, z)
-    if field is None:
-        return x, dx, None, None
-
-    def displacement(zz):
-        polar, dirs = zz[..., 0], angles_to_dirs(bubble.m, zz[..., 1:])
-        normal = sheet_normal(bubble, sheet, polar, dirs)
-        return field.w(sheet, polar, dirs)[..., None] * normal + field.y(sheet, polar, dirs)
-
-    return (x, dx) + field_jet(displacement, z, sheet)
-
-
 class _FlatSheet(NamedTuple):
     """One sheet of a FlatModel."""
 
@@ -188,7 +173,9 @@ class FlatModel:
     scale 1 with its complex-step derivatives, and the volume cones'
     orientation signs.  necks holds per sheet the _sheet_jet at its
     NECK_SAMPLES neck points, which the conormal defect reads.  Both are
-    built on first use, and every rho of a verify_many sweep reads one model.
+    built on first use, and every rho of a verify_many sweep reads one
+    model, as do the sweep's first-order responses (the sheets' weights and
+    jets).
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -285,6 +272,13 @@ def _displaced(eb: EmbeddedBubble, jet: tuple):
     return x + s * d, dx + s * dd
 
 
+def _in_frame(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The rows of a stack a (..., n) in the frame's chart components, a @
+    e.T, as one (N, n) @ (n, n) product on the flattened stack rather than
+    one small product per matrix of the stack."""
+    return (a.reshape(-1, a.shape[-1]) @ e.T).reshape(a.shape)
+
+
 def _stack(eb) -> list:
     """The bubbles of a ray pass: [eb] for one EmbeddedBubble, else the
     sequence, whose bubbles must share one chart, frame and FlatModel."""
@@ -322,9 +316,9 @@ def _embedded_sheets(eb) -> list:
         v, w = [], []
         for b in todo:
             ys, cols = zip(*(_displaced(b, sh.jet) for sh in b.model.sheets))
-            v.append(b.rho * np.concatenate(ys) @ e.T)
+            v.append(_in_frame(b.rho * np.concatenate(ys), e))
             # the directions rho E d_z y (N, n, m)
-            w.append(b.rho * np.swapaxes(np.concatenate(cols) @ e.T, -1, -2))
+            w.append(b.rho * np.swapaxes(_in_frame(np.concatenate(cols), e), -1, -2))
         pos, push = _exp_stacked(todo, v, w)
         for b, y, t in zip(todo, pos, push):
             b._sheet_cache["sheets"] = (y, np.moveaxis(t, 0, -1))
@@ -434,7 +428,7 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
             for i, bub in enumerate(ebs)
         ]
         flat = [y[0] for y in ys]
-        return _exp_stacked(ebs, [bub.rho * y @ e.T for bub, y in zip(ebs, ys)], axis=1)
+        return _exp_stacked(ebs, [_in_frame(bub.rho * y, e) for bub, y in zip(ebs, ys)], axis=1)
 
     stacked = np.broadcast_to(z, (len(ebs),) + z.shape)
     pos, tangents, second = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape), order=2)
@@ -446,8 +440,8 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     # dExp_p(rho E y) E at the displaced points of the stencil centre; it
     # only picks the sign
     nflat = by_sheet(lambda s, pts: sheet_normal(b, s, pts[..., 0], angles_to_dirs(b.m, pts[..., 1:])), z)
-    w = (nflat @ e.T)[..., None]
-    _, ref = _exp_stacked(ebs, [bub.rho * y @ e.T for bub, y in zip(ebs, flat)], [w] * len(ebs))
+    w = _in_frame(nflat, e)[..., None]
+    _, ref = _exp_stacked(ebs, [_in_frame(bub.rho * y, e) for bub, y in zip(ebs, flat)], [w] * len(ebs))
     normal = _orthonormal_normal(gmat, tangents, ref[..., 0])
     # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part
     cov = second + np.einsum("...aij,...pi,...qj->...pqa", gamma, tangents, tangents)
@@ -487,8 +481,8 @@ def measure_conormal_defect(eb):
     v, w = [], []
     for bub in ebs:
         ys, cols = zip(*(_displaced(bub, jet) for jet in bub.model.necks))
-        v.append(bub.rho * np.stack(ys) @ e.T)
-        w.append(bub.rho * np.swapaxes(np.stack(cols) @ e.T, -1, -2))
+        v.append(_in_frame(bub.rho * np.stack(ys), e))
+        w.append(bub.rho * np.swapaxes(_in_frame(np.stack(cols), e), -1, -2))
     # (bubbles, sheets, neck points, ...)
     pos, push = _exp_stacked(ebs, v, w)
     dpol, dth = push[..., 0], push[..., 1]
@@ -584,12 +578,18 @@ def verify_many(
     _, area_terms = expansions.geodesic_area_expansion(bubble)
     t1, t2 = expansions.geodesic_volumes_expansion(bubble)
     terms = {"area": area_terms, "v1": t1, "v2": t2, "vtot": expansions.total_volume_expansion(bubble)}
+    # one flat side for every rho; the first-order responses are the first
+    # variations along its unit-scale field's jets, times the field's scale
+    model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
     response = dict.fromkeys(terms, 0.0)
-    if perturbation is not None and "area" in quantities:
-        response["area"] = float(np.sum(first_order_area_corrections(bubble, perturbation)))
-    if perturbation is not None and volumes_wanted:
-        dv1, dv2 = first_order_volume_corrections(bubble, perturbation)
-        response.update(v1=dv1, v2=dv2, vtot=dv1 + dv2)
+    if perturbation is not None and ("area" in quantities or volumes_wanted):
+        jets = [(sh.w, sh.jet) for sh in model.sheets]
+        if "area" in quantities:
+            area = np.sum(first_order_area_corrections(bubble, model.field, jets))
+            response["area"] = perturbation.scale * float(area)
+        if volumes_wanted:
+            dv1, dv2 = (perturbation.scale * dv for dv in first_order_volume_corrections(bubble, model.field, jets))
+            response.update(v1=dv1, v2=dv2, vtot=dv1 + dv2)
     phi_leading = None
     if "phi" in quantities:
         consts = expansions.phi_limit_constants(bubble)
@@ -600,8 +600,7 @@ def verify_many(
             return terms[q].value(sc, ric_ss, rho) + rho**2 * response[q]
         return phi_leading if q == "phi" else 0.0
 
-    # one flat side and one bubble per rho, the field scaled by rho^2
-    model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
+    # one bubble per rho, the field scaled by rho^2
     ebs = [
         EmbeddedBubble(
             chart,

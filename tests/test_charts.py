@@ -572,16 +572,15 @@ def test_rk4_exp_map_is_exp_rays_at_one_node():
 
 
 def test_rk4_blocks_keep_each_rays_bits(monkeypatch):
-    # RK4 integrates RK4_BLOCK rays at a time: blocks of any size give every
-    # ray, its Jacobi columns and its per-ray nodes the bits of one block;
-    # the blocks are near-equal, 9 rays in blocks of 8 as 4 and 5
-    bump = builtin_chart("conformal_bump", eps=-0.1, s=0.5)
+    # _exp_rays takes RAY_BLOCK rays at a time, in RK4 and in the closed
+    # form alike: blocks of any size give every ray, its Jacobi columns and
+    # its per-ray nodes the bits of one block; the blocks are near-equal, 9
+    # rays in blocks of 8 as 4 and 5
     p = np.array([0.12, -0.05, 0.08])
     rng = np.random.default_rng(6)
     v = rng.normal(size=(3, 3, 3)) * 0.15
     w = rng.normal(size=(3, 3, 3, 2))
     t_nodes = np.sort(rng.uniform(0.3, 1.2, size=(9, 2)), axis=1)
-    whole = exp_map(bump, p, v, steps=20, directions=w), _exp_rays(bump, p, v.reshape(9, 3).T, t_nodes, [5, 5])
     sizes = []
     rk4 = charts._rk4
 
@@ -590,15 +589,35 @@ def test_rk4_blocks_keep_each_rays_bits(monkeypatch):
         return rk4(chart, y, *args)
 
     monkeypatch.setattr(charts, "_rk4", recorded)
-    for block in (8, 4):
-        monkeypatch.setattr(charts, "RK4_BLOCK", block)
-        sizes.clear()
-        (ends, push), (points, _) = (
-            exp_map(bump, p, v, steps=20, directions=w), _exp_rays(bump, p, v.reshape(9, 3).T, t_nodes, [5, 5])
-        )
-        assert np.array_equal(ends, whole[0][0]) and np.array_equal(push, whole[0][1])
-        assert np.array_equal(points, whole[1][0])
-        assert sizes == ([4, 5] * 2 if block == 8 else [3, 3, 3] * 2)
+    for chart in (
+        builtin_chart("conformal_bump", eps=-0.1, s=0.5),
+        builtin_chart("round_sphere", a=1.0),
+        builtin_chart("product", factors=[(2, 1.0), (1, math.inf)]),
+        builtin_chart("euclidean", dim=3),
+    ):
+        if chart.exp_closed(p, v) is not None:
+            closed = chart.dexp_closed
+
+            def block(p, vv, ww, closed=closed):
+                sizes.append(vv.shape[1])
+                return closed(p, vv, ww)
+
+            monkeypatch.setattr(chart, "dexp_closed", block)
+
+        def run(chart=chart):
+            return exp_map(chart, p, v, steps=20, directions=w), _exp_rays(
+                chart, p, v.reshape(9, 3).T, t_nodes, [5, 5], directions=w.reshape(9, 3, 2).transpose(1, 2, 0)
+            )
+
+        monkeypatch.setattr(charts, "RAY_BLOCK", 4096)
+        whole = run()
+        for block_size in (8, 4):
+            monkeypatch.setattr(charts, "RAY_BLOCK", block_size)
+            sizes.clear()
+            (ends, push), (points, pushed) = run()
+            assert np.array_equal(ends, whole[0][0]) and np.array_equal(push, whole[0][1]), chart.name
+            assert np.array_equal(points, whole[1][0]) and np.array_equal(pushed, whole[1][1]), chart.name
+            assert sizes == ([4, 5] * 2 if block_size == 8 else [3, 3, 3] * 2), chart.name
 
 
 def test_exp_map_directions_push_forward_by_the_differential():

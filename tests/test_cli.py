@@ -278,8 +278,9 @@ def test_verify_left_handed_axis_passes(tmp_path):
 
 
 def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
-    embeds, volume_evals, h_passes, h_terms, conormal_passes = [], [], [], [], []
+    embeds, volume_evals, h_passes, h_terms, conormal_passes, jets = [], [], [], [], [], []
     init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
+    field_jet = fields.field_jet
     mean_curvature, terms = measure.measure_mean_curvature, fields.mean_curvature_terms
     conormal = measure.measure_conormal_defect
     responses = {
@@ -318,6 +319,11 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
 
         return counted
 
+    def counting_jet(fun, z, sheet):
+        jets.append((sheet, len(z)))
+        return field_jet(fun, z, sheet)
+
+    monkeypatch.setattr(fields, "field_jet", counting_jet)
     monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
     monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
     monkeypatch.setattr(measure, "measure_mean_curvature", counting_h)
@@ -344,6 +350,11 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     assert h_passes == [((0.2, 0.14, 0.1), (0, 1, 2))]
     assert conormal_passes == [(0.2, 0.14, 0.1)]
     assert sorted(h_terms) == [0, 1, 2]
+    # the field's jets: one per sheet at the 16 x 32 flat nodes, which the
+    # first-order responses read as well (none on RESPONSE_GRID), one at its
+    # NECK_SAMPLES neck points and one of w at its H_SAMPLES h-row points
+    sizes = (measure.H_SAMPLES, measure.NECK_SAMPLES, 16 * 32)
+    assert sorted(jets) == [(s, n) for s in range(3) for n in sizes]
     assert responses == {
         "first_order_area_corrections": 1,
         "first_order_volume_corrections": 1,

@@ -23,11 +23,13 @@ from doublebubble.fields import (
     random_admissible_field,
     sheet_unit_tangents,
     MODE_ANGLES,
+    RESPONSE_GRID,
     PerturbationField,
     SheetPointData,
     displaced_point_z,
     _neck_z,
     _param_steps,
+    _sheet_jet,
 )
 from doublebubble.geometry import (
     BubbleParams,
@@ -35,9 +37,9 @@ from doublebubble.geometry import (
     flat_metric,
     flat_rule,
     sheet_normal,
+    sheet_tangents,
     solve_standard_bubble,
 )
-from doublebubble.measure import _sheet_jet
 
 from exact_models import junction_residual, random_smooth_field
 
@@ -259,6 +261,85 @@ def test_divergence_free_tangential_field_keeps_area():
     # a rotational field around the axis is divergence free and tangent
     corr = first_order_area_corrections(SYM, rotational_field(SYM))
     assert np.abs(corr).max() <= 1e-10
+
+
+def wny_corrections(b, field, grid):
+    """The first-order area and volume shifts in the w/N/Y form on the
+    flat_rule nodes of grid, the independent reference of the first
+    variations: -int (m w/R - div Y) dmu on caps and int div Y dmu on the
+    disk, div Y = g^ij <d_i Y, d_j x> with the closed-form flat metric, and
+    dV1 = -I1 - I0, dV2 = -I2 + I0 with I_s = int w_s dmu.  Also returns the
+    scale sum_s int |d_i D| |d_i x| / g_ii dmu + int |D| dmu that bounds
+    the integrands' terms, D = w N + Y."""
+    area, ints, scale = np.zeros(3), np.zeros(3), 0.0
+    for s in range(3):
+        z, _, w = flat_rule(b.m, b.polar_limit(s), grid)
+        d = SheetPointData(b, s, z, field)
+        dmu = w * np.sqrt(np.linalg.det(d.g))
+        div = np.einsum("...ij,...ik,...jk->...", d.ginv, d.dy, d.tangents)
+        cap = 0.0 if (s == 0 and b.symmetric) else b.m / b.radii[s]
+        area[s] = -np.sum(dmu * (cap * d.w - div))
+        ints[s] = np.sum(dmu * d.w)
+        _, _, disp, ddisp = _sheet_jet(b, s, z, field)
+        lengths = np.sqrt(np.diagonal(d.g, axis1=-2, axis2=-1))
+        scale += np.sum(dmu * (np.sum(np.linalg.norm(ddisp, axis=-1) / lengths, axis=-1)
+                               + np.linalg.norm(disp, axis=-1)))
+    return area, np.array([-ints[1] - ints[0], -ints[2] + ints[0]]), scale
+
+
+VARIATION_FIELDS = {
+    **{f"random{k}": (lambda b, k=k: random_admissible_field(b, np.random.default_rng(k), 0.25)) for k in (0, 1, 3, 5)},
+    "killing": lambda b: killing_basis(b)[3],
+    "rotational": rotational_field,
+}
+
+
+def assert_first_variations_are_the_wny_form(b, field, grids):
+    # the responses are the first variations int div_Sigma D dmu and
+    # int <D, N> dmu of the jets (x, d_z x, D, d_z D): on RESPONSE_GRID when
+    # called with the field alone, and on the nodes of the jets given (those
+    # of a FlatModel), they are the w/N/Y form on the same grid to 1e-15 of
+    # the integrands' scale
+    for grid in grids:
+        area, volume, scale = wny_corrections(b, field, grid)
+        jets = None
+        if grid != RESPONSE_GRID:
+            rules = [flat_rule(b.m, b.polar_limit(s), grid) for s in range(3)]
+            jets = [(w, _sheet_jet(b, s, z, field)) for s, (z, _, w) in enumerate(rules)]
+        assert np.abs(first_order_area_corrections(b, field, jets) - area).max() <= 1e-15 * scale
+        assert np.abs(np.array(first_order_volume_corrections(b, field, jets)) - volume).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kind", sorted(VARIATION_FIELDS))
+@pytest.mark.parametrize("b", [SYM, ASYM], ids=["sym", "asym"])
+def test_first_variations_are_the_wny_form(b, kind):
+    assert_first_variations_are_the_wny_form(b, VARIATION_FIELDS[kind](b), (RESPONSE_GRID, (16, 32)))
+
+
+@pytest.mark.parametrize("params", [(3, 0.0, 3.0, 3.0), (3, 1.0, 3.0, 2.0)], ids=["sym", "asym"])
+def test_first_variations_are_the_wny_form_at_m3(params):
+    # every Killing field of an m = 3 bubble; the axial translation moves
+    # the areas of the caps
+    b = solve_standard_bubble(BubbleParams(*params))
+    for field in killing_basis(b):
+        assert_first_variations_are_the_wny_form(b, field, ((8, 16),))
+
+
+@pytest.mark.parametrize("b", [SYM, ASYM], ids=["sym", "asym"])
+def test_unit_tangents_are_the_normalized_sheet_tangents(b):
+    # the closed-form unit rows: unit length, orthogonal to the normal and
+    # to each other, and the rows of sheet_tangents divided by their lengths
+    for s in range(3):
+        z, dirs, _ = flat_rule(2, b.polar_limit(s), (8, 16))
+        e_pol, e_th = sheet_unit_tangents(b, s, z[:, 0], dirs)
+        rows = sheet_tangents(b, s, z)
+        ref = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+        normal = sheet_normal(b, s, z[:, 0], dirs)
+        for e, r in ((e_pol, ref[:, 0]), (e_th, ref[:, 1])):
+            assert np.abs(np.linalg.norm(e, axis=-1) - 1.0).max() <= 1e-15
+            assert np.abs(np.sum(e * normal, axis=-1)).max() <= 1e-15
+            assert np.abs(e - r).max() <= 1e-15
+        assert np.abs(np.sum(e_pol * e_th, axis=-1)).max() <= 1e-15
 
 
 JET_FIELDS = {

@@ -18,7 +18,7 @@ from doublebubble.cli import _claimed_orders
 from doublebubble.expansions import phi_from_energy
 from doublebubble.fields import random_admissible_field, _param_steps
 from doublebubble.geometry import BubbleParams, flat_rule, solve_standard_bubble
-from doublebubble import measure
+from doublebubble import fields, measure
 from doublebubble.measure import (
     QUANTITIES,
     EmbeddedBubble,
@@ -88,13 +88,14 @@ def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
     axis = np.array([0.25, -0.4, 0.88])
     calls = []
-    sheet_jet = measure._sheet_jet
+    sheet_jet = fields._sheet_jet
 
     def counted(bubble, sheet, z, fld):
         calls.append((sheet, bool(np.all(z[:, 0] == bubble.polar_limit(sheet)))))
         return sheet_jet(bubble, sheet, z, fld)
 
-    monkeypatch.setattr(measure, "_sheet_jet", counted)
+    for module in (fields, measure):
+        monkeypatch.setattr(module, "_sheet_jet", counted)
     for rhos in ([0.2, 0.14, 0.1], [0.2, 0.14, 0.1, 0.07, 0.05]):
         calls.clear()
         res = verify_many(SP, np.zeros(3), axis, ASYM, ["conormal"], rhos, grid=(8, 16),
