@@ -1,86 +1,4 @@
 """Double bubbles at small scale in Riemannian metrics: exact model geometry,
 curvature expansions, a measurement oracle and a configuration locator."""
 
-from .charts import (
-    CurvatureAtPoint,
-    DomainExit,
-    MetricChart,
-    OrthoFrame,
-    builtin_chart,
-    christoffel,
-    curvature_at,
-    exp_map,
-    normal_metric_expansion,
-    orthonormal_frame,
-    ricci,
-    riemann,
-    scalar_curvature,
-    scalar_gradient,
-    scalar_hessian,
-)
-from .expansions import (
-    ExpansionTerms,
-    ReducedConstants,
-    cap_volume_expansion,
-    flat_energy_reference,
-    geodesic_area_expansion,
-    geodesic_volumes_expansion,
-    phi_from_energy,
-    phi_limit_constants,
-    reduced_constants,
-    reduced_functional_leading,
-    sheet_area_expansion,
-    total_volume_expansion,
-)
-from .fields import (
-    CouplingData,
-    PerturbationField,
-    admissible_closure,
-    coupling_constants,
-    field_modes,
-    jacobi_block,
-    killing_basis,
-    killing_kernel_field,
-    perturbed_area_expansion,
-    perturbed_first_form,
-    perturbed_mean_curvature,
-    perturbed_second_form,
-    perturbed_volume_expansion,
-    random_admissible_field,
-)
-from .geometry import (
-    BubbleParams,
-    StandardBubble,
-    conormals_at_neck,
-    enclosed_volumes,
-    sheet_area,
-    sheet_point,
-    sheet_normal,
-    sine_power_integral,
-    solve_standard_bubble,
-    unit_ball_volume,
-)
-from .locate import (
-    BubblePrediction,
-    CriticalPoint,
-    RicciEigen,
-    find_critical_scalar,
-    jacobi_eigh,
-    predict_full,
-    ricci_eigendecomposition,
-)
-from .measure import (
-    ConvergenceFit,
-    EmbeddedBubble,
-    expansion_threshold,
-    fit_order,
-    measure_area,
-    measure_conormal_defect,
-    measure_energy,
-    measure_fundamental_forms,
-    measure_mean_curvature,
-    measure_volumes,
-    verify_many,
-)
-
 __version__ = "0.1.0"

@@ -597,34 +597,32 @@ def _fd_d1(fun, x, h, depth=2):
     return np.stack(rows, axis=-(depth + 1))
 
 
-def _stencil(fun, x, h, order: int = 1):
+def _stencil(fun, x, h):
     """4th-order central finite differences of an array-valued fun at points
-    x (..., n).
+    x (..., n), through second order.
 
     h is the step of each coordinate and broadcasts against x: a scalar
     applies to every coordinate, an (n,) array to every point, and an
     (..., n) array gives each point its own steps.
-    Returns (f, d1), or (f, d1, d2) with order=2, where f = fun(x) and the
-    derivative axes follow the batch axes of x: d1[..., i, *out] = d_i f and
-    d2[..., i, j, *out] = d_i d_j f.  First derivatives and the diagonal of
-    d2 use the central 5-point stencils, the mixed entries of d2 the 4-point
-    cross.  fun sees every shifted point in one call, stacked on a new
-    leading axis with the centre first, so fun must be defined a few steps
-    past the points.
+    Returns (f, d1, d2), where f = fun(x) and the derivative axes follow the
+    batch axes of x: d1[..., i, *out] = d_i f and d2[..., i, j, *out] =
+    d_i d_j f.  First derivatives and the diagonal of d2 use the central
+    5-point stencils, the mixed entries of d2 the 4-point cross.  fun sees
+    every shifted point in one call, stacked on a new leading axis with the
+    centre first, so fun must be defined a few steps past the points.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
     # each shift a tuple of (axis, multiple of that axis' step); () is the centre
     keys = [()] + [((i, c),) for i in range(n) for c in (1, -1, 2, -2)]
-    if order == 2:
-        keys += [
-            ((i, ci), (j, cj))
-            for i in range(n)
-            for j in range(i + 1, n)
-            for ci in (1, -1)
-            for cj in (1, -1)
-        ]
+    keys += [
+        ((i, ci), (j, cj))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for ci in (1, -1)
+        for cj in (1, -1)
+    ]
     shifts = np.zeros((len(keys),) + x.shape)
     for row, key in enumerate(keys):
         for i, c in key:
@@ -642,8 +640,6 @@ def _stencil(fun, x, h, order: int = 1):
         [(8.0 * (at(i, 1) - at(i, -1)) - (at(i, 2) - at(i, -2))) / (12.0 * h[i]) for i in range(n)],
         axis=axis,
     )
-    if order == 1:
-        return f0, d1
     d2 = [[None] * n for _ in range(n)]
     for i in range(n):
         d2[i][i] = (-30.0 * f0 + 16.0 * (at(i, 1) + at(i, -1)) - (at(i, 2) + at(i, -2))) / (

@@ -32,7 +32,7 @@ from .charts import DomainExit, builtin_chart, curvature_at
 from .fields import check_admissible, random_admissible_field
 from .geometry import BubbleParams, conormals_at_neck, solve_standard_bubble
 from .locate import predict_full, prediction_record, ricci_eigendecomposition
-from .measure import QUANTITIES, expansion_threshold, verify_many
+from .measure import CLAIMS, verify_many
 
 CONFIG_KEYS = {
     "chart": "chart family: euclidean | round_sphere | conformal_bump | product",
@@ -54,7 +54,7 @@ CONFIG_KEYS = {
     "grid": "quadrature grid n_polar,n_sphere",
     "sector_nodes": "Gauss-Legendre nodes along the straight chart segments of the volume cones",
     "geodesic_steps": "RK4 steps of the exponential map",
-    "quantities": "verify quantities, comma-separated (see measure.QUANTITIES)",
+    "quantities": "verify quantities, comma-separated (see measure.CLAIMS)",
     "perturbed": "true to verify with a rho^2-scaled admissible field",
     "field_amplitude": "base amplitude of the perturbation field",
     "seed": "RNG seed for randomized pieces",
@@ -320,9 +320,9 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
     sector_nodes = _number(cfg["sector_nodes"], "sector_nodes", int, positive=True)
     geodesic_steps = _number(cfg["geodesic_steps"], "geodesic_steps", int, positive=True)
     quantities = [q.strip() for q in cfg["quantities"].split(",") if q.strip()]
-    unknown = [q for q in quantities if q not in QUANTITIES]
+    unknown = [q for q in quantities if q not in CLAIMS]
     if unknown or not quantities or len(set(quantities)) < len(quantities):
-        raise ConfigError(f"quantities needs distinct names from {QUANTITIES}, got {quantities}")
+        raise ConfigError(f"quantities needs distinct names from {tuple(CLAIMS)}, got {quantities}")
     if len(rhos) < 3 or any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ConfigError(f"rho_list needs at least 3 strictly decreasing scales, got {rhos}")
     if params.m not in (2, 3):
@@ -359,9 +359,6 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
         perturbation=perturbation,
     )
 
-    claimed = _claimed_orders(bubble)
-    thresholds = {q: expansion_threshold(claimed[q]) for q in quantities}
-    passed = {q: results[q][0].exact or results[q][0].slope >= thresholds[q] for q in quantities}
     rows = []
     for q in quantities:  # fixed input order keeps the file stable
         fit, sweep = results[q]
@@ -376,35 +373,17 @@ def cmd_verify(cfg: dict, outdir: Path) -> int:
                     fmt(entry["slope_so_far"]),
                 ]
             )
-        rows.append([q, "fit", fmt(fit.slope), fmt(fit.r_squared), fmt(thresholds[q]),
-                     "pass" if passed[q] else "fail"])
+        rows.append([q, "fit", fmt(fit.slope), fmt(fit.r_squared), fmt(fit.threshold),
+                     "pass" if fit.passed else "fail"])
     write_csv(
         outdir / "verify.csv",
         ["quantity", "rho", "oracle", "expansion", "error", "slope_so_far"],
         rows,
     )
-    for q in quantities:
-        fit, _ = results[q]
-        status = "exact" if fit.exact else f"slope {fit.slope:.3f} (>= {thresholds[q]:.2f})"
-        print(f"verify {q}: {status} {'PASS' if passed[q] else 'FAIL'}")
-    return 0 if all(passed.values()) else 1
-
-
-def _claimed_orders(bubble) -> dict:
-    """Claimed remainder orders per quantity for the fitted sweeps."""
-    t1, _ = expansions.geodesic_volumes_expansion(bubble)
-    _, total = expansions.geodesic_area_expansion(bubble)
-    return {
-        "area": total.remainder_order,
-        "v1": t1.remainder_order,
-        "v2": t1.remainder_order,
-        "vtot": expansions.total_volume_expansion(bubble).remainder_order,
-        "h0": 3,
-        "h1": 3,
-        "h2": 3,
-        "conormal": 2,
-        "phi": 2 if bubble.symmetric else 1,
-    }
+    for q, (fit, _) in results.items():
+        status = "exact" if fit.exact else f"slope {fit.slope:.3f} (>= {fit.threshold:.2f})"
+        print(f"verify {q}: {status} {'PASS' if fit.passed else 'FAIL'}")
+    return 0 if all(fit.passed for fit, _ in results.values()) else 1
 
 
 def cmd_predict(cfg: dict, outdir: Path) -> int:

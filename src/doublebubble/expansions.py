@@ -7,7 +7,10 @@ vector).  Expansions are organized as
     leading + rho^2 (sc_coeff * Sc(p) + ric_coeff * Ric_p(s, s)) + remainder,
 
 with the normalization rho^-(m+1) for enclosed volumes and rho^-m for areas.
-The curvature convention matches charts.py (Ric positive on round spheres).
+The leading terms are the flat sheet areas |S_s| and region volumes |P_s|
+that solve_standard_bubble stores on the bubble (sheet_areas,
+region_volumes).  The curvature convention matches charts.py (Ric positive
+on round spheres).
 
 Two families of reduced-energy constants are provided:
 
@@ -33,8 +36,6 @@ from .geometry import (
     StandardBubble,
     TWO_THIRDS_PI,
     gauss_legendre,
-    region_volume,
-    sheet_area,
     sine_power_integral,
     unit_ball_volume,
 )
@@ -98,7 +99,7 @@ def cap_volume_expansion(bubble: StandardBubble, sheet: int) -> ExpansionTerms:
     i_m3 = sine_power_integral(m + 3, phi)
     pref = -(om / 6.0) * r_s ** (m + 3)
     return ExpansionTerms(
-        leading=region_volume(bubble, sheet),
+        leading=bubble.region_volumes[sheet],
         sc_coeff=pref * i_m3 / (m + 2),
         ric_coeff=pref * ((m + 3) / (m + 2) * i_m3 - i_m1 * math.sin(phi) ** 2),
         remainder_order=3,
@@ -152,7 +153,7 @@ def sheet_area_expansion(bubble: StandardBubble, sheet: int) -> ExpansionTerms:
         r = bubble.neck_radius
         pref = -om * r ** (m + 2) / (6.0 * (m + 2))
         return ExpansionTerms(
-            leading=sheet_area(bubble, 0),
+            leading=bubble.sheet_areas[0],
             sc_coeff=pref,
             ric_coeff=-2.0 * pref,
             remainder_order=4,
@@ -163,7 +164,7 @@ def sheet_area_expansion(bubble: StandardBubble, sheet: int) -> ExpansionTerms:
     pref = -(om / 6.0) * r_s ** (m + 2)
     ric = m * math.cos(phi) ** 2 * i_m1 - math.sin(phi) ** (m + 2) * math.cos(phi)
     return ExpansionTerms(
-        leading=sheet_area(bubble, sheet),
+        leading=bubble.sheet_areas[sheet],
         sc_coeff=pref * i_m1,
         ric_coeff=pref * ric,
         remainder_order=4 if bubble.symmetric else 3,
@@ -294,16 +295,17 @@ def reduced_functional_leading(sc: float, ric_ss: float, consts: ReducedConstant
 
 
 def flat_energy_reference(bubble: StandardBubble) -> float:
-    """Flat-model value of rho^-m Psi: sum_s (|S_s| - (m/R_s) |P_s|).
+    """Flat-model value of rho^-m Psi: sum_s (|S_s| - (m/R_s) |P_s|), from
+    the bubble's stored sheet_areas and region_volumes.
 
     The disk contributes its bare area (P0 = 0 in the symmetric case).
     """
     m = bubble.m
     total = 0.0
     for s in range(3):
-        total += sheet_area(bubble, s)
+        total += bubble.sheet_areas[s]
         if not (s == 0 and bubble.symmetric):
-            total -= (m / bubble.radii[s]) * region_volume(bubble, s)
+            total -= (m / bubble.radii[s]) * bubble.region_volumes[s]
     return total
 
 

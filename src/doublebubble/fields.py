@@ -312,7 +312,7 @@ class SheetPointData:
 
     @cached_property
     def _w_stencil(self) -> tuple:
-        return _stencil(self._w, self.z, _param_steps(self.bubble, self.sheet), order=2)
+        return _stencil(self._w, self.z, _param_steps(self.bubble, self.sheet))
 
     @cached_property
     def w(self) -> np.ndarray:

@@ -148,7 +148,9 @@ class StandardBubble:
     radii[0] is math.inf in the symmetric case (flat disk); `symmetric` is the
     authoritative flag, never a radius comparison.  centers are the signed
     axial positions of the three sphere centers (centers[0] = 0.0 for the
-    disk).  v1 <= v2 always.
+    disk).  sheet_areas are the sheet areas |S_s| (sheet_area) and
+    region_volumes the |P_s| (region_volume), from which the chambers
+    assemble as v1 = |P1| + |P0| and v2 = |P2| - |P0|; v1 <= v2 always.
     """
 
     params: BubbleParams
@@ -159,6 +161,7 @@ class StandardBubble:
     v1: float
     v2: float
     sheet_areas: tuple[float, float, float]
+    region_volumes: tuple[float, float, float]
 
     @property
     def m(self) -> int:
@@ -221,9 +224,16 @@ def solve_standard_bubble(params: BubbleParams) -> StandardBubble:
         v1=0.0,
         v2=0.0,
         sheet_areas=(0.0, 0.0, 0.0),
+        region_volumes=(0.0, 0.0, 0.0),
     )
-    v1, v2 = enclosed_volumes(bubble)
-    return replace(bubble, v1=v1, v2=v2, sheet_areas=tuple(sheet_area(bubble, s) for s in range(3)))
+    p0, p1, p2 = (region_volume(bubble, s) for s in range(3))
+    return replace(
+        bubble,
+        v1=p1 + p0,
+        v2=p2 - p0,
+        sheet_areas=tuple(sheet_area(bubble, s) for s in range(3)),
+        region_volumes=(p0, p1, p2),
+    )
 
 
 def region_volume(bubble: StandardBubble, sheet: int) -> float:
@@ -236,14 +246,6 @@ def region_volume(bubble: StandardBubble, sheet: int) -> float:
     m = bubble.m
     r_s = bubble.radii[sheet]
     return unit_ball_volume(m) * r_s ** (m + 1) * sine_power_integral(m + 1, bubble.phi[sheet])
-
-
-def enclosed_volumes(bubble: StandardBubble) -> tuple[float, float]:
-    """(V1, V2) from the signed region decomposition V1 = |P1| + |P0|, V2 = |P2| - |P0|."""
-    p0 = region_volume(bubble, 0)
-    p1 = region_volume(bubble, 1)
-    p2 = region_volume(bubble, 2)
-    return p1 + p0, p2 - p0
 
 
 def sheet_area(bubble: StandardBubble, sheet: int) -> float:

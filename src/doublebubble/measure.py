@@ -18,17 +18,18 @@ signs; and the same jets at the neck points of the conormal defect.  A
 bubble at field scale s displaces its sheets linearly, y = x + s D with
 tangents d_z y = d_z x + s d_z D, and embeds no stencil for its areas,
 volumes and conormals: it pushes y and d_z y through the differential of
-the exponential map, one geodesic with Jacobi fields per node.  One exp_map call gives the embedded
-sheets, Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y, that its
-areas and volumes share, and one call the conormals' neck tangents of the
-three sheets.  Only mean curvature still differences the embedding, in one
-stencil over the samples of all three sheets; the reference normal that
-orients its second fundamental form is the flat normal pushed forward the
-same way.  Each of these ray passes takes one bubble or a sequence of
-bubbles on one chart, frame and FlatModel, at their own rho and field
-scale (verify_many's sweep), and stacks the rays of every bubble on a new
-leading axis of one exp_map call: every ray takes geodesic_steps steps to t
-= 1 whatever its rho, so each bubble gets the bits it gets alone.
+the exponential map, one geodesic with Jacobi fields per node.  One exp_map
+call gives the embedded sheets, Y = Exp_p(rho E y) and
+T = rho dExp_p(rho E y) E d_z y, that its areas and volumes share, and one
+call the conormals' neck tangents of the three sheets.  Only mean curvature
+still differences the embedding, in one stencil over the samples of all
+three sheets; its unit normal takes its side from the flat model,
+sign det[nu, T] = sign(det E) sign det[N, d_z x], with no ray pass of its
+own.  Each of these ray passes takes one bubble or a sequence of bubbles on
+one chart, frame and FlatModel, at their own rho and field scale
+(verify_many's sweep), and stacks the rays of every bubble on a new leading
+axis of one exp_map call: every ray takes geodesic_steps steps to t = 1
+whatever its rho, so each bubble gets the bits it gets alone.
 
 Enclosed volumes are signed straight chart cones from the base point over
 the embedded sheets; they integrate no geodesic.  sqrt(det G) is the
@@ -45,18 +46,20 @@ asymmetric and perturbed bubble alike (N_s points into B1 on sheets 0 and
 
 verify_many sweeps rho once.  It builds one FlatModel and on it the
 EmbeddedBubble of every rho, measuring only the requested quantities: one
-exp_map call embeds the sheets of every rho, each bubble's cache keeping
-its slice, which areas and volumes share between area, v1, v2, vtot and the
-energy behind phi; one mean-curvature pass and one conormal pass cover
-every rho as well, and the volume cones stay per rho, so that peak memory
-does not grow with the number of scales.  The expansions it compares with
-are built once per sweep; the first-order field responses are the first
-variations of area and volume along the FlatModel's own unit-scale jets
-(fields.first_order_area_corrections and first_order_volume_corrections),
-so the field is evaluated once per sheet.  They are linear in the
-rho^2-scaled field, so they are computed once for the unscaled field and
-enter at rho as rho^2 * response, and so is the field part of the
-closed-form mean curvature.
+exp_map call embeds the sheets of every rho, each bubble's cache keeping its
+slice, which areas and volumes share between area, v1, v2, vtot and the
+energy behind phi; one mean-curvature pass and one conormal pass cover every
+rho as well, and the volume cones stay per rho, so that peak memory does not
+grow with the number of scales.  The expansions it compares with are built
+once per sweep, and each quantity's claim (CLAIMS: its exact floor and
+claimed remainder order, the areas' and volumes' read from those expansions)
+turns the fit into a threshold and a verdict; the first-order field
+responses are the first variations of area and volume along the FlatModel's
+own unit-scale jets (fields.first_order_area_corrections and
+first_order_volume_corrections), so the field is evaluated once per sheet.
+They are linear in the rho^2-scaled field, so they are computed once for the
+unscaled field and enter at rho as rho^2 * response, and so is the field
+part of the closed-form mean curvature.
 """
 
 from __future__ import annotations
@@ -94,14 +97,7 @@ from .fields import (
     _param_steps,
     _sheet_jet,
 )
-from .geometry import (
-    StandardBubble,
-    _normal_at,
-    angles_to_dirs,
-    flat_rule,
-    gauss_legendre,
-    sheet_normal,
-)
+from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre
 
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
@@ -111,13 +107,23 @@ NECK_SAMPLES = 32
 
 @dataclass(frozen=True)
 class ConvergenceFit:
-    """Least-squares slope of log(error) against log(rho)."""
+    """Least-squares slope of log(error) against log(rho).
+
+    threshold is the slope that verify_many's claim asks for (NaN from
+    fit_order alone), and passed the verdict: an exact expansion, or a slope
+    at or above the threshold.
+    """
 
     rhos: tuple
     errors: tuple
     slope: float
     r_squared: float
     exact: bool = False
+    threshold: float = math.nan
+
+    @property
+    def passed(self) -> bool:
+        return self.exact or self.slope >= self.threshold
 
 
 def fit_order(rhos, errors, floor: float = 0.0) -> ConvergenceFit:
@@ -198,9 +204,15 @@ class FlatModel:
         b = self.bubble
         z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
         jet = _sheet_jet(b, sheet, z, self.field)
-        nrm = _normal_at(b, sheet, jet[0])
-        orient = np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(jet[1])], axis=1)))
-        return _FlatSheet(z, w, jet, orient)
+        return _FlatSheet(z, w, jet, _orientation(b, sheet, jet[0], jet[1]))
+
+
+def _orientation(bubble: StandardBubble, sheet: int, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """sign det[N, d_z x] (N,) of a flat sheet at its points x (N, n) with
+    the tangents d_z x (N, m, n): the orientation that signs the volume
+    cones and the normals of the second fundamental form."""
+    nrm = _normal_at(bubble, sheet, x)
+    return np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(dx)], axis=1)))
 
 
 class EmbeddedBubble:
@@ -369,16 +381,16 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     return out
 
 
-def _orthonormal_normal(gmat, tangents, ref_dir):
-    """G-unit vector orthogonal to the tangent rows, oriented along ref_dir."""
-    n = gmat.shape[-1]
+def _orthonormal_normal(gmat, tangents, orient):
+    """G-unit vectors orthogonal to the tangent rows (..., m, n), signed so
+    that det[normal, tangents] has the sign orient."""
     a = np.einsum("...ik,...kl->...il", tangents, gmat)  # (..., m, n)
     _, _, vh = np.linalg.svd(a)
     cand = vh[..., -1, :]
     norm = np.sqrt(np.einsum("...i,...ij,...j->...", cand, gmat, cand))
     cand = cand / norm[..., None]
-    sign = np.sign(np.einsum("...i,...ij,...j->...", cand, gmat, ref_dir))
-    return cand * np.where(sign == 0.0, 1.0, sign)[..., None]
+    side = np.sign(_det(_component_major(np.concatenate([cand[..., None, :], tangents], axis=-2), 2)))
+    return cand * (side * orient)[..., None]
 
 
 def measure_fundamental_forms(eb, sheet, z: np.ndarray):
@@ -393,9 +405,12 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     measured alone.  eb is one EmbeddedBubble, or a sequence of them (see
     _stack) whose forms come from the same single pass, stacked on a new
     leading axis.  The second form is oriented along the flat-model normal
-    convention (N into B1 on sheets 0 and 1).  Parameters too close to the
-    neck for the second-derivative stencil raise an error rather than
-    extrapolating.
+    convention (N into B1 on sheets 0 and 1): the embedding maps the flat
+    frame [N, d_z x] by rho dExp_p E, whose determinant has the sign of det
+    E, so the unit normal nu is the one with sign det[nu, T] = sign(det E)
+    sign det[N, d_z x] (_orientation), T the embedded tangents.  Parameters
+    too close to the neck for the second-derivative stencil raise an error
+    rather than extrapolating.
     """
     ebs = _stack(eb)
     b = ebs[0].bubble
@@ -406,6 +421,11 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     if np.any(z[:, 0] + 2.5 * h[:, 0] > upper) or np.any(z[:, 0] - 2.5 * h[:, 0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
     e = ebs[0].frame.matrix
+    # sign det[N, d_z x] of each point's flat sheet
+    orient = np.zeros(len(z))
+    for s in range(3):
+        mask = sheets == s
+        orient[mask] = _orientation(b, s, *_sheet_jet(b, s, z[mask], None)[:2])
 
     def by_sheet(fun, zz):
         """fun(sheet, points) of each point's sheet at parameters zz (..., N, m)."""
@@ -416,33 +436,22 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
                 out[..., mask, :] = fun(s, zz[..., mask, :])
         return out
 
-    flat = None
-
     def embed(zz):
         # zz (shifts, bubbles, N, m): every shifted point of every bubble in
-        # one exp_map call; the displaced points of the centre (zz[0] = z +
-        # 0.0, so bit for bit those at z) are kept
-        nonlocal flat
+        # one exp_map call
         ys = [
             by_sheet(lambda s, pts: displaced_point_z(b, s, pts, bub.perturbation), zz[:, i])
             for i, bub in enumerate(ebs)
         ]
-        flat = [y[0] for y in ys]
         return _exp_stacked(ebs, [_in_frame(bub.rho * y, e) for bub, y in zip(ebs, ys)], axis=1)
 
     stacked = np.broadcast_to(z, (len(ebs),) + z.shape)
-    pos, tangents, second = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape), order=2)
+    pos, tangents, second = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape))
     chart = ebs[0].chart
     gmat = chart.metric(pos)
     gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
     gamma = christoffel(chart, pos)
-    # reference normal direction: the flat normal pushed forward by
-    # dExp_p(rho E y) E at the displaced points of the stencil centre; it
-    # only picks the sign
-    nflat = by_sheet(lambda s, pts: sheet_normal(b, s, pts[..., 0], angles_to_dirs(b.m, pts[..., 1:])), z)
-    w = _in_frame(nflat, e)[..., None]
-    _, ref = _exp_stacked(ebs, [_in_frame(bub.rho * y, e) for bub, y in zip(ebs, flat)], [w] * len(ebs))
-    normal = _orthonormal_normal(gmat, tangents, ref[..., 0])
+    normal = _orthonormal_normal(gmat, tangents, np.sign(_det(e)) * orient)
     # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part
     cov = second + np.einsum("...aij,...pi,...qj->...pqa", gamma, tangents, tangents)
     hmat = np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)
@@ -518,18 +527,29 @@ def default_h_params(bubble: StandardBubble, sheet: int) -> np.ndarray:
 # expansion verification harness
 
 
-QUANTITIES = ("area", "v1", "v2", "vtot", "h0", "h1", "h2", "conormal", "phi")
+class Claim(NamedTuple):
+    """What verify_many claims of one quantity: errors at or below floor
+    read as an exact expansion, and otherwise the error falls as rho^order,
+    with order (symmetric bubble, asymmetric bubble), or the remainder_order
+    of the quantity's ExpansionTerms where order is None.  A fitted slope
+    passes within 0.3 of the claimed order."""
 
-DEFAULT_FLOORS = {
-    "area": 1e-11,
-    "v1": 1e-11,
-    "v2": 1e-11,
-    "vtot": 1e-11,
-    "h0": 2e-9,
-    "h1": 2e-9,
-    "h2": 2e-9,
-    "conormal": 1e-9,
-    "phi": 1e-8,
+    floor: float
+    order: tuple[int, int] | None = None
+
+
+# the quantities verify_many measures, in their report order
+CLAIMS = {
+    "area": Claim(1e-11),
+    "v1": Claim(1e-11),
+    "v2": Claim(1e-11),
+    "vtot": Claim(1e-11),
+    "h0": Claim(2e-9, (3, 3)),
+    "h1": Claim(2e-9, (3, 3)),
+    "h2": Claim(2e-9, (3, 3)),
+    "conormal": Claim(1e-9, (2, 2)),
+    # a symmetric bubble's central symmetry cancels the rho^1 term of phi
+    "phi": Claim(1e-8, (2, 1)),
 }
 
 
@@ -544,14 +564,16 @@ def verify_many(
     geodesic_steps: int = 200,
     sector_nodes: int = 12,
     perturbation: PerturbationField | None = None,
-    floors: dict | None = None,
 ) -> dict:
     """Sweep rho once, measuring every quantity from one EmbeddedBubble per rho.
 
     Returns {quantity: (ConvergenceFit, rows)} with rows carrying
-    (rho, oracle, formula, error, slope so far).  Perturbations are scaled by
-    rho^2 per sweep point, matching the smallness regime of the closed forms.
-    The expansion side is evaluated once per sweep: the curvature terms, the
+    (rho, oracle, formula, error, slope so far) and the fit carrying the
+    threshold of the quantity's claim (CLAIMS) and its verdict.
+    Perturbations are scaled by rho^2 per sweep point, matching the
+    smallness regime of the closed forms.  The expansion side is evaluated
+    once per sweep: the ExpansionTerms of the requested areas and volumes,
+    whose remainder_order is also their claim, the curvature terms, the
     parts of the closed-form mean curvature (fields.mean_curvature_terms),
     and for a perturbed sweep the first-order responses of the unscaled
     field, which are linear in the field and so enter at rho as rho^2 *
@@ -564,8 +586,8 @@ def verify_many(
     """
     quantities = list(quantities)
     for q in quantities:
-        if q not in QUANTITIES:
-            raise ValueError(f"unknown quantity {q!r}; options {QUANTITIES}")
+        if q not in CLAIMS:
+            raise ValueError(f"unknown quantity {q!r}; options {tuple(CLAIMS)}")
     curv = curvature_at(chart, np.asarray(p, dtype=float), seed_axis, nabla=False)
     sc = curv.scalar
     axis = np.zeros(chart.dim)
@@ -575,9 +597,13 @@ def verify_many(
     m = bubble.m
     volumes_wanted = any(q in ("v1", "v2", "vtot") for q in quantities)
 
-    _, area_terms = expansions.geodesic_area_expansion(bubble)
-    t1, t2 = expansions.geodesic_volumes_expansion(bubble)
-    terms = {"area": area_terms, "v1": t1, "v2": t2, "vtot": expansions.total_volume_expansion(bubble)}
+    terms = {}
+    if "area" in quantities:
+        terms["area"] = expansions.geodesic_area_expansion(bubble)[1]
+    if "v1" in quantities or "v2" in quantities:
+        terms["v1"], terms["v2"] = expansions.geodesic_volumes_expansion(bubble)
+    if "vtot" in quantities:
+        terms["vtot"] = expansions.total_volume_expansion(bubble)
     # one flat side for every rho; the first-order responses are the first
     # variations along its unit-scale field's jets, times the field's scale
     model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
@@ -649,9 +675,9 @@ def verify_many(
         for record, defect in zip(records, measure_conormal_defect(ebs)):
             record["conormal"] = float(defect)
     out = {}
-    floors = floors or {}
     for q in quantities:
-        floor = floors.get(q, DEFAULT_FLOORS[q])
+        floor, order = CLAIMS[q]
+        order = terms[q].remainder_order if order is None else order[0 if bubble.symmetric else 1]
         rows = []
         errors = []
         for rho, record in zip(rhos, records):
@@ -661,7 +687,7 @@ def verify_many(
                 {"quantity": q, "rho": rho, "oracle": oracle, "formula": expected,
                  "error": errors[-1]}
             )
-        fit = fit_order(rhos, errors, floor=floor)
+        fit = replace(fit_order(rhos, errors, floor=floor), threshold=order - 0.3)
         for i, row in enumerate(rows):
             row["slope_so_far"] = (
                 fit_order(rhos[: i + 1], errors[: i + 1], floor=floor).slope
@@ -670,8 +696,3 @@ def verify_many(
             )
         out[q] = (fit, rows)
     return out
-
-
-def expansion_threshold(claimed_order: int) -> float:
-    """Pass threshold for fitted remainder slopes."""
-    return claimed_order - 0.3

@@ -456,7 +456,7 @@ def test_stencil_exact_on_batched_polynomials():
         # (..., n, out): derivative axis right after the batch axes
         return np.stack([np.stack(col, axis=-1) for col in zip(*rows)], axis=-2)
 
-    f, d1 = _stencil(quartic, x, h)
+    f, d1, _ = _stencil(quartic, x, h)
     assert f.shape == (4, 5, 2) and d1.shape == (4, 5, 3, 2)
     assert np.array_equal(f, quartic(x))
     assert np.abs(d1 - quartic_d1(x)).max() <= 1e-10
@@ -474,17 +474,17 @@ def test_stencil_exact_on_batched_polynomials():
         ],
         axis=-2,
     )
-    _, d1, d2 = _stencil(cubic, x, h, order=2)
+    _, d1, d2 = _stencil(cubic, x, h)
     assert d1.shape == (4, 5, 3) and d2.shape == (4, 5, 3, 3)
     assert np.abs(d2 - hess).max() <= 1e-8
 
     # steps per point: each point's derivatives are those of a call with its
     # own steps alone, bit for bit, for vector and scalar values
     steps = rng.uniform(0.005, 0.02, size=x.shape)
-    for fun, order in ((quartic, 1), (cubic, 2)):
-        batched = _stencil(fun, x, steps, order=order)
+    for fun in (quartic, cubic):
+        batched = _stencil(fun, x, steps)
         for idx in np.ndindex(x.shape[:-1]):
-            alone = _stencil(fun, x[idx], steps[idx], order=order)
+            alone = _stencil(fun, x[idx], steps[idx])
             for got, want in zip(batched, alone):
                 assert np.array_equal(got[idx], want)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublebubble import fields, measure
+from doublebubble import expansions, fields, measure
 from doublebubble.charts import builtin_chart
 from doublebubble.cli import build_chart, main, parse_config, fmt, ConfigError
 
@@ -279,7 +279,9 @@ def test_verify_left_handed_axis_passes(tmp_path):
 
 def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     embeds, volume_evals, h_passes, h_terms, conormal_passes, jets = [], [], [], [], [], []
+    volume_terms = []
     init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
+    volumes_expansion = expansions.geodesic_volumes_expansion
     field_jet = fields.field_jet
     mean_curvature, terms = measure.measure_mean_curvature, fields.mean_curvature_terms
     conormal = measure.measure_conormal_defect
@@ -323,12 +325,17 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
         jets.append((sheet, len(z)))
         return field_jet(fun, z, sheet)
 
+    def counting_volume_terms(bubble):
+        volume_terms.append(bubble)
+        return volumes_expansion(bubble)
+
     monkeypatch.setattr(fields, "field_jet", counting_jet)
     monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
     monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
     monkeypatch.setattr(measure, "measure_mean_curvature", counting_h)
     monkeypatch.setattr(measure, "measure_conormal_defect", counting_conormal)
     monkeypatch.setattr(measure, "mean_curvature_terms", counting_terms)
+    monkeypatch.setattr(expansions, "geodesic_volumes_expansion", counting_volume_terms)
     # the first-order field responses, wherever the sweep reaches them from
     for name in responses:
         wrapper = counting(name)
@@ -360,6 +367,9 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
         "first_order_volume_corrections": 1,
         "perturbed_mean_curvature": 0,
     }
+    # the chambers' expansion terms are built once per command, for their
+    # formula side and their claimed order alike
+    assert len(volume_terms) == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -372,12 +372,12 @@ def test_field_jets_match_stencils(b, kind):
         nodes = flat_rule(2, b.polar_limit(s), (8, 16))[0]
         for z in (nodes, _neck_z(b, s, neck_angle_grid(2, 32))):
             _, _, d, dd = _sheet_jet(b, s, z, field)
-            ref, dref = _stencil(displacement, z, h)
+            ref, dref, _ = _stencil(displacement, z, h)
             assert np.abs(dd - dref).max() <= 1e-10
             assert np.abs(d - ref).max() <= 1e-15 * np.abs(ref).max()
         data = SheetPointData(b, s, nodes, field)
         for value, deriv, fn in ((data.w, data.dw, field.w), (data.yvec, data.dy, field.y)):
-            ref, dref = _stencil(lambda zz: real(fn, zz), nodes, h)
+            ref, dref, _ = _stencil(lambda zz: real(fn, zz), nodes, h)
             assert np.abs(deriv - dref).max() <= 1e-10
             assert np.abs(value - ref).max() <= 1e-15 * np.abs(ref).max()
         assert np.array_equal(data.w, real(field.w, nodes))

@@ -224,5 +224,5 @@ def test_sheet_tangents_are_the_closed_form_derivatives(m):
             def point(zz, s=s):
                 return sheet_point(b, s, zz[..., 0], angles_to_dirs(m, zz[..., 1:]))
 
-            _, d1 = _stencil(point, z, _param_steps(b, s))
+            _, d1, _ = _stencil(point, z, _param_steps(b, s))
             assert np.abs(t - d1).max() <= 1e-10
