@@ -18,7 +18,10 @@ derivatives are complex-step jets (field_jet): d_b f = Im f(z + i h e_b) / h,
 exact to roundoff, which asks the field's callables to be analytic in
 complex parameters (PerturbationField).  Only the Hessian of w comes from
 the 4th-order stencil of charts._stencil, with the parameter steps H_REL
-times each parameter's range (_param_steps).
+times each parameter's range (_param_steps).  displaced_point_z is the flat
+point x alone: a field displaces it linearly, as x + s D with the jets of
+_sheet_jet, at the oracle's quadrature nodes, neck points and
+mean-curvature stencil points alike (measure._embed).
 
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
@@ -68,7 +71,8 @@ SUP_NODES = 12
 # angles per turn on which field_modes samples a field
 MODE_ANGLES = 64
 # relative parameter step of the field Hessian's stencil (ten times it for
-# the second derivatives of measure.measure_fundamental_forms)
+# the first differences of the embedded tangents of
+# measure.measure_fundamental_forms)
 H_REL = 1e-4
 # imaginary step of the complex-step field jets: the O(h^2) change of a
 # shifted value's real part lies far below its ulp, and its O(h) imaginary
@@ -207,20 +211,11 @@ def check_admissible(field: PerturbationField, unit_sup: float | None = None) ->
 # flat sheet parametrization and derivatives in parameters z = (polar, angles)
 
 
-def displaced_point_z(
-    bubble: StandardBubble, sheet: int, z: np.ndarray, field: PerturbationField | None
-) -> np.ndarray:
-    """x + w N + Y at parameters z = (polar, angles) (..., m), the directions
-    and the flat point x computed once; the flat point itself when field is
-    None."""
+def displaced_point_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.ndarray:
+    """The flat sheet point x at parameters z = (polar, angles) (..., m);
+    a field displaces it linearly, as x + s D from _sheet_jet."""
     z = np.asarray(z, dtype=float)
-    dirs = angles_to_dirs(bubble.m, z[..., 1:])
-    x = sheet_point(bubble, sheet, z[..., 0], dirs)
-    if field is None:
-        return x
-    w = field.w(sheet, z[..., 0], dirs)
-    y = field.y(sheet, z[..., 0], dirs)
-    return x + w[..., None] * _normal_at(bubble, sheet, x) + y
+    return sheet_point(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]))
 
 
 def _param_steps(bubble: StandardBubble, sheet: int, rel: float = H_REL) -> np.ndarray:
@@ -266,7 +261,7 @@ def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tupl
     (N, n) and their closed-form tangents (N, m, n), and the displacement
     D = w N + Y of the field with its derivatives, one complex-step jet
     (field_jet; None, None without a field)."""
-    x, dx = displaced_point_z(bubble, sheet, z, None), sheet_tangents(bubble, sheet, z)
+    x, dx = displaced_point_z(bubble, sheet, z), sheet_tangents(bubble, sheet, z)
     if field is None:
         return x, dx, None, None
 
@@ -296,7 +291,7 @@ class SheetPointData:
     def __init__(self, bubble: StandardBubble, sheet: int, z: np.ndarray, field=None):
         self.bubble, self.sheet, self.z = bubble, sheet, np.asarray(z, dtype=float)
         self.field = PerturbationField(bubble, (None, None, None)) if field is None else field
-        self.x = displaced_point_z(bubble, sheet, self.z, None)
+        self.x = displaced_point_z(bubble, sheet, self.z)
         self.normal = _normal_at(bubble, sheet, self.x)
         self.tangents = sheet_tangents(bubble, sheet, self.z)
         self.g, self.gamma = flat_metric(bubble, sheet, self.z)

@@ -4,7 +4,7 @@ The oracle takes a chart, a base point with an orthonormal frame, a standard
 bubble and a scale rho, maps the (possibly perturbed) flat model through the
 exponential map and measures areas, enclosed volumes, mean curvature samples,
 the junction conormal defect and the two-volume energy by quadrature of the
-pushforward tangents and, for mean curvature alone, parameter-space finite
+pushforward tangents and, for mean curvature, their parameter-space first
 differences.  Nothing here uses the closed-form curvature expansions; those
 are *checked against* these numbers.
 
@@ -16,20 +16,21 @@ displacement D = w N + Y at scale 1 with d_z D from one complex-step jet of
 the field alone (fields._sheet_jet, exact to roundoff), and the orientation
 signs; and the same jets at the neck points of the conormal defect.  A
 bubble at field scale s displaces its sheets linearly, y = x + s D with
-tangents d_z y = d_z x + s d_z D, and embeds no stencil for its areas,
-volumes and conormals: it pushes y and d_z y through the differential of
-the exponential map, one geodesic with Jacobi fields per node.  One exp_map
-call gives the embedded sheets, Y = Exp_p(rho E y) and
-T = rho dExp_p(rho E y) E d_z y, that its areas and volumes share, and one
-call the conormals' neck tangents of the three sheets.  Only mean curvature
-still differences the embedding, in one stencil over the samples of all
-three sheets; its unit normal takes its side from the flat model,
-sign det[nu, T] = sign(det E) sign det[N, d_z x], with no ray pass of its
-own.  Each of these ray passes takes one bubble or a sequence of bubbles on
-one chart, frame and FlatModel, at their own rho and field scale
-(verify_many's sweep), and stacks the rays of every bubble on a new leading
-axis of one exp_map call: every ray takes geodesic_steps steps to t = 1
-whatever its rho, so each bubble gets the bits it gets alone.
+tangents d_z y = d_z x + s d_z D, and every quantity reads one primitive,
+_embed: it pushes y and d_z y of a jet through the differential of the
+exponential map, one geodesic with Jacobi fields per point, and returns
+Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y.  One call gives the
+embedded sheets that the areas and volumes share, one the conormals' neck
+tangents of the three sheets, and one the mean curvature's stencil of
+[Y, T] over the samples of all three sheets, whose field jets are taken
+once per sheet; its unit normal is the cofactor of the tangents and takes
+its side from the flat model, sign det[nu, T] = sign(det E) sign
+det[N, d_z x], with no ray pass of its own.  Each of these ray passes takes
+one bubble or a sequence of bubbles on one chart, frame and FlatModel, at
+their own rho and field scale (verify_many's sweep), and stacks the rays of
+every bubble on a new leading axis of one exp_map call: every ray takes
+geodesic_steps steps to t = 1 whatever its rho, so each bubble gets the
+bits it gets alone.
 
 Enclosed volumes are signed straight chart cones from the base point over
 the embedded sheets; they integrate no geodesic.  sqrt(det G) is the
@@ -88,7 +89,6 @@ from .fields import (
     H_REL,
     PerturbationField,
     check_admissible,
-    displaced_point_z,
     first_order_area_corrections,
     first_order_volume_corrections,
     mean_curvature_terms,
@@ -303,35 +303,41 @@ def _stack(eb) -> list:
     return ebs
 
 
-def _exp_stacked(ebs: list, v: list, w: list | None = None, axis: int = 0):
-    """exp_map of the rays v[i] (..., n) of every bubble ebs[i], with the
-    directions w[i] (..., n, k) when given, stacked on a new axis `axis`:
-    points, or (points, pushforward), with that axis."""
+def _joined(jets: list, join) -> tuple:
+    """One _sheet_jet of several, each component joined by join (np.concatenate
+    or np.stack); the field parts stay None without a field."""
+    return tuple(None if parts[0] is None else join(parts) for parts in zip(*jets))
+
+
+def _embed(ebs: list, jet: tuple):
+    """The oracle's one primitive: (Y (bubbles, ..., n), T (bubbles, ..., n,
+    m)) of the points of a _sheet_jet (..., n) on each bubble of a ray pass
+    (see _stack), stacked on a new leading axis.  Each bubble's displaced
+    sheet y and d_z y (_displaced) go through one exp_map call for them all:
+    Y = Exp_p(rho E y) and the Jacobi fields T = rho dExp_p(rho E y) E d_z y."""
     first = ebs[0]
-    directions = None if w is None else np.stack(w, axis)
-    return exp_map(
-        first.chart, first.frame.base, np.stack(v, axis), steps=first.model.geodesic_steps, directions=directions
-    )
+    e = first.frame.matrix
+    # the rays rho E y and their directions rho E d_z y (..., n, m), filled
+    # per bubble so that no second copy is alive during the ray pass
+    v = np.empty((len(ebs),) + jet[0].shape)
+    w = np.empty(v.shape + jet[1].shape[-2:-1])
+    for k, b in enumerate(ebs):
+        y, dy = _displaced(b, jet)
+        v[k] = _in_frame(b.rho * y, e)
+        w[k] = b.rho * np.swapaxes(_in_frame(dy, e), -1, -2)
+    return exp_map(first.chart, first.frame.base, v, steps=first.model.geodesic_steps, directions=w)
 
 
 def _embedded_sheets(eb) -> list:
     """[(Y (N, n), T (n, m, N))] of the three embedded sheets of each bubble
     (one EmbeddedBubble or a sequence, see _stack) at their concatenated
-    flat_rule nodes: Y = Exp_p(rho E y) over the displaced sheet y
-    (_displaced) and the Jacobi fields T = rho dExp_p(rho E y) E d_z y,
-    component-major, nodes last.  One exp_map call embeds every bubble whose
-    cache lacks its sheets; each cache keeps its own slice."""
+    flat_rule nodes, T component-major with the nodes last: one _embed call
+    for every bubble whose cache lacks its sheets; each cache keeps its own
+    slice."""
     ebs = _stack(eb)
     todo = [b for b in ebs if "sheets" not in b._sheet_cache]
     if todo:
-        e = todo[0].frame.matrix
-        v, w = [], []
-        for b in todo:
-            ys, cols = zip(*(_displaced(b, sh.jet) for sh in b.model.sheets))
-            v.append(_in_frame(b.rho * np.concatenate(ys), e))
-            # the directions rho E d_z y (N, n, m)
-            w.append(b.rho * np.swapaxes(_in_frame(np.concatenate(cols), e), -1, -2))
-        pos, push = _exp_stacked(todo, v, w)
+        pos, push = _embed(todo, _joined([sh.jet for sh in todo[0].model.sheets], np.concatenate))
         for b, y, t in zip(todo, pos, push):
             b._sheet_cache["sheets"] = (y, np.moveaxis(t, 0, -1))
     return [b._sheet_cache["sheets"] for b in ebs]
@@ -381,36 +387,29 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     return out
 
 
-def _orthonormal_normal(gmat, tangents, orient):
-    """G-unit vectors orthogonal to the tangent rows (..., m, n), signed so
-    that det[normal, tangents] has the sign orient."""
-    a = np.einsum("...ik,...kl->...il", tangents, gmat)  # (..., m, n)
-    _, _, vh = np.linalg.svd(a)
-    cand = vh[..., -1, :]
-    norm = np.sqrt(np.einsum("...i,...ij,...j->...", cand, gmat, cand))
-    cand = cand / norm[..., None]
-    side = np.sign(_det(_component_major(np.concatenate([cand[..., None, :], tangents], axis=-2), 2)))
-    return cand * (side * orient)[..., None]
-
-
 def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     """(first form, second form) matrices of the embedded sheets at interior
     parameters z (N, m), in sheet parameter coordinates.
 
     sheet is one sheet for every point or a sheet per point (N,), so one
-    call measures samples of all three sheets: one stencil with each point's
-    own steps (10 H_REL times its sheet's parameter ranges), one exp_map
-    call for every shifted point, and one pass of the metric, the
-    Christoffels and the normals; each point's forms are those of its sheet
-    measured alone.  eb is one EmbeddedBubble, or a sequence of them (see
-    _stack) whose forms come from the same single pass, stacked on a new
-    leading axis.  The second form is oriented along the flat-model normal
-    convention (N into B1 on sheets 0 and 1): the embedding maps the flat
-    frame [N, d_z x] by rho dExp_p E, whose determinant has the sign of det
-    E, so the unit normal nu is the one with sign det[nu, T] = sign(det E)
-    sign det[N, d_z x] (_orientation), T the embedded tangents.  Parameters
-    too close to the neck for the second-derivative stencil raise an error
-    rather than extrapolating.
+    call measures samples of all three sheets; eb is one EmbeddedBubble, or
+    a sequence of them (see _stack) whose forms are stacked on a new leading
+    axis.  One stencil (charts._stencil), with each point's own steps (10
+    H_REL times its sheet's parameter ranges), differences the embedded
+    points and tangents [Y, T] of _embed: the field's jets (_sheet_jet of
+    the unit-scale field) once per sheet at every shifted point, and one
+    exp_map call for every shifted point of every bubble.  Each point's
+    forms are those of its sheet measured alone.  The first form is T^T G T
+    at the centre, and the second form the covariant first difference of
+    the tangents, sym(d_p T_q) + Gamma(T_p, T_q), along the unit normal.
+    That normal is the G-raised cofactor covector c_i = det[e_i, T], which
+    annihilates T and has det[G^-1 c, T] > 0; it is oriented along the
+    flat-model normal convention (N into B1 on sheets 0 and 1): the
+    embedding maps the flat frame [N, d_z x] by rho dExp_p E, whose
+    determinant has the sign of det E, so the unit normal nu is the one with
+    sign det[nu, T] = sign(det E) sign det[N, d_z x] (_orientation).
+    Parameters too close to the neck for the stencil raise an error rather
+    than extrapolating.
     """
     ebs = _stack(eb)
     b = ebs[0].bubble
@@ -420,41 +419,39 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     h = np.stack([_param_steps(b, s, H_REL * 10.0) for s in range(3)])[sheets]
     if np.any(z[:, 0] + 2.5 * h[:, 0] > upper) or np.any(z[:, 0] - 2.5 * h[:, 0] < 0.0):
         raise ValueError("mean-curvature stencil leaves the sheet interior")
-    e = ebs[0].frame.matrix
-    # sign det[N, d_z x] of each point's flat sheet
-    orient = np.zeros(len(z))
-    for s in range(3):
-        mask = sheets == s
-        orient[mask] = _orientation(b, s, *_sheet_jet(b, s, z[mask], None)[:2])
-
-    def by_sheet(fun, zz):
-        """fun(sheet, points) of each point's sheet at parameters zz (..., N, m)."""
-        out = np.empty(zz.shape[:-1] + (b.m + 1,))
-        for s in range(3):
-            mask = sheets == s
-            if mask.any():
-                out[..., mask, :] = fun(s, zz[..., mask, :])
-        return out
+    # the points of each sheet, and the way back to the caller's order
+    index = [(s, np.flatnonzero(sheets == s)) for s in range(3) if np.any(sheets == s)]
+    back = np.argsort(np.concatenate([i for _, i in index]))
+    # sign(det E) sign det[N, d_z x] of each point's flat sheet
+    orient = np.sign(_det(ebs[0].frame.matrix)) * np.concatenate(
+        [_orientation(b, s, *_sheet_jet(b, s, z[i], None)[:2]) for s, i in index]
+    )[back]
 
     def embed(zz):
-        # zz (shifts, bubbles, N, m): every shifted point of every bubble in
-        # one exp_map call
-        ys = [
-            by_sheet(lambda s, pts: displaced_point_z(b, s, pts, bub.perturbation), zz[:, i])
-            for i, bub in enumerate(ebs)
-        ]
-        return _exp_stacked(ebs, [_in_frame(bub.rho * y, e) for bub, y in zip(ebs, ys)], axis=1)
+        # zz (shifts, bubbles, N, m), the same points for every bubble: the
+        # unit-scale field's jets of each sheet at its shifted points, then
+        # [Y, T] (shifts, bubbles, N, n, 1 + m)
+        parts = [_sheet_jet(b, s, zz[:, 0, i], ebs[0].model.field) for s, i in index]
+        pos, push = _embed(ebs, _joined(parts, lambda c: np.concatenate(c, axis=1)[:, back]))
+        return np.moveaxis(np.concatenate([pos[..., None], push], axis=-1), 0, 1)
 
     stacked = np.broadcast_to(z, (len(ebs),) + z.shape)
-    pos, tangents, second = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape))
+    centre, d1, _ = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape))
+    pos, tangents = centre[..., 0], centre[..., 1:]  # (bubbles, N, n), (bubbles, N, n, m)
     chart = ebs[0].chart
     gmat = chart.metric(pos)
-    gram = np.einsum("...ik,...kl,...jl->...ij", tangents, gmat, tangents)
-    gamma = christoffel(chart, pos)
-    normal = _orthonormal_normal(gmat, tangents, np.sign(_det(e)) * orient)
-    # covariant second derivatives d_p d_q X + Gamma(d_p X, d_q X), normal part
-    cov = second + np.einsum("...aij,...pi,...qj->...pqa", gamma, tangents, tangents)
-    hmat = np.einsum("...pqk,...kl,...l->...pq", cov, gmat, normal)
+    gram = np.einsum("...ip,...ij,...jq->...pq", tangents, gmat, tangents)
+    # symmetrised covariant first differences of the tangents, d_p T_q + Gamma(T_p, T_q)
+    dt = d1[..., 1:]  # d_p T^a_q (bubbles, N, p, a, q)
+    cov = 0.5 * (dt + np.swapaxes(dt, -3, -1))
+    cov = cov + np.einsum("...aij,...ip,...jq->...paq", christoffel(chart, pos), tangents, tangents)
+    # the cofactor covector c_a = det[e_a, T] and its G-norm
+    n = pos.shape[-1]
+    cols = np.broadcast_to(tangents[..., None, :, :], tangents.shape[:-2] + (n,) + tangents.shape[-2:])
+    eye = np.broadcast_to(np.eye(n)[:, :, None], cols.shape[:-1] + (1,))
+    cof = _det(_component_major(np.concatenate([eye, cols], axis=-1), 2))
+    norm = np.sqrt(np.einsum("...a,...a->...", cof, np.linalg.solve(gmat, cof[..., None])[..., 0]))
+    hmat = np.einsum("...paq,...a->...pq", cov, cof) * (orient / norm)[..., None, None]
     if isinstance(eb, EmbeddedBubble):
         return gram[0], hmat[0]
     return gram, hmat
@@ -482,18 +479,12 @@ def measure_conormal_defect(eb):
     neck points.
     """
     ebs = _stack(eb)
-    e = ebs[0].frame.matrix
 
     def dot(a, gmat, b):
         return np.einsum("...i,...ij,...j->...", a, gmat, b)[..., None]
 
-    v, w = [], []
-    for bub in ebs:
-        ys, cols = zip(*(_displaced(bub, jet) for jet in bub.model.necks))
-        v.append(_in_frame(bub.rho * np.stack(ys), e))
-        w.append(bub.rho * np.swapaxes(_in_frame(np.stack(cols), e), -1, -2))
     # (bubbles, sheets, neck points, ...)
-    pos, push = _exp_stacked(ebs, v, w)
+    pos, push = _embed(ebs, _joined(ebs[0].model.necks, np.stack))
     dpol, dth = push[..., 0], push[..., 1]
     gmat = ebs[0].chart.metric(pos)
     # G-orthogonalize the inward polar tangent against the neck tangent

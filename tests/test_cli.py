@@ -282,7 +282,7 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     volume_terms = []
     init, measure_volumes = measure.EmbeddedBubble.__init__, measure.measure_volumes
     volumes_expansion = expansions.geodesic_volumes_expansion
-    field_jet = fields.field_jet
+    field_jet, displaced_point_z, points = fields.field_jet, fields.displaced_point_z, []
     mean_curvature, terms = measure.measure_mean_curvature, fields.mean_curvature_terms
     conormal = measure.measure_conormal_defect
     responses = {
@@ -322,14 +322,20 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
         return counted
 
     def counting_jet(fun, z, sheet):
-        jets.append((sheet, len(z)))
+        jets.append((sheet, z.shape[:-1]))
         return field_jet(fun, z, sheet)
+
+    def counting_points(bubble, sheet, z):
+        # the flat points alone: the field displaces them through _sheet_jet
+        points.append(sheet)
+        return displaced_point_z(bubble, sheet, z)
 
     def counting_volume_terms(bubble):
         volume_terms.append(bubble)
         return volumes_expansion(bubble)
 
     monkeypatch.setattr(fields, "field_jet", counting_jet)
+    monkeypatch.setattr(fields, "displaced_point_z", counting_points)
     monkeypatch.setattr(measure.EmbeddedBubble, "__init__", counting_init)
     monkeypatch.setattr(measure, "measure_volumes", counting_volumes)
     monkeypatch.setattr(measure, "measure_mean_curvature", counting_h)
@@ -359,9 +365,12 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     assert sorted(h_terms) == [0, 1, 2]
     # the field's jets: one per sheet at the 16 x 32 flat nodes, which the
     # first-order responses read as well (none on RESPONSE_GRID), one at its
-    # NECK_SAMPLES neck points and one of w at its H_SAMPLES h-row points
-    sizes = (measure.H_SAMPLES, measure.NECK_SAMPLES, 16 * 32)
-    assert sorted(jets) == [(s, n) for s in range(3) for n in sizes]
+    # NECK_SAMPLES neck points, one of w at its H_SAMPLES h-row points, and
+    # one at the 13 shifts of the m = 2 stencil around those points, which
+    # the h rows of every rho read
+    sizes = ((measure.H_SAMPLES,), (measure.NECK_SAMPLES,), (16 * 32,), (13, measure.H_SAMPLES))
+    assert sorted(jets) == sorted((s, n) for s in range(3) for n in sizes)
+    assert sorted(set(points)) == [0, 1, 2]
     assert responses == {
         "first_order_area_corrections": 1,
         "first_order_volume_corrections": 1,

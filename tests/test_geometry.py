@@ -184,7 +184,7 @@ def test_flat_rule_weights_reproduce_area():
                 if m > 1:
                     # the angles of z and the directions name the same points
                     pts = sheet_point(bb, s, z[:, 0], dirs)
-                    assert np.abs(displaced_point_z(bb, s, z, None) - pts).max() <= 1e-14
+                    assert np.abs(displaced_point_z(bb, s, z) - pts).max() <= 1e-14
     # the symmetric disk's rule covers radius (0, r); no sphere rule past m = 3
     b = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
     z, _, _ = flat_rule(2, b.polar_limit(0), (16, 32))

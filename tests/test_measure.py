@@ -395,7 +395,7 @@ def test_oracle_against_independent_sphere_model():
         z, _, w = flat_rule(b.m, b.polar_limit(s), eb.model.grid)
         steps = _param_steps(b, s, 1e-4)
         area_ref = exact_models.surface_area(
-            lambda zz, ss=s: rho * displaced_point_z(b, ss, zz, None), z, w, steps
+            lambda zz, ss=s: rho * displaced_point_z(b, ss, zz), z, w, steps
         )
         assert areas[s] == pytest.approx(area_ref, rel=1e-9)
     v1, v2 = measure_volumes(eb)
@@ -532,20 +532,52 @@ def test_batched_h_rows_are_the_per_sheet_bits(family, kw, point, axis, steps, p
         assert np.array_equal(measure_mean_curvature(eb, labels[order], z[order]), batched[order])
 
 
-@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "field"])
-@pytest.mark.parametrize("b", [SYM, ASYM], ids=["sym", "asym"])
-def test_h_rows_on_a_left_handed_frame_pass(b, perturbed):
+@pytest.mark.parametrize(
+    "m, symmetric, perturbed",
+    [(2, True, False), (2, True, True), (2, False, False), (2, False, True), (3, True, False), (3, False, False)],
+    ids=["sym-plain", "sym-field", "asym-plain", "asym-field", "m3-sym-plain", "m3-asym-plain"],
+)
+def test_h_rows_on_a_left_handed_frame_pass(m, symmetric, perturbed):
     # the h-row normals take their side from sign(det E) and the flat
     # orientation sign det[N, d_z x]: on a frame with det E < 0 the measured
     # mean curvature keeps the closed form's sign, so every h fit passes
-    # (with the det E factor dropped, the slopes read about 0)
-    axis = np.array([0.3, -0.2, -0.9])
-    assert np.linalg.det(curvature_at(SP, np.zeros(3), axis, nabla=False).frame.matrix) < 0.0
+    # (with the det E factor dropped, the slopes read about 0), on round S^3
+    # and, with the cofactor normal of three tangents, on round S^4
+    chart = builtin_chart("round_sphere", a=1.0, dim=m + 1)
+    axis = np.array([0.3, -0.2, -0.9] if m == 2 else [0.1, 0.2, -0.3, -0.9])
+    assert np.linalg.det(curvature_at(chart, np.zeros(m + 1), axis, nabla=False).frame.matrix) < 0.0
+    h1 = m + 1.0
+    b = solve_standard_bubble(BubbleParams(m, *((0.0, h1, h1) if symmetric else (1.0, h1, h1 - 1.0))))
     field = random_admissible_field(b, np.random.default_rng(3), 0.25) if perturbed else None
-    res = verify_many(SP, np.zeros(3), axis, b, ["h0", "h1", "h2"], [0.2, 0.14, 0.1], grid=(8, 16),
+    res = verify_many(chart, np.zeros(m + 1), axis, b, ["h0", "h1", "h2"], [0.2, 0.14, 0.1], grid=(8, 16),
                       perturbation=field)
     for q, (fit, _) in res.items():
         assert fit.passed, (q, fit.slope, fit.threshold)
+
+
+@pytest.mark.parametrize(
+    "family, kw",
+    [("conformal_bump", {"eps": -0.1, "s": 0.5}), ("round_sphere", {"a": 1.0})],
+    ids=["bump-rk4", "sphere"],
+)
+def test_h_rows_do_not_depend_on_the_stencil_step(monkeypatch, family, kw):
+    # the second form is the first difference of the embedded tangents, whose
+    # roundoff is eps / h rather than the eps / h^2 of differencing the points
+    # twice: over a 30-fold range of steps the scaled mean curvature rho R_s H
+    # of every sheet moves by at most 1e-8
+    point = (0.12, -0.05, 0.08) if family == "conformal_bump" else (0.0, 0.0, 0.0)
+    chart = builtin_chart(family, **kw)
+    frame = curvature_at(chart, np.array(point), np.array([0.25, -0.4, 0.88]), nabla=False).frame
+    rho = 0.025
+    eb = EmbeddedBubble(chart, frame, ASYM, rho, grid=(16, 32), geodesic_steps=50)
+    zs = [measure.default_h_params(ASYM, s) for s in range(3)]
+    labels = np.repeat([0, 1, 2], [len(z) for z in zs])
+    scale = rho * np.asarray(ASYM.radii)[labels]
+    values = []
+    for rel in (1e-5, 3e-5, 1e-4, 3e-4):
+        monkeypatch.setattr(measure, "H_REL", rel)
+        values.append(scale * measure_mean_curvature(eb, labels, np.concatenate(zs)))
+    assert np.ptp(values, axis=0).max() <= 1e-8
 
 
 @pytest.mark.parametrize("m", [2, 3])
