@@ -122,11 +122,12 @@ def geodesic_volumes_expansion(bubble: StandardBubble) -> tuple[ExpansionTerms, 
     return t1 + t0, t2 - t0
 
 
-def total_volume_expansion(bubble: StandardBubble) -> ExpansionTerms:
+def total_volume_expansion(bubble: StandardBubble, chambers=None) -> ExpansionTerms:
     """rho^-(m+1) (V1 + V2); remainder O(rho^4) in the symmetric case, where
     the cubic term integrates an odd function over a centrally symmetric
-    bubble."""
-    t1, t2 = geodesic_volumes_expansion(bubble)
+    bubble.  chambers is the pair of geodesic_volumes_expansion when the
+    caller has built it already."""
+    t1, t2 = geodesic_volumes_expansion(bubble) if chambers is None else chambers
     tot = t1 + t2
     if bubble.symmetric:
         return ExpansionTerms(tot.leading, tot.sc_coeff, tot.ric_coeff, 4)

@@ -20,8 +20,7 @@ complex parameters (PerturbationField).  Only the Hessian of w comes from
 the 4th-order stencil of charts._stencil, with the parameter steps H_REL
 times each parameter's range (_param_steps).  displaced_point_z is the flat
 point x alone: a field displaces it linearly, as x + s D with the jets of
-_sheet_jet, at the oracle's quadrature nodes, neck points and
-mean-curvature stencil points alike (measure._embed).
+_sheet_jet at the oracle's quadrature nodes (measure._embed).
 
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
@@ -70,9 +69,7 @@ RESPONSE_GRID = (32, 64)
 SUP_NODES = 12
 # angles per turn on which field_modes samples a field
 MODE_ANGLES = 64
-# relative parameter step of the field Hessian's stencil (ten times it for
-# the first differences of the embedded tangents of
-# measure.measure_fundamental_forms)
+# relative parameter step of the field Hessian's stencil
 H_REL = 1e-4
 # imaginary step of the complex-step field jets: the O(h^2) change of a
 # shifted value's real part lies far below its ulp, and its O(h) imaginary
@@ -229,10 +226,6 @@ def neck_angle_grid(m: int, n_angle: int) -> np.ndarray:
     if m == 2:
         return (2.0 * math.pi * np.arange(n_angle) / n_angle)[:, None]
     raise ValueError("neck grids are implemented for m = 2")
-
-
-def _neck_z(bubble: StandardBubble, sheet: int, angles: np.ndarray) -> np.ndarray:
-    return np.concatenate([np.full((len(angles), 1), bubble.polar_limit(sheet)), angles], axis=-1)
 
 
 def field_jet(fun, z: np.ndarray, sheet: int) -> tuple:

@@ -24,8 +24,9 @@ fixed by requiring the neck at height 0 with B1 on the positive side; in the
 symmetric case this gives c1 = R/2 = -c2.
 
 Every sheet is parametrized by z = (polar, angles).  flat_rule is the one
-quadrature rule on these parameters and flat_metric the closed-form sheet
-metric; a sheet's area weights are flat_rule's weights times sqrt(det g).
+quadrature rule on these parameters, grid_interpolant the interpolant of
+values on its grid, and flat_metric the closed-form sheet metric; a sheet's
+area weights are flat_rule's weights times sqrt(det g).
 """
 
 from __future__ import annotations
@@ -438,6 +439,94 @@ def flat_rule(m: int, upper: float, grid: tuple[int, int]):
     k = len(w_angles)
     z = np.concatenate([np.repeat(polar, k)[:, None], np.tile(angles, (n_polar, 1))], axis=1)
     return z, np.tile(dirs, (n_polar, 1)), np.outer(w_polar, w_angles).ravel()
+
+
+def _lagrange(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """The Lagrange basis of the n Gauss-Legendre nodes t on [-1, 1] and its
+    derivative at the points x (P,), both (P, n): barycentric, with the
+    weights (-1)^j sqrt((1 - t_j^2) w_j) of the nodes, and the derivative the
+    basis times the nodes' differentiation matrix, exact for polynomials of
+    degree below n."""
+    t, w = gauss_legendre(n)
+    bary = (-1.0) ** np.arange(n) * np.sqrt((1.0 - t * t) * w)
+    diff = np.asarray(x, dtype=float)[:, None] - t
+    hit = diff == 0.0
+    frac = bary / np.where(hit, 1.0, diff)
+    basis = frac / np.sum(frac, axis=1, keepdims=True)
+    on_node = np.any(hit, axis=1)
+    basis[on_node] = hit[on_node]
+    gap = t[:, None] - t + np.eye(n)
+    dmat = bary / bary[:, None] / gap
+    np.fill_diagonal(dmat, 0.0)
+    np.fill_diagonal(dmat, -np.sum(dmat, axis=1))
+    # one small product per point, whose bits do not depend on the others
+    return basis, (basis[:, None] @ dmat)[:, 0]
+
+
+def _cardinal(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """The periodic cardinal functions of the n equispaced angles 2 pi k / n
+    and their derivatives at the angles x (P,), both (P, n): the
+    trigonometric interpolant, its top mode cos(n u / 2) halved for even n,
+    with cos(l (x - angle_k)) expanded so that the modes of the nodes form
+    one table."""
+    modes = np.arange(1, n // 2 + 1, dtype=float)
+    coef = np.full(len(modes), 2.0 / n)
+    if n % 2 == 0:
+        coef[-1] = 1.0 / n
+    phase = np.outer(modes, 2.0 * math.pi * np.arange(n) / n)
+    table = np.concatenate([np.cos(phase), np.sin(phase)])
+    lx = np.outer(np.asarray(x, dtype=float), modes)
+    cos, sin = coef * np.cos(lx), coef * np.sin(lx)
+    # one small product per point, whose bits do not depend on the others
+    value = 1.0 / n + (np.concatenate([cos, sin], axis=1)[:, None] @ table)[:, 0]
+    return value, (np.concatenate([-modes * sin, modes * cos], axis=1)[:, None] @ table)[:, 0]
+
+
+def grid_interpolant(m: int, upper: float, grid: tuple[int, int], z, parity: float = 1.0):
+    """Separable weights of the interpolant of node values on the flat_rule
+    grid of a sheet with the polar range [0, upper], at parameters z (P, m).
+
+    The polar factor is barycentric Lagrange interpolation on the
+    Gauss-Legendre nodes, which also extrapolates to the ends of [0, upper],
+    the neck at upper; the angle factor the periodic cardinal functions of
+    the equispaced angles (Berrut & Trefethen, SIAM Review 46, 2004).  At
+    m = 3 a smooth function of the sphere_rule angles (alpha, beta) obeys
+    f(-alpha, beta) = parity f(alpha, beta + pi) with parity +1, and its
+    alpha derivative with parity -1: so the alpha direction pairs beta with
+    beta + pi, and of the two parts (f(beta) +- f(beta + pi)) / 2 the one even
+    in alpha is a polynomial in t = cos(alpha) and the odd one sin(alpha)
+    times a polynomial in t, each interpolated on sphere_rule's
+    Gauss-Legendre nodes in t.  (A polynomial in alpha itself, on those
+    nearly equispaced alpha, diverges as the grid grows.)
+
+    Returns (polar (P, 2, n_polar), angles (P, m, K)) on the n_polar polar
+    nodes and the K sphere_rule angles: for node values F (n_polar, K) in
+    flat_rule's order, the interpolant at z[p] is polar[p, 0] @ F @ angles[p,
+    0], its polar derivative polar[p, 1] @ F @ angles[p, 0] and its
+    derivative along angle i polar[p, 0] @ F @ angles[p, i].
+    """
+    n_polar, n_sphere = grid
+    z = np.asarray(z, dtype=float)
+    polar = np.stack(_lagrange(n_polar, 2.0 * z[:, 0] / upper - 1.0), axis=1)
+    polar[:, 1] *= 2.0 / upper
+    if m == 2:
+        return polar, np.stack(_cardinal(n_sphere, z[:, 1]), axis=1)
+    if m != 3:
+        raise ValueError(f"grid interpolant requires m in (2, 3), got m={m}")
+    alpha, beta = z[:, 1], z[:, 2]
+    t, _ = gauss_legendre(max(4, n_sphere // 2))
+    ell, dell = _lagrange(len(t), np.cos(alpha))
+    sin, cos, inv = np.sin(alpha)[:, None], np.cos(alpha)[:, None], 1.0 / np.sqrt(1.0 - t * t)
+    angles = 0.0
+    # the nodes (alpha_j, beta) and (alpha_j, beta + pi): their weights in
+    # alpha and the alpha derivatives, times the cardinal functions in beta
+    for side, half, shift in ((1.0, 0.5, 0.0), (-1.0, 0.5 * parity, math.pi)):
+        a = half * ell * (1.0 + side * sin * inv)
+        da = half * (-sin * dell * (1.0 + side * sin * inv) + side * ell * cos * inv)
+        b, db = _cardinal(n_sphere, beta + shift)
+        angles = angles + np.stack([a[:, :, None] * b[:, None], da[:, :, None] * b[:, None],
+                                    a[:, :, None] * db[:, None]], axis=1)
+    return polar, angles.reshape(len(z), m, -1)
 
 
 def round_metric(angles) -> tuple[np.ndarray, np.ndarray]:

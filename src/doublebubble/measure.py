@@ -4,9 +4,9 @@ The oracle takes a chart, a base point with an orthonormal frame, a standard
 bubble and a scale rho, maps the (possibly perturbed) flat model through the
 exponential map and measures areas, enclosed volumes, mean curvature samples,
 the junction conormal defect and the two-volume energy by quadrature of the
-pushforward tangents and, for mean curvature, their parameter-space first
-differences.  Nothing here uses the closed-form curvature expansions; those
-are *checked against* these numbers.
+pushforward tangents and, for mean curvature and the conormals, their
+interpolant on the quadrature grid.  Nothing here uses the closed-form
+curvature expansions; those are *checked against* these numbers.
 
 Sheets are sampled on the geometry.flat_rule grid of their parameters
 z = (polar, angles).  The rho-independent half of the oracle, the flat
@@ -14,22 +14,23 @@ side, is a FlatModel: per sheet the node values of the flat points x, their
 closed-form tangents d_z x (geometry.sheet_tangents), the field's
 displacement D = w N + Y at scale 1 with d_z D from one complex-step jet of
 the field alone (fields._sheet_jet, exact to roundoff), and the orientation
-signs; and the same jets at the neck points of the conormal defect.  A
-bubble at field scale s displaces its sheets linearly, y = x + s D with
-tangents d_z y = d_z x + s d_z D, and every quantity reads one primitive,
-_embed: it pushes y and d_z y of a jet through the differential of the
-exponential map, one geodesic with Jacobi fields per point, and returns
-Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y.  One call gives the
-embedded sheets that the areas and volumes share, one the conormals' neck
-tangents of the three sheets, and one the mean curvature's stencil of
-[Y, T] over the samples of all three sheets, whose field jets are taken
-once per sheet; its unit normal is the cofactor of the tangents and takes
-its side from the flat model, sign det[nu, T] = sign(det E) sign
-det[N, d_z x], with no ray pass of its own.  Each of these ray passes takes
-one bubble or a sequence of bubbles on one chart, frame and FlatModel, at
-their own rho and field scale (verify_many's sweep), and stacks the rays of
-every bubble on a new leading axis of one exp_map call: every ray takes
-geodesic_steps steps to t = 1 whatever its rho, so each bubble gets the
+signs.  A bubble at field scale s displaces its sheets linearly, y = x + s D
+with tangents d_z y = d_z x + s d_z D, and every quantity reads one
+primitive, _embed: it pushes y and d_z y of the jets through the
+differential of the exponential map, one geodesic with Jacobi fields per
+node, and returns Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y.
+One such ray pass embeds the sheets (_embedded_sheets); the areas and the
+volumes sum over its nodes, and the mean curvature and the conormal defect
+read [Y, T] and d_z [Y, T] anywhere on the sheets, the neck included,
+through the grid interpolant (geometry.grid_interpolant: barycentric
+Lagrange in the polar parameter, trigonometric in the angles).  The h rows'
+unit normal is the cofactor of the tangents and takes its side from the
+flat model, sign det[nu, T] = sign(det E) sign det[N, d_z x].  The ray pass
+takes one bubble or a sequence of bubbles on one chart, frame and
+FlatModel, at their own rho and field scale (verify_many's sweep), and
+stacks the rays of every bubble on a new leading axis of one exp_map call:
+every ray takes geodesic_steps steps to t = 1 whatever its rho, and the
+interpolant is contracted one bubble at a time, so each bubble gets the
 bits it gets alone.
 
 Enclosed volumes are signed straight chart cones from the base point over
@@ -48,10 +49,9 @@ asymmetric and perturbed bubble alike (N_s points into B1 on sheets 0 and
 verify_many sweeps rho once.  It builds one FlatModel and on it the
 EmbeddedBubble of every rho, measuring only the requested quantities: one
 exp_map call embeds the sheets of every rho, each bubble's cache keeping its
-slice, which areas and volumes share between area, v1, v2, vtot and the
-energy behind phi; one mean-curvature pass and one conormal pass cover every
-rho as well, and the volume cones stay per rho, so that peak memory does not
-grow with the number of scales.  The expansions it compares with are built
+slice, which every quantity reads; one mean-curvature pass and one conormal
+pass interpolate them for every rho, and the volume cones stay per rho, so
+that peak memory does not grow with the number of scales.  The expansions it compares with are built
 once per sweep, and each quantity's claim (CLAIMS: its exact floor and
 claimed remainder order, the areas' and volumes' read from those expansions)
 turns the fit into a threshold and a verdict; the first-order field
@@ -80,24 +80,20 @@ from .charts import (
     _component_major,
     _det,
     _dot,
-    _stencil,
     christoffel,
     curvature_at,
     exp_map,
 )
 from .fields import (
-    H_REL,
     PerturbationField,
     check_admissible,
     first_order_area_corrections,
     first_order_volume_corrections,
     mean_curvature_terms,
     neck_angle_grid,
-    _neck_z,
-    _param_steps,
     _sheet_jet,
 )
-from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre
+from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, grid_interpolant
 
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
@@ -177,11 +173,11 @@ class FlatModel:
     flat_rule nodes and weights, the flat points with their closed-form
     tangents (geometry.sheet_tangents), the field's displacement w N + Y at
     scale 1 with its complex-step derivatives, and the volume cones'
-    orientation signs.  necks holds per sheet the _sheet_jet at its
-    NECK_SAMPLES neck points, which the conormal defect reads.  Both are
-    built on first use, and every rho of a verify_many sweep reads one
-    model, as do the sweep's first-order responses (the sheets' weights and
-    jets).
+    orientation signs.  They are built on first use, and every rho of a
+    verify_many sweep reads one model, as do the sweep's first-order
+    responses (the sheets' weights and jets).  Every quantity reads the
+    sheets embedded at these nodes; the mean curvature and the conormal
+    defect read them off the nodes through the grid interpolant.
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -194,11 +190,6 @@ class FlatModel:
     @cached_property
     def sheets(self) -> list:
         return [self._sheet(s) for s in range(3)]
-
-    @cached_property
-    def necks(self) -> list:
-        ang = neck_angle_grid(self.bubble.m, NECK_SAMPLES)
-        return [_sheet_jet(self.bubble, s, _neck_z(self.bubble, s, ang), self.field) for s in range(3)]
 
     def _sheet(self, sheet: int) -> _FlatSheet:
         b = self.bubble
@@ -222,8 +213,7 @@ class EmbeddedBubble:
     sheets, which the areas and the volume cones share; sector_nodes the
     Gauss-Legendre order of the cones along their straight chart segments;
     geodesic_steps the RK4 steps of one geodesic of the exponential map.
-    The mean-curvature stencils step 10 H_REL times each parameter's
-    range; the field's first derivatives take no step (FlatModel).
+    The field's first derivatives take no step (FlatModel).
 
     The flat side comes from a FlatModel of the bubble, the field and these
     settings, `model` when given (verify_many shares one over its sweep),
@@ -303,12 +293,6 @@ def _stack(eb) -> list:
     return ebs
 
 
-def _joined(jets: list, join) -> tuple:
-    """One _sheet_jet of several, each component joined by join (np.concatenate
-    or np.stack); the field parts stay None without a field."""
-    return tuple(None if parts[0] is None else join(parts) for parts in zip(*jets))
-
-
 def _embed(ebs: list, jet: tuple):
     """The oracle's one primitive: (Y (bubbles, ..., n), T (bubbles, ..., n,
     m)) of the points of a _sheet_jet (..., n) on each bubble of a ray pass
@@ -337,7 +321,9 @@ def _embedded_sheets(eb) -> list:
     ebs = _stack(eb)
     todo = [b for b in ebs if "sheets" not in b._sheet_cache]
     if todo:
-        pos, push = _embed(todo, _joined([sh.jet for sh in todo[0].model.sheets], np.concatenate))
+        # one _sheet_jet of the three sheets; the field parts stay None without a field
+        parts = zip(*[sh.jet for sh in todo[0].model.sheets])
+        pos, push = _embed(todo, tuple(None if p[0] is None else np.concatenate(p) for p in parts))
         for b, y, t in zip(todo, pos, push):
             b._sheet_cache["sheets"] = (y, np.moveaxis(t, 0, -1))
     return [b._sheet_cache["sheets"] for b in ebs]
@@ -387,62 +373,91 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     return out
 
 
+def _on_sheets(ebs: list, sheets: np.ndarray, z: np.ndarray):
+    """[Y, T] (bubbles, P, n, 1 + m) and its parameter derivatives d_z [Y, T]
+    (bubbles, P, m, n, 1 + m) at parameters z (P, m) of the embedded sheets
+    of each bubble of a ray pass (see _stack), a sheet per point.
+
+    They come from the flat_rule grid interpolant (geometry.grid_interpolant)
+    of the sheets' own embedding, _embedded_sheets, whose one ray pass the
+    areas and volumes share; at m = 3 the alpha tangent takes the
+    interpolant of parity -1.  The weights are built once for every bubble
+    and contracted separably, the polar factor first, one point and one
+    bubble at a time, so that each point of each bubble gets the bits it
+    gets alone.
+    """
+    model = ebs[0].model
+    b, (n_polar, _) = model.bubble, model.grid
+    m = b.m
+    embedded = _embedded_sheets(ebs)
+    n = embedded[0][0].shape[-1]
+    bounds = np.cumsum([0] + [len(sh.w) for sh in model.sheets])
+    vals = np.empty((len(ebs), len(z), n, 1 + m))
+    ders = np.empty((len(ebs), len(z), m, n, 1 + m))
+    for s in np.unique(sheets):
+        idx = np.flatnonzero(sheets == s)
+        polar, angles = grid_interpolant(m, b.polar_limit(s), model.grid, z[idx])
+        odd = None if m == 2 else grid_interpolant(m, b.polar_limit(s), model.grid, z[idx], parity=-1.0)[1]
+        nodes = slice(bounds[s], bounds[s + 1])
+        # the polar factor once per polar parameter (the neck has one)
+        _, first, same = np.unique(z[idx, 0], return_index=True, return_inverse=True)
+        for k, (pos, tangents) in enumerate(embedded):
+            grid = np.concatenate([pos[nodes, :, None], np.moveaxis(tangents[..., nodes], -1, 0)], axis=-1)
+            # (points, polar value and derivative, angles, n, 1 + m)
+            part = (polar[first] @ grid.reshape(n_polar, -1))[same].reshape((len(idx), 2, -1, n, 1 + m))
+            # (points, polar row, angle row, n, 1 + m) for the angle rows of angles
+            out = (angles[:, None] @ part.reshape(part.shape[:3] + (-1,))).reshape(part.shape[:2] + (m, n, 1 + m))
+            if odd is not None:
+                out[..., 2] = odd[:, None] @ part[..., 2]
+            vals[k, idx] = out[:, 0, 0]
+            ders[k, idx] = np.concatenate([out[:, 1, :1], out[:, 0, 1:]], axis=1)
+    return vals, ders
+
+
 def measure_fundamental_forms(eb, sheet, z: np.ndarray):
-    """(first form, second form) matrices of the embedded sheets at interior
-    parameters z (N, m), in sheet parameter coordinates.
+    """(first form, second form) matrices of the embedded sheets at
+    parameters z (N, m) on the sheets, up to the neck, in sheet parameter
+    coordinates.
 
     sheet is one sheet for every point or a sheet per point (N,), so one
     call measures samples of all three sheets; eb is one EmbeddedBubble, or
     a sequence of them (see _stack) whose forms are stacked on a new leading
-    axis.  One stencil (charts._stencil), with each point's own steps (10
-    H_REL times its sheet's parameter ranges), differences the embedded
-    points and tangents [Y, T] of _embed: the field's jets (_sheet_jet of
-    the unit-scale field) once per sheet at every shifted point, and one
-    exp_map call for every shifted point of every bubble.  Each point's
-    forms are those of its sheet measured alone.  The first form is T^T G T
-    at the centre, and the second form the covariant first difference of
-    the tangents, sym(d_p T_q) + Gamma(T_p, T_q), along the unit normal.
-    That normal is the G-raised cofactor covector c_i = det[e_i, T], which
-    annihilates T and has det[G^-1 c, T] > 0; it is oriented along the
-    flat-model normal convention (N into B1 on sheets 0 and 1): the
-    embedding maps the flat frame [N, d_z x] by rho dExp_p E, whose
-    determinant has the sign of det E, so the unit normal nu is the one with
-    sign det[nu, T] = sign(det E) sign det[N, d_z x] (_orientation).
-    Parameters too close to the neck for the stencil raise an error rather
-    than extrapolating.
+    axis.  The embedded points and tangents [Y, T] and their parameter
+    derivatives come from the grid interpolant of the sheets' own embedding
+    (_on_sheets), with no ray pass of their own, and each point's forms are
+    those of its sheet measured alone.  The first form is T^T G T, and the
+    second form the covariant derivative of the tangents, sym(d_p T_q) +
+    Gamma(T_p, T_q), along the unit normal.  That normal is the G-raised
+    cofactor covector c_i = det[e_i, T], which annihilates T and has
+    det[G^-1 c, T] > 0; it is oriented along the flat-model normal
+    convention (N into B1 on sheets 0 and 1): the embedding maps the flat
+    frame [N, d_z x] by rho dExp_p E, whose determinant has the sign of
+    det E, so the unit normal nu is the one with sign det[nu, T] = sign(det
+    E) sign det[N, d_z x] (_orientation).  A polar parameter outside (0,
+    polar_limit] raises an error: past the neck it would extrapolate, and at
+    the pole the angle tangents vanish.
     """
     ebs = _stack(eb)
     b = ebs[0].bubble
     z = np.atleast_2d(np.asarray(z, dtype=float))
     sheets = np.broadcast_to(np.asarray(sheet), z.shape[:1])
     upper = np.array([b.polar_limit(s) for s in range(3)])[sheets]
-    h = np.stack([_param_steps(b, s, H_REL * 10.0) for s in range(3)])[sheets]
-    if np.any(z[:, 0] + 2.5 * h[:, 0] > upper) or np.any(z[:, 0] - 2.5 * h[:, 0] < 0.0):
-        raise ValueError("mean-curvature stencil leaves the sheet interior")
-    # the points of each sheet, and the way back to the caller's order
-    index = [(s, np.flatnonzero(sheets == s)) for s in range(3) if np.any(sheets == s)]
-    back = np.argsort(np.concatenate([i for _, i in index]))
+    # the pole, polar = 0, is where the polar parametrization degenerates
+    if np.any(z[:, 0] <= 0.0) or np.any(z[:, 0] > upper):
+        raise ValueError("mean-curvature samples must lie on the sheet, polar in (0, polar_limit]")
     # sign(det E) sign det[N, d_z x] of each point's flat sheet
-    orient = np.sign(_det(ebs[0].frame.matrix)) * np.concatenate(
-        [_orientation(b, s, *_sheet_jet(b, s, z[i], None)[:2]) for s, i in index]
-    )[back]
-
-    def embed(zz):
-        # zz (shifts, bubbles, N, m), the same points for every bubble: the
-        # unit-scale field's jets of each sheet at its shifted points, then
-        # [Y, T] (shifts, bubbles, N, n, 1 + m)
-        parts = [_sheet_jet(b, s, zz[:, 0, i], ebs[0].model.field) for s, i in index]
-        pos, push = _embed(ebs, _joined(parts, lambda c: np.concatenate(c, axis=1)[:, back]))
-        return np.moveaxis(np.concatenate([pos[..., None], push], axis=-1), 0, 1)
-
-    stacked = np.broadcast_to(z, (len(ebs),) + z.shape)
-    centre, d1, _ = _stencil(embed, stacked, np.broadcast_to(h, stacked.shape))
-    pos, tangents = centre[..., 0], centre[..., 1:]  # (bubbles, N, n), (bubbles, N, n, m)
+    orient = np.empty(len(z))
+    for s in np.unique(sheets):
+        i = sheets == s
+        orient[i] = _orientation(b, s, *_sheet_jet(b, s, z[i], None)[:2])
+    orient *= np.sign(_det(ebs[0].frame.matrix))
+    vals, ders = _on_sheets(ebs, sheets, z)
+    pos, tangents = vals[..., 0], vals[..., 1:]  # (bubbles, N, n), (bubbles, N, n, m)
     chart = ebs[0].chart
     gmat = chart.metric(pos)
     gram = np.einsum("...ip,...ij,...jq->...pq", tangents, gmat, tangents)
-    # symmetrised covariant first differences of the tangents, d_p T_q + Gamma(T_p, T_q)
-    dt = d1[..., 1:]  # d_p T^a_q (bubbles, N, p, a, q)
+    # symmetrised covariant derivatives of the tangents, d_p T_q + Gamma(T_p, T_q)
+    dt = ders[..., 1:]  # d_p T^a_q (bubbles, N, p, a, q)
     cov = 0.5 * (dt + np.swapaxes(dt, -3, -1))
     cov = cov + np.einsum("...aij,...ip,...jq->...paq", christoffel(chart, pos), tangents, tangents)
     # the cofactor covector c_a = det[e_a, T] and its G-norm
@@ -471,21 +486,24 @@ def measure_conormal_defect(eb):
     sequence of them (see _stack).
 
     Each sheet's inward unit conormal is the G-normalized boundary-inward
-    tangent orthogonal to the neck direction.  Both tangents are the
-    pushforward rho dExp_p(rho E y) E d_z y at the neck points, one exp_map
-    call for the three sheets of every bubble, with the displaced sheet y
-    and d_z y formed as for the areas from the model's neck jets
-    (FlatModel.necks).  The norm of the sum takes the metric at sheet 2's
-    neck points.
+    tangent orthogonal to the neck direction.  Both tangents, and the neck
+    points, are the sheets' own embedding at (polar_limit, neck angle),
+    read through the grid interpolant (_on_sheets), which extrapolates the
+    polar nodes to the neck.  The norm of the sum takes the metric at sheet
+    2's neck points.
     """
     ebs = _stack(eb)
+    bubble = ebs[0].bubble
 
     def dot(a, gmat, b):
         return np.einsum("...i,...ij,...j->...", a, gmat, b)[..., None]
 
-    # (bubbles, sheets, neck points, ...)
-    pos, push = _embed(ebs, _joined(ebs[0].model.necks, np.stack))
-    dpol, dth = push[..., 0], push[..., 1]
+    angles = np.tile(neck_angle_grid(bubble.m, NECK_SAMPLES), (3, 1))
+    upper = np.repeat([bubble.polar_limit(s) for s in range(3)], NECK_SAMPLES)
+    vals, _ = _on_sheets(ebs, np.repeat(np.arange(3), NECK_SAMPLES), np.column_stack([upper, angles]))
+    # (bubbles, sheets, neck points, n, 1 + m)
+    vals = vals.reshape((len(ebs), 3, NECK_SAMPLES) + vals.shape[2:])
+    pos, dpol, dth = vals[..., 0], vals[..., 1], vals[..., 2]
     gmat = ebs[0].chart.metric(pos)
     # G-orthogonalize the inward polar tangent against the neck tangent
     nu = (dot(dpol, gmat, dth) / dot(dth, gmat, dth)) * dth - dpol
@@ -569,11 +587,11 @@ def verify_many(
     and for a perturbed sweep the first-order responses of the unscaled
     field, which are linear in the field and so enter at rho as rho^2 *
     response.  The bubbles of every rho are built first, on one FlatModel;
-    then one exp_map call embeds the sheets of all of them (each bubble's
-    cache keeps its slice, from which its areas, volumes and energy are
-    measured per rho), one measure_mean_curvature pass measures the h rows
-    of every sheet and every rho, and one measure_conormal_defect pass the
-    conormals of every rho.
+    then one exp_map call embeds the sheets of all of them, whatever the
+    quantities (each bubble's cache keeps its slice, from which its areas,
+    volumes and energy are measured per rho), one measure_mean_curvature
+    pass interpolates the h rows of every sheet and every rho from it, and
+    one measure_conormal_defect pass the conormals of every rho.
     """
     quantities = list(quantities)
     for q in quantities:
@@ -591,10 +609,10 @@ def verify_many(
     terms = {}
     if "area" in quantities:
         terms["area"] = expansions.geodesic_area_expansion(bubble)[1]
-    if "v1" in quantities or "v2" in quantities:
-        terms["v1"], terms["v2"] = expansions.geodesic_volumes_expansion(bubble)
-    if "vtot" in quantities:
-        terms["vtot"] = expansions.total_volume_expansion(bubble)
+    if volumes_wanted:
+        chambers = expansions.geodesic_volumes_expansion(bubble)
+        terms["v1"], terms["v2"] = chambers
+        terms["vtot"] = expansions.total_volume_expansion(bubble, chambers)
     # one flat side for every rho; the first-order responses are the first
     # variations along its unit-scale field's jets, times the field's scale
     model = FlatModel(bubble, perturbation, grid, geodesic_steps, sector_nodes)
@@ -632,10 +650,10 @@ def verify_many(
         )
         for rho in rhos
     ]
-    # oracle values per rho; for h* and conormal the residual itself
+    # oracle values per rho; for h* and conormal the residual itself.  Every
+    # quantity reads the embedded sheets of every rho, from one exp_map call
     records = [{} for _ in rhos]
-    if "area" in quantities or "phi" in quantities or volumes_wanted:
-        _embedded_sheets(ebs)
+    _embedded_sheets(ebs)
     for eb, record in zip(ebs, records):
         rho = eb.rho
         if "area" in quantities:

@@ -8,6 +8,11 @@
   sheets, the reference for the package's straight chart cones.  The rays
   come from the ray kernel the caller passes in, so this check shares the
   chart's geodesics and judges the straight-cone identity alone.
+* The fundamental forms of an EmbeddedBubble's sheets by first differences
+  of its embedded points and tangents on a stencil of rays around each
+  sample, and its conormal defect from rays of its own at the neck, the
+  references for the package's grid interpolant of the sheets' embedding.
+  The exponential map and the connection come from the caller as well.
 * The rho^2 coefficients of the cap volumes and sheet areas by direct
   quadrature of their moment integrands, and the per-sheet assembly of the
   symmetric reduced-energy constants.
@@ -28,8 +33,12 @@ import numpy as np
 from doublebubble.fields import PerturbationField
 from doublebubble.geometry import (
     TWO_THIRDS_PI,
+    angles_to_dirs,
     conormals_at_neck,
     gauss_legendre,
+    sheet_normal,
+    sheet_point,
+    sheet_tangents,
     sine_power_integral,
     unit_ball_volume,
 )
@@ -151,6 +160,93 @@ def geodesic_cone_volumes(eb, exp_rays):
         cones.append(float(np.sum(sheet.w * sheet.orient * (jacobian @ radial))))
     c0, c1, c2 = np.sign(np.linalg.det(e)) * np.array(cones)
     return float(-(c1 + c0)), float(c0 - c2)
+
+
+def embedded_sheet(eb, sheet, z, exp_map):
+    """(Y (..., n), T (..., n, m)) of an EmbeddedBubble's sheet at parameters
+    z (..., m): Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y
+    through the package's exp_map, passed in, of the displaced flat sheet
+    y = x + w N + Y of the bubble's field, d_z y by complex step."""
+    b, field = eb.bubble, eb.perturbation
+    z = np.asarray(z, dtype=float)
+
+    def displaced(zz):
+        polar, dirs = zz[..., 0], angles_to_dirs(b.m, zz[..., 1:])
+        x = sheet_point(b, sheet, polar, dirs)
+        if field is None:
+            return x
+        return x + field.w(sheet, polar, dirs)[..., None] * sheet_normal(b, sheet, polar, dirs) + field.y(
+            sheet, polar, dirs)
+
+    y = displaced(z)
+    if field is None:
+        dy = sheet_tangents(b, sheet, z)
+    else:
+        dy = np.stack([displaced(z + 1e-30j * e).imag / 1e-30 for e in np.eye(b.m)], axis=-2)
+    e = eb.frame.matrix
+    v, w = eb.rho * y @ e.T, eb.rho * np.einsum("ij,...kj->...ik", e, dy)
+    return exp_map(eb.chart, eb.frame.base, v, steps=eb.model.geodesic_steps, directions=w)
+
+
+def stencil_fundamental_forms(eb, sheet, z, exp_map, christoffel, rel=1e-3):
+    """(first form, second form) (N, m, m) of an EmbeddedBubble's sheet at
+    parameters z (N, m), the samples at least 2.5 steps inside the sheet.
+
+    The embedded points and tangents [Y, T] (embedded_sheet) at the 5-point
+    stencils z + c h e_i, c = +-1, +-2, with h rel times the polar range and
+    rel pi for each angle, give the 4th-order first differences d_p T_q.
+    The first form is T^T G T, the second the covariant derivative
+    sym(d_p T_q) + Gamma(T_p, T_q) along the G-unit normal of the cofactor
+    covector c_a = det[e_a, T], on the side sign(det E) sign det[N, d_z x]
+    of the flat sheet.  christoffel(chart, x) gives Gamma^a_ij (..., a, i, j).
+    """
+    b = eb.bubble
+    m = b.m
+    z = np.asarray(z, dtype=float)
+    h = rel * np.array([b.polar_limit(sheet)] + [math.pi] * (m - 1))
+    if np.any(z[:, 0] - 2.5 * h[0] < 0.0) or np.any(z[:, 0] + 2.5 * h[0] > b.polar_limit(sheet)):
+        raise ValueError("stencil leaves the sheet")
+    shifts = np.array([c * h[i] * np.eye(m)[i] for i in range(m) for c in (1, -1, 2, -2)])
+    pos, push = embedded_sheet(eb, sheet, np.concatenate([z[None], z + shifts[:, None]]), exp_map)
+    pos, tangents = pos[0], push[0]
+    ts = push[1:].reshape((m, 4) + push.shape[1:])
+    dt = np.stack([(8.0 * (t[0] - t[1]) - (t[2] - t[3])) / (12.0 * hi) for t, hi in zip(ts, h)], axis=1)
+    gmat = eb.chart.metric(pos)
+    gram = np.einsum("nap,nab,nbq->npq", tangents, gmat, tangents)
+    cov = 0.5 * (dt + np.swapaxes(dt, 1, 3))
+    cov = cov + np.einsum("naij,nip,njq->npaq", christoffel(eb.chart, pos), tangents, tangents)
+    n = pos.shape[-1]
+    cof = np.stack([np.linalg.det(np.concatenate(
+        [np.broadcast_to(np.eye(n)[a][:, None], (len(z), n, 1)), tangents], axis=2)) for a in range(n)], axis=1)
+    norm = np.sqrt(np.einsum("na,na->n", cof, np.linalg.solve(gmat, cof[..., None])[..., 0]))
+    polar, dirs = z[:, 0], angles_to_dirs(m, z[:, 1:])
+    flat = np.concatenate([sheet_normal(b, sheet, polar, dirs)[:, :, None],
+                           np.swapaxes(sheet_tangents(b, sheet, z), 1, 2)], axis=2)
+    side = np.sign(np.linalg.det(eb.frame.matrix)) * np.sign(np.linalg.det(flat))
+    return gram, np.einsum("npaq,na->npq", cov, cof) * (side / norm)[:, None, None]
+
+
+def neck_conormal_defect(eb, exp_map, n_angles=32):
+    """sup over n_angles equispaced neck angles of || sum_s nu_s ||_G for an
+    EmbeddedBubble at m = 2, from rays of its own at the neck points
+    (polar_limit, angle) of each sheet (embedded_sheet): nu_s is the
+    G-unit inward tangent G-orthogonal to the neck tangent, and the norm
+    takes the metric at sheet 2's neck points."""
+    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    nus = []
+    for s in range(3):
+        z = np.stack([np.full(n_angles, eb.bubble.polar_limit(s)), angles], axis=1)
+        pos, push = embedded_sheet(eb, s, z, exp_map)
+        gmat = eb.chart.metric(pos)
+        dpol, dth = push[..., 0], push[..., 1]
+
+        def dot(a, c):
+            return np.einsum("na,nab,nb->n", a, gmat, c)[:, None]
+
+        nu = (dot(dpol, dth) / dot(dth, dth)) * dth - dpol
+        nus.append(nu / np.sqrt(dot(nu, nu)))
+    total = nus[0] + nus[1] + nus[2]
+    return float(np.max(np.sqrt(np.einsum("na,nab,nb->n", total, gmat, total))))
 
 
 def geodesic_ball_volume(t):

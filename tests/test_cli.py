@@ -364,11 +364,10 @@ def test_verify_measures_each_rho_once(tmp_path, monkeypatch):
     assert conormal_passes == [(0.2, 0.14, 0.1)]
     assert sorted(h_terms) == [0, 1, 2]
     # the field's jets: one per sheet at the 16 x 32 flat nodes, which the
-    # first-order responses read as well (none on RESPONSE_GRID), one at its
-    # NECK_SAMPLES neck points, one of w at its H_SAMPLES h-row points, and
-    # one at the 13 shifts of the m = 2 stencil around those points, which
-    # the h rows of every rho read
-    sizes = ((measure.H_SAMPLES,), (measure.NECK_SAMPLES,), (16 * 32,), (13, measure.H_SAMPLES))
+    # first-order responses, the h rows and the conormals of every rho read
+    # as well (none on RESPONSE_GRID), and one of w at its H_SAMPLES h-row
+    # points for the closed form
+    sizes = ((measure.H_SAMPLES,), (16 * 32,))
     assert sorted(jets) == sorted((s, n) for s in range(3) for n in sizes)
     assert sorted(set(points)) == [0, 1, 2]
     assert responses == {

@@ -27,7 +27,6 @@ from doublebubble.fields import (
     PerturbationField,
     SheetPointData,
     displaced_point_z,
-    _neck_z,
     _param_steps,
     _sheet_jet,
 )
@@ -370,7 +369,8 @@ def test_field_jets_match_stencils(b, kind):
             return real(field.w, zz)[..., None] * normal + real(field.y, zz)
 
         nodes = flat_rule(2, b.polar_limit(s), (8, 16))[0]
-        for z in (nodes, _neck_z(b, s, neck_angle_grid(2, 32))):
+        neck = np.column_stack([np.full(32, b.polar_limit(s)), neck_angle_grid(2, 32)])
+        for z in (nodes, neck):
             _, _, d, dd = _sheet_jet(b, s, z, field)
             ref, dref, _ = _stencil(displacement, z, h)
             assert np.abs(dd - dref).max() <= 1e-10

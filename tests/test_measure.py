@@ -10,6 +10,7 @@ from doublebubble.charts import (
     DomainExit,
     _exp_rays,
     builtin_chart,
+    christoffel,
     curvature_at,
     exp_map,
     orthonormal_frame,
@@ -17,7 +18,7 @@ from doublebubble.charts import (
 from doublebubble.expansions import phi_from_energy
 from doublebubble.fields import random_admissible_field, _param_steps
 from doublebubble.geometry import BubbleParams, flat_rule, solve_standard_bubble
-from doublebubble import fields, measure
+from doublebubble import expansions, fields, measure
 from doublebubble.measure import (
     CLAIMS,
     EmbeddedBubble,
@@ -78,18 +79,18 @@ def test_areas_and_volumes_share_one_field_jet_per_sheet():
         assert res["v2"][1][k]["oracle"] == v2 / rho**3
 
 
-def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
-    # the conormal defect reads the model's rho-independent neck jets: a
-    # perturbed sweep makes one _sheet_jet call per sheet, at its neck,
-    # whatever the number of scales, and every scale measures
-    # what a bubble with its own flat model measures
+def test_conormal_sweep_builds_the_sheet_jets_once(monkeypatch):
+    # the conormal defect reads the neck off the sheets' own embedding: a
+    # perturbed sweep makes one _sheet_jet call per sheet, at its flat_rule
+    # nodes and none at the neck, whatever the number of scales, and every
+    # scale measures what a bubble with its own flat model measures
     field = random_admissible_field(ASYM, np.random.default_rng(4), 0.25)
     axis = np.array([0.25, -0.4, 0.88])
     calls = []
     sheet_jet = fields._sheet_jet
 
     def counted(bubble, sheet, z, fld):
-        calls.append((sheet, bool(np.all(z[:, 0] == bubble.polar_limit(sheet)))))
+        calls.append((sheet, len(z), bool(np.any(z[:, 0] == bubble.polar_limit(sheet)))))
         return sheet_jet(bubble, sheet, z, fld)
 
     for module in (fields, measure):
@@ -98,7 +99,7 @@ def test_conormal_sweep_builds_the_neck_jets_once(monkeypatch):
         calls.clear()
         res = verify_many(SP, np.zeros(3), axis, ASYM, ["conormal"], rhos, grid=(8, 16),
                           sector_nodes=4, perturbation=field)
-        assert sorted(calls) == [(0, True), (1, True), (2, True)], calls
+        assert sorted(calls) == [(0, 8 * 16, False), (1, 8 * 16, False), (2, 8 * 16, False)], calls
     frame = curvature_at(SP, np.zeros(3), axis, nabla=False).frame
     for k, rho in enumerate(rhos):
         eb = EmbeddedBubble(SP, frame, ASYM, rho, perturbation=field.scaled(rho**2), grid=(8, 16),
@@ -486,13 +487,21 @@ def test_perturbed_embedding_consistency():
 
 
 def test_mean_curvature_boundary_guard():
+    # samples must lie on the sheet, polar in (0, polar_limit]: the neck
+    # itself is a sample; a point past it, the pole, where the angle
+    # tangents vanish, and a point before it are refused
     eb = EmbeddedBubble(EU, FRAME_EU, ASYM, 0.1, grid=(16, 32))
-    with pytest.raises(ValueError):
-        measure_mean_curvature(eb, 1, np.array([[ASYM.phi[1], 1.0]]))
-    # a sheet per point: the guard reads each point's own sheet and steps
-    z = np.array([[0.5 * ASYM.polar_limit(0), 1.0], [ASYM.phi[1], 1.0]])
+    limit = ASYM.phi[1]
+    assert np.isfinite(measure_mean_curvature(eb, 1, np.array([[limit, 1.0]]))).all()
+    for polar in (np.nextafter(limit, 4.0), 0.0, -1e-12):
+        with pytest.raises(ValueError):
+            measure_mean_curvature(eb, 1, np.array([[polar, 1.0]]))
+    # a sheet per point: the guard reads each point's own sheet
+    z = np.array([[ASYM.polar_limit(0), 1.0], [np.nextafter(limit, 4.0), 1.0]])
     with pytest.raises(ValueError):
         measure_mean_curvature(eb, [0, 1], z)
+    z[1, 0] = limit
+    assert np.isfinite(measure_mean_curvature(eb, [0, 1], z)).all()
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "field"])
@@ -555,29 +564,95 @@ def test_h_rows_on_a_left_handed_frame_pass(m, symmetric, perturbed):
         assert fit.passed, (q, fit.slope, fit.threshold)
 
 
+def _held_to_the_stencil_reference(chart, frame, b, grid, rho, field, steps=200):
+    # the h rows rho R_s H of every sheet at its default samples, and at m = 2
+    # the conormal defect, of the grid interpolant and of the stencil and
+    # neck references of exact_models: the largest differences
+    eb = EmbeddedBubble(chart, frame, b, rho, perturbation=field and field.scaled(rho**2), grid=grid,
+                        geodesic_steps=steps)
+    h_gap = 0.0
+    for s in range(3):
+        z = measure.default_h_params(b, s)
+        gram, hmat = exact_models.stencil_fundamental_forms(eb, s, z, exp_map, christoffel)
+        ref = np.einsum("nij,nij->n", np.linalg.inv(gram), hmat)
+        scale = rho if (s == 0 and b.symmetric) else rho * b.radii[s]
+        h_gap = max(h_gap, float(np.abs(scale * (measure_mean_curvature(eb, s, z) - ref)).max()))
+    if b.m != 2:
+        return h_gap, 0.0
+    return h_gap, abs(measure_conormal_defect(eb) - exact_models.neck_conormal_defect(eb, exp_map))
+
+
+@pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "field"])
+@pytest.mark.parametrize("bubble", [SYM, ASYM], ids=["sym", "asym"])
 @pytest.mark.parametrize(
-    "family, kw",
-    [("conformal_bump", {"eps": -0.1, "s": 0.5}), ("round_sphere", {"a": 1.0})],
-    ids=["bump-rk4", "sphere"],
+    "family, kw, point, steps",
+    [("round_sphere", {"a": 1.0}, (0.0, 0.0, 0.0), 200),
+     ("conformal_bump", {"eps": -0.1, "s": 0.5}, (0.12, -0.05, 0.08), 20)],
+    ids=["sphere", "bump-rk4"],
 )
-def test_h_rows_do_not_depend_on_the_stencil_step(monkeypatch, family, kw):
-    # the second form is the first difference of the embedded tangents, whose
-    # roundoff is eps / h rather than the eps / h^2 of differencing the points
-    # twice: over a 30-fold range of steps the scaled mean curvature rho R_s H
-    # of every sheet moves by at most 1e-8
-    point = (0.12, -0.05, 0.08) if family == "conformal_bump" else (0.0, 0.0, 0.0)
+def test_h_rows_and_conormal_match_the_stencil_reference(family, kw, point, steps, bubble, perturbed):
+    # the grid interpolant of the sheets' embedding against first
+    # differences of rays around each sample and rays of their own at the
+    # neck: rho R_s H to 1e-10 and the conormal defect to 2e-12 absolute
+    # (1.5e-12 on the asymmetric bump at 16 x 32, the polar nodes
+    # extrapolated to the neck), at the grids from CI's to the CLI default
+    # and the largest rho of the CI bump sweeps, where the gaps are largest
     chart = builtin_chart(family, **kw)
     frame = curvature_at(chart, np.array(point), np.array([0.25, -0.4, 0.88]), nabla=False).frame
-    rho = 0.025
-    eb = EmbeddedBubble(chart, frame, ASYM, rho, grid=(16, 32), geodesic_steps=50)
-    zs = [measure.default_h_params(ASYM, s) for s in range(3)]
-    labels = np.repeat([0, 1, 2], [len(z) for z in zs])
-    scale = rho * np.asarray(ASYM.radii)[labels]
-    values = []
-    for rel in (1e-5, 3e-5, 1e-4, 3e-4):
-        monkeypatch.setattr(measure, "H_REL", rel)
-        values.append(scale * measure_mean_curvature(eb, labels, np.concatenate(zs)))
-    assert np.ptp(values, axis=0).max() <= 1e-8
+    field = random_admissible_field(bubble, np.random.default_rng(3), 0.05) if perturbed else None
+    for grid in ((16, 32), (32, 64), (48, 96)):
+        h_gap, conormal_gap = _held_to_the_stencil_reference(chart, frame, bubble, grid, 0.07, field, steps)
+        assert h_gap <= 1e-10, (grid, h_gap)
+        assert conormal_gap <= 2e-12, (grid, conormal_gap)
+
+
+@pytest.mark.parametrize(
+    "family, kw",
+    [("round_sphere", {"a": 1.0, "dim": 4}), ("product", {"factors": [(3, 1.0), (1, math.inf)]}),
+     ("product", {"factors": [(2, 1.0), (2, 1.0)]})],
+    ids=["S4", "S3xR", "S2xS2"],
+)
+def test_m3_h_rows_match_the_stencil_reference(family, kw):
+    # at m = 3 the interpolant pairs the azimuths beta and beta + pi across
+    # the poles of the alpha direction, the alpha tangent with parity -1:
+    # rho R_s H to 1e-10 of the stencil reference
+    chart = builtin_chart(family, **kw)
+    frame = curvature_at(chart, np.zeros(4), np.array([0.3, -0.2, 0.5, 0.8]), nabla=False).frame
+    for h in ((0.0, 4.0, 4.0), (1.0, 4.0, 3.0)):
+        b = solve_standard_bubble(BubbleParams(3, *h))
+        for grid in ((16, 32), (32, 64)):
+            h_gap, _ = _held_to_the_stencil_reference(chart, frame, b, grid, 0.07, None)
+            assert h_gap <= 1e-10, (h, grid, h_gap)
+
+
+def test_h_rows_reach_the_neck():
+    # the interpolant extrapolates the polar nodes to the neck, so samples at
+    # polar_limit and closer to it than a stencil of 10 H_REL times the polar
+    # range could reach (2.5 steps) are measured: exact on the flat chart,
+    # and on the round sphere following mean_curvature_terms at order rho^3
+    rhos = [0.2, 0.14, 0.1, 0.07, 0.05]
+    for b in (SYM, ASYM):
+        samples = []
+        for s in range(3):
+            limit = b.polar_limit(s)
+            polar = limit - limit * 2.5 * 10 * fields.H_REL * np.array([0.0, 0.4, 0.8])
+            samples.append(np.column_stack([polar, [0.3, 2.0, 4.5]]))
+        labels = np.repeat([0, 1, 2], 3)
+        z = np.concatenate(samples)
+        flat = measure_mean_curvature(EmbeddedBubble(EU, FRAME_EU, b, 0.1, grid=(16, 32)), labels, z)
+        target = np.array([0.0 if (s == 0 and b.symmetric) else 2.0 / (0.1 * b.radii[s]) for s in labels])
+        assert np.abs(flat - target).max() <= 1e-8, b.params
+        curv = curvature_at(SP, np.zeros(3), np.array([0.3, -0.2, 0.9]), nabla=False)
+        model = measure.FlatModel(b, None, (16, 32), 200, 16)
+        ebs = [EmbeddedBubble(SP, curv.frame, b, rho, grid=(16, 32), model=model) for rho in rhos]
+        hvals = measure_mean_curvature(ebs, labels, z)
+        for s in range(3):
+            const, quad, _ = fields.mean_curvature_terms(b, s, curv, samples[s])
+            scale = 1.0 if (s == 0 and b.symmetric) else b.radii[s]
+            errors = [np.abs(rho * scale * h[labels == s] - const - rho**2 * quad).max()
+                      for rho, h in zip(rhos, hvals)]
+            fit = fit_order(rhos, errors, floor=CLAIMS[f"h{s}"].floor)
+            assert fit.exact or fit.slope >= 2.7, (b.params, s, fit.slope)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -704,8 +779,8 @@ def test_shared_sweep_matches_single_quantity_sweeps():
 )
 def test_stacked_sweep_is_each_rho_measured_alone(monkeypatch, family, kw, point, steps):
     # a perturbed sweep of the eight default quantities stacks the rays of
-    # every rho into one exp_map call per ray pass: 3 calls (sheets, h-row
-    # stencil, necks) for 3 or 5 scales, and at every rho the bits of a
+    # every rho into one exp_map call, the sheets', which the h rows and the
+    # conormals read too, for 3 or 5 scales, and at every rho the bits of a
     # fresh bubble measured alone
     chart = builtin_chart(family, **kw)
     axis = np.array([0.25, -0.4, 0.88])
@@ -731,7 +806,7 @@ def test_stacked_sweep_is_each_rho_measured_alone(monkeypatch, family, kw, point
         h_rows.clear()
         res = verify_many(chart, np.array(point), axis, ASYM, quantities, rhos, grid=(8, 16),
                           geodesic_steps=steps, sector_nodes=4, perturbation=field)
-        assert len(calls) == 3
+        assert len(calls) == 1
         (labels, z, hvals), = h_rows
         for k, rho in enumerate(rhos):
             eb = EmbeddedBubble(chart, frame, ASYM, rho, perturbation=field.scaled(rho**2),
@@ -750,11 +825,14 @@ def test_stacked_sweep_is_each_rho_measured_alone(monkeypatch, family, kw, point
 
 
 def test_m3_sweeps_pass_claimed_orders():
-    # m = 3 through the verify record: round S^4 chart and the product S^3 x R,
-    # whose Ric(s,s) differs from Sc/4 so that both curvature coefficients count
+    # m = 3 through the verify record: round S^4 chart, the product S^3 x R,
+    # whose Ric(s,s) differs from Sc/4 so that both curvature coefficients
+    # count, and the product S^2 x S^2, whose Weyl tensor, unlike theirs, is
+    # not zero, which the h rows' Rm(x, C, x, C) term sees
     charts = {
         "round": builtin_chart("round_sphere", a=1.0, dim=4),
         "product": builtin_chart("product", factors=[(3, 1.0), (1, math.inf)]),
+        "s2xs2": builtin_chart("product", factors=[(2, 1.0), (2, 1.0)]),
     }
     bubbles = {
         "sym": solve_standard_bubble(BubbleParams(3, 0.0, 4.0, 4.0)),
@@ -767,10 +845,29 @@ def test_m3_sweeps_pass_claimed_orders():
                 np.zeros(4),
                 np.array([0.3, -0.2, 0.5, 0.8]),
                 bubble,
-                ["area", "v1", "v2", "vtot", "phi"],
+                ["area", "v1", "v2", "vtot", "h0", "h1", "h2", "phi"],
                 [0.2, 0.14, 0.1, 0.07, 0.05],
                 grid=(16, 32),
                 sector_nodes=8,
             )
             for q, (fit, _) in res.items():
                 assert fit.passed, (chart_name, bubble_name, q, fit.slope, fit.threshold)
+
+
+def test_volume_sweep_builds_the_chamber_expansions_once(monkeypatch):
+    # v1, v2 and vtot read one pair of chamber expansions: vtot sums the
+    # pair that v1 and v2 take, and keeps the symmetric remainder order 4
+    calls = []
+    chambers = expansions.geodesic_volumes_expansion
+
+    def counted(bubble):
+        calls.append(bubble)
+        return chambers(bubble)
+
+    monkeypatch.setattr(expansions, "geodesic_volumes_expansion", counted)
+    for b, vtot_order in ((SYM, 4), (ASYM, 3)):
+        calls.clear()
+        res = verify_many(SP, np.zeros(3), np.array([0.25, -0.4, 0.88]), b, ["v1", "v2", "vtot"],
+                          [0.2, 0.14, 0.1], grid=(8, 16), sector_nodes=4)
+        assert calls == [b]
+        assert res["vtot"][0].threshold == vtot_order - 0.3
