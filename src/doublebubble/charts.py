@@ -29,8 +29,10 @@ pushforward dExp W of the directions W.  Jacobi fields are linear in J'(0),
 so both push only the k columns given (the identity for the whole
 differential), and a ray without columns carries no Jacobi state.  exp_map
 is the core's one-node call: it returns the endpoints, and with
-directions=W also dExp_p(v) W, the tangents of an embedded sheet when W
-holds its parameter derivatives.
+directions=W also dExp_p(v) W.  The oracle's sheets (measure._embed) push
+one column per ray, the polar derivative of the sheet, whose push is the
+embedded sheet's polar tangent; their angle tangents come from the rays'
+endpoints.
 
 Layout: the public functions take and return points (..., n), but the RK4
 state, the geodesic hook and the closed-form ray kernel are component-major,

@@ -148,6 +148,10 @@ class PerturbationField:
     use no arctan2, abs, np.linalg.norm or cast to float; the angle's modes
     come from the directions themselves (cos th = dirs[0], sin th = dirs[1]).
     A cast that drops the imaginary part raises ValueError in field_jet.
+
+    unit_sup, when known, is the sup_amplitude of the callables at scale 1
+    (random_admissible_field records the one it normalizes by); scaled and
+    dataclasses.replace keep it, so the field is sampled once.
     """
 
     bubble: StandardBubble
@@ -155,6 +159,7 @@ class PerturbationField:
     y_funcs: tuple = (None, None, None)
     scale: float = 1.0
     name: str = ""
+    unit_sup: float | None = None
 
     def w(self, sheet: int, polar, dirs):
         fn = self.w_funcs[sheet]
@@ -170,15 +175,14 @@ class PerturbationField:
         return _inexact(fn(polar, dirs)) * self.scale
 
     def scaled(self, factor: float) -> "PerturbationField":
-        return PerturbationField(
-            bubble=self.bubble,
-            w_funcs=self.w_funcs,
-            y_funcs=self.y_funcs,
-            scale=self.scale * factor,
-            name=self.name,
-        )
+        return replace(self, scale=self.scale * factor)
 
     def sup_amplitude(self) -> float:
+        """sup of |w| and |Y| over the sheets, sampled on a flat_rule grid of
+        SUP_NODES polar nodes; with unit_sup known, |scale| times it, bit for
+        bit the sampled value, rounding being monotone."""
+        if self.unit_sup is not None:
+            return abs(self.scale) * self.unit_sup
         sup = 0.0
         for s in range(3):
             z, dirs, _ = flat_rule(self.bubble.m, self.bubble.polar_limit(s), (SUP_NODES, 2 * SUP_NODES))
@@ -193,12 +197,10 @@ def admissibility_bound(bubble: StandardBubble) -> float:
     return 0.1 * min(r for r in bubble.radii if math.isfinite(r))
 
 
-def check_admissible(field: PerturbationField, unit_sup: float | None = None) -> None:
+def check_admissible(field: PerturbationField) -> None:
     """Raise ValueError when the field's sup amplitude exceeds
-    admissibility_bound.  unit_sup, the sup_amplitude of the field at scale
-    1 when known, saves sampling the field again: |scale| times it is bit
-    for bit the field's own, rounding being monotone."""
-    sup = field.sup_amplitude() if unit_sup is None else abs(field.scale) * unit_sup
+    admissibility_bound."""
+    sup = field.sup_amplitude()
     delta = admissibility_bound(field.bubble)
     if sup > delta:
         raise ValueError(f"field amplitude {sup:.3e} exceeds admissibility bound {delta:.3e}")
@@ -917,5 +919,7 @@ def random_admissible_field(
     y_funcs = tuple(make_y(s) for s in range(3))
     raw = PerturbationField(bubble, w_funcs, y_funcs, name="random-admissible")
     # normalize so `amplitude` is the actual sup norm (the junction relations
-    # are linear, so a global rescale stays admissible)
-    return raw.scaled(amplitude / max(raw.sup_amplitude(), 1e-300))
+    # are linear, so a global rescale stays admissible); the field keeps the
+    # sup, so no later check samples it again
+    sup = raw.sup_amplitude()
+    return replace(raw, unit_sup=sup).scaled(amplitude / max(sup, 1e-300))

@@ -514,19 +514,59 @@ def grid_interpolant(m: int, upper: float, grid: tuple[int, int], z, parity: flo
     if m != 3:
         raise ValueError(f"grid interpolant requires m in (2, 3), got m={m}")
     alpha, beta = z[:, 1], z[:, 2]
-    t, _ = gauss_legendre(max(4, n_sphere // 2))
-    ell, dell = _lagrange(len(t), np.cos(alpha))
-    sin, cos, inv = np.sin(alpha)[:, None], np.cos(alpha)[:, None], 1.0 / np.sqrt(1.0 - t * t)
     angles = 0.0
     # the nodes (alpha_j, beta) and (alpha_j, beta + pi): their weights in
     # alpha and the alpha derivatives, times the cardinal functions in beta
-    for side, half, shift in ((1.0, 0.5, 0.0), (-1.0, 0.5 * parity, math.pi)):
-        a = half * ell * (1.0 + side * sin * inv)
-        da = half * (-sin * dell * (1.0 + side * sin * inv) + side * ell * cos * inv)
+    for (a, da), shift in zip(_alpha_factors(n_sphere, np.cos(alpha), np.sin(alpha), parity), (0.0, math.pi)):
         b, db = _cardinal(n_sphere, beta + shift)
         angles = angles + np.stack([a[:, :, None] * b[:, None], da[:, :, None] * b[:, None],
                                     a[:, :, None] * db[:, None]], axis=1)
     return polar, angles.reshape(len(z), m, -1)
+
+
+def _alpha_factors(n_sphere: int, cos, sin, parity: float) -> list:
+    """The alpha factors of grid_interpolant at m = 3, at points of cos(alpha)
+    and sin(alpha) (P,): per side, the nodes (alpha_j, beta) and then (alpha_j,
+    beta + pi), the weights a (P, n) of sphere_rule's n alpha nodes and the
+    alpha derivatives da (P, n)."""
+    t, _ = gauss_legendre(max(4, n_sphere // 2))
+    ell, dell = _lagrange(len(t), cos)
+    sin, cos, inv = sin[:, None], cos[:, None], 1.0 / np.sqrt(1.0 - t * t)
+    out = []
+    for side, half in ((1.0, 0.5), (-1.0, 0.5 * parity)):
+        a = half * ell * (1.0 + side * sin * inv)
+        out.append((a, half * (-sin * dell * (1.0 + side * sin * inv) + side * ell * cos * inv)))
+    return out
+
+
+def node_angle_derivative(m: int, n_sphere: int):
+    """The angle derivatives of grid_interpolant at the grid's own angles,
+    as a function of node values F (..., K) in sphere_rule's order that
+    returns (..., m - 1, K), one row per angle.
+
+    At its nodes the interpolant's value weights are the identity, in t =
+    cos(alpha) and in beta, and those of the m = 3 beta + pi side vanish, so
+    the derivatives are separable products that never form a K x K matrix
+    at m = 3: F @ D^T along beta (the cardinal derivatives D of the
+    equispaced angles), and along alpha the two sides' derivative factors
+    (parity +1) on F and on F moved by pi in beta.
+    """
+    theta = 2.0 * math.pi * np.arange(n_sphere) / n_sphere
+    dbeta = np.ascontiguousarray(_cardinal(n_sphere, theta)[1].T)
+    if m == 2:
+        return lambda f: (f @ dbeta)[..., None, :]
+    if m != 3:
+        raise ValueError(f"node angle derivatives require m in (2, 3), got m={m}")
+    t, _ = gauss_legendre(max(4, n_sphere // 2))
+    (_, same), (_, opposite) = _alpha_factors(n_sphere, t, np.sqrt(1.0 - t * t), 1.0)
+    shift = np.ascontiguousarray(_cardinal(n_sphere, theta + math.pi)[0].T)
+
+    def derivative(f):
+        f = f.reshape(f.shape[:-1] + (len(t), n_sphere))
+        out = np.stack([same @ f + opposite @ (f @ shift), f @ dbeta], axis=-3)
+        return out.reshape(out.shape[:-2] + (-1,))
+
+    return derivative
 
 
 def round_metric(angles) -> tuple[np.ndarray, np.ndarray]:

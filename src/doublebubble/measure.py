@@ -16,9 +16,16 @@ displacement D = w N + Y at scale 1 with d_z D from one complex-step jet of
 the field alone (fields._sheet_jet, exact to roundoff), and the orientation
 signs.  A bubble at field scale s displaces its sheets linearly, y = x + s D
 with tangents d_z y = d_z x + s d_z D, and every quantity reads one
-primitive, _embed: it pushes y and d_z y of the jets through the
-differential of the exponential map, one geodesic with Jacobi fields per
-node, and returns Y = Exp_p(rho E y) and T = rho dExp_p(rho E y) E d_z y.
+primitive, _embed: it maps y through the exponential map, one geodesic per
+node carrying one Jacobi field, and returns Y = Exp_p(rho E y) and T = d_z
+Y: the polar column the Jacobi field rho dExp_p(rho E y) E d_polar y, and
+the angle columns the straight chart ray's tangents rho E d_angle y plus
+the angle derivative of the geodesic's bend Y - p - rho E y off that ray,
+by the grid interpolant at the grid's own angles (trigonometric
+differentiation along the equispaced angles, Trefethen, Spectral Methods
+in MATLAB, 2000, ch. 3).  The bend is O(rho^2) against the ray's O(rho),
+so the grid's rounding and truncation reach T that much smaller than they
+would through d_z Y.
 One such ray pass embeds the sheets (_embedded_sheets); the areas and the
 volumes sum over its nodes, and the mean curvature and the conormal defect
 read [Y, T] and d_z [Y, T] anywhere on the sheets, the neck included,
@@ -93,7 +100,14 @@ from .fields import (
     neck_angle_grid,
     _sheet_jet,
 )
-from .geometry import StandardBubble, _normal_at, flat_rule, gauss_legendre, grid_interpolant
+from .geometry import (
+    StandardBubble,
+    _normal_at,
+    flat_rule,
+    gauss_legendre,
+    grid_interpolant,
+    node_angle_derivative,
+)
 
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
@@ -173,8 +187,9 @@ class FlatModel:
     flat_rule nodes and weights, the flat points with their closed-form
     tangents (geometry.sheet_tangents), the field's displacement w N + Y at
     scale 1 with its complex-step derivatives, and the volume cones'
-    orientation signs.  They are built on first use, and every rho of a
-    verify_many sweep reads one model, as do the sweep's first-order
+    orientation signs; angle_derivative the angle derivative at those nodes,
+    which the three sheets share.  They are built on first use, and every
+    rho of a verify_many sweep reads one model, as do the sweep's first-order
     responses (the sheets' weights and jets).  Every quantity reads the
     sheets embedded at these nodes; the mean curvature and the conormal
     defect read them off the nodes through the grid interpolant.
@@ -183,13 +198,20 @@ class FlatModel:
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
         self.spec = _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes)
         self.bubble, _, self.grid, self.geodesic_steps, self.sector_nodes = self.spec
-        # the field at scale 1, and its sup_amplitude for check_admissible
-        self.field = None if perturbation is None else replace(perturbation, scale=1.0)
-        self.field_sup = None if self.field is None else self.field.sup_amplitude()
+        # the field at scale 1, carrying its sup_amplitude for check_admissible
+        self.field = None
+        if perturbation is not None:
+            field = replace(perturbation, scale=1.0)
+            self.field = replace(field, unit_sup=field.sup_amplitude())
 
     @cached_property
     def sheets(self) -> list:
         return [self._sheet(s) for s in range(3)]
+
+    @cached_property
+    def angle_derivative(self):
+        """geometry.node_angle_derivative of the sheets' shared angles."""
+        return node_angle_derivative(self.bubble.m, self.grid[1])
 
     def _sheet(self, sheet: int) -> _FlatSheet:
         b = self.bubble
@@ -250,7 +272,7 @@ class EmbeddedBubble:
         elif model.spec != _model_spec(bubble, perturbation, grid, geodesic_steps, sector_nodes):
             raise ValueError("the flat model belongs to another bubble, field or resolution")
         if perturbation is not None:
-            check_admissible(perturbation, model.field_sup)
+            check_admissible(model.field.scaled(perturbation.scale))
         self.chart = chart
         self.frame = frame
         self.bubble = bubble
@@ -293,14 +315,28 @@ def _stack(eb) -> list:
     return ebs
 
 
-def _embed(ebs: list, jet: tuple):
-    """The oracle's one primitive: (Y (bubbles, ..., n), T (bubbles, ..., n,
-    m)) of the points of a _sheet_jet (..., n) on each bubble of a ray pass
-    (see _stack), stacked on a new leading axis.  Each bubble's displaced
-    sheet y and d_z y (_displaced) go through one exp_map call for them all:
-    Y = Exp_p(rho E y) and the Jacobi fields T = rho dExp_p(rho E y) E d_z y."""
+def _embed(ebs: list) -> list:
+    """The oracle's one primitive: [(Y (N, n), T (n, m, N))] of each bubble
+    of a ray pass (see _stack) at the concatenated flat_rule nodes of the
+    model's three sheets, T component-major with the nodes last.
+
+    Each bubble's displaced sheet y and d_z y (_displaced) give the rays v =
+    rho E y and their directions rho E d_z y, the tangents of the straight
+    chart ray p + v.  One exp_map call for every bubble pushes the rays with
+    their polar direction only: Y = Exp_p(v) and the polar tangent, the
+    Jacobi field rho dExp_p(v) E d_polar y.  The angle tangents are the
+    straight ray's plus the angle derivative of the geodesic's bend off it,
+    Y - p - v, by the grid interpolant at the grid's own angles
+    (FlatModel.angle_derivative): the bend is O(rho^2) against the ray's
+    O(rho), so the grid's error is that much smaller than on Y itself.
+    Each bubble is differentiated alone, so it gets the bits it gets
+    alone."""
     first = ebs[0]
+    model = first.model
     e = first.frame.matrix
+    # the three sheets' concatenated _sheet_jet; the field parts stay None without a field
+    parts = zip(*[sh.jet for sh in model.sheets])
+    jet = tuple(None if p[0] is None else np.concatenate(p) for p in parts)
     # the rays rho E y and their directions rho E d_z y (..., n, m), filled
     # per bubble so that no second copy is alive during the ray pass
     v = np.empty((len(ebs),) + jet[0].shape)
@@ -309,7 +345,17 @@ def _embed(ebs: list, jet: tuple):
         y, dy = _displaced(b, jet)
         v[k] = _in_frame(b.rho * y, e)
         w[k] = b.rho * np.swapaxes(_in_frame(dy, e), -1, -2)
-    return exp_map(first.chart, first.frame.base, v, steps=first.model.geodesic_steps, directions=w)
+    pos, push = exp_map(first.chart, first.frame.base, v, steps=model.geodesic_steps, directions=w[..., :1])
+    n, m = w.shape[-2:]
+    # (n, sheets x polar nodes, angle nodes) of the bend of each bubble
+    rows = (n, 3 * model.grid[0], -1)
+    out = []
+    for k in range(len(ebs)):
+        bend = (pos[k].T - first.frame.base[:, None]) - v[k].T
+        dbend = np.moveaxis(model.angle_derivative(bend.reshape(rows)), -2, 1).reshape(n, m - 1, -1)
+        tangents = np.concatenate([np.moveaxis(push[k], 0, -1), np.moveaxis(w[k, ..., 1:], 0, -1) + dbend], axis=1)
+        out.append((pos[k], tangents))
+    return out
 
 
 def _embedded_sheets(eb) -> list:
@@ -321,11 +367,8 @@ def _embedded_sheets(eb) -> list:
     ebs = _stack(eb)
     todo = [b for b in ebs if "sheets" not in b._sheet_cache]
     if todo:
-        # one _sheet_jet of the three sheets; the field parts stay None without a field
-        parts = zip(*[sh.jet for sh in todo[0].model.sheets])
-        pos, push = _embed(todo, tuple(None if p[0] is None else np.concatenate(p) for p in parts))
-        for b, y, t in zip(todo, pos, push):
-            b._sheet_cache["sheets"] = (y, np.moveaxis(t, 0, -1))
+        for b, sheets in zip(todo, _embed(todo)):
+            b._sheet_cache["sheets"] = sheets
     return [b._sheet_cache["sheets"] for b in ebs]
 
 

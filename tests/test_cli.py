@@ -266,6 +266,30 @@ def test_verify_perturbed_path(tmp_path):
     assert body.count("pass") == 2
 
 
+def test_perturbed_verify_samples_the_field_sup_once(tmp_path, monkeypatch, capsys):
+    # random_admissible_field normalizes by one sampled sup, which the field
+    # carries: the command's admissibility check and the flat model's read
+    # it, so one command samples the field's sup once, on its three sheets;
+    # an inadmissible amplitude still exits 2 naming field_amplitude
+    samples = []
+    flat_rule = fields.flat_rule
+
+    def counted(m, upper, grid):
+        if tuple(grid) == (fields.SUP_NODES, 2 * fields.SUP_NODES):
+            samples.append(upper)
+        return flat_rule(m, upper, grid)
+
+    monkeypatch.setattr(fields, "flat_rule", counted)
+    cfg = write_cfg(tmp_path / "pert.cfg", BASE_CFG + "perturbed = true\nfield_amplitude = 0.02\nseed = 4\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert len(samples) == 3, samples
+    samples.clear()
+    big = write_cfg(tmp_path / "big.cfg", BASE_CFG + "perturbed = true\nfield_amplitude = 100\n")
+    assert main(["verify", "--config", str(big), "--out", str(tmp_path / "big")]) == 2
+    assert "field_amplitude = 100" in capsys.readouterr().err
+    assert len(samples) == 3, samples
+
+
 def test_verify_left_handed_axis_passes(tmp_path):
     # seed axis (0,0,-1) gives a left-handed frame; the volume cones carry
     # the sign of its determinant, so the perturbed volumes still converge

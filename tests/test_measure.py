@@ -128,6 +128,77 @@ def test_areas_and_volumes_share_one_exp_map_call(monkeypatch):
     assert results[0]["measure_volumes"] == results[1]["measure_volumes"] == results[2]["measure_volumes"]
 
 
+def _held_to_the_full_column_reference(eb):
+    # Y and T of the sheets' one ray pass against exact_models' rays with all
+    # m Jacobi columns at the same flat_rule nodes, relative to their sup
+    pos, tangents = measure._embedded_sheets(eb)[0]
+    refs = [exact_models.embedded_sheet(eb, s, sh.z, exp_map) for s, sh in enumerate(eb.model.sheets)]
+    pos_ref = np.concatenate([r[0] for r in refs])
+    tangents_ref = np.moveaxis(np.concatenate([r[1] for r in refs]), 0, -1)
+    return (np.abs(pos - pos_ref).max() / np.abs(pos_ref).max(),
+            np.abs(tangents - tangents_ref).max() / np.abs(tangents_ref).max())
+
+
+@pytest.mark.parametrize(
+    "family, kw, point, steps",
+    [("round_sphere", {"a": 1.0}, (0.0, 0.0, 0.0), 200),
+     ("conformal_bump", {"eps": -0.1, "s": 0.5}, (0.12, -0.05, 0.08), 20)],
+    ids=["sphere", "bump-rk4"],
+)
+def test_sheet_tangents_match_the_full_column_reference(family, kw, point, steps):
+    # the rays push only the polar Jacobi column; the angle tangents are the
+    # straight chart ray's plus the grid's angle derivative of the bend Y -
+    # p - v: Y and T match every column pushed by its own Jacobi field to
+    # 1e-12 relative (5e-14 measured), symmetric and asymmetric, with and
+    # without a field, from CI's grid to the CLI default
+    chart = builtin_chart(family, **kw)
+    frame = curvature_at(chart, np.array(point), np.array([0.25, -0.4, 0.88]), nabla=False).frame
+    for b in (SYM, ASYM):
+        for field in (None, random_admissible_field(b, np.random.default_rng(3), 0.25)):
+            for grid in ((16, 32), (32, 64), (48, 96)):
+                eb = EmbeddedBubble(chart, frame, b, 0.07, perturbation=field and field.scaled(0.07**2),
+                                    grid=grid, geodesic_steps=steps)
+                gaps = _held_to_the_full_column_reference(eb)
+                assert max(gaps) <= 1e-12, (b.params, field is None, grid, gaps)
+
+
+@pytest.mark.parametrize(
+    "family, kw, point, steps",
+    [("round_sphere", {"a": 1.0, "dim": 4}, (0.0, 0.0, 0.0, 0.0), 200),
+     ("conformal_bump", {"eps": -0.1, "s": 0.5, "dim": 4}, (0.12, -0.05, 0.08, 0.03), 20)],
+    ids=["S4", "bump-rk4"],
+)
+def test_m3_sheet_tangents_match_the_full_column_reference(family, kw, point, steps):
+    # at m = 3 the alpha derivative of the bend pairs beta with beta + pi
+    chart = builtin_chart(family, **kw)
+    frame = curvature_at(chart, np.array(point), np.array([0.3, -0.2, 0.5, 0.8]), nabla=False).frame
+    for h in ((0.0, 4.0, 4.0), (1.0, 4.0, 3.0)):
+        b = solve_standard_bubble(BubbleParams(3, *h))
+        gaps = _held_to_the_full_column_reference(EmbeddedBubble(chart, frame, b, 0.07, grid=(16, 32),
+                                                                  geodesic_steps=steps))
+        assert max(gaps) <= 1e-12, (h, gaps)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sheet_rays_carry_one_direction_column(monkeypatch, m):
+    # the sheets' one exp_map call pushes the polar direction alone
+    columns = []
+
+    def counted(*args, **kwargs):
+        columns.append(np.shape(kwargs["directions"])[-1])
+        return exp_map(*args, **kwargs)
+
+    monkeypatch.setattr(measure, "exp_map", counted)
+    chart = builtin_chart("conformal_bump", eps=-0.1, s=0.5, dim=m + 1)
+    frame = orthonormal_frame(chart, np.zeros(m + 1), np.eye(m + 1)[-1])
+    b = SYM if m == 2 else solve_standard_bubble(BubbleParams(3, 0.0, 4.0, 4.0))
+    eb = EmbeddedBubble(chart, frame, b, 0.07, grid=(8, 16), geodesic_steps=5, sector_nodes=4)
+    measure_area(eb)
+    measure_volumes(eb)
+    measure_mean_curvature(eb, 0, measure.default_h_params(b, 0))
+    assert columns == [1]
+
+
 _CONE_CHARTS = {
     "euclidean": lambda dim: builtin_chart("euclidean", dim=dim),
     "sphere": lambda dim: builtin_chart("round_sphere", a=1.0, dim=dim),
@@ -607,21 +678,24 @@ def test_h_rows_and_conormal_match_the_stencil_reference(family, kw, point, step
 
 
 @pytest.mark.parametrize(
-    "family, kw",
-    [("round_sphere", {"a": 1.0, "dim": 4}), ("product", {"factors": [(3, 1.0), (1, math.inf)]}),
-     ("product", {"factors": [(2, 1.0), (2, 1.0)]})],
-    ids=["S4", "S3xR", "S2xS2"],
+    "family, kw, point, grids, steps",
+    [("round_sphere", {"a": 1.0, "dim": 4}, (0.0,) * 4, ((16, 32), (32, 64)), 200),
+     ("product", {"factors": [(3, 1.0), (1, math.inf)]}, (0.0,) * 4, ((16, 32), (32, 64)), 200),
+     ("product", {"factors": [(2, 1.0), (2, 1.0)]}, (0.0,) * 4, ((16, 32), (32, 64)), 200),
+     ("conformal_bump", {"eps": -0.1, "s": 0.5, "dim": 4}, (0.12, -0.05, 0.08, 0.03), ((16, 32),), 20)],
+    ids=["S4", "S3xR", "S2xS2", "bump-rk4"],
 )
-def test_m3_h_rows_match_the_stencil_reference(family, kw):
+def test_m3_h_rows_match_the_stencil_reference(family, kw, point, grids, steps):
     # at m = 3 the interpolant pairs the azimuths beta and beta + pi across
     # the poles of the alpha direction, the alpha tangent with parity -1:
-    # rho R_s H to 1e-10 of the stencil reference
+    # rho R_s H to 1e-10 of the stencil reference, on the RK4 bump at CI's
+    # grid alone (8.6e-12 there; 5.0e-11 at 32 x 64, about 3 s per bubble)
     chart = builtin_chart(family, **kw)
-    frame = curvature_at(chart, np.zeros(4), np.array([0.3, -0.2, 0.5, 0.8]), nabla=False).frame
+    frame = curvature_at(chart, np.array(point), np.array([0.3, -0.2, 0.5, 0.8]), nabla=False).frame
     for h in ((0.0, 4.0, 4.0), (1.0, 4.0, 3.0)):
         b = solve_standard_bubble(BubbleParams(3, *h))
-        for grid in ((16, 32), (32, 64)):
-            h_gap, _ = _held_to_the_stencil_reference(chart, frame, b, grid, 0.07, None)
+        for grid in grids:
+            h_gap, _ = _held_to_the_stencil_reference(chart, frame, b, grid, 0.07, None, steps)
             assert h_gap <= 1e-10, (h, grid, h_gap)
 
 
