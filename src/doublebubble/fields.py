@@ -16,11 +16,12 @@ geometry.flat_rule: the flat tangents, metric and Christoffels there are
 closed form (geometry.sheet_tangents and flat_metric).  The field's first
 derivatives are complex-step jets (field_jet): d_b f = Im f(z + i h e_b) / h,
 exact to roundoff, which asks the field's callables to be analytic in
-complex parameters (PerturbationField).  Only the Hessian of w comes from
-the 4th-order stencil of charts._stencil, with the parameter steps H_REL
-times each parameter's range (_param_steps).  displaced_point_z is the flat
-point x alone: a field displaces it linearly, as x + s D with the jets of
-_sheet_jet at the oracle's quadrature nodes (measure._embed).
+complex parameters (PerturbationField).  The same analyticity gives the
+Hessian of w (field_hessian): the trapezoid rule of Cauchy's integral on
+small circles in the complex parameter plane, again with no step to tune.
+displaced_point_z is the flat point x alone: a field displaces it
+linearly, as x + s D with the jets of _sheet_jet at the oracle's
+quadrature nodes (measure._embed).
 
 The perturbed first/second fundamental form, mean curvature, area and volume
 expansions below are the closed forms the numerical oracle is checked
@@ -46,7 +47,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .charts import CurvatureAtPoint, _stencil
+from .charts import CurvatureAtPoint
 from .geometry import (
     BubbleParams,
     StandardBubble,
@@ -69,8 +70,11 @@ RESPONSE_GRID = (32, 64)
 SUP_NODES = 12
 # angles per turn on which field_modes samples a field
 MODE_ANGLES = 64
-# relative parameter step of the field Hessian's stencil
-H_REL = 1e-4
+# nodes and radius of the field Hessian's Cauchy contour: 16 nodes put the
+# aliased Taylor term below roundoff (8 leave 2e-8), and radii from 0.05 to
+# 0.3 give the same Hessian to 5e-14
+CONTOUR_NODES = 16
+CONTOUR_RADIUS = 0.1
 # imaginary step of the complex-step field jets: the O(h^2) change of a
 # shifted value's real part lies far below its ulp, and its O(h) imaginary
 # part far above the smallest normal double
@@ -144,10 +148,14 @@ class PerturbationField:
     multiplies both on evaluation, so rho-dependent sweeps reuse one field.
 
     The callables must take complex parameters and be analytic in them: the
-    field's first derivatives are complex-step jets (field_jet).  So they
-    use no arctan2, abs, np.linalg.norm or cast to float; the angle's modes
-    come from the directions themselves (cos th = dirs[0], sin th = dirs[1]).
-    A cast that drops the imaginary part raises ValueError in field_jet.
+    field's first derivatives are complex-step jets (field_jet), and the
+    Hessian of w a Cauchy contour (field_hessian), which evaluates w up to
+    CONTOUR_RADIUS sqrt2 off each real parameter point, so w must be
+    analytic in that disc around every sample (the random admissible fields
+    and the Killing fields are entire).  So they use no arctan2, abs,
+    np.linalg.norm or cast to float; the angle's modes come from the
+    directions themselves (cos th = dirs[0], sin th = dirs[1]).  A cast that
+    drops the imaginary part raises ValueError naming the sheet.
 
     unit_sup, when known, is the sup_amplitude of the callables at scale 1
     (random_admissible_field records the one it normalizes by); scaled and
@@ -217,17 +225,22 @@ def displaced_point_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.n
     return sheet_point(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]))
 
 
-def _param_steps(bubble: StandardBubble, sheet: int, rel: float = H_REL) -> np.ndarray:
-    """Parameter steps of the stencils on a sheet: rel times the range of the
-    polar parameter and pi for each angle."""
-    scales = [bubble.polar_limit(sheet)] + [math.pi] * (bubble.m - 1)
-    return rel * np.asarray(scales)
-
-
 def neck_angle_grid(m: int, n_angle: int) -> np.ndarray:
     if m == 2:
         return (2.0 * math.pi * np.arange(n_angle) / n_angle)[:, None]
     raise ValueError("neck grids are implemented for m = 2")
+
+
+def _analytic(fun, z: np.ndarray, sheet: int) -> np.ndarray:
+    """fun at complex parameters z of a sheet.  A ComplexWarning, a cast
+    that dropped the imaginary part and would leave wrong derivatives,
+    raises ValueError naming the sheet."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        try:
+            return np.asarray(fun(z))
+        except np.exceptions.ComplexWarning as exc:
+            raise ValueError(f"field on sheet {sheet} is not analytic in its parameters: {exc}") from None
 
 
 def field_jet(fun, z: np.ndarray, sheet: int) -> tuple:
@@ -235,20 +248,46 @@ def field_jet(fun, z: np.ndarray, sheet: int) -> tuple:
     sheet by complex step: d_b f = Im f(z + i h e_b) / h with h = CSTEP,
     exact to roundoff with no step to tune, and f the real part of the b = 0
     value.  fun sees the m shifted points in one call, stacked on a new
-    leading axis; the derivative axis follows the batch axes of z, as in
-    charts._stencil.  fun must be analytic (see PerturbationField): a
-    ComplexWarning, a cast that dropped the imaginary part and would leave
-    zero derivatives, raises ValueError naming the sheet."""
+    leading axis; the derivative axis follows the batch axes of z.  fun must
+    be analytic (see PerturbationField and _analytic)."""
     z = np.asarray(z, dtype=float)
     m = z.shape[-1]
     shifts = (1j * CSTEP * np.eye(m)).reshape((m,) + (1,) * (z.ndim - 1) + (m,))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        try:
-            f = np.asarray(fun(z + shifts))
-        except np.exceptions.ComplexWarning as exc:
-            raise ValueError(f"field on sheet {sheet} is not analytic in its parameters: {exc}") from None
+    f = _analytic(fun, z + shifts, sheet)
     return f[0].real.copy(), np.moveaxis(f.imag, 0, z.ndim - 1) / CSTEP
+
+
+def field_hessian(fun, z: np.ndarray, sheet: int) -> np.ndarray:
+    """d_a d_b f (..., m, m) of a field function fun at real parameters z
+    (..., m) of a sheet by Cauchy contours (Lyness and Moler 1967): along a
+    direction v, d_v d_v f = (2 / (N r^2)) Re sum_k f(z + r om^k v) om^(-2k)
+    with om = exp(2 pi i / N), N = CONTOUR_NODES and r = CONTOUR_RADIUS,
+    the trapezoid rule of Cauchy's integral for the second Taylor
+    coefficient, whose error is r^N times the coefficient of order N + 2.
+    The directions are the axes e_a and, for the mixed entries by
+    polarization, e_a + e_b.  fun is real at real parameters, so the nodes
+    k = 0 .. N/2 suffice, the inner ones counted twice for their conjugates.
+    fun sees every node and direction in one call, stacked on two new
+    leading axes, and must be analytic within r sqrt2 of each point (see
+    PerturbationField and _analytic); the derivative axes follow the batch
+    axes of z."""
+    z = np.asarray(z, dtype=float)
+    m = z.shape[-1]
+    eye = np.eye(m)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    dirs = np.array(list(eye) + [eye[a] + eye[b] for a, b in pairs])
+    k = np.arange(CONTOUR_NODES // 2 + 1)
+    angle = 2.0 * math.pi * k / CONTOUR_NODES
+    weights = np.where((k == 0) | (k == CONTOUR_NODES // 2), 1.0, 2.0) * np.exp(-2j * angle)
+    shifts = CONTOUR_RADIUS * np.exp(1j * angle)[:, None, None] * dirs
+    f = _analytic(fun, z + shifts.reshape(shifts.shape[:2] + (1,) * (z.ndim - 1) + (m,)), sheet)
+    second = np.tensordot(weights, f, axes=(0, 0)).real * (2.0 / (CONTOUR_NODES * CONTOUR_RADIUS**2))
+    hess = np.empty((m, m) + second.shape[1:])
+    for a in range(m):
+        hess[a, a] = second[a]
+    for (a, b), along in zip(pairs, second[m:]):
+        hess[a, b] = hess[b, a] = 0.5 * (along - second[a] - second[b])
+    return np.moveaxis(hess, (0, 1), (z.ndim - 1, z.ndim))
 
 
 def _sheet_jet(bubble: StandardBubble, sheet: int, z: np.ndarray, field) -> tuple:
@@ -275,12 +314,10 @@ class SheetPointData:
     first form g, its inverse and the Christoffels gamma[k, i, j] in z
     (flat_metric) are closed form; g is diagonal, so its inverse is the
     reciprocal of the diagonal.  The field's data are evaluated on first
-    use, so each caller pays only for what it reads: dw (N, m) and (yvec (N,
-    n), dy (N, m, n)) by complex-step jets (field_jet), the Hessian d2w (N,
-    m, m) by the 4th-order stencil of charts._stencil, and w (N,) by one
-    real evaluation, or as the centre value of that stencil once the
-    Hessian was taken: the centre is z + 0.0, so the bits are the same.
-    Without a field all of them are zero.
+    use, so each caller pays only for what it reads: w (N,) by one real
+    evaluation, dw (N, m) and (yvec (N, n), dy (N, m, n)) by complex-step
+    jets (field_jet), and the Hessian d2w (N, m, m) by Cauchy contours
+    (field_hessian).  Without a field all of them are zero.
     """
 
     def __init__(self, bubble: StandardBubble, sheet: int, z: np.ndarray, field=None):
@@ -301,13 +338,7 @@ class SheetPointData:
         return self.field.y(self.sheet, zz[..., 0], angles_to_dirs(self.bubble.m, zz[..., 1:]))
 
     @cached_property
-    def _w_stencil(self) -> tuple:
-        return _stencil(self._w, self.z, _param_steps(self.bubble, self.sheet))
-
-    @cached_property
     def w(self) -> np.ndarray:
-        if "_w_stencil" in self.__dict__:
-            return self._w_stencil[0]
         return self._w(self.z)
 
     @cached_property
@@ -316,7 +347,7 @@ class SheetPointData:
 
     @cached_property
     def d2w(self) -> np.ndarray:
-        return self._w_stencil[2]
+        return field_hessian(self._w, self.z, self.sheet)
 
     @cached_property
     def _y_jet(self) -> tuple:

@@ -13,9 +13,10 @@ z = (polar, angles).  The rho-independent half of the oracle, the flat
 side, is a FlatModel: per sheet the node values of the flat points x, their
 closed-form tangents d_z x (geometry.sheet_tangents), the field's
 displacement D = w N + Y at scale 1 with d_z D from one complex-step jet of
-the field alone (fields._sheet_jet, exact to roundoff), and the orientation
-signs.  A bubble at field scale s displaces its sheets linearly, y = x + s D
-with tangents d_z y = d_z x + s d_z D, and every quantity reads one
+the field alone (fields._sheet_jet, exact to roundoff), and the sheet's
+orientation sign, constant on a flat sheet.  A bubble at field scale s
+displaces its sheets linearly, y = x + s D with tangents d_z y = d_z x +
+s d_z D, and every quantity reads one
 primitive, _embed: it maps y through the exponential map, one geodesic per
 node carrying one Jacobi field, and returns Y = Exp_p(rho E y) and T = d_z
 Y: the polar column the Jacobi field rho dExp_p(rho E y) E d_polar y, and
@@ -139,9 +140,11 @@ class ConvergenceFit:
 def fit_order(rhos, errors, floor: float = 0.0) -> ConvergenceFit:
     """Fit the convergence order of an error sweep.
 
-    Requires at least 3 strictly decreasing rhos.  Errors at or below `floor`
-    signal an exact expansion and are reported with an infinite slope
-    sentinel rather than fitted.
+    Requires at least 3 strictly decreasing rhos.  Errors all at or below
+    `floor` signal an exact expansion and are reported with an infinite
+    slope sentinel rather than fitted.  Otherwise the sweep is not exact,
+    and the fit takes the errors above the floor, which alone carry an
+    order: with fewer than 3 of them its slope and r^2 are NaN, so it fails.
     """
     rhos = [float(r) for r in rhos]
     errors = [float(e) for e in errors]
@@ -149,9 +152,12 @@ def fit_order(rhos, errors, floor: float = 0.0) -> ConvergenceFit:
         raise ValueError("need at least 3 (rho, error) pairs")
     if any(r2 >= r1 for r1, r2 in zip(rhos, rhos[1:])):
         raise ValueError("rhos must be strictly decreasing")
-    if any(e <= floor for e in errors):
+    above = [(r, e) for r, e in zip(rhos, errors) if e > floor]
+    if not above:
         return ConvergenceFit(tuple(rhos), tuple(errors), math.inf, 1.0, exact=True)
-    lx, ly = np.log(rhos), np.log(errors)
+    if len(above) < 3:
+        return ConvergenceFit(tuple(rhos), tuple(errors), math.nan, math.nan)
+    lx, ly = np.log(np.array(above)).T
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept
     ss_res = float(np.sum((ly - pred) ** 2))
@@ -175,7 +181,7 @@ class _FlatSheet(NamedTuple):
     z: np.ndarray  # flat_rule nodes (N, m)
     w: np.ndarray  # and weights (N,)
     jet: tuple  # the _sheet_jet at the nodes
-    orient: np.ndarray  # sign of the flat-model determinant [N, d_z x] (N,)
+    orient: float  # sign of the flat-model determinant [N, d_z x], one per sheet
 
 
 class FlatModel:
@@ -183,12 +189,13 @@ class FlatModel:
     a field at one resolution, which every EmbeddedBubble built on it maps
     through the exponential map at its own rho and field scale.
 
-    sheets holds one _FlatSheet per sheet, all of it node values: the
-    flat_rule nodes and weights, the flat points with their closed-form
-    tangents (geometry.sheet_tangents), the field's displacement w N + Y at
-    scale 1 with its complex-step derivatives, and the volume cones'
-    orientation signs; angle_derivative the angle derivative at those nodes,
-    which the three sheets share.  They are built on first use, and every
+    sheets holds one _FlatSheet per sheet: as node values the flat_rule
+    nodes and weights, the flat points with their closed-form tangents
+    (geometry.sheet_tangents) and the field's displacement w N + Y at scale
+    1 with its complex-step derivatives, and the sheet's one orientation
+    sign, which signs its volume cone and its h-row normals;
+    angle_derivative the angle derivative at those nodes, which the three
+    sheets share.  They are built on first use, and every
     rho of a verify_many sweep reads one model, as do the sweep's first-order
     responses (the sheets' weights and jets).  Every quantity reads the
     sheets embedded at these nodes; the mean curvature and the conormal
@@ -217,13 +224,15 @@ class FlatModel:
         b = self.bubble
         z, _, w = flat_rule(b.m, b.polar_limit(sheet), self.grid)
         jet = _sheet_jet(b, sheet, z, self.field)
-        return _FlatSheet(z, w, jet, _orientation(b, sheet, jet[0], jet[1]))
+        # the sign is constant on a sheet, so one node gives it
+        return _FlatSheet(z, w, jet, float(_orientation(b, sheet, jet[0][:1], jet[1][:1])[0]))
 
 
 def _orientation(bubble: StandardBubble, sheet: int, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """sign det[N, d_z x] (N,) of a flat sheet at its points x (N, n) with
     the tangents d_z x (N, m, n): the orientation that signs the volume
-    cones and the normals of the second fundamental form."""
+    cones and the normals of the second fundamental form, one sign on each
+    sheet (FlatModel)."""
     nrm = _normal_at(bubble, sheet, x)
     return np.sign(_det(np.concatenate([nrm.T[:, None], np.transpose(dx)], axis=1)))
 
@@ -409,8 +418,8 @@ def measure_volumes(eb: EmbeddedBubble) -> tuple[float, float]:
     segments = base[..., None] + chord[..., None] * t
     radial = eb.chart.volume_element(segments) @ (0.5 * wt * t**eb.bubble.m)
     jacobian = _det(np.concatenate([chord[:, None], tangents], axis=1)) * radial
-    orient = np.concatenate([sh.orient for sh in eb.model.sheets])
-    c0, c1, c2 = np.sign(_det(eb.frame.matrix)) * _sheet_sums(eb, orient * jacobian)
+    orient = np.array([sh.orient for sh in eb.model.sheets])
+    c0, c1, c2 = np.sign(_det(eb.frame.matrix)) * orient * _sheet_sums(eb, jacobian)
     out = (float(-(c1 + c0)), float(c0 - c2))
     eb._sheet_cache["volumes"] = out
     return out
@@ -489,11 +498,7 @@ def measure_fundamental_forms(eb, sheet, z: np.ndarray):
     if np.any(z[:, 0] <= 0.0) or np.any(z[:, 0] > upper):
         raise ValueError("mean-curvature samples must lie on the sheet, polar in (0, polar_limit]")
     # sign(det E) sign det[N, d_z x] of each point's flat sheet
-    orient = np.empty(len(z))
-    for s in np.unique(sheets):
-        i = sheets == s
-        orient[i] = _orientation(b, s, *_sheet_jet(b, s, z[i], None)[:2])
-    orient *= np.sign(_det(ebs[0].frame.matrix))
+    orient = np.sign(_det(ebs[0].frame.matrix)) * np.array([sh.orient for sh in ebs[0].model.sheets])[sheets]
     vals, ders = _on_sheets(ebs, sheets, z)
     pos, tangents = vals[..., 0], vals[..., 1:]  # (bubbles, N, n), (bubbles, N, n, m)
     chart = ebs[0].chart

@@ -1,5 +1,9 @@
 """Independent models and checks that the tests hold the package against.
 
+* 4th-order central finite differences through second order (stencil), with
+  parameter steps proportional to each sheet parameter's range
+  (param_steps): the step-tuned reference for the package's complex-step
+  jets and Cauchy-contour Hessian, and for its closed-form sheet tangents.
 * Exact geometry of the unit 3-sphere embedded in R^4: the exponential map is
   the great-circle formula and all first fundamental forms are computed with
   the ambient Euclidean metric of R^4.
@@ -44,6 +48,68 @@ from doublebubble.geometry import (
 )
 
 P4 = np.array([0.0, 0.0, 0.0, -1.0])  # base point (image of the chart origin)
+
+
+def param_steps(bubble, sheet, rel=1e-4):
+    """Parameter steps of the stencils on a sheet: rel times the range of the
+    polar parameter and pi for each angle."""
+    scales = [bubble.polar_limit(sheet)] + [math.pi] * (bubble.m - 1)
+    return rel * np.asarray(scales)
+
+
+def stencil(fun, x, h):
+    """4th-order central finite differences of an array-valued fun at points
+    x (..., n), through second order.
+
+    h is the step of each coordinate and broadcasts against x: a scalar
+    applies to every coordinate, an (n,) array to every point, and an
+    (..., n) array gives each point its own steps.
+    Returns (f, d1, d2), where f = fun(x) and the derivative axes follow the
+    batch axes of x: d1[..., i, *out] = d_i f and d2[..., i, j, *out] =
+    d_i d_j f.  First derivatives and the diagonal of d2 use the central
+    5-point stencils, the mixed entries of d2 the 4-point cross.  fun sees
+    every shifted point in one call, stacked on a new leading axis with the
+    centre first, so fun must be defined a few steps past the points.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = np.broadcast_to(np.asarray(h, dtype=float), x.shape)
+    # each shift a tuple of (axis, multiple of that axis' step); () is the centre
+    keys = [()] + [((i, c),) for i in range(n) for c in (1, -1, 2, -2)]
+    keys += [
+        ((i, ci), (j, cj))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for ci in (1, -1)
+        for cj in (1, -1)
+    ]
+    shifts = np.zeros((len(keys),) + x.shape)
+    for row, key in enumerate(keys):
+        for i, c in key:
+            shifts[row, ..., i] = c * h[..., i]
+    f = dict(zip(keys, fun(x + shifts)))
+    f0 = f[()]
+    axis = x.ndim - 1
+    # the steps of coordinate i, broadcasting against the values of fun
+    h = [h[..., i].reshape(x.shape[:-1] + (1,) * (f0.ndim - axis)) for i in range(n)]
+
+    def at(i, c):
+        return f[((i, c),)]
+
+    d1 = np.stack(
+        [(8.0 * (at(i, 1) - at(i, -1)) - (at(i, 2) - at(i, -2))) / (12.0 * h[i]) for i in range(n)],
+        axis=axis,
+    )
+    d2 = [[None] * n for _ in range(n)]
+    for i in range(n):
+        d2[i][i] = (-30.0 * f0 + 16.0 * (at(i, 1) + at(i, -1)) - (at(i, 2) + at(i, -2))) / (
+            12.0 * h[i] ** 2
+        )
+        for j in range(i + 1, n):
+            d2[i][j] = d2[j][i] = (
+                f[((i, 1), (j, 1))] - f[((i, 1), (j, -1))] - f[((i, -1), (j, 1))] + f[((i, -1), (j, -1))]
+            ) / (4.0 * h[i] * h[j])
+    return f0, d1, np.stack([np.stack(row, axis=axis) for row in d2], axis=axis)
 
 
 def exp_s3(v3):

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from doublebubble.charts import _stencil
 from doublebubble.fields import (
     admissible_closure,
     admissibility_bound,
@@ -27,7 +26,6 @@ from doublebubble.fields import (
     PerturbationField,
     SheetPointData,
     displaced_point_z,
-    _param_steps,
     _sheet_jet,
 )
 from doublebubble.geometry import (
@@ -40,7 +38,7 @@ from doublebubble.geometry import (
     solve_standard_bubble,
 )
 
-from exact_models import junction_residual, random_smooth_field
+from exact_models import junction_residual, param_steps, random_smooth_field, stencil
 
 SYM = solve_standard_bubble(BubbleParams(2, 0.0, 3.0, 3.0))
 ASYM = solve_standard_bubble(BubbleParams(2, 1.0, 3.0, 2.0))
@@ -359,7 +357,7 @@ def test_field_jets_match_stencils(b, kind):
     # are a real evaluation's to roundoff
     field = JET_FIELDS[kind](b)
     for s in range(3):
-        h = _param_steps(b, s)
+        h = param_steps(b, s)
 
         def real(fn, zz, s=s):
             return fn(s, zz[..., 0], angles_to_dirs(2, zz[..., 1:]))
@@ -372,25 +370,28 @@ def test_field_jets_match_stencils(b, kind):
         neck = np.column_stack([np.full(32, b.polar_limit(s)), neck_angle_grid(2, 32)])
         for z in (nodes, neck):
             _, _, d, dd = _sheet_jet(b, s, z, field)
-            ref, dref, _ = _stencil(displacement, z, h)
+            ref, dref, _ = stencil(displacement, z, h)
             assert np.abs(dd - dref).max() <= 1e-10
             assert np.abs(d - ref).max() <= 1e-15 * np.abs(ref).max()
         data = SheetPointData(b, s, nodes, field)
         for value, deriv, fn in ((data.w, data.dw, field.w), (data.yvec, data.dy, field.y)):
-            ref, dref, _ = _stencil(lambda zz: real(fn, zz), nodes, h)
+            ref, dref, _ = stencil(lambda zz: real(fn, zz), nodes, h)
             assert np.abs(deriv - dref).max() <= 1e-10
             assert np.abs(value - ref).max() <= 1e-15 * np.abs(ref).max()
         assert np.array_equal(data.w, real(field.w, nodes))
 
 
 def test_field_jets_refuse_casts_and_keep_constants():
-    # a field that casts its parameters to float would get zero derivatives
-    # silently: the jet raises, naming the sheet; a constant field whose
+    # a field that casts its parameters to float would get zero first
+    # derivatives and a wrong Hessian silently: the jet and the contour
+    # raise, naming the sheet; a constant field whose
     # callable returns real ones gets exactly zero derivatives
     z = flat_rule(2, ASYM.polar_limit(1), (4, 8))[0]
     cast = PerturbationField(ASYM, (None, lambda pol, dirs: np.asarray(pol, dtype=float), None))
     with pytest.raises(ValueError, match="sheet 1"):
         SheetPointData(ASYM, 1, z, cast).dw
+    with pytest.raises(ValueError, match="sheet 1"):
+        SheetPointData(ASYM, 1, z, cast).d2w
     with pytest.raises(ValueError, match="sheet 1"):
         _sheet_jet(ASYM, 1, z, cast)
     ones = PerturbationField(
@@ -475,7 +476,7 @@ def test_mean_curvature_terms_are_the_formula_at_every_rho():
     # for bit.  Against the printed formula with the scaled field inside its
     # callables, as summed before the split: the curvature side moves by
     # the regrouping alone, and the field part by the roundoff of the
-    # Hessian's stencil, eps / h^2 with h = H_REL times the ranges
+    # Hessian's Cauchy contour, eps times the field on the circle over r^2
     from doublebubble.charts import builtin_chart, curvature_at
     from doublebubble.measure import default_h_params
 
@@ -515,12 +516,13 @@ def test_mean_curvature_terms_are_the_formula_at_every_rho():
                     worst_field, float(np.max(np.abs(scaled.scale * lin - field_part)) / np.max(np.abs(field_part)))
                 )
     assert worst_curv <= 1e-14, worst_curv
-    assert worst_field <= 1e-7, worst_field
+    assert worst_field <= 1e-12, worst_field
 
 
-def test_mean_curvature_terms_take_w_from_the_hessian_stencil():
-    # the field part reads w at the centre of the Hessian's stencil, which is
-    # the real evaluation bit for bit: one stencil and one jet per sheet
+def test_mean_curvature_terms_take_w_from_one_real_evaluation():
+    # the field part reads w from one real evaluation, bit for bit, apart
+    # from the jet of dw and the Cauchy contour of d2w: three calls of the
+    # field per sheet, with or without the Hessian taken first
     from doublebubble.charts import builtin_chart, curvature_at
 
     cv = curvature_at(builtin_chart("euclidean", dim=3), np.zeros(3), np.array([0, 0, 1.0]), nabla=False)
@@ -539,10 +541,63 @@ def test_mean_curvature_terms_take_w_from_the_hessian_stencil():
     z = flat_rule(2, ASYM.polar_limit(1), (4, 8))[0]
     for s in range(3):
         mean_curvature_terms(ASYM, s, cv, z, counting)
-    assert calls == [2, 2, 2]
+    assert calls == [3, 3, 3]
+    real = field.w(1, z[:, 0], angles_to_dirs(2, z[:, 1:]))
+    data = SheetPointData(ASYM, 1, z, field)
+    assert np.array_equal(data.w, real)
     data = SheetPointData(ASYM, 1, z, field)
     data.d2w
-    assert np.array_equal(data.w, field.w(1, z[:, 0], angles_to_dirs(2, z[:, 1:])))
+    assert np.array_equal(data.w, real)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_contour_hessian_matches_the_closed_form(m):
+    # w = polar^3 cos 2th + polar^2 sin th, at m = 3 with the directions'
+    # (d0^2 - d1^2, d1) = (sin^2 al cos 2be, sin al sin be) in its place:
+    # d2w to 1e-12 of the closed-form Hessian in (polar, angles) on every
+    # sheet, near the pole and at the neck (the 4th-order stencil it
+    # replaced read about 1e-8)
+    def w(polar, dirs):
+        return polar**3 * (dirs[..., 0] ** 2 - dirs[..., 1] ** 2) + polar**2 * dirs[..., 1]
+
+    def hessian(z):
+        p = z[:, 0]
+        if m == 2:
+            th = z[:, 1]
+            # (value, first and second angle derivatives) of cos 2th and sin th
+            a = (np.cos(2 * th), -2 * np.sin(2 * th), -4 * np.cos(2 * th))
+            c = (np.sin(th), np.cos(th), -np.sin(th))
+            rows = [[6 * p * a[0] + 2 * c[0], 3 * p**2 * a[1] + 2 * p * c[1]],
+                    [3 * p**2 * a[1] + 2 * p * c[1], p**3 * a[2] + p**2 * c[2]]]
+            return np.moveaxis(np.array(rows), -1, 0)
+        al, be = z[:, 1], z[:, 2]
+        s, co = np.sin(al), np.cos(al)
+        # A = sin^2 al cos 2be and B = sin al sin be with their derivatives
+        a, a_al, a_be = s**2 * np.cos(2 * be), 2 * s * co * np.cos(2 * be), -2 * s**2 * np.sin(2 * be)
+        a_alal, a_albe, a_bebe = 2 * np.cos(2 * al) * np.cos(2 * be), -4 * s * co * np.sin(2 * be), -4 * a
+        b, b_al, b_be = s * np.sin(be), co * np.sin(be), s * np.cos(be)
+        b_alal, b_albe, b_bebe = -b, co * np.cos(be), -b
+        pp = 6 * p * a + 2 * b
+        pal, pbe = 3 * p**2 * a_al + 2 * p * b_al, 3 * p**2 * a_be + 2 * p * b_be
+        alal, albe = p**3 * a_alal + p**2 * b_alal, p**3 * a_albe + p**2 * b_albe
+        bebe = p**3 * a_bebe + p**2 * b_bebe
+        rows = [[pp, pal, pbe], [pal, alal, albe], [pbe, albe, bebe]]
+        return np.moveaxis(np.array(rows), -1, 0)
+
+    angles = [[0.3], [2.0], [4.5]] if m == 2 else [[0.4, 0.3], [1.3, 2.9], [2.7, 5.8]]
+    worst = 0.0
+    for h in ((0.0, m + 1.0, m + 1.0), (1.0, m + 1.0, m)):
+        b = solve_standard_bubble(BubbleParams(m, *h))
+        for s in range(3):
+            field = PerturbationField(b, tuple(w if t == s else None for t in range(3)))
+            limit = b.polar_limit(s)
+            z = np.array([[polar] + ang for polar in (1e-3 * limit, 0.02 * limit, limit) for ang in angles])
+            exact = hessian(z)
+            got = SheetPointData(b, s, z, field).d2w
+            assert got.shape == exact.shape
+            scale = np.abs(exact).max(axis=(1, 2))
+            worst = max(worst, float((np.abs(got - exact).max(axis=(1, 2)) / scale).max()))
+    assert worst <= 1e-12, worst
 
 
 @pytest.mark.parametrize("m", [2, 3])

@@ -16,7 +16,7 @@ from doublebubble.charts import (
     orthonormal_frame,
 )
 from doublebubble.expansions import phi_from_energy
-from doublebubble.fields import random_admissible_field, _param_steps
+from doublebubble.fields import random_admissible_field
 from doublebubble.geometry import BubbleParams, flat_rule, solve_standard_bubble
 from doublebubble import expansions, fields, measure
 from doublebubble.measure import (
@@ -465,7 +465,7 @@ def test_oracle_against_independent_sphere_model():
 
     for s in range(3):
         z, _, w = flat_rule(b.m, b.polar_limit(s), eb.model.grid)
-        steps = _param_steps(b, s, 1e-4)
+        steps = exact_models.param_steps(b, s, 1e-4)
         area_ref = exact_models.surface_area(
             lambda zz, ss=s: rho * displaced_point_z(b, ss, zz), z, w, steps
         )
@@ -701,15 +701,15 @@ def test_m3_h_rows_match_the_stencil_reference(family, kw, point, grids, steps):
 
 def test_h_rows_reach_the_neck():
     # the interpolant extrapolates the polar nodes to the neck, so samples at
-    # polar_limit and closer to it than a stencil of 10 H_REL times the polar
-    # range could reach (2.5 steps) are measured: exact on the flat chart,
-    # and on the round sphere following mean_curvature_terms at order rho^3
+    # polar_limit and within 2.5 steps of 1e-3 times the polar range of it
+    # are measured: exact on the flat chart, and on the round sphere
+    # following mean_curvature_terms at order rho^3
     rhos = [0.2, 0.14, 0.1, 0.07, 0.05]
     for b in (SYM, ASYM):
         samples = []
         for s in range(3):
             limit = b.polar_limit(s)
-            polar = limit - limit * 2.5 * 10 * fields.H_REL * np.array([0.0, 0.4, 0.8])
+            polar = limit - limit * 2.5 * 10 * 1e-4 * np.array([0.0, 0.4, 0.8])
             samples.append(np.column_stack([polar, [0.3, 2.0, 4.5]]))
         labels = np.repeat([0, 1, 2], 3)
         z = np.concatenate(samples)
@@ -783,6 +783,40 @@ def test_fit_order_basics():
     rng = np.random.default_rng(1)
     noisy = [5.0 * r**2 * (1.0 + 0.02 * rng.normal()) for r in rhos]
     assert fit_order(rhos, noisy).slope == pytest.approx(2.0, abs=0.1)
+
+
+def test_fit_order_is_exact_only_when_every_error_is_at_the_floor():
+    # one error at the floor among larger ones is no exact expansion: the
+    # fit takes the errors above the floor, and with fewer than 3 of them
+    # its slope and r^2 are NaN and it fails whatever its threshold; a
+    # sweep that converges into the floor is fitted on the errors above
+    # it; every error at the floor is exact
+    rhos = [0.2, 0.1, 0.05]
+    mixed = fit_order(rhos, [1e-3, 0.0, 1e-5], floor=1e-11)
+    assert not mixed.exact and not mixed.passed
+    assert math.isnan(mixed.slope) and math.isnan(mixed.r_squared)
+    assert not replace(mixed, threshold=1.7).passed
+    tail = fit_order(rhos + [0.025], [7.0 * r**3 for r in rhos] + [1e-12], floor=1e-11)
+    assert not tail.exact and tail.errors[-1] == 1e-12
+    assert tail.slope == pytest.approx(3.0, abs=1e-10) and tail.r_squared == pytest.approx(1.0, abs=1e-12)
+    exact = replace(fit_order(rhos, [1e-12, 0.0, 1e-11], floor=1e-11), threshold=2.7)
+    assert exact.exact and exact.passed and math.isinf(exact.slope)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sheet_orientation_is_one_sign_per_sheet(m):
+    # sign det[N, d_z x] is constant on each flat sheet, so the FlatModel's
+    # one sign per sheet, taken at one node, is _orientation's at every
+    # flat_rule node and every default h sample: +, -, + at m = 2 and -, +,
+    # - at m = 3, for both bubbles
+    for h in ((0.0, m + 1.0, m + 1.0), (1.0, m + 1.0, float(m))):
+        b = solve_standard_bubble(BubbleParams(m, *h))
+        model = measure.FlatModel(b, None, (8, 16), 20, 4)
+        assert [sh.orient for sh in model.sheets] == ([1.0, -1.0, 1.0] if m == 2 else [-1.0, 1.0, -1.0])
+        for s, sh in enumerate(model.sheets):
+            assert np.all(measure._orientation(b, s, *sh.jet[:2]) == sh.orient)
+            x, dx = fields._sheet_jet(b, s, measure.default_h_params(b, s), None)[:2]
+            assert np.all(measure._orientation(b, s, x, dx) == sh.orient)
 
 
 def test_verify_many_flat_exact_sentinels():
@@ -901,12 +935,17 @@ def test_stacked_sweep_is_each_rho_measured_alone(monkeypatch, family, kw, point
 def test_m3_sweeps_pass_claimed_orders():
     # m = 3 through the verify record: round S^4 chart, the product S^3 x R,
     # whose Ric(s,s) differs from Sc/4 so that both curvature coefficients
-    # count, and the product S^2 x S^2, whose Weyl tensor, unlike theirs, is
-    # not zero, which the h rows' Rm(x, C, x, C) term sees
+    # count, and the products S^2 x S^2, S^2 x R^2 and S^2(1) x S^2(0.5),
+    # whose Weyl tensors, unlike theirs, are not zero, which the h rows'
+    # Rm(x, C, x, C) term sees.  On S^2(1) x S^2(0.5) the asymmetric bubble
+    # starts at rho = 0.14: at 0.2 it fails EmbeddedBubble's crude clearance
+    # bound rho * extent * 1.5 (ROADMAP item 10)
     charts = {
         "round": builtin_chart("round_sphere", a=1.0, dim=4),
         "product": builtin_chart("product", factors=[(3, 1.0), (1, math.inf)]),
         "s2xs2": builtin_chart("product", factors=[(2, 1.0), (2, 1.0)]),
+        "s2xr2": builtin_chart("product", factors=[(2, 1.0), (2, math.inf)]),
+        "s2xs2_half": builtin_chart("product", factors=[(2, 1.0), (2, 0.5)]),
     }
     bubbles = {
         "sym": solve_standard_bubble(BubbleParams(3, 0.0, 4.0, 4.0)),
@@ -914,13 +953,16 @@ def test_m3_sweeps_pass_claimed_orders():
     }
     for chart_name, chart in charts.items():
         for bubble_name, bubble in bubbles.items():
+            rhos = [0.2, 0.14, 0.1, 0.07, 0.05]
+            if (chart_name, bubble_name) == ("s2xs2_half", "asym"):
+                rhos = [0.14, 0.1, 0.07, 0.05, 0.035]
             res = verify_many(
                 chart,
                 np.zeros(4),
                 np.array([0.3, -0.2, 0.5, 0.8]),
                 bubble,
                 ["area", "v1", "v2", "vtot", "h0", "h1", "h2", "phi"],
-                [0.2, 0.14, 0.1, 0.07, 0.05],
+                rhos,
                 grid=(16, 32),
                 sector_nodes=8,
             )
