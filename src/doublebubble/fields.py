@@ -34,8 +34,10 @@ field once per sheet, or the field's own on RESPONSE_GRID.
 
 The linearized junction problem (Jacobi operator, neck trace and
 equiangularity rows) decouples by spherical-harmonic degree k: jacobi_block
-is its matrix per k at any m, field_modes an m = 2 field's amplitudes per k,
-and the Killing fields (killing_basis) span the kernel.
+is its matrix per k at any m on flat_rule's polar nodes, by spectral
+collocation in the Lagrange basis that the grid interpolant uses
+(geometry._lagrange), field_modes an m = 2 field's amplitudes per k on the
+flat_rule grid, and the Killing fields (killing_basis) span the kernel.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -52,11 +54,13 @@ from .geometry import (
     BubbleParams,
     StandardBubble,
     _inexact,
+    _lagrange,
     _normal_at,
     _tangent_rows,
     angles_to_dirs,
     flat_metric,
     flat_rule,
+    gauss_legendre,
     sheet_normal,
     sheet_point,
     sheet_tangents,
@@ -223,12 +227,6 @@ def displaced_point_z(bubble: StandardBubble, sheet: int, z: np.ndarray) -> np.n
     a field displaces it linearly, as x + s D from _sheet_jet."""
     z = np.asarray(z, dtype=float)
     return sheet_point(bubble, sheet, z[..., 0], angles_to_dirs(bubble.m, z[..., 1:]))
-
-
-def neck_angle_grid(m: int, n_angle: int) -> np.ndarray:
-    if m == 2:
-        return (2.0 * math.pi * np.arange(n_angle) / n_angle)[:, None]
-    raise ValueError("neck grids are implemented for m = 2")
 
 
 def _analytic(fun, z: np.ndarray, sheet: int) -> np.ndarray:
@@ -664,68 +662,13 @@ def perturbed_volume_expansion(
 # the linearized junction problem, one block per harmonic degree
 
 
-def fornberg_weights(xs: np.ndarray, x0: float, der: int) -> np.ndarray:
-    """Finite-difference weights at x0 on arbitrary nodes xs (Fornberg's
-    recursion): column d of the (len(xs), der + 1) table for the d-th
-    derivative."""
-    n = len(xs)
-    c = np.zeros((n, der + 1))
-    c[0, 0] = 1.0
-    c1 = 1.0
-    c4 = xs[0] - x0
-    for i in range(1, n):
-        mn = min(i, der)
-        c2 = 1.0
-        c5 = c4
-        c4 = xs[i] - x0
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 *= c3
-            if j == i - 1:
-                c[i, 1 : mn + 1] = c1 * (
-                    np.arange(1, mn + 1) * c[i - 1, 0:mn] - c5 * c[i - 1, 1 : mn + 1]
-                ) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            c[j, 1 : mn + 1] = (c4 * c[j, 1 : mn + 1] - np.arange(1, mn + 1) * c[j, 0:mn]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c
-
-
-_GHOSTS = 3
-_WINDOW = 7
-
-
-def _polar_nodes(upper: float, n: int) -> np.ndarray:
-    """Half-offset polar nodes (j + 1/2) upper / n: the pole is not a node."""
-    return upper * (np.arange(n) + 0.5) / n
-
-
-@lru_cache(maxsize=None)
-def _polar_weights(upper: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fornberg weights on _polar_nodes, built once per (upper, n).
-
-    Returns the (2, n, n + 3) first and second derivative matrices over three
-    pole ghosts at -polar_2, -polar_1, -polar_0 and then the nodes (7-point
-    windows, one-sided only at the neck end), and the (7, 2) value and first
-    derivative weights at the neck on the last 7 nodes.
-    """
-    polar = _polar_nodes(upper, n)
-    ext = np.concatenate([-polar[:_GHOSTS][::-1], polar])
-    d = np.zeros((2, n, n + _GHOSTS))
-    for i in range(n):
-        row = i + _GHOSTS
-        lo = min(max(0, row - _WINDOW // 2), n + _GHOSTS - _WINDOW)
-        d[:, i, lo : lo + _WINDOW] = fornberg_weights(ext[lo : lo + _WINDOW], ext[row], 2)[:, 1:].T
-    return d, fornberg_weights(polar[-_WINDOW:], upper, 1)
-
-
 def jacobi_block(bubble: StandardBubble, k: int, n_polar: int) -> np.ndarray:
     """The linearized junction problem in spherical-harmonic degree k.
 
     Acts on one degree-k harmonic's amplitudes at the three sheets' polar
-    nodes (j + 1/2) polar_limit(s) / n_polar, sheet after sheet.  The
-    (3n + 3, 3n) matrix has the rows
+    nodes of flat_rule, 0.5 polar_limit(s) (t + 1) at the n_polar
+    Gauss-Legendre nodes t, sheet after sheet.  The (3n + 3, 3n) matrix has
+    the rows
 
       R Delta w + (m/R) w on caps, Delta w on the symmetric disk, with the
         angular part of Delta -k(k+m-2)/sin^2(polar) (/polar^2 on the disk);
@@ -734,26 +677,30 @@ def jacobi_block(bubble: StandardBubble, k: int, n_polar: int) -> np.ndarray:
         and e2 = dw1/dnu1 + r1 w1 + dw2/dnu2 + r2 w2,
 
     nu_s the inward unit conormal (arclength R dpolar on caps, dpolar on the
-    disk) and r_s the Robin coefficients of coupling_constants.  The neck
-    rows take their values from Fornberg weights on the last 7 nodes.  Its
-    kernel holds the degree-k parts of the Killing fields: one axial
-    translation at k = 0, a translation and a tilt at k = 1.
+    disk) and r_s the Robin coefficients of coupling_constants.  The
+    derivatives are spectral collocation on the nodes, the differentiation
+    matrix of their Lagrange basis (geometry._lagrange) and its square, and
+    the neck rows the basis and its derivative at the neck.  The pole is no
+    node and needs no condition: the polynomial basis keeps only the
+    solution bounded there (Boyd, Chebyshev and Fourier Spectral Methods,
+    2001, ch. 6).  Its kernel holds the degree-k parts of the Killing
+    fields: one axial translation at k = 0, a translation and a tilt at
+    k = 1.
     """
-    if k < 0 or n_polar < _WINDOW:
-        raise ValueError(f"need degree k >= 0 and n_polar >= {_WINDOW}, got {k}, {n_polar}")
+    if k < 0 or n_polar < 1:
+        raise ValueError(f"need degree k >= 0 and n_polar >= 1, got {k}, {n_polar}")
     m, n = bubble.m, n_polar
     angular = k * (k + m - 2)
     robin = coupling_constants(bubble.params).robin
+    t, _ = gauss_legendre(n)
+    dt = _lagrange(n, t)[1]
+    (value,), (dvalue,) = _lagrange(n, [1.0])
     out = np.zeros((3 * n + 3, 3 * n))
     for s in range(3):
         upper = bubble.polar_limit(s)
-        pol = _polar_nodes(upper, n)
-        ext, neck_weights = _polar_weights(upper, n)
-        # a degree-k harmonic takes the value (-1)^k w(y) at polar -y: each
-        # ghost column folds onto its mirror node
-        d = ext[:, :, _GHOSTS:].copy()
-        d[:, :, :_GHOSTS] += (-1) ** k * ext[:, :, _GHOSTS - 1 :: -1]
-        d1, d2 = d
+        pol = 0.5 * upper * (t + 1.0)
+        d1 = dt * (2.0 / upper)
+        d2 = d1 @ d1
         cols = slice(s * n, (s + 1) * n)
         if s == 0 and bubble.symmetric:
             scale = 1.0
@@ -762,32 +709,29 @@ def jacobi_block(bubble: StandardBubble, k: int, n_polar: int) -> np.ndarray:
             scale = bubble.radii[s]
             lap = d2 + ((m - 1) / np.tan(pol))[:, None] * d1 - np.diag(angular / np.sin(pol) ** 2)
             out[cols, cols] = lap / scale + np.diag(np.full(n, m / scale))
-        neck = slice((s + 1) * n - _WINDOW, (s + 1) * n)
-        value, slope = neck_weights.T
-        balance = -slope / scale + robin[s] * value
-        out[3 * n, neck] = value if s == 1 else -value
+        balance = -dvalue * (2.0 / upper) / scale + robin[s] * value
+        out[3 * n, cols] = value if s == 1 else -value
         if s < 2:
-            out[3 * n + 1, neck] += balance
+            out[3 * n + 1, cols] += balance
         if s > 0:
-            out[3 * n + 2, neck] += balance
+            out[3 * n + 2, cols] += balance
     return out
 
 
 def field_modes(field: PerturbationField, n_polar: int) -> np.ndarray:
     """Degree-k cos and sin amplitudes of an m = 2 field's w_s on the nodes of
-    jacobi_block: (MODE_ANGLES // 2, 3 n_polar, 2), from a real FFT over
-    MODE_ANGLES equispaced angles.  jacobi_block(bubble, k, n_polar) @
-    field_modes(field, n_polar)[k] are the field's residuals in degree k."""
+    jacobi_block: (MODE_ANGLES // 2, 3 n_polar, 2), from a real FFT over the
+    MODE_ANGLES equispaced angles of flat_rule(2, polar_limit(s), (n_polar,
+    MODE_ANGLES)).  jacobi_block(bubble, k, n_polar) @ field_modes(field,
+    n_polar)[k] are the field's residuals in degree k."""
     b = field.bubble
     if b.m != 2:
         raise ValueError("field modes are implemented for m = 2")
-    theta = 2.0 * math.pi * np.arange(MODE_ANGLES) / MODE_ANGLES
-    dirs = np.broadcast_to(np.stack([np.cos(theta), np.sin(theta)], axis=-1), (n_polar, MODE_ANGLES, 2))
-    w = np.concatenate([
-        field.w(s, np.broadcast_to(_polar_nodes(b.polar_limit(s), n_polar)[:, None], dirs.shape[:2]), dirs)
-        for s in range(3)
-    ])
-    c = np.fft.rfft(w, axis=1)[:, : MODE_ANGLES // 2] * (2.0 / MODE_ANGLES)
+    w = []
+    for s in range(3):
+        z, dirs, _ = flat_rule(2, b.polar_limit(s), (n_polar, MODE_ANGLES))
+        w.append(field.w(s, z[:, 0], dirs).reshape(n_polar, MODE_ANGLES))
+    c = np.fft.rfft(np.concatenate(w), axis=1)[:, : MODE_ANGLES // 2] * (2.0 / MODE_ANGLES)
     c[:, 0] /= 2.0
     return np.stack([c.real, -c.imag], axis=-1).transpose(1, 0, 2)
 

@@ -28,10 +28,11 @@ in MATLAB, 2000, ch. 3).  The bend is O(rho^2) against the ray's O(rho),
 so the grid's rounding and truncation reach T that much smaller than they
 would through d_z Y.
 One such ray pass embeds the sheets (_embedded_sheets); the areas and the
-volumes sum over its nodes, and the mean curvature and the conormal defect
-read [Y, T] and d_z [Y, T] anywhere on the sheets, the neck included,
-through the grid interpolant (geometry.grid_interpolant: barycentric
-Lagrange in the polar parameter, trigonometric in the angles).  The h rows'
+volumes sum over its nodes, the mean curvature reads [Y, T] and d_z [Y, T]
+anywhere on the sheets, the neck included, through the grid interpolant
+(geometry.grid_interpolant: barycentric Lagrange in the polar parameter,
+trigonometric in the angles), and the conormal defect reads [Y, T] at the
+grid's own angles on the neck, through the polar factor alone.  The h rows'
 unit normal is the cofactor of the tangents and takes its side from the
 flat model, sign det[nu, T] = sign(det E) sign det[N, d_z x].  The ray pass
 takes one bubble or a sequence of bubbles on one chart, frame and
@@ -98,11 +99,11 @@ from .fields import (
     first_order_area_corrections,
     first_order_volume_corrections,
     mean_curvature_terms,
-    neck_angle_grid,
     _sheet_jet,
 )
 from .geometry import (
     StandardBubble,
+    _lagrange,
     _normal_at,
     flat_rule,
     gauss_legendre,
@@ -112,8 +113,6 @@ from .geometry import (
 
 # parameter points per sheet at which verify_many samples mean curvature
 H_SAMPLES = 4
-# neck angles per sheet at which the conormal defect is sampled
-NECK_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,8 @@ class FlatModel:
     sheets share.  They are built on first use, and every
     rho of a verify_many sweep reads one model, as do the sweep's first-order
     responses (the sheets' weights and jets).  Every quantity reads the
-    sheets embedded at these nodes; the mean curvature and the conormal
-    defect read them off the nodes through the grid interpolant.
+    sheets embedded at these nodes; the mean curvature reads them off the
+    nodes through the grid interpolant, the conormal defect at the neck.
     """
 
     def __init__(self, bubble, perturbation, grid, geodesic_steps, sector_nodes):
@@ -451,12 +450,10 @@ def _on_sheets(ebs: list, sheets: np.ndarray, z: np.ndarray):
         polar, angles = grid_interpolant(m, b.polar_limit(s), model.grid, z[idx])
         odd = None if m == 2 else grid_interpolant(m, b.polar_limit(s), model.grid, z[idx], parity=-1.0)[1]
         nodes = slice(bounds[s], bounds[s + 1])
-        # the polar factor once per polar parameter (the neck has one)
-        _, first, same = np.unique(z[idx, 0], return_index=True, return_inverse=True)
         for k, (pos, tangents) in enumerate(embedded):
             grid = np.concatenate([pos[nodes, :, None], np.moveaxis(tangents[..., nodes], -1, 0)], axis=-1)
             # (points, polar value and derivative, angles, n, 1 + m)
-            part = (polar[first] @ grid.reshape(n_polar, -1))[same].reshape((len(idx), 2, -1, n, 1 + m))
+            part = (polar @ grid.reshape(n_polar, -1)).reshape((len(idx), 2, -1, n, 1 + m))
             # (points, polar row, angle row, n, 1 + m) for the angle rows of angles
             out = (angles[:, None] @ part.reshape(part.shape[:3] + (-1,))).reshape(part.shape[:2] + (m, n, 1 + m))
             if odd is not None:
@@ -529,35 +526,38 @@ def measure_mean_curvature(eb, sheet, z: np.ndarray) -> np.ndarray:
 
 
 def measure_conormal_defect(eb):
-    """sup over the NECK_SAMPLES neck samples of || sum_s conormal_s ||_G, a
-    float for one EmbeddedBubble and an array (one per bubble) for a
-    sequence of them (see _stack).
+    """sup over the neck samples of || sum_s conormal_s ||_G, a float for one
+    EmbeddedBubble and an array (one per bubble) for a sequence of them (see
+    _stack).
 
-    Each sheet's inward unit conormal is the G-normalized boundary-inward
-    tangent orthogonal to the neck direction.  Both tangents, and the neck
-    points, are the sheets' own embedding at (polar_limit, neck angle),
-    read through the grid interpolant (_on_sheets), which extrapolates the
-    polar nodes to the neck.  The norm of the sum takes the metric at sheet
-    2's neck points.
+    The neck samples are the grid's own angles at polar_limit, which the
+    three sheets share.  There each sheet's [Y, T] is its embedding at the
+    polar nodes (_embedded_sheets) extrapolated to the neck by the one row
+    of their Lagrange basis (geometry._lagrange), the polar factor of the
+    grid interpolant; the angles need none.  Each sheet's inward unit
+    conormal is minus its polar tangent, G-projected off the span of its
+    m - 1 angle tangents (one Gram solve per point), G-normalized.  The norm
+    of the sum takes the metric at sheet 2's neck points.
     """
     ebs = _stack(eb)
-    bubble = ebs[0].bubble
-
-    def dot(a, gmat, b):
-        return np.einsum("...i,...ij,...j->...", a, gmat, b)[..., None]
-
-    angles = np.tile(neck_angle_grid(bubble.m, NECK_SAMPLES), (3, 1))
-    upper = np.repeat([bubble.polar_limit(s) for s in range(3)], NECK_SAMPLES)
-    vals, _ = _on_sheets(ebs, np.repeat(np.arange(3), NECK_SAMPLES), np.column_stack([upper, angles]))
-    # (bubbles, sheets, neck points, n, 1 + m)
-    vals = vals.reshape((len(ebs), 3, NECK_SAMPLES) + vals.shape[2:])
-    pos, dpol, dth = vals[..., 0], vals[..., 1], vals[..., 2]
+    n_polar = ebs[0].model.grid[0]
+    (row,), _ = _lagrange(n_polar, [1.0])
+    necks = []
+    for pos, tangents in _embedded_sheets(ebs):
+        grid = np.concatenate([pos[..., None], np.moveaxis(tangents, -1, 0)], axis=-1)
+        # [Y, T] (sheets, neck points, n, 1 + m), one product per sheet
+        rows = [row @ sheet.reshape(n_polar, -1) for sheet in np.split(grid, 3)]
+        necks.append(np.reshape(rows, (3, -1) + grid.shape[1:]))
+    vals = np.array(necks)
+    pos, polar, angle = vals[..., 0], vals[..., 1], vals[..., 2:]
     gmat = ebs[0].chart.metric(pos)
-    # G-orthogonalize the inward polar tangent against the neck tangent
-    nu = (dot(dpol, gmat, dth) / dot(dth, gmat, dth)) * dth - dpol
-    nu = nu / np.sqrt(dot(nu, gmat, nu))
+    g_angle = gmat @ angle
+    gram = np.swapaxes(angle, -1, -2) @ g_angle
+    coef = np.linalg.solve(gram, np.swapaxes(g_angle, -1, -2) @ polar[..., None])
+    nu = (angle @ coef)[..., 0] - polar
+    nu = nu / np.sqrt(np.einsum("...i,...ij,...j->...", nu, gmat, nu))[..., None]
     gsum = nu[:, 0] + nu[:, 1] + nu[:, 2]
-    defect = np.max(np.sqrt(dot(gsum, gmat[:, 2], gsum)), axis=(1, 2))
+    defect = np.max(np.sqrt(np.einsum("...i,...ij,...j->...", gsum, gmat[:, 2], gsum)), axis=1)
     return float(defect[0]) if isinstance(eb, EmbeddedBubble) else defect
 
 
@@ -601,9 +601,9 @@ CLAIMS = {
     "v1": Claim(1e-11),
     "v2": Claim(1e-11),
     "vtot": Claim(1e-11),
-    "h0": Claim(2e-9, (3, 3)),
-    "h1": Claim(2e-9, (3, 3)),
-    "h2": Claim(2e-9, (3, 3)),
+    "h0": Claim(1e-10, (3, 3)),
+    "h1": Claim(1e-10, (3, 3)),
+    "h2": Claim(1e-10, (3, 3)),
     "conormal": Claim(1e-9, (2, 2)),
     # a symmetric bubble's central symmetry cancels the rho^1 term of phi
     "phi": Claim(1e-8, (2, 1)),

@@ -44,6 +44,7 @@ from doublebubble.geometry import (
     sheet_point,
     sheet_tangents,
     sine_power_integral,
+    sphere_rule,
     unit_ball_volume,
 )
 
@@ -293,23 +294,32 @@ def stencil_fundamental_forms(eb, sheet, z, exp_map, christoffel, rel=1e-3):
 
 
 def neck_conormal_defect(eb, exp_map, n_angles=32):
-    """sup over n_angles equispaced neck angles of || sum_s nu_s ||_G for an
-    EmbeddedBubble at m = 2, from rays of its own at the neck points
-    (polar_limit, angle) of each sheet (embedded_sheet): nu_s is the
-    G-unit inward tangent G-orthogonal to the neck tangent, and the norm
-    takes the metric at sheet 2's neck points."""
-    angles = 2.0 * math.pi * np.arange(n_angles) / n_angles
+    """sup over the neck points (polar_limit, angles) of each sheet of
+    || sum_s nu_s ||_G for an EmbeddedBubble, the angles those of
+    geometry.sphere_rule(m, n_angles), from rays of their own at those
+    points (embedded_sheet): nu_s is minus the polar tangent made
+    G-orthogonal to the angle tangents by Gram-Schmidt, G-unit, and the
+    norm takes the metric at sheet 2's neck points."""
+    b = eb.bubble
+    angles = sphere_rule(b.m, n_angles)[0]
     nus = []
     for s in range(3):
-        z = np.stack([np.full(n_angles, eb.bubble.polar_limit(s)), angles], axis=1)
+        z = np.column_stack([np.full(len(angles), b.polar_limit(s)), angles])
         pos, push = embedded_sheet(eb, s, z, exp_map)
         gmat = eb.chart.metric(pos)
-        dpol, dth = push[..., 0], push[..., 1]
 
         def dot(a, c):
             return np.einsum("na,nab,nb->n", a, gmat, c)[:, None]
 
-        nu = (dot(dpol, dth) / dot(dth, dth)) * dth - dpol
+        basis = []
+        for k in range(1, b.m):
+            t = push[..., k]
+            for e in basis:
+                t = t - dot(t, e) * e
+            basis.append(t / np.sqrt(dot(t, t)))
+        nu = -push[..., 0]
+        for e in basis:
+            nu = nu - dot(nu, e) * e
         nus.append(nu / np.sqrt(dot(nu, nu)))
     total = nus[0] + nus[1] + nus[2]
     return float(np.max(np.sqrt(np.einsum("na,nab,nb->n", total, gmat, total))))

@@ -266,6 +266,8 @@ def test_flat_cone_volumes_exact_in_dims_3_and_4():
             v1, v2 = measure_volumes(eb)
             assert v1 == pytest.approx(rho**dim * b.v1, rel=1e-12, abs=0)
             assert v2 == pytest.approx(rho**dim * b.v2, rel=1e-12, abs=0)
+            # the neck's conormals at the grid's own angles, m = 2 and 3 alike
+            assert measure_conormal_defect(eb) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -636,9 +638,9 @@ def test_h_rows_on_a_left_handed_frame_pass(m, symmetric, perturbed):
 
 
 def _held_to_the_stencil_reference(chart, frame, b, grid, rho, field, steps=200):
-    # the h rows rho R_s H of every sheet at its default samples, and at m = 2
-    # the conormal defect, of the grid interpolant and of the stencil and
-    # neck references of exact_models: the largest differences
+    # the h rows rho R_s H of every sheet at its default samples, and the
+    # conormal defect, of the grid interpolant and of the stencil and neck
+    # references of exact_models: the largest differences
     eb = EmbeddedBubble(chart, frame, b, rho, perturbation=field and field.scaled(rho**2), grid=grid,
                         geodesic_steps=steps)
     h_gap = 0.0
@@ -648,9 +650,7 @@ def _held_to_the_stencil_reference(chart, frame, b, grid, rho, field, steps=200)
         ref = np.einsum("nij,nij->n", np.linalg.inv(gram), hmat)
         scale = rho if (s == 0 and b.symmetric) else rho * b.radii[s]
         h_gap = max(h_gap, float(np.abs(scale * (measure_mean_curvature(eb, s, z) - ref)).max()))
-    if b.m != 2:
-        return h_gap, 0.0
-    return h_gap, abs(measure_conormal_defect(eb) - exact_models.neck_conormal_defect(eb, exp_map))
+    return h_gap, abs(measure_conormal_defect(eb) - exact_models.neck_conormal_defect(eb, exp_map, n_angles=grid[1]))
 
 
 @pytest.mark.parametrize("perturbed", [False, True], ids=["plain", "field"])
@@ -663,11 +663,13 @@ def _held_to_the_stencil_reference(chart, frame, b, grid, rho, field, steps=200)
 )
 def test_h_rows_and_conormal_match_the_stencil_reference(family, kw, point, steps, bubble, perturbed):
     # the grid interpolant of the sheets' embedding against first
-    # differences of rays around each sample and rays of their own at the
+    # differences of rays around each sample, and the conormal defect at the
+    # grid's own angles against rays of their own at those angles on the
     # neck: rho R_s H to 1e-10 and the conormal defect to 2e-12 absolute
     # (1.5e-12 on the asymmetric bump at 16 x 32, the polar nodes
-    # extrapolated to the neck), at the grids from CI's to the CLI default
-    # and the largest rho of the CI bump sweeps, where the gaps are largest
+    # extrapolated to the neck; <= 4e-15 at 32 x 64 and 48 x 96), at the
+    # grids from CI's to the CLI default and the largest rho of the CI bump
+    # sweeps, where the gaps are largest
     chart = builtin_chart(family, **kw)
     frame = curvature_at(chart, np.array(point), np.array([0.25, -0.4, 0.88]), nabla=False).frame
     field = random_admissible_field(bubble, np.random.default_rng(3), 0.05) if perturbed else None
@@ -689,14 +691,17 @@ def test_m3_h_rows_match_the_stencil_reference(family, kw, point, grids, steps):
     # at m = 3 the interpolant pairs the azimuths beta and beta + pi across
     # the poles of the alpha direction, the alpha tangent with parity -1:
     # rho R_s H to 1e-10 of the stencil reference, on the RK4 bump at CI's
-    # grid alone (8.6e-12 there; 5.0e-11 at 32 x 64, about 3 s per bubble)
+    # grid alone (8.6e-12 there; 5.0e-11 at 32 x 64, about 3 s per bubble);
+    # the conormal defect at the grid's neck angles to 2e-12 of the neck
+    # reference (6.2e-13 on the asymmetric bump)
     chart = builtin_chart(family, **kw)
     frame = curvature_at(chart, np.array(point), np.array([0.3, -0.2, 0.5, 0.8]), nabla=False).frame
     for h in ((0.0, 4.0, 4.0), (1.0, 4.0, 3.0)):
         b = solve_standard_bubble(BubbleParams(3, *h))
         for grid in grids:
-            h_gap, _ = _held_to_the_stencil_reference(chart, frame, b, grid, 0.07, None, steps)
+            h_gap, conormal_gap = _held_to_the_stencil_reference(chart, frame, b, grid, 0.07, None, steps)
             assert h_gap <= 1e-10, (h, grid, h_gap)
+            assert conormal_gap <= 2e-12, (h, grid, conormal_gap)
 
 
 def test_h_rows_reach_the_neck():
@@ -736,7 +741,7 @@ def test_claims_pin_floors_and_orders(m):
     # their ExpansionTerms; a fit passes within 0.3 of its order
     assert {q: claim.floor for q, claim in CLAIMS.items()} == {
         "area": 1e-11, "v1": 1e-11, "v2": 1e-11, "vtot": 1e-11,
-        "h0": 2e-9, "h1": 2e-9, "h2": 2e-9, "conormal": 1e-9, "phi": 1e-8,
+        "h0": 1e-10, "h1": 1e-10, "h2": 1e-10, "conormal": 1e-9, "phi": 1e-8,
     }
     orders = {
         "sym": {"area": 4, "v1": 3, "v2": 3, "vtot": 4, "h0": 3, "h1": 3, "h2": 3, "conormal": 2, "phi": 2},
@@ -745,13 +750,35 @@ def test_claims_pin_floors_and_orders(m):
     h1 = m + 1.0
     chart = builtin_chart("euclidean", dim=m + 1)
     axis = np.eye(m + 1)[-1]
-    quantities = [q for q in CLAIMS if m == 2 or q != "conormal"]
+    quantities = list(CLAIMS)
     for name, h in (("sym", (0.0, h1, h1)), ("asym", (1.0, h1, h1 - 1.0))):
         b = solve_standard_bubble(BubbleParams(m, *h))
         res = verify_many(chart, np.zeros(m + 1), axis, b, quantities, [0.2, 0.14, 0.1], grid=(8, 16),
                           sector_nodes=4)
         thresholds = {q: fit.threshold for q, (fit, _) in res.items()}
         assert thresholds == {q: orders[name][q] - 0.3 for q in quantities}, (m, name)
+
+
+def _s3xr_h0_sweep(rhos):
+    # the symmetric disk's h0 on S^3 x R, whose genuine errors fall from
+    # 4.7e-9 at rho 0.07 to 7.7e-11 at 0.025 at order 4
+    chart = builtin_chart("product", factors=[(3, 1.0), (1, math.inf)])
+    b = solve_standard_bubble(BubbleParams(3, 0.0, 3.0, 3.0))
+    return verify_many(chart, np.zeros(4), np.array([0.3, -0.2, 0.5, 0.8]), b, ["h0"], rhos, grid=(16, 32))["h0"][0]
+
+
+def test_h_floor_lies_below_genuine_errors():
+    # rho 0.07 to 0.035: every error lies above the h floor, so the sweep is
+    # fitted at its order
+    fit = _s3xr_h0_sweep([0.07, 0.05, 0.035])
+    assert not fit.exact and fit.passed and fit.slope == pytest.approx(4.0, abs=0.1), fit.slope
+
+
+def test_genuine_h_errors_below_2e9_do_not_read_exact():
+    # rho 0.05 to 0.025: errors 1.2e-9 to 7.7e-11, two above the floor, so
+    # no exact expansion, and too few errors above it to fit: NaN, a failure
+    fit = _s3xr_h0_sweep([0.05, 0.035, 0.025])
+    assert not fit.exact and not fit.passed and math.isnan(fit.slope)
 
 
 def test_embedded_bubble_domain_guard():
@@ -937,7 +964,8 @@ def test_m3_sweeps_pass_claimed_orders():
     # whose Ric(s,s) differs from Sc/4 so that both curvature coefficients
     # count, and the products S^2 x S^2, S^2 x R^2 and S^2(1) x S^2(0.5),
     # whose Weyl tensors, unlike theirs, are not zero, which the h rows'
-    # Rm(x, C, x, C) term sees.  On S^2(1) x S^2(0.5) the asymmetric bubble
+    # Rm(x, C, x, C) term sees; the conormal at the grid's own neck angles,
+    # as at m = 2.  On S^2(1) x S^2(0.5) the asymmetric bubble
     # starts at rho = 0.14: at 0.2 it fails EmbeddedBubble's crude clearance
     # bound rho * extent * 1.5 (ROADMAP item 10)
     charts = {
@@ -961,7 +989,7 @@ def test_m3_sweeps_pass_claimed_orders():
                 np.zeros(4),
                 np.array([0.3, -0.2, 0.5, 0.8]),
                 bubble,
-                ["area", "v1", "v2", "vtot", "h0", "h1", "h2", "phi"],
+                ["area", "v1", "v2", "vtot", "h0", "h1", "h2", "conormal", "phi"],
                 rhos,
                 grid=(16, 32),
                 sector_nodes=8,
